@@ -76,15 +76,10 @@ class FicConfig:
 
 @dataclass(frozen=True)
 class BaselineConfig:
-    """Constant-gain impedance controller: wrench = K x_err + D x_err_rate.
-
-    ``inertia_shaping`` (kg) is carried for the discrete-work audit of the
-    baseline and does not enter the wrench.
-    """
+    """Constant-gain impedance controller: wrench = K x_err + D x_err_rate."""
 
     k_d: np.ndarray
     d_d: np.ndarray
-    inertia_shaping: float = 0.0
     posture_target: np.ndarray | None = None
     posture_gains: tuple[float, float] = (0.0, 0.0)
 
@@ -180,17 +175,37 @@ def null_space_torque(
     )
 
 
-def _arm_torques(arm: PlanarArm, dyn, w_task: np.ndarray, tau_null: np.ndarray) -> np.ndarray:
-    """Map a task wrench to joint torques with dynamics compensation.
+def _arm_tick(
+    arm: PlanarArm,
+    x_target: np.ndarray,
+    config: FicConfig | BaselineConfig,
+    law,
+    target_rate: np.ndarray | None = None,
+) -> ControlResult:
+    """One arm tick around a task wrench law; both controllers share it.
+
+    ``law(x_err, x_err_rate, damping_rate)`` returns the tick's wrench and
+    attractor states as a ControlResult; the wrench is mapped to joint torques
+    with dynamics compensation:
 
     tau = J^T (w_task + Lam (J M^-1 C qd - Jd qd)) + G + N tau_null
     """
+    x = forward_kinematics(arm, arm.q)
+    dyn = arm_dynamics(arm, arm.q, arm.qdot)
+    x_err = np.asarray(x_target, dtype=float) - x
+    damping_rate = -(dyn.jacobian @ arm.qdot)
+    x_err_rate = damping_rate
+    if target_rate is not None:
+        x_err_rate = damping_rate + np.asarray(target_rate, dtype=float)
+    result = law(x_err, x_err_rate, damping_rate)
+    tau_null = null_space_torque(arm.q, arm.qdot, config.posture_target, config.posture_gains)
     ts = task_space_quantities(arm, arm.q, dyn)
     comp = ts.lam @ (
         dyn.jacobian @ np.linalg.solve(dyn.mass_matrix, dyn.bias)
         - dyn.jacobian_dot @ arm.qdot
     )
-    return dyn.jacobian.T @ (w_task + comp) + dyn.gravity + ts.nullspace @ tau_null
+    torques = dyn.jacobian.T @ (result.wrench + comp) + dyn.gravity + ts.nullspace @ tau_null
+    return ControlResult(wrench=result.wrench, states=result.states, torques=torques)
 
 
 def fic_control_torques(
@@ -208,17 +223,11 @@ def fic_control_torques(
     Raises:
         SingularConfigurationError: propagated from the task-space map.
     """
-    x = forward_kinematics(arm, arm.q)
-    dyn = arm_dynamics(arm, arm.q, arm.qdot)
-    x_err = np.asarray(x_target, dtype=float) - x
-    damping_rate = -(dyn.jacobian @ arm.qdot)
-    x_err_rate = damping_rate
-    if target_rate is not None:
-        x_err_rate = damping_rate + np.asarray(target_rate, dtype=float)
-    result = fic_task_wrench(config, states, x_err, x_err_rate, damping_rate=damping_rate)
-    tau_null = null_space_torque(arm.q, arm.qdot, config.posture_target, config.posture_gains)
-    torques = _arm_torques(arm, dyn, result.wrench, tau_null)
-    return ControlResult(wrench=result.wrench, states=result.states, torques=torques)
+
+    def law(x_err, x_err_rate, damping_rate):
+        return fic_task_wrench(config, states, x_err, x_err_rate, damping_rate=damping_rate)
+
+    return _arm_tick(arm, x_target, config, law, target_rate)
 
 
 def baseline_control_torques(
@@ -229,11 +238,8 @@ def baseline_control_torques(
     The error rate is measured-velocity only: the baseline law is defined
     with zero desired velocity.
     """
-    x = forward_kinematics(arm, arm.q)
-    dyn = arm_dynamics(arm, arm.q, arm.qdot)
-    x_err = np.asarray(x_target, dtype=float) - x
-    x_err_rate = -(dyn.jacobian @ arm.qdot)
-    wrench = baseline_impedance_wrench(config, x_err, x_err_rate)
-    tau_null = null_space_torque(arm.q, arm.qdot, config.posture_target, config.posture_gains)
-    torques = _arm_torques(arm, dyn, wrench, tau_null)
-    return ControlResult(wrench=wrench, states=(), torques=torques)
+
+    def law(x_err, x_err_rate, _damping_rate):
+        return ControlResult(baseline_impedance_wrench(config, x_err, x_err_rate), ())
+
+    return _arm_tick(arm, x_target, config, law)

@@ -13,7 +13,6 @@ integrators can evaluate them at stage states.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -104,9 +103,12 @@ class PlanarArm:
     gravity: np.ndarray
     q: np.ndarray
     qdot: np.ndarray
-    # Constant coupling terms of the absolute-angle formulation.
+    # Constant terms of the absolute-angle formulation: link coupling, first
+    # moments, rotational inertias and the map S (phi = S q).
     _coupling: np.ndarray = field(init=False, repr=False)
     _first_moments: np.ndarray = field(init=False, repr=False)
+    _inertia_diag: np.ndarray = field(init=False, repr=False)
+    _smap: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         for name in ("lengths", "masses", "com_offsets", "inertias", "q", "qdot"):
@@ -130,6 +132,8 @@ class PlanarArm:
             cmat[i, i] = self.com_offsets[i]
         self._coupling = cmat @ np.diag(self.masses) @ cmat.T
         self._first_moments = cmat @ self.masses
+        self._inertia_diag = np.diag(self.inertias)
+        self._smap = np.tril(np.ones((n, n)))
 
     @classmethod
     def default(cls, q=None, qdot=None, gravity=(0.0, -9.81)) -> "PlanarArm":
@@ -171,31 +175,41 @@ def _suffix_sum(v: np.ndarray) -> np.ndarray:
     return np.cumsum(v[::-1])[::-1]
 
 
+def _link_angles(q: np.ndarray):
+    """Absolute link angles phi = S q and their cosines and sines."""
+    phi = np.cumsum(np.asarray(q, dtype=float))
+    return phi, np.cos(phi), np.sin(phi)
+
+
+def _arm_kernel(arm: PlanarArm, q: np.ndarray):
+    """State-dependent arm terms at ``q`` that every arm quantity shares.
+
+    Returns the link cosines and sines, the coupling sines
+    ``A_ab sin(phi_a - phi_b)``, the joint-space mass matrix and the
+    end-effector Jacobian.
+    """
+    phi, c, s = _link_angles(q)
+    dphi = phi[:, None] - phi[None, :]
+    a_sin = arm._coupling * np.sin(dphi)
+    m_phi = arm._coupling * np.cos(dphi) + arm._inertia_diag
+    mass = arm._smap.T @ m_phi @ arm._smap
+    jac = np.vstack((_suffix_sum(-arm.lengths * s), _suffix_sum(arm.lengths * c)))
+    return c, s, a_sin, mass, jac
+
+
+def _end_effector(arm: PlanarArm, c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    return np.array([float(np.dot(arm.lengths, c)), float(np.dot(arm.lengths, s))])
+
+
 def arm_dynamics(arm: PlanarArm, q: np.ndarray, qdot: np.ndarray) -> ArmDynamics:
     """Closed-form mass matrix, Coriolis, gravity and end-effector Jacobians."""
-    q = np.asarray(q, dtype=float)
     qdot = np.asarray(qdot, dtype=float)
-    n = arm.n_joints
-    phi = np.cumsum(q)
+    c, s, a_sin, mass, jac = _arm_kernel(arm, q)
     phidot = np.cumsum(qdot)
-    c, s = np.cos(phi), np.sin(phi)
-    dphi = phi[:, None] - phi[None, :]
-    a_cos = arm._coupling * np.cos(dphi)
-    a_sin = arm._coupling * np.sin(dphi)
-
-    m_phi = a_cos + np.diag(arm.inertias)
     c_phi = a_sin * phidot[None, :]
     gx, gy = arm.gravity
     g_phi = -arm._first_moments * (-gx * s + gy * c)
-
-    # phi = S q with S lower-triangular ones; pull everything to joint space.
-    smap = np.tril(np.ones((n, n)))
-    mass = smap.T @ m_phi @ smap
-    coriolis = smap.T @ c_phi @ smap
-    gravity = smap.T @ g_phi
-
-    lx, ly = -arm.lengths * s, arm.lengths * c
-    jac = np.vstack((_suffix_sum(lx), _suffix_sum(ly)))
+    coriolis = arm._smap.T @ c_phi @ arm._smap
     lxd, lyd = -arm.lengths * c * phidot, -arm.lengths * s * phidot
     jac_dot = np.vstack((_suffix_sum(lxd), _suffix_sum(lyd)))
 
@@ -203,37 +217,44 @@ def arm_dynamics(arm: PlanarArm, q: np.ndarray, qdot: np.ndarray) -> ArmDynamics
         mass_matrix=mass,
         coriolis=coriolis,
         bias=coriolis @ qdot,
-        gravity=gravity,
+        gravity=arm._smap.T @ g_phi,
         jacobian=jac,
         jacobian_dot=jac_dot,
     )
 
 
+def _arm_task_state(arm: PlanarArm, q: np.ndarray, qdot: np.ndarray):
+    """Pose, velocity and task kinetic energy 0.5 xdot' Lam xdot at a sample."""
+    c, s, _, mass, jac = _arm_kernel(arm, q)
+    xdot = jac @ qdot
+    core = jac @ np.linalg.solve(mass, jac.T)
+    ke = 0.5 * float(xdot @ np.linalg.solve(core, xdot))
+    return _end_effector(arm, c, s), xdot, ke
+
+
 def forward_kinematics(arm: PlanarArm, q: np.ndarray) -> np.ndarray:
-    phi = np.cumsum(np.asarray(q, dtype=float))
-    return np.array(
-        [float(np.dot(arm.lengths, np.cos(phi))), float(np.dot(arm.lengths, np.sin(phi)))]
-    )
+    _, c, s = _link_angles(q)
+    return _end_effector(arm, c, s)
 
 
 def joint_positions(arm: PlanarArm, q: np.ndarray) -> np.ndarray:
     """Base and joint/tip positions, shape (n_joints + 1, 2)."""
-    phi = np.cumsum(np.asarray(q, dtype=float))
-    xs = np.concatenate(([0.0], np.cumsum(arm.lengths * np.cos(phi))))
-    ys = np.concatenate(([0.0], np.cumsum(arm.lengths * np.sin(phi))))
+    _, c, s = _link_angles(q)
+    xs = np.concatenate(([0.0], np.cumsum(arm.lengths * c)))
+    ys = np.concatenate(([0.0], np.cumsum(arm.lengths * s)))
     return np.column_stack((xs, ys))
 
 
 def potential_energy(arm: PlanarArm, q: np.ndarray) -> float:
-    phi = np.cumsum(np.asarray(q, dtype=float))
+    _, c, s = _link_angles(q)
     gx, gy = arm.gravity
-    return float(-np.dot(arm._first_moments, gx * np.cos(phi) + gy * np.sin(phi)))
+    return float(-np.dot(arm._first_moments, gx * c + gy * s))
 
 
 def kinetic_energy(arm: PlanarArm, q: np.ndarray, qdot: np.ndarray) -> float:
     qdot = np.asarray(qdot, dtype=float)
-    dyn = arm_dynamics(arm, q, qdot)
-    return float(0.5 * qdot @ dyn.mass_matrix @ qdot)
+    _, _, _, mass, _ = _arm_kernel(arm, q)
+    return float(0.5 * qdot @ mass @ qdot)
 
 
 @dataclass(frozen=True)
@@ -339,9 +360,6 @@ class PerturbationProfile:
                 if s1 < e0:
                     raise ValueError(f"overlapping pulses on DoF {dof}")
 
-    def active(self, t: float) -> bool:
-        return any(p.start <= t < p.end for p in self.pulses)
-
 
 def external_wrench(profile: PerturbationProfile, t: float) -> np.ndarray:
     """Sum of pulses active at time t (zero vector outside all pulses)."""
@@ -373,28 +391,18 @@ def _arm_accel(
     wall: ContactWall | None,
     task_wrench: np.ndarray | None,
 ) -> np.ndarray:
-    # Lean path: the integrator needs M, the bias vector and G; the Jacobian
-    # only when a task-space force has to be mapped to the joints.
-    phi = np.cumsum(q)
+    c, s, a_sin, mass, jac = _arm_kernel(arm, q)
     phidot = np.cumsum(qdot)
-    c, s = np.cos(phi), np.sin(phi)
-    dphi = phi[:, None] - phi[None, :]
-    m_phi = arm._coupling * np.cos(dphi) + np.diag(arm.inertias)
-    bias_phi = (arm._coupling * np.sin(dphi)) @ (phidot * phidot)
+    bias_phi = a_sin @ (phidot * phidot)
     gx, gy = arm.gravity
     g_phi = -arm._first_moments * (-gx * s + gy * c)
-    n = arm.n_joints
-    smap = np.tril(np.ones((n, n)))
-    mass = smap.T @ m_phi @ smap
-    rhs = tau - smap.T @ (bias_phi + g_phi)
+    rhs = tau - arm._smap.T @ (bias_phi + g_phi)
     if wall is not None or task_wrench is not None:
-        jac = np.vstack((_suffix_sum(-arm.lengths * s), _suffix_sum(arm.lengths * c)))
         w = np.zeros(2)
         if task_wrench is not None:
             w += task_wrench
         if wall is not None:
-            ee = np.array([float(np.dot(arm.lengths, c)), float(np.dot(arm.lengths, s))])
-            w += contact_force(wall, ee, jac @ qdot)
+            w += contact_force(wall, _end_effector(arm, c, s), jac @ qdot)
         rhs = rhs + jac.T @ w
     return np.linalg.solve(mass, rhs)
 

@@ -48,14 +48,15 @@ class SwitchEvent:
 
 @dataclass
 class EnergyLedger:
-    """Per-episode energy audit summary plus monitored time series."""
+    """Per-episode energy audit summary.
+
+    The monitored V and the running E_in/E_rel series live on the episode
+    record (``EpisodeRecord.v``, ``e_in_cum``, ``e_rel_cum``).
+    """
 
     e_in: float = 0.0
     e_rel: float = 0.0
     contact_work: float = 0.0
-    v: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    e_in_series: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    e_rel_series: np.ndarray = field(default_factory=lambda: np.zeros(0))
     switch_events: tuple[SwitchEvent, ...] = ()
 
     @property

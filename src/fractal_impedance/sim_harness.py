@@ -38,6 +38,7 @@ from .dynamics import (
     SingularConfigurationError,
     _advance,
     _arm_accel,
+    _arm_task_state,
     _point_mass_accel,
     contact_force,
     external_wrench,
@@ -419,25 +420,6 @@ class EpisodeRecord:
         return self.t.shape[0]
 
 
-def _arm_task_state(arm: PlanarArm, q: np.ndarray, qdot: np.ndarray):
-    """Pose, velocity and task kinetic energy 0.5 xdot' Lam xdot at a sample."""
-    phi = np.cumsum(q)
-    phidot = np.cumsum(qdot)
-    c, s = np.cos(phi), np.sin(phi)
-    dphi = phi[:, None] - phi[None, :]
-    m_phi = arm._coupling * np.cos(dphi) + np.diag(arm.inertias)
-    n = arm.n_joints
-    smap = np.tril(np.ones((n, n)))
-    mass = smap.T @ m_phi @ smap
-    lx, ly = -arm.lengths * s, arm.lengths * c
-    jac = np.vstack((np.cumsum(lx[::-1])[::-1], np.cumsum(ly[::-1])[::-1]))
-    x = np.array([float(np.dot(arm.lengths, c)), float(np.dot(arm.lengths, s))])
-    xdot = jac @ qdot
-    core = jac @ np.linalg.solve(mass, jac.T)
-    ke = 0.5 * float(xdot @ np.linalg.solve(core, xdot))
-    return x, xdot, ke
-
-
 def _schedule_x_b(sc: Scenario, t: float, x_b0: tuple) -> tuple:
     sched = sc.xb_schedule
     drop = sched["rate"] * sched["interval"] * math.floor(t / sched["interval"] + 1e-9)
@@ -641,9 +623,6 @@ def run_scenario(sc: Scenario) -> EpisodeRecord:
         e_in=float(ein_a[n_rec - 1]) if n_rec else 0.0,
         e_rel=float(erel_a[n_rec - 1]) if n_rec else 0.0,
         contact_work=c_work,
-        v=v_a[sl].copy(),
-        e_in_series=ein_a[sl].copy(),
-        e_rel_series=erel_a[sl].copy(),
         switch_events=tuple(events),
     )
     recov, conv = _pulse_recoveries(t_a[sl], xe_a[sl], profile, dt)

@@ -230,6 +230,33 @@ class TestEpisodes:
         assert rec.ledger.margin <= 1e-9
         assert np.max(np.abs(rec.x)) < 2.0
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason=(
+            "known ledger defect: e_rel is the running maximum of the total task "
+            "kinetic energy, compared with the cumulative e_in of all strokes; "
+            "see the ROADMAP item 'Passivity audit per excursion'"
+        ),
+    )
+    def test_late_release_above_absorbed_energy(self):
+        # A criterion-02 point-mass episode on which the episode-wide ledger
+        # reads e_in 0.08579 J, e_rel 0.09653 J: margin +0.0107 J.
+        sc = scenario(
+            duration=6.0,
+            damping=2.5,
+            pulses=(
+                {"start": 0.5, "duration": 0.0888821538248061, "wrench": (-3.7390504262386033,)},
+                {
+                    "start": 2.112150568667002,
+                    "duration": 0.13504231440461162,
+                    "wrench": (4.706597816799167,),
+                },
+            ),
+        )
+        rec = run_scenario(sc)
+        assert rec.error is None
+        assert rec.ledger.margin <= 1e-9
+
     def test_wall_push_saturates_at_force_bound(self):
         # deep command past the wall: both phase branches clamp at w_max
         sc = scenario(
