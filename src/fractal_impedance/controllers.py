@@ -14,7 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import PlanarArm, arm_dynamics, forward_kinematics, task_space_quantities
+from .dynamics import ArmSample, PlanarArm, _arm_drift, _arm_task_state
+
+# Unused by the tick, which reads the sample; bound here so the benchmark's
+# controllers -> dynamics hooks (bench/tracing.py) still resolve.
+from .dynamics import arm_dynamics, forward_kinematics, task_space_quantities  # noqa: F401
 from .fic_core import (
     DEFAULT_RATE_TOL,
     AttractorState,
@@ -181,6 +185,7 @@ def _arm_tick(
     config: FicConfig | BaselineConfig,
     law,
     target_rate: np.ndarray | None = None,
+    sample: ArmSample | None = None,
 ) -> ControlResult:
     """One arm tick around a task wrench law; both controllers share it.
 
@@ -188,23 +193,25 @@ def _arm_tick(
     attractor states as a ControlResult; the wrench is mapped to joint torques
     with dynamics compensation:
 
-    tau = J^T (w_task + Lam (J M^-1 C qd - Jd qd)) + G + N tau_null
+    tau = J^T (w_task + Lam ((M^-1 J^T)^T C qd - Jd qd)) + G + N tau_null
+
+    Every arm term comes from ``sample``, the evaluation of the arm at
+    (arm.q, arm.qdot); it is built here when the caller has none.
     """
-    x = forward_kinematics(arm, arm.q)
-    dyn = arm_dynamics(arm, arm.q, arm.qdot)
-    x_err = np.asarray(x_target, dtype=float) - x
-    damping_rate = -(dyn.jacobian @ arm.qdot)
+    if sample is None:
+        sample = _arm_task_state(arm, arm.q, arm.qdot)
+    x_err = np.asarray(x_target, dtype=float) - sample.x
+    damping_rate = -sample.xdot
     x_err_rate = damping_rate
     if target_rate is not None:
         x_err_rate = damping_rate + np.asarray(target_rate, dtype=float)
     result = law(x_err, x_err_rate, damping_rate)
     tau_null = null_space_torque(arm.q, arm.qdot, config.posture_target, config.posture_gains)
-    ts = task_space_quantities(arm, arm.q, dyn)
-    comp = ts.lam @ (
-        dyn.jacobian @ np.linalg.solve(dyn.mass_matrix, dyn.bias)
-        - dyn.jacobian_dot @ arm.qdot
-    )
-    torques = dyn.jacobian.T @ (result.wrench + comp) + dyn.gravity + ts.nullspace @ tau_null
+    gravity, bias, jdot_qdot = _arm_drift(arm, sample.kernel, arm.qdot)
+    ts = sample.task
+    comp = ts.lam @ (sample.minv_jt.T @ bias - jdot_qdot)
+    *_, jac = sample.kernel
+    torques = jac.T @ (result.wrench + comp) + gravity + ts.nullspace @ tau_null
     return ControlResult(wrench=result.wrench, states=result.states, torques=torques)
 
 
@@ -214,32 +221,38 @@ def fic_control_torques(
     states: tuple[AttractorState, ...],
     config: FicConfig,
     target_rate: np.ndarray | None = None,
+    sample: ArmSample | None = None,
 ) -> ControlResult:
     """One FIC tick on the arm.
 
     ``target_rate`` is the reference velocity; omitting it for a moving
-    reference misclassifies a growing error as converging.
+    reference misclassifies a growing error as converging. ``sample`` is
+    ``_arm_task_state(arm, arm.q, arm.qdot)`` when the caller has it.
 
     Raises:
-        SingularConfigurationError: propagated from the task-space map.
+        SingularConfigurationError: from the task-space test when the tick
+            builds its own sample.
     """
 
     def law(x_err, x_err_rate, damping_rate):
         return fic_task_wrench(config, states, x_err, x_err_rate, damping_rate=damping_rate)
 
-    return _arm_tick(arm, x_target, config, law, target_rate)
+    return _arm_tick(arm, x_target, config, law, target_rate, sample)
 
 
 def baseline_control_torques(
-    arm: PlanarArm, x_target: np.ndarray, config: BaselineConfig
+    arm: PlanarArm,
+    x_target: np.ndarray,
+    config: BaselineConfig,
+    sample: ArmSample | None = None,
 ) -> ControlResult:
     """One baseline tick on the arm; same compensation path as the FIC.
 
     The error rate is measured-velocity only: the baseline law is defined
-    with zero desired velocity.
+    with zero desired velocity. ``sample`` is as for ``fic_control_torques``.
     """
 
     def law(x_err, x_err_rate, _damping_rate):
         return ControlResult(baseline_impedance_wrench(config, x_err, x_err_rate), ())
 
-    return _arm_tick(arm, x_target, config, law)
+    return _arm_tick(arm, x_target, config, law, sample=sample)

@@ -14,6 +14,7 @@ integrators can evaluate them at stage states.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -171,84 +172,83 @@ class ArmDynamics:
     jacobian_dot: np.ndarray
 
 
-def _suffix_sum(v: np.ndarray) -> np.ndarray:
-    return np.cumsum(v[::-1])[::-1]
-
-
-def _link_angles(q: np.ndarray):
-    """Absolute link angles phi = S q and their cosines and sines."""
+def _link_dirs(q: np.ndarray) -> np.ndarray:
+    """Unit vectors of the absolute link angles phi = S q, as the rows
+    ``[cos phi; sin phi]`` of a 2 x n array."""
     phi = np.cumsum(np.asarray(q, dtype=float))
-    return phi, np.cos(phi), np.sin(phi)
+    return np.array([np.cos(phi), np.sin(phi)])
 
 
 def _arm_kernel(arm: PlanarArm, q: np.ndarray):
     """State-dependent arm terms at ``q`` that every arm quantity shares.
 
-    Returns the link cosines and sines, the coupling sines
+    Returns ``cs = [cos phi; sin phi]``, its derivative
+    ``dcs = [-sin phi; cos phi]``, the coupling sines
     ``A_ab sin(phi_a - phi_b)``, the joint-space mass matrix and the
-    end-effector Jacobian.
+    end-effector Jacobian. Angle differences come from products of the link
+    directions (cos(phi_a - phi_b) = cs_a . cs_b, sin(phi_a - phi_b) =
+    cs_a . dcs_b), and the Jacobian is ``(l * dcs) @ S``.
     """
-    phi, c, s = _link_angles(q)
-    dphi = phi[:, None] - phi[None, :]
-    a_sin = arm._coupling * np.sin(dphi)
-    m_phi = arm._coupling * np.cos(dphi) + arm._inertia_diag
-    mass = arm._smap.T @ m_phi @ arm._smap
-    jac = np.vstack((_suffix_sum(-arm.lengths * s), _suffix_sum(arm.lengths * c)))
-    return c, s, a_sin, mass, jac
+    cs = _link_dirs(q)
+    c, s = cs
+    dcs = np.array([-s, c])
+    a_sin = arm._coupling * (cs.T @ dcs)
+    mass = arm._smap.T @ (arm._coupling * (cs.T @ cs) + arm._inertia_diag) @ arm._smap
+    jac = (arm.lengths * dcs) @ arm._smap
+    return cs, dcs, a_sin, mass, jac
 
 
-def _end_effector(arm: PlanarArm, c: np.ndarray, s: np.ndarray) -> np.ndarray:
-    return np.array([float(np.dot(arm.lengths, c)), float(np.dot(arm.lengths, s))])
+def _end_effector(arm: PlanarArm, cs: np.ndarray) -> np.ndarray:
+    return cs @ arm.lengths
+
+
+def _gravity_phi(arm: PlanarArm, dcs: np.ndarray) -> np.ndarray:
+    """Gravity load in absolute-angle coordinates."""
+    return -arm._first_moments * (arm.gravity @ dcs)
 
 
 def arm_dynamics(arm: PlanarArm, q: np.ndarray, qdot: np.ndarray) -> ArmDynamics:
     """Closed-form mass matrix, Coriolis, gravity and end-effector Jacobians."""
     qdot = np.asarray(qdot, dtype=float)
-    c, s, a_sin, mass, jac = _arm_kernel(arm, q)
+    cs, dcs, a_sin, mass, jac = _arm_kernel(arm, q)
     phidot = np.cumsum(qdot)
-    c_phi = a_sin * phidot[None, :]
-    gx, gy = arm.gravity
-    g_phi = -arm._first_moments * (-gx * s + gy * c)
-    coriolis = arm._smap.T @ c_phi @ arm._smap
-    lxd, lyd = -arm.lengths * c * phidot, -arm.lengths * s * phidot
-    jac_dot = np.vstack((_suffix_sum(lxd), _suffix_sum(lyd)))
-
+    coriolis = arm._smap.T @ (a_sin * phidot[None, :]) @ arm._smap
     return ArmDynamics(
         mass_matrix=mass,
         coriolis=coriolis,
         bias=coriolis @ qdot,
-        gravity=arm._smap.T @ g_phi,
+        gravity=arm._smap.T @ _gravity_phi(arm, dcs),
         jacobian=jac,
-        jacobian_dot=jac_dot,
+        jacobian_dot=(cs * (-arm.lengths * phidot)) @ arm._smap,
     )
 
 
-def _arm_task_state(arm: PlanarArm, q: np.ndarray, qdot: np.ndarray):
-    """Pose, velocity and task kinetic energy 0.5 xdot' Lam xdot at a sample."""
-    c, s, _, mass, jac = _arm_kernel(arm, q)
-    xdot = jac @ qdot
-    core = jac @ np.linalg.solve(mass, jac.T)
-    ke = 0.5 * float(xdot @ np.linalg.solve(core, xdot))
-    return _end_effector(arm, c, s), xdot, ke
+def _arm_drift(arm: PlanarArm, kernel, qdot: np.ndarray):
+    """Gravity torque G, velocity-product torque C qdot and tip drift Jd qdot
+    at the state whose ``_arm_kernel`` terms are ``kernel``."""
+    cs, dcs, a_sin, _, _ = kernel
+    phidot = np.cumsum(qdot)
+    phidot_sq = phidot * phidot
+    gravity = arm._smap.T @ _gravity_phi(arm, dcs)
+    bias = arm._smap.T @ (a_sin @ phidot_sq)
+    jdot_qdot = -(cs @ (arm.lengths * phidot_sq))
+    return gravity, bias, jdot_qdot
 
 
 def forward_kinematics(arm: PlanarArm, q: np.ndarray) -> np.ndarray:
-    _, c, s = _link_angles(q)
-    return _end_effector(arm, c, s)
+    return _end_effector(arm, _link_dirs(q))
 
 
 def joint_positions(arm: PlanarArm, q: np.ndarray) -> np.ndarray:
     """Base and joint/tip positions, shape (n_joints + 1, 2)."""
-    _, c, s = _link_angles(q)
+    c, s = _link_dirs(q)
     xs = np.concatenate(([0.0], np.cumsum(arm.lengths * c)))
     ys = np.concatenate(([0.0], np.cumsum(arm.lengths * s)))
     return np.column_stack((xs, ys))
 
 
 def potential_energy(arm: PlanarArm, q: np.ndarray) -> float:
-    _, c, s = _link_angles(q)
-    gx, gy = arm.gravity
-    return float(-np.dot(arm._first_moments, gx * c + gy * s))
+    return float(-np.dot(arm._first_moments, arm.gravity @ _link_dirs(q)))
 
 
 def kinetic_energy(arm: PlanarArm, q: np.ndarray, qdot: np.ndarray) -> float:
@@ -266,6 +266,26 @@ class TaskSpace:
     nullspace: np.ndarray  # I - J^T jbar_t
 
 
+def _task_space(jac: np.ndarray, minv_jt: np.ndarray) -> TaskSpace:
+    """Operational-space quantities from J and M^-1 J^T.
+
+    The only place the singularity test runs: it precedes every inversion of
+    J M^-1 J^T.
+
+    Raises:
+        SingularConfigurationError: when the smallest singular value of
+            J M^-1 J^T drops below ``SINGULARITY_TOL``.
+    """
+    core = jac @ minv_jt
+    smallest = float(np.min(np.abs(np.linalg.eigvalsh(0.5 * (core + core.T)))))
+    if smallest < SINGULARITY_TOL:
+        raise SingularConfigurationError(smallest)
+    lam = np.linalg.inv(core)
+    jbar_t = lam @ minv_jt.T
+    nullspace = np.eye(jac.shape[1]) - jac.T @ jbar_t
+    return TaskSpace(lam=lam, jbar_t=jbar_t, nullspace=nullspace)
+
+
 def task_space_quantities(
     arm: PlanarArm, q: np.ndarray, dyn: ArmDynamics | None = None
 ) -> TaskSpace:
@@ -276,17 +296,42 @@ def task_space_quantities(
             J M^-1 J^T drops below 1e-8.
     """
     if dyn is None:
-        dyn = arm_dynamics(arm, q, np.zeros(arm.n_joints))
-    jac = dyn.jacobian
-    minv_jt = np.linalg.solve(dyn.mass_matrix, jac.T)
-    core = jac @ minv_jt
-    smallest = float(np.min(np.abs(np.linalg.eigvalsh(0.5 * (core + core.T)))))
-    if smallest < SINGULARITY_TOL:
-        raise SingularConfigurationError(smallest)
-    lam = np.linalg.inv(core)
-    jbar_t = lam @ minv_jt.T
-    nullspace = np.eye(arm.n_joints) - jac.T @ jbar_t
-    return TaskSpace(lam=lam, jbar_t=jbar_t, nullspace=nullspace)
+        _, _, _, mass, jac = _arm_kernel(arm, q)
+    else:
+        mass, jac = dyn.mass_matrix, dyn.jacobian
+    return _task_space(jac, np.linalg.solve(mass, jac.T))
+
+
+class ArmSample(NamedTuple):
+    """One evaluation of the arm at a sampled state (q, qdot).
+
+    The loop's task state, the controller tick and the integrator's first
+    stage all read it, so a sample costs one kernel, one M^-1 J^T solve and
+    one singularity test.
+    """
+
+    kernel: tuple  # _arm_kernel(arm, q)
+    x: np.ndarray  # end-effector pose
+    xdot: np.ndarray  # J qdot
+    minv_jt: np.ndarray  # M^-1 J^T
+    task: TaskSpace
+    ke: float  # task kinetic energy 0.5 xdot' Lam xdot
+
+
+def _arm_task_state(arm: PlanarArm, q: np.ndarray, qdot: np.ndarray) -> ArmSample:
+    """Evaluate the arm at a sample.
+
+    Raises:
+        SingularConfigurationError: from the task-space test, before any
+            inversion of J M^-1 J^T.
+    """
+    kernel = _arm_kernel(arm, q)
+    cs, _, _, mass, jac = kernel
+    xdot = jac @ qdot
+    minv_jt = np.linalg.solve(mass, jac.T)
+    task = _task_space(jac, minv_jt)
+    ke = 0.5 * float(xdot @ task.lam @ xdot)
+    return ArmSample(kernel, _end_effector(arm, cs), xdot, minv_jt, task, ke)
 
 
 @dataclass(frozen=True)
@@ -390,30 +435,35 @@ def _arm_accel(
     qdot: np.ndarray,
     wall: ContactWall | None,
     task_wrench: np.ndarray | None,
+    kernel=None,
 ) -> np.ndarray:
-    c, s, a_sin, mass, jac = _arm_kernel(arm, q)
+    """Joint accelerations; ``kernel`` is ``_arm_kernel(arm, q)`` when the
+    caller has it already."""
+    cs, dcs, a_sin, mass, jac = _arm_kernel(arm, q) if kernel is None else kernel
     phidot = np.cumsum(qdot)
-    bias_phi = a_sin @ (phidot * phidot)
-    gx, gy = arm.gravity
-    g_phi = -arm._first_moments * (-gx * s + gy * c)
-    rhs = tau - arm._smap.T @ (bias_phi + g_phi)
+    rhs = tau - arm._smap.T @ (a_sin @ (phidot * phidot) + _gravity_phi(arm, dcs))
     if wall is not None or task_wrench is not None:
         w = np.zeros(2)
         if task_wrench is not None:
             w += task_wrench
         if wall is not None:
-            w += contact_force(wall, _end_effector(arm, c, s), jac @ qdot)
+            w += contact_force(wall, _end_effector(arm, cs), jac @ qdot)
         rhs = rhs + jac.T @ w
     return np.linalg.solve(mass, rhs)
 
 
-def _advance(pos, vel, accel, dt: float, integrator: str, t: float):
-    """One fixed integration step of pos'' = accel(pos, vel); shared core."""
+def _advance(pos, vel, accel, dt: float, integrator: str, t: float, accel0=None):
+    """One fixed integration step of pos'' = accel(pos, vel); shared core.
+
+    ``accel0`` is ``accel(pos, vel)`` when the caller has it already.
+    """
+    if accel0 is None:
+        accel0 = accel(pos, vel)
     if integrator == "semi_implicit":
-        new_vel = vel + dt * accel(pos, vel)
+        new_vel = vel + dt * accel0
         new_pos = pos + dt * new_vel
     else:
-        k1v, k1a = vel, accel(pos, vel)
+        k1v, k1a = vel, accel0
         k2v = vel + 0.5 * dt * k1a
         k2a = accel(pos + 0.5 * dt * k1v, k2v)
         k3v = vel + 0.5 * dt * k2a

@@ -492,7 +492,17 @@ def run_scenario(sc: Scenario) -> EpisodeRecord:
             ke_task = 0.5 * float(np.dot(inertia * vel, vel))
         else:
             plant.q, plant.qdot = pos, vel
-            x_now, v_now, ke_task = _arm_task_state(plant, pos, vel)
+            try:
+                sample = _arm_task_state(plant, pos, vel)
+            except SingularConfigurationError as exc:
+                error = {
+                    "type": "singular_configuration",
+                    "time": t,
+                    "message": str(exc),
+                }
+                n_rec = k
+                break
+            x_now, v_now, ke_task = sample.x, sample.xdot, sample.ke
         x_d, xd_rate = ref_fn(t)
         x_err = x_d - x_now
 
@@ -510,43 +520,36 @@ def run_scenario(sc: Scenario) -> EpisodeRecord:
         tick = int(math.floor(t * sc.feedback_hz + 1e-9))
         if tick > last_tick:
             last_tick = tick
-            try:
-                if use_fic and sc.xb_schedule is not None:
-                    new_xb = _schedule_x_b(sc, t, x_b0)
-                    if new_xb != tuple(p.x_b for p in cur_params):
-                        fic = build_fic_config(sc, x_b_override=new_xb)
-                        for i in range(d):
-                            trackers[i].change_params(
-                                fic.stiffness[i], states[i], float(x_err[i]), 0.0
-                            )
-                        cur_params = list(fic.stiffness)
-                if use_fic:
-                    if sc.plant == "point_mass":
-                        res = fic_task_wrench(
-                            fic, states, x_err, xd_rate - v_now, damping_rate=-v_now
+            if use_fic and sc.xb_schedule is not None:
+                new_xb = _schedule_x_b(sc, t, x_b0)
+                if new_xb != tuple(p.x_b for p in cur_params):
+                    fic = build_fic_config(sc, x_b_override=new_xb)
+                    for i in range(d):
+                        trackers[i].change_params(
+                            fic.stiffness[i], states[i], float(x_err[i]), 0.0
                         )
-                        held_force = res.wrench
-                    else:
-                        res = fic_control_torques(plant, x_d, states, fic, target_rate=xd_rate)
-                        held_force = res.torques
-                    states = res.states
-                    held_wrench = res.wrench
+                    cur_params = list(fic.stiffness)
+            if use_fic:
+                if sc.plant == "point_mass":
+                    res = fic_task_wrench(
+                        fic, states, x_err, xd_rate - v_now, damping_rate=-v_now
+                    )
+                    held_force = res.wrench
                 else:
-                    if sc.plant == "point_mass":
-                        held_wrench = baseline_impedance_wrench(base, x_err, -v_now)
-                        held_force = held_wrench
-                    else:
-                        res = baseline_control_torques(plant, x_d, base)
-                        held_wrench = res.wrench
-                        held_force = res.torques
-            except SingularConfigurationError as exc:
-                error = {
-                    "type": "singular_configuration",
-                    "time": t,
-                    "message": str(exc),
-                }
-                n_rec = k
-                break
+                    res = fic_control_torques(
+                        plant, x_d, states, fic, target_rate=xd_rate, sample=sample
+                    )
+                    held_force = res.torques
+                states = res.states
+                held_wrench = res.wrench
+            else:
+                if sc.plant == "point_mass":
+                    held_wrench = baseline_impedance_wrench(base, x_err, -v_now)
+                    held_force = held_wrench
+                else:
+                    res = baseline_control_torques(plant, x_d, base, sample=sample)
+                    held_wrench = res.wrench
+                    held_force = res.torques
 
         t_a[k] = t
         xd_a[k] = x_d
@@ -603,6 +606,7 @@ def run_scenario(sc: Scenario) -> EpisodeRecord:
                         dt,
                         sc.integrator,
                         t,
+                        _arm_accel(plant, tau, pos, vel, wall, w_pulse, sample.kernel),
                     )
             except IntegrationBlowupError as exc:
                 error = {

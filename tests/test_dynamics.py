@@ -23,6 +23,7 @@ from fractal_impedance import (
     step_plant,
     task_space_quantities,
 )
+from fractal_impedance.dynamics import _advance, _arm_accel
 
 RNG = np.random.default_rng(7)
 
@@ -227,6 +228,16 @@ class TestStepPlant:
         out = step_plant(arm, np.array([1.0, 0.0, 0.0]), 1e-2)
         assert out is not arm
         assert out.qdot[0] > 0.0
+
+    @pytest.mark.parametrize("integrator", ["rk4", "semi_implicit"])
+    def test_given_first_stage_is_bit_identical(self, integrator):
+        arm = PlanarArm.default()
+        q, qd = np.array([0.3, 0.9, 0.9]), np.array([0.4, -1.0, 2.0])
+        tau = np.array([3.0, -1.0, 0.5])
+        accel = lambda qq, dd: _arm_accel(arm, tau, qq, dd, None, None)
+        want = _advance(q, qd, accel, 1e-3, integrator, 0.0)
+        got = _advance(q, qd, accel, 1e-3, integrator, 0.0, accel(q, qd))
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 class TestContactWall:

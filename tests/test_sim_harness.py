@@ -16,6 +16,7 @@ from fractal_impedance import (
     run_scenario,
     zoh_sample,
 )
+from fractal_impedance import dynamics
 from fractal_impedance.sim_harness import _make_reference, _pulse_recoveries, _schedule_x_b
 
 
@@ -304,6 +305,41 @@ class TestEpisodes:
         assert rec.error["type"] == "integration_blowup"
         assert rec.t.shape[0] == rec.x.shape[0]
         assert np.all(np.isfinite(rec.x))
+
+    @pytest.mark.parametrize("controller", ["fic", "baseline"])
+    def test_singular_start_is_reported_not_raised(self, controller):
+        # fully stretched arm: J M^-1 J^T is exactly singular at the first sample
+        sc = Scenario(
+            plant="arm", controller=controller, q0=(0.0, 0.0, 0.0), k_const=100.0, duration=0.2
+        )
+        rec = run_scenario(sc)
+        assert rec.error["type"] == "singular_configuration"
+        assert rec.error["time"] == 0.0
+        assert rec.n_samples == 0
+
+    @pytest.mark.parametrize("integrator, per_step", [("rk4", 4), ("semi_implicit", 1)])
+    def test_one_arm_kernel_per_sample_and_stage(self, monkeypatch, integrator, per_step):
+        # the sample's kernel serves the task state, the tick and the first stage
+        calls = []
+        kernel = dynamics._arm_kernel
+
+        def counted(arm, q):
+            calls.append(1)
+            return kernel(arm, q)
+
+        monkeypatch.setattr(dynamics, "_arm_kernel", counted)
+        sc = Scenario(
+            plant="arm",
+            duration=0.1,
+            dt=1e-3,
+            feedback_hz=500.0,
+            integrator=integrator,
+            damping=5.0,
+            pulses=({"start": 0.02, "duration": 0.03, "wrench": (5.0, -3.0)},),
+        )
+        rec = run_scenario(sc)
+        assert rec.error is None and rec.n_samples == 101
+        assert len(calls) == per_step * 100 + 1
 
     def test_schedule_shrinks_boundary_stepwise(self):
         sc = scenario(
