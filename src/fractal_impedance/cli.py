@@ -227,18 +227,12 @@ def emit_json(records, path: str | Path) -> None:
     recs = [records] if isinstance(records, EpisodeRecord) else list(records)
     payload = {"records": []}
     for rec in recs:
-        d = rec.x.shape[1]
+        data = _episode_matrix(rec)
         entry = _record_meta(rec)
-        series = {"t": rec.t.tolist(), "V": rec.v.tolist()}
-        for name in ("x_d", "x", "x_err", "xdot", "wrench", "contact_f"):
-            arr = getattr(rec, name)
-            for i in range(d):
-                series[f"{name}_{i}"] = arr[:, i].tolist()
-        for i in range(d):
-            series[f"phase_s_{i}"] = rec.phase_s[:, i].astype(int).tolist()
-        series["E_in_cum"] = rec.e_in_cum.tolist()
-        series["E_rel_cum"] = rec.e_rel_cum.tolist()
-        entry["series"] = series
+        entry["series"] = {
+            col: (data[:, j].astype(int) if col.startswith("phase_s") else data[:, j]).tolist()
+            for j, col in enumerate(_episode_columns(rec.x.shape[1]))
+        }
         payload["records"].append(entry)
     _write_json(Path(path), payload)
 

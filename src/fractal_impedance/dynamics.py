@@ -415,14 +415,32 @@ def external_wrench(profile: PerturbationProfile, t: float) -> np.ndarray:
     return w
 
 
+class PointMassSample(NamedTuple):
+    """The point mass at a sampled state, in the shape of ``ArmSample``'s
+    fields that the loop reads; it has no kernel terms to share."""
+
+    x: np.ndarray
+    xdot: np.ndarray
+    ke: float  # 0.5 xdot' M xdot
+    kernel: None = None
+
+
+def _point_mass_task_state(plant: PointMassPlant, x: np.ndarray, xdot: np.ndarray):
+    return PointMassSample(x, xdot, 0.5 * float(np.dot(plant.inertia * xdot, xdot)))
+
+
 def _point_mass_accel(
     plant: PointMassPlant,
     force: np.ndarray,
     x: np.ndarray,
     xdot: np.ndarray,
     wall: ContactWall | None,
+    task_wrench: np.ndarray | None,
+    kernel=None,
 ) -> np.ndarray:
-    f = force
+    """Task accelerations; same signature as ``_arm_accel`` (the point mass
+    has no kernel, so ``kernel`` is ignored)."""
+    f = force if task_wrench is None else force + task_wrench
     if wall is not None:
         f = f + contact_force(wall, x, xdot)
     return f / plant.inertia
@@ -509,16 +527,16 @@ def step_plant(
     else:
         held = np.asarray(force, dtype=float)
         force_fn = lambda pp, vv: held
+    if task_wrench is not None:
+        task_wrench = np.asarray(task_wrench, dtype=float)
 
     if isinstance(plant, PointMassPlant):
-        extra = 0.0 if task_wrench is None else np.asarray(task_wrench, dtype=float)
-        pos, vel = plant.x, plant.xdot
-        accel = lambda xx, vv: _point_mass_accel(plant, force_fn(xx, vv) + extra, xx, vv, wall)
+        pos, vel, plant_accel = plant.x, plant.xdot, _point_mass_accel
     elif isinstance(plant, PlanarArm):
-        pos, vel = plant.q, plant.qdot
-        accel = lambda xx, vv: _arm_accel(plant, force_fn(xx, vv), xx, vv, wall, task_wrench)
+        pos, vel, plant_accel = plant.q, plant.qdot, _arm_accel
     else:
         raise TypeError(f"unsupported plant type {type(plant).__name__}")
+    accel = lambda xx, vv: plant_accel(plant, force_fn(xx, vv), xx, vv, wall, task_wrench)
 
     new_pos, new_vel = _advance(pos, vel, accel, dt, integrator, t)
     if isinstance(plant, PointMassPlant):

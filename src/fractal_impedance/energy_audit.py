@@ -74,7 +74,7 @@ def energy_in(params: StiffnessParams, x_err_path: np.ndarray) -> float:
     path = np.asarray(x_err_path, dtype=float).ravel()
     if path.size == 0:
         return 0.0
-    return float(spring_energy(params, path[-1]) - spring_energy(params, path[0]))
+    return fic_work(params, path[0], path[-1])
 
 
 def energy_released(lam_trace, xdot_trace) -> float:
@@ -140,16 +140,14 @@ def ic_work_discrete(
     return float(k_inertia * np.dot(xddot[:-1], dx) + k_damping * np.dot(xdot[:-1], dx))
 
 
-def _phase_form(
-    params: StiffnessParams, state: AttractorState, lam: float, x_err: float, xdot: float
-) -> float:
-    # Divergence stores spring potential; Convergence is the midpoint spring
-    # plus e_in/2, which meets the Divergence branch exactly at x_tilde_max.
-    ke = 0.5 * lam * xdot * xdot
+def _phase_form(params: StiffnessParams, state: AttractorState, x_err: float) -> float:
+    # Phase potential. Divergence stores spring potential; Convergence is the
+    # midpoint spring plus e_in/2, which meets the Divergence branch exactly
+    # at x_tilde_max.
     if state.phase is Phase.DIVERGENCE:
-        return ke + spring_energy(params, x_err)
+        return spring_energy(params, x_err)
     dx = x_err - state.x_tilde_mid
-    return ke + 0.5 * state.k_prime_total * dx * dx + 0.5 * state.e_in
+    return 0.5 * state.k_prime_total * dx * dx + 0.5 * state.e_in
 
 
 def lyapunov_value(
@@ -161,39 +159,40 @@ def lyapunov_value(
 ) -> float:
     """Piecewise Lyapunov candidate for one DoF (no episode offset).
 
-    V(0, 0) = 0 in Divergence, and the two phase forms agree at the
-    divergence-to-convergence switch point by construction.
+    Kinetic energy 0.5 lam xdot^2 plus the phase potential. V(0, 0) = 0 in
+    Divergence, and the two phase forms agree at the divergence-to-convergence
+    switch point by construction.
     """
     if lam <= 0.0:
         raise ValueError("lam must be positive")
-    return _phase_form(params, state, lam, float(x_err), float(xdot))
+    xdot = float(xdot)
+    return 0.5 * lam * xdot * xdot + _phase_form(params, state, float(x_err))
 
 
 @dataclass
 class LyapunovTracker:
-    """Monitored V for one DoF across phase switches.
+    """Monitored phase potential for one DoF across phase switches.
 
     At each switch the running offset absorbs the difference between the old
     and new phase forms evaluated at the switch sample, so the monitored
     value is continuous there by construction (and the construction is
-    checked: events record V on both sides).
+    checked: events record V on both sides). Kinetic energy is the caller's:
+    the harness adds the task kinetic energy of all DoFs once.
     """
 
     params: StiffnessParams
-    lam: float
     offset: float = 0.0
     _prev: AttractorState | None = field(default=None, repr=False)
 
     def update(
-        self, state: AttractorState, x_err: float, xdot: float, t: float = 0.0, dof: int = 0
+        self, state: AttractorState, x_err: float, t: float = 0.0, dof: int = 0
     ) -> tuple[float, SwitchEvent | None]:
         """Advance to this sample's attractor state; return (V, switch event)."""
         x_err = float(x_err)
-        xdot = float(xdot)
         event = None
         if self._prev is not None and state.phase is not self._prev.phase:
-            before = _phase_form(self.params, self._prev, self.lam, x_err, xdot) + self.offset
-            self.offset = before - _phase_form(self.params, state, self.lam, x_err, xdot)
+            before = _phase_form(self.params, self._prev, x_err) + self.offset
+            self.offset = before - _phase_form(self.params, state, x_err)
             kind = (
                 "div_to_conv" if state.phase is Phase.CONVERGENCE else "conv_to_div"
             )
@@ -203,21 +202,20 @@ class LyapunovTracker:
                 kind=kind,
                 x_err=x_err,
                 v_before=before,
-                v_after=_phase_form(self.params, state, self.lam, x_err, xdot) + self.offset,
+                v_after=_phase_form(self.params, state, x_err) + self.offset,
             )
         self._prev = state
-        value = _phase_form(self.params, state, self.lam, x_err, xdot) + self.offset
+        value = _phase_form(self.params, state, x_err) + self.offset
         return value, event
 
     def change_params(
-        self, new_params: StiffnessParams, state: AttractorState, x_err: float, xdot: float
+        self, new_params: StiffnessParams, state: AttractorState, x_err: float
     ) -> None:
         """Swap stiffness parameters online, keeping the monitored V continuous."""
         x_err = float(x_err)
-        xdot = float(xdot)
-        old = _phase_form(self.params, state, self.lam, x_err, xdot)
+        old = _phase_form(self.params, state, x_err)
         self.params = new_params
-        self.offset += old - _phase_form(self.params, state, self.lam, x_err, xdot)
+        self.offset += old - _phase_form(self.params, state, x_err)
 
 
 @dataclass(frozen=True)

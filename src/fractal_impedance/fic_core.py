@@ -298,5 +298,4 @@ def fic_wrench(state: AttractorState, p: StiffnessParams, x_err: float) -> float
         return spring_force(p, float(x_err))
     xm = state.x_tilde_max
     x_eval = min(max(float(x_err), min(0.0, xm)), max(0.0, xm))
-    force = state.k_prime_total * (x_eval - state.x_tilde_mid)
-    return min(max(force, -p.w_max), p.w_max)
+    return min(max(convergence_force(state, x_eval), -p.w_max), p.w_max)

@@ -6,10 +6,17 @@ alone. The loop advances physics at ``dt`` while the controller runs on a
 zero-order hold at ``feedback_hz``: the measurement taken at a tick is
 consumed once and the commanded force is held until the next tick.
 
-Energy bookkeeping runs alongside the loop: absorbed energy via closed-form
-spring-energy differences per Divergence segment, released energy as the
-maximum task kinetic energy over Convergence-tagged samples, and a monitored
-Lyapunov value with per-switch continuity offsets.
+Each sample evaluates the plant once (``dynamics._arm_task_state`` or
+``_point_mass_task_state``), then one ``dynamics._advance`` step follows. The
+bookkeeping runs the library's laws:
+
+- tick instants: ``_tick_starts``, which ``zoh_sample`` also uses;
+- absorbed energy E_in: ``energy_audit.fic_work`` per DoF over each sample
+  step that starts in Divergence (``energy_in`` over a whole segment);
+- released energy E_rel: the running maximum of the task kinetic energy over
+  samples where any DoF converges (``energy_released`` of those samples);
+- monitored V: the ``energy_audit.LyapunovTracker`` phase potentials plus the
+  task kinetic energy.
 """
 
 from __future__ import annotations
@@ -40,12 +47,13 @@ from .dynamics import (
     _arm_accel,
     _arm_task_state,
     _point_mass_accel,
+    _point_mass_task_state,
     contact_force,
     external_wrench,
     forward_kinematics,
 )
-from .energy_audit import EnergyLedger, LyapunovTracker
-from .fic_core import Phase, StiffnessParams, spring_energy
+from .energy_audit import EnergyLedger, LyapunovTracker, fic_work
+from .fic_core import Phase, StiffnessParams, spring_energy  # noqa: F401 (bench hook)
 
 __all__ = [
     "Scenario",
@@ -371,21 +379,24 @@ def _make_reference(sc: Scenario, x_start: np.ndarray):
     return circle
 
 
-def zoh_sample(signal: np.ndarray, feedback_hz: float, dt: float) -> np.ndarray:
-    """Hold a dt-sampled signal at the feedback rate.
+def _tick_starts(n: int, feedback_hz: float, dt: float) -> np.ndarray:
+    """Controller tick mask over samples k = 0..n-1 at t = k dt.
 
-    Tick instants are the samples where floor(t * feedback_hz) increments;
-    rates that do not divide 1/dt therefore hold at floor multiples.
+    Ticks are the samples where floor(t * feedback_hz) increments; rates that
+    do not divide 1/dt therefore tick at floor multiples.
     """
-    sig = np.asarray(signal, dtype=float)
-    n = sig.shape[0]
-    if n == 0:
-        return sig.copy()
-    idx = np.floor(np.arange(n) * dt * feedback_hz + 1e-9).astype(np.int64)
+    idx = np.floor(np.arange(n) * dt * feedback_hz + 1e-9)
     starts = np.ones(n, dtype=bool)
     starts[1:] = idx[1:] > idx[:-1]
-    src = np.maximum.accumulate(np.where(starts, np.arange(n), 0))
-    return sig[src]
+    return starts
+
+
+def zoh_sample(signal: np.ndarray, feedback_hz: float, dt: float) -> np.ndarray:
+    """Hold a dt-sampled signal at the feedback rate, from the loop's ticks."""
+    sig = np.asarray(signal, dtype=float)
+    n = sig.shape[0]
+    starts = _tick_starts(n, feedback_hz, dt)
+    return sig[np.maximum.accumulate(np.where(starts, np.arange(n), 0))]
 
 
 @dataclass
@@ -433,6 +444,7 @@ def run_scenario(sc: Scenario) -> EpisodeRecord:
     n_steps = int(round(sc.duration / dt))
     n = n_steps + 1
     use_fic = sc.controller == "fic"
+    is_arm = sc.plant == "arm"
 
     plant = build_plant(sc)
     wall = build_wall(sc)
@@ -441,20 +453,21 @@ def run_scenario(sc: Scenario) -> EpisodeRecord:
     fic = build_fic_config(sc) if use_fic else None
     base = build_baseline_config(sc) if not use_fic else None
 
-    if sc.plant == "point_mass":
-        pos, vel = plant.x.copy(), plant.xdot.copy()
-        inertia = plant.inertia
-    else:
+    if is_arm:
         pos, vel = plant.q.copy(), plant.qdot.copy()
+        task_state, accel = _arm_task_state, _arm_accel
+        x_start = forward_kinematics(plant, pos)
+    else:
+        pos, vel = plant.x.copy(), plant.xdot.copy()
+        task_state, accel = _point_mass_task_state, _point_mass_accel
+        x_start = pos.copy()
+    ref_fn = _make_reference(sc, x_start)
 
     states = new_attractor_states(d)
     x_b0 = tuple(p.x_b for p in fic.stiffness) if use_fic else None
-    cur_params = list(fic.stiffness) if use_fic else None
-    trackers = (
-        [LyapunovTracker(params=cur_params[i], lam=0.0) for i in range(d)] if use_fic else None
-    )
+    trackers = [LyapunovTracker(params=p) for p in fic.stiffness] if use_fic else None
+    ticks = _tick_starts(n, sc.feedback_hz, dt).tolist()
 
-    t_a = np.empty(n)
     xd_a = np.empty((n, d))
     x_a = np.empty((n, d))
     xe_a = np.empty((n, d))
@@ -462,152 +475,101 @@ def run_scenario(sc: Scenario) -> EpisodeRecord:
     ph_a = np.empty((n, d), dtype=np.int64)
     wr_a = np.empty((n, d))
     cf_a = np.empty((n, d))
-    v_a = np.empty(n)
+    pot_a = np.empty(n)
+    ke_a = np.empty(n)
     ein_a = np.empty(n)
-    erel_a = np.empty(n)
-    forced_a = np.zeros(n, dtype=bool)
 
     e_in = 0.0
-    e_rel = 0.0
     c_work = 0.0
-    last_tick = -1
-    held_force = np.zeros(len(pos))
-    held_wrench = np.zeros(d)
     events = []
     error = None
     n_rec = n
     prev_xe = None
     prev_cpow = 0.0
 
-    if sc.plant == "point_mass":
-        x_start = pos.copy()
-    else:
-        x_start = forward_kinematics(plant, pos)
-    ref_fn = _make_reference(sc, x_start)
-
     for k in range(n):
         t = k * dt
-        if sc.plant == "point_mass":
-            x_now, v_now = pos, vel
-            ke_task = 0.5 * float(np.dot(inertia * vel, vel))
-        else:
-            plant.q, plant.qdot = pos, vel
-            try:
-                sample = _arm_task_state(plant, pos, vel)
-            except SingularConfigurationError as exc:
-                error = {
-                    "type": "singular_configuration",
-                    "time": t,
-                    "message": str(exc),
-                }
-                n_rec = k
-                break
-            x_now, v_now, ke_task = sample.x, sample.xdot, sample.ke
+        try:
+            sample = task_state(plant, pos, vel)
+        except SingularConfigurationError as exc:
+            error = {"type": "singular_configuration", "time": t, "message": str(exc)}
+            n_rec = k
+            break
+        x_now, v_now = sample.x, sample.xdot
         x_d, xd_rate = ref_fn(t)
         x_err = x_d - x_now
 
-        if k > 0:
+        if k > 0 and use_fic:
             for i in range(d):
-                if use_fic and ph_a[k - 1, i] == Phase.DIVERGENCE.value:
-                    e_in += spring_energy(cur_params[i], float(x_err[i])) - spring_energy(
-                        cur_params[i], float(prev_xe[i])
-                    )
+                if ph_a[k - 1, i] == Phase.DIVERGENCE.value:
+                    e_in += fic_work(fic.stiffness[i], float(prev_xe[i]), float(x_err[i]))
         cf = contact_force(wall, x_now, v_now) if wall is not None else np.zeros(d)
         cpow = float(np.dot(cf, v_now))
         if k > 0:
             c_work += 0.5 * (cpow + prev_cpow) * dt
 
-        tick = int(math.floor(t * sc.feedback_hz + 1e-9))
-        if tick > last_tick:
-            last_tick = tick
+        if ticks[k]:
             if use_fic and sc.xb_schedule is not None:
                 new_xb = _schedule_x_b(sc, t, x_b0)
-                if new_xb != tuple(p.x_b for p in cur_params):
+                if new_xb != tuple(p.x_b for p in fic.stiffness):
                     fic = build_fic_config(sc, x_b_override=new_xb)
                     for i in range(d):
-                        trackers[i].change_params(
-                            fic.stiffness[i], states[i], float(x_err[i]), 0.0
-                        )
-                    cur_params = list(fic.stiffness)
-            if use_fic:
-                if sc.plant == "point_mass":
-                    res = fic_task_wrench(
-                        fic, states, x_err, xd_rate - v_now, damping_rate=-v_now
-                    )
-                    held_force = res.wrench
-                else:
+                        trackers[i].change_params(fic.stiffness[i], states[i], float(x_err[i]))
+            if is_arm:
+                plant.q, plant.qdot = pos, vel  # the arm controllers read the plant state
+                if use_fic:
                     res = fic_control_torques(
                         plant, x_d, states, fic, target_rate=xd_rate, sample=sample
                     )
-                    held_force = res.torques
-                states = res.states
-                held_wrench = res.wrench
-            else:
-                if sc.plant == "point_mass":
-                    held_wrench = baseline_impedance_wrench(base, x_err, -v_now)
-                    held_force = held_wrench
+                    states = res.states
                 else:
                     res = baseline_control_torques(plant, x_d, base, sample=sample)
-                    held_wrench = res.wrench
-                    held_force = res.torques
+                held_wrench, held_force = res.wrench, res.torques
+            else:
+                if use_fic:
+                    res = fic_task_wrench(
+                        fic, states, x_err, xd_rate - v_now, damping_rate=-v_now
+                    )
+                    states, held_wrench = res.states, res.wrench
+                else:
+                    held_wrench = baseline_impedance_wrench(base, x_err, -v_now)
+                held_force = held_wrench
 
-        t_a[k] = t
         xd_a[k] = x_d
         x_a[k] = x_now
         xe_a[k] = x_err
         xv_a[k] = v_now
-        if use_fic:
-            for i in range(d):
-                ph_a[k, i] = states[i].phase.value
-        else:
-            ph_a[k] = Phase.DIVERGENCE.value
         wr_a[k] = held_wrench
         cf_a[k] = cf
         if use_fic:
             pot = 0.0
             for i in range(d):
-                val, ev = trackers[i].update(
-                    states[i], float(x_err[i]), 0.0, t=t, dof=i
-                )
+                ph_a[k, i] = states[i].phase.value
+                val, ev = trackers[i].update(states[i], float(x_err[i]), t=t, dof=i)
                 pot += val
                 if ev is not None:
                     events.append(ev)
-            if any(st.phase is Phase.CONVERGENCE for st in states):
-                e_rel = max(e_rel, ke_task)
         else:
+            ph_a[k] = Phase.DIVERGENCE.value
             pot = 0.5 * float(np.dot(base.k_d * x_err, x_err))
-        v_a[k] = pot + ke_task
+        pot_a[k] = pot
+        ke_a[k] = sample.ke
         ein_a[k] = e_in
-        erel_a[k] = e_rel
-        if has_pulses:
-            forced_a[k] = any(p.start - dt <= t < p.end + dt for p in profile.pulses)
         prev_xe = x_err
         prev_cpow = cpow
 
         if k < n_steps:
             w_pulse = external_wrench(profile, t) if has_pulses else None
             try:
-                if sc.plant == "point_mass":
-                    total = held_force if w_pulse is None else held_force + w_pulse
-                    pos, vel = _advance(
-                        pos,
-                        vel,
-                        lambda xx, vv: _point_mass_accel(plant, total, xx, vv, wall),
-                        dt,
-                        sc.integrator,
-                        t,
-                    )
-                else:
-                    tau = held_force
-                    pos, vel = _advance(
-                        pos,
-                        vel,
-                        lambda qq, dq: _arm_accel(plant, tau, qq, dq, wall, w_pulse),
-                        dt,
-                        sc.integrator,
-                        t,
-                        _arm_accel(plant, tau, pos, vel, wall, w_pulse, sample.kernel),
-                    )
+                pos, vel = _advance(
+                    pos,
+                    vel,
+                    lambda xx, vv: accel(plant, held_force, xx, vv, wall, w_pulse),
+                    dt,
+                    sc.integrator,
+                    t,
+                    accel(plant, held_force, pos, vel, wall, w_pulse, sample.kernel),
+                )
             except IntegrationBlowupError as exc:
                 error = {
                     "type": "integration_blowup",
@@ -617,22 +579,25 @@ def run_scenario(sc: Scenario) -> EpisodeRecord:
                 n_rec = k + 1
                 break
 
-    if sc.plant == "point_mass":
-        plant.x, plant.xdot = pos, vel
-    else:
-        plant.q, plant.qdot = pos, vel
-
     sl = slice(0, n_rec)
+    t_a = np.arange(n_rec) * dt
+    ke = ke_a[sl]
+    # E_rel: running maximum of the task KE over samples where any DoF converges.
+    converging = np.any(ph_a[sl] == Phase.CONVERGENCE.value, axis=1)
+    e_rel_cum = np.maximum.accumulate(np.where(converging, ke, 0.0))
+    forced = np.zeros(n_rec, dtype=bool)
+    for p in profile.pulses:
+        forced |= (p.start - dt <= t_a) & (t_a < p.end + dt)
     ledger = EnergyLedger(
         e_in=float(ein_a[n_rec - 1]) if n_rec else 0.0,
-        e_rel=float(erel_a[n_rec - 1]) if n_rec else 0.0,
+        e_rel=float(e_rel_cum[-1]) if n_rec else 0.0,
         contact_work=c_work,
         switch_events=tuple(events),
     )
-    recov, conv = _pulse_recoveries(t_a[sl], xe_a[sl], profile, dt)
+    recov, conv = _pulse_recoveries(t_a, xe_a[sl], profile, dt)
     return EpisodeRecord(
         scenario=sc,
-        t=t_a[sl].copy(),
+        t=t_a,
         x_d=xd_a[sl].copy(),
         x=x_a[sl].copy(),
         x_err=xe_a[sl].copy(),
@@ -640,10 +605,10 @@ def run_scenario(sc: Scenario) -> EpisodeRecord:
         phase_s=ph_a[sl].copy(),
         wrench=wr_a[sl].copy(),
         contact_f=cf_a[sl].copy(),
-        v=v_a[sl].copy(),
+        v=pot_a[sl] + ke,
         e_in_cum=ein_a[sl].copy(),
-        e_rel_cum=erel_a[sl].copy(),
-        forced=forced_a[sl].copy(),
+        e_rel_cum=e_rel_cum,
+        forced=forced,
         ledger=ledger,
         recovery_times=recov,
         convergence_times=conv,

@@ -179,35 +179,35 @@ class TestLyapunovValue:
 
 class TestLyapunovTracker:
     def test_continuous_across_switch(self):
-        tracker = LyapunovTracker(params=P, lam=1.0)
+        tracker = LyapunovTracker(params=P)
         s = AttractorState()
         s = update_attractor(s, P, 0.05, 0.1)
-        v0, ev = tracker.update(s, 0.05, 0.1, t=0.0)
+        v0, ev = tracker.update(s, 0.05, t=0.0)
         assert ev is None
         s = update_attractor(s, P, 0.05, -0.1)
-        v1, ev = tracker.update(s, 0.05, -0.1, t=0.001)
+        v1, ev = tracker.update(s, 0.05, t=0.001)
         assert ev is not None and ev.kind == "div_to_conv"
         assert abs(ev.v_after - ev.v_before) <= 1e-9
         assert v1 == pytest.approx(v0, rel=1e-9)
 
     def test_round_trip_switch_events(self):
-        tracker = LyapunovTracker(params=P, lam=1.0)
+        tracker = LyapunovTracker(params=P)
         s = AttractorState()
         samples = [(0.05, 0.1), (0.05, -0.1), (0.02, -0.1), (0.02, 0.1)]
         kinds = []
         for x, rate in samples:
             s = update_attractor(s, P, x, rate)
-            _, ev = tracker.update(s, x, rate)
+            _, ev = tracker.update(s, x)
             if ev is not None:
                 kinds.append(ev.kind)
         assert kinds == ["div_to_conv", "conv_to_div"]
 
     def test_change_params_keeps_value(self):
-        tracker = LyapunovTracker(params=P, lam=1.0)
+        tracker = LyapunovTracker(params=P)
         s = AttractorState()
-        v0, _ = tracker.update(s, 0.03, 0.1)
-        tracker.change_params(StiffnessParams(0.0, 30.0, 0.02), s, 0.03, 0.1)
-        v1, _ = tracker.update(s, 0.03, 0.1)
+        v0, _ = tracker.update(s, 0.03)
+        tracker.change_params(StiffnessParams(0.0, 30.0, 0.02), s, 0.03)
+        v1, _ = tracker.update(s, 0.03)
         assert v1 == pytest.approx(v0, rel=1e-12)
 
 
