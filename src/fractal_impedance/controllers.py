@@ -210,8 +210,7 @@ def _arm_tick(
     gravity, bias, jdot_qdot = _arm_drift(arm, sample.kernel, arm.qdot)
     ts = sample.task
     comp = ts.lam @ (sample.minv_jt.T @ bias - jdot_qdot)
-    *_, jac = sample.kernel
-    torques = jac.T @ (result.wrench + comp) + gravity + ts.nullspace @ tau_null
+    torques = sample.jac.T @ (result.wrench + comp) + gravity + ts.nullspace @ tau_null
     return ControlResult(wrench=result.wrench, states=result.states, torques=torques)
 
 

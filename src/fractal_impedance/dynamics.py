@@ -5,7 +5,14 @@ planar serial arm with a 2-D positional task. The arm's closed-form dynamics
 use absolute link angles, where the mass matrix couples through
 ``A_ab cos(phi_a - phi_b)`` and the velocity-product bias through
 ``A_ab sin(phi_a - phi_b) phidot_b^2``; joint-space quantities follow from the
-constant lower-triangular map ``phi = S q``.
+constant lower-triangular map ``phi = S q``, so ``S^T v`` is a suffix sum.
+
+The arm's kernel, acceleration and task space work on Python floats, not numpy
+arrays: at three joints and a 2-D task each matrix holds a few flops, and
+numpy's per-call dispatch (type checks, error-state contexts, array
+allocation) costs more than the arithmetic. An integrator stage builds one
+array, the joint acceleration it returns; a sample builds the arrays the
+controller tick reads. The loops work for any number of links.
 
 Environment effects (unilateral wall, force pulses) are plain functions so the
 integrators can evaluate them at stage states.
@@ -13,7 +20,10 @@ integrators can evaluate them at stage states.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
+from operator import mul
 from typing import NamedTuple
 
 import numpy as np
@@ -104,12 +114,13 @@ class PlanarArm:
     gravity: np.ndarray
     q: np.ndarray
     qdot: np.ndarray
-    # Constant terms of the absolute-angle formulation: link coupling, first
-    # moments, rotational inertias and the map S (phi = S q).
-    _coupling: np.ndarray = field(init=False, repr=False)
-    _first_moments: np.ndarray = field(init=False, repr=False)
-    _inertia_diag: np.ndarray = field(init=False, repr=False)
-    _smap: np.ndarray = field(init=False, repr=False)
+    # Constant terms of the absolute-angle formulation as tuples of floats:
+    # link coupling A, first moments, lengths, rotational inertias, gravity.
+    _coupling: tuple = field(init=False, repr=False)
+    _first_moments: tuple = field(init=False, repr=False)
+    _link_lengths: tuple = field(init=False, repr=False)
+    _link_inertias: tuple = field(init=False, repr=False)
+    _gravity_xy: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         for name in ("lengths", "masses", "com_offsets", "inertias", "q", "qdot"):
@@ -131,10 +142,11 @@ class PlanarArm:
         for i in range(n):
             cmat[:i, i] = self.lengths[:i]
             cmat[i, i] = self.com_offsets[i]
-        self._coupling = cmat @ np.diag(self.masses) @ cmat.T
-        self._first_moments = cmat @ self.masses
-        self._inertia_diag = np.diag(self.inertias)
-        self._smap = np.tril(np.ones((n, n)))
+        self._coupling = tuple(map(tuple, (cmat @ np.diag(self.masses) @ cmat.T).tolist()))
+        self._first_moments = tuple((cmat @ self.masses).tolist())
+        self._link_lengths = tuple(self.lengths.tolist())
+        self._link_inertias = tuple(self.inertias.tolist())
+        self._gravity_xy = tuple(self.gravity.tolist())
 
     @classmethod
     def default(cls, q=None, qdot=None, gravity=(0.0, -9.81)) -> "PlanarArm":
@@ -172,71 +184,182 @@ class ArmDynamics:
     jacobian_dot: np.ndarray
 
 
-def _link_dirs(q: np.ndarray) -> np.ndarray:
-    """Unit vectors of the absolute link angles phi = S q, as the rows
-    ``[cos phi; sin phi]`` of a 2 x n array."""
-    phi = np.cumsum(np.asarray(q, dtype=float))
-    return np.array([np.cos(phi), np.sin(phi)])
+def _floats(v) -> list:
+    """A vector as a list of Python floats."""
+    return np.asarray(v, dtype=float).tolist()
 
 
-def _arm_kernel(arm: PlanarArm, q: np.ndarray):
+def _dot(u, v) -> float:
+    return sum(map(mul, u, v))
+
+
+def _suffix(v) -> list:
+    """``S^T v`` for ``phi = S q``: entry ``j`` sums ``v[a]`` over ``a >= j``."""
+    out = list(v)
+    for j in range(len(out) - 2, -1, -1):
+        out[j] += out[j + 1]
+    return out
+
+
+def _suffix_2d(b) -> list:
+    """``S^T B S``: entry ``(i, j)`` sums ``B[a][c]`` over ``a >= i``, ``c >= j``."""
+    n = len(b)
+    out = [None] * n
+    below = [0.0] * n  # row i + 1 of the result
+    for i in range(n - 1, -1, -1):
+        row, acc, new = b[i], 0.0, [0.0] * n
+        for j in range(n - 1, -1, -1):
+            acc += row[j]
+            new[j] = below[j] + acc
+        out[i] = below = new
+    return out
+
+
+def _link_dirs(q) -> tuple[list, list]:
+    """cos and sin of the absolute link angles ``phi = S q`` (running sums of
+    ``q``). An infinite angle gives NaN, as numpy's cos does, so a
+    non-finite state propagates instead of raising."""
+    c, s = [], []
+    phi = 0.0
+    for qi in _floats(q):
+        phi += qi
+        if math.isinf(phi):  # math.cos raises here
+            phi = math.nan
+        c.append(math.cos(phi))
+        s.append(math.sin(phi))
+    return c, s
+
+
+def _jacobian_rows(arm: PlanarArm, c: list, s: list) -> tuple[list, list]:
+    """Rows ``(jx, jy)`` of the end-effector Jacobian ``(l * [-sin; cos]) S``.
+    Their first entries are the tip pose ``(jy[0], -jx[0])``."""
+    lengths = arm._link_lengths
+    n = len(c)
+    jx, jy = [0.0] * n, [0.0] * n
+    x = y = 0.0
+    for i in range(n - 1, -1, -1):
+        x += lengths[i] * c[i]
+        y += lengths[i] * s[i]
+        jx[i], jy[i] = -y, x
+    return jx, jy
+
+
+def _tip(jac: tuple[list, list]) -> np.ndarray:
+    jx, jy = jac
+    return np.array((jy[0], -jx[0]))
+
+
+def _arm_kernel(arm: PlanarArm, q):
     """State-dependent arm terms at ``q`` that every arm quantity shares.
 
-    Returns ``cs = [cos phi; sin phi]``, its derivative
-    ``dcs = [-sin phi; cos phi]``, the coupling sines
-    ``A_ab sin(phi_a - phi_b)``, the joint-space mass matrix and the
-    end-effector Jacobian. Angle differences come from products of the link
-    directions (cos(phi_a - phi_b) = cs_a . cs_b, sin(phi_a - phi_b) =
-    cs_a . dcs_b), and the Jacobian is ``(l * dcs) @ S``.
+    Returns, as Python floats, the link cos/sin ``c`` and ``s``, the coupling
+    sines ``a_sin[a][b] = A_ab sin(phi_a - phi_b)``, the joint-space mass
+    matrix ``S^T (A o cos(phi_a - phi_b) + diag(I)) S`` (a 2-D suffix sum) and
+    the Jacobian rows ``(jx, jy)``. Angle differences come from products of
+    the link directions, once per pair of links.
     """
-    cs = _link_dirs(q)
-    c, s = cs
-    dcs = np.array([-s, c])
-    a_sin = arm._coupling * (cs.T @ dcs)
-    mass = arm._smap.T @ (arm._coupling * (cs.T @ cs) + arm._inertia_diag) @ arm._smap
-    jac = (arm.lengths * dcs) @ arm._smap
-    return cs, dcs, a_sin, mass, jac
+    c, s = _link_dirs(q)
+    n = len(c)
+    a_sin = [[0.0] * n for _ in range(n)]
+    b = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        ci, si, ai, bi, row = c[i], s[i], a_sin[i], b[i], arm._coupling[i]
+        bi[i] = row[i] + arm._link_inertias[i]  # cos(phi_i - phi_i) = 1
+        for j in range(i + 1, n):
+            cj, sj = c[j], s[j]
+            bi[j] = b[j][i] = row[j] * (ci * cj + si * sj)
+            ai[j] = row[j] * (si * cj - ci * sj)
+            a_sin[j][i] = -ai[j]
+    return c, s, a_sin, _suffix_2d(b), _jacobian_rows(arm, c, s)
 
 
-def _end_effector(arm: PlanarArm, cs: np.ndarray) -> np.ndarray:
-    return cs @ arm.lengths
-
-
-def _gravity_phi(arm: PlanarArm, dcs: np.ndarray) -> np.ndarray:
+def _gravity_phi(arm: PlanarArm, c: list, s: list) -> list:
     """Gravity load in absolute-angle coordinates."""
-    return -arm._first_moments * (arm.gravity @ dcs)
+    gx, gy = arm._gravity_xy
+    return [m * (gx * sa - gy * ca) for m, ca, sa in zip(arm._first_moments, c, s)]
+
+
+def _velocity_loads(a_sin: list, qdot: list) -> tuple[list, list]:
+    """Squared absolute angle rates and the velocity-product load
+    ``a_sin @ phidot^2`` in absolute-angle coordinates."""
+    phidot_sq = []
+    phidot = 0.0
+    for v in qdot:
+        phidot += v
+        phidot_sq.append(phidot * phidot)
+    return phidot_sq, [_dot(row, phidot_sq) for row in a_sin]
+
+
+def _cholesky(m) -> list:
+    """Lower Cholesky factor of the mass matrix (reads the lower triangle).
+
+    Raises:
+        numpy.linalg.LinAlgError: when ``m`` is not positive definite.
+    """
+    low = []
+    for i, mi in enumerate(m):
+        row = []
+        for j, lj in enumerate(low):
+            acc = mi[j]
+            for a, b in zip(row, lj):
+                acc -= a * b
+            row.append(acc / lj[j])
+        acc = mi[i]
+        for a in row:
+            acc -= a * a
+        if acc <= 0.0:
+            raise np.linalg.LinAlgError("mass matrix is not positive definite")
+        row.append(math.sqrt(acc))
+        low.append(row)
+    return low
+
+
+def _cho_solve(low: list, b) -> list:
+    """Solve ``L L^T x = b`` for the factor ``L`` of ``_cholesky``."""
+    x = []
+    for i, (li, acc) in enumerate(zip(low, b)):
+        for a, xk in zip(li, x):
+            acc -= a * xk
+        x.append(acc / li[i])
+    for i in reversed(range(len(low))):
+        li = low[i]
+        x[i] = xi = x[i] / li[i]
+        for k in range(i):
+            x[k] -= li[k] * xi
+    return x
 
 
 def arm_dynamics(arm: PlanarArm, q: np.ndarray, qdot: np.ndarray) -> ArmDynamics:
     """Closed-form mass matrix, Coriolis, gravity and end-effector Jacobians."""
-    qdot = np.asarray(qdot, dtype=float)
-    cs, dcs, a_sin, mass, jac = _arm_kernel(arm, q)
-    phidot = np.cumsum(qdot)
-    coriolis = arm._smap.T @ (a_sin * phidot[None, :]) @ arm._smap
+    c, s, a_sin, mass, jac = _arm_kernel(arm, q)
+    phidot = list(accumulate(_floats(qdot)))
+    coriolis = np.array(_suffix_2d([list(map(mul, row, phidot)) for row in a_sin]))
+    lp = [-l * p for l, p in zip(arm._link_lengths, phidot)]
     return ArmDynamics(
-        mass_matrix=mass,
+        mass_matrix=np.array(mass),
         coriolis=coriolis,
-        bias=coriolis @ qdot,
-        gravity=arm._smap.T @ _gravity_phi(arm, dcs),
-        jacobian=jac,
-        jacobian_dot=(cs * (-arm.lengths * phidot)) @ arm._smap,
+        bias=coriolis @ np.asarray(qdot, dtype=float),
+        gravity=np.array(_suffix(_gravity_phi(arm, c, s))),
+        jacobian=np.array(jac),
+        jacobian_dot=np.array((_suffix(list(map(mul, lp, c))), _suffix(list(map(mul, lp, s))))),
     )
 
 
 def _arm_drift(arm: PlanarArm, kernel, qdot: np.ndarray):
     """Gravity torque G, velocity-product torque C qdot and tip drift Jd qdot
     at the state whose ``_arm_kernel`` terms are ``kernel``."""
-    cs, dcs, a_sin, _, _ = kernel
-    phidot = np.cumsum(qdot)
-    phidot_sq = phidot * phidot
-    gravity = arm._smap.T @ _gravity_phi(arm, dcs)
-    bias = arm._smap.T @ (a_sin @ phidot_sq)
-    jdot_qdot = -(cs @ (arm.lengths * phidot_sq))
-    return gravity, bias, jdot_qdot
+    c, s, a_sin, _, _ = kernel
+    phidot_sq, load = _velocity_loads(a_sin, _floats(qdot))
+    lp = list(map(mul, arm._link_lengths, phidot_sq))
+    return (
+        np.array(_suffix(_gravity_phi(arm, c, s))),
+        np.array(_suffix(load)),
+        np.array((-_dot(c, lp), -_dot(s, lp))),
+    )
 
 
 def forward_kinematics(arm: PlanarArm, q: np.ndarray) -> np.ndarray:
-    return _end_effector(arm, _link_dirs(q))
+    return _tip(_jacobian_rows(arm, *_link_dirs(q)))
 
 
 def joint_positions(arm: PlanarArm, q: np.ndarray) -> np.ndarray:
@@ -248,13 +371,15 @@ def joint_positions(arm: PlanarArm, q: np.ndarray) -> np.ndarray:
 
 
 def potential_energy(arm: PlanarArm, q: np.ndarray) -> float:
-    return float(-np.dot(arm._first_moments, arm.gravity @ _link_dirs(q)))
+    c, s = _link_dirs(q)
+    gx, gy = arm._gravity_xy
+    return -_dot(arm._first_moments, [gx * ca + gy * sa for ca, sa in zip(c, s)])
 
 
 def kinetic_energy(arm: PlanarArm, q: np.ndarray, qdot: np.ndarray) -> float:
-    qdot = np.asarray(qdot, dtype=float)
+    qdot = _floats(qdot)
     _, _, _, mass, _ = _arm_kernel(arm, q)
-    return float(0.5 * qdot @ mass @ qdot)
+    return 0.5 * _dot([_dot(row, qdot) for row in mass], qdot)
 
 
 @dataclass(frozen=True)
@@ -266,24 +391,39 @@ class TaskSpace:
     nullspace: np.ndarray  # I - J^T jbar_t
 
 
-def _task_space(jac: np.ndarray, minv_jt: np.ndarray) -> TaskSpace:
-    """Operational-space quantities from J and M^-1 J^T.
+def _task_space(mass: list, jac) -> tuple[np.ndarray, TaskSpace]:
+    """``M^-1 J^T`` and the operational-space quantities, from M and the
+    Jacobian rows as floats; the 2 x 2 block ``J M^-1 J^T`` is inverted in
+    closed form.
 
     The only place the singularity test runs: it precedes every inversion of
-    J M^-1 J^T.
+    J M^-1 J^T. Its quantity is the smallest |eigenvalue| of the symmetrised
+    block, computed as |det| over the largest |eigenvalue| so that a
+    near-singular block loses no digits to cancellation.
 
     Raises:
         SingularConfigurationError: when the smallest singular value of
             J M^-1 J^T drops below ``SINGULARITY_TOL``.
+        numpy.linalg.LinAlgError: when M is not positive definite.
     """
-    core = jac @ minv_jt
-    smallest = float(np.min(np.abs(np.linalg.eigvalsh(0.5 * (core + core.T)))))
+    low = _cholesky(mass)
+    jx, jy = jac
+    mx, my = cols = _cho_solve(low, jx), _cho_solve(low, jy)  # M^-1 J^T by column
+    a, b, c, d = _dot(jx, mx), _dot(jx, my), _dot(jy, mx), _dot(jy, my)
+    off = 0.5 * (b + c)
+    det_sym = a * d - off * off
+    largest = abs(0.5 * (a + d)) + math.hypot(0.5 * (a - d), off)
+    smallest = abs(det_sym) / largest if det_sym else 0.0
     if smallest < SINGULARITY_TOL:
         raise SingularConfigurationError(smallest)
-    lam = np.linalg.inv(core)
-    jbar_t = lam @ minv_jt.T
-    nullspace = np.eye(jac.shape[1]) - jac.T @ jbar_t
-    return TaskSpace(lam=lam, jbar_t=jbar_t, nullspace=nullspace)
+    det = a * d - b * c
+    lam = ((d / det, -b / det), (-c / det, a / det))
+    jbar_t = [[l0 * u + l1 * v for u, v in zip(mx, my)] for l0, l1 in lam]
+    nullspace = [[-(xi * b0 + yi * b1) for b0, b1 in zip(*jbar_t)] for xi, yi in zip(jx, jy)]
+    for i, row in enumerate(nullspace):
+        row[i] += 1.0
+    task = TaskSpace(lam=np.array(lam), jbar_t=np.array(jbar_t), nullspace=np.array(nullspace))
+    return np.array(cols).T, task
 
 
 def task_space_quantities(
@@ -298,8 +438,8 @@ def task_space_quantities(
     if dyn is None:
         _, _, _, mass, jac = _arm_kernel(arm, q)
     else:
-        mass, jac = dyn.mass_matrix, dyn.jacobian
-    return _task_space(jac, np.linalg.solve(mass, jac.T))
+        mass, jac = dyn.mass_matrix.tolist(), dyn.jacobian.tolist()
+    return _task_space(mass, jac)[1]
 
 
 class ArmSample(NamedTuple):
@@ -307,12 +447,13 @@ class ArmSample(NamedTuple):
 
     The loop's task state, the controller tick and the integrator's first
     stage all read it, so a sample costs one kernel, one M^-1 J^T solve and
-    one singularity test.
+    one singularity test. The arrays are the ones the tick reads.
     """
 
     kernel: tuple  # _arm_kernel(arm, q)
     x: np.ndarray  # end-effector pose
     xdot: np.ndarray  # J qdot
+    jac: np.ndarray  # J
     minv_jt: np.ndarray  # M^-1 J^T
     task: TaskSpace
     ke: float  # task kinetic energy 0.5 xdot' Lam xdot
@@ -326,12 +467,14 @@ def _arm_task_state(arm: PlanarArm, q: np.ndarray, qdot: np.ndarray) -> ArmSampl
             inversion of J M^-1 J^T.
     """
     kernel = _arm_kernel(arm, q)
-    cs, _, _, mass, jac = kernel
+    _, _, _, mass, jac_rows = kernel
+    minv_jt, task = _task_space(mass, jac_rows)
+    jac = np.array(jac_rows)
     xdot = jac @ qdot
-    minv_jt = np.linalg.solve(mass, jac.T)
-    task = _task_space(jac, minv_jt)
-    ke = 0.5 * float(xdot @ task.lam @ xdot)
-    return ArmSample(kernel, _end_effector(arm, cs), xdot, minv_jt, task, ke)
+    v0, v1 = xdot.tolist()
+    (l00, l01), (l10, l11) = task.lam.tolist()
+    ke = 0.5 * ((v0 * l00 + v1 * l10) * v0 + (v0 * l01 + v1 * l11) * v1)
+    return ArmSample(kernel, _tip(jac_rows), xdot, jac, minv_jt, task, ke)
 
 
 @dataclass(frozen=True)
@@ -455,19 +598,30 @@ def _arm_accel(
     task_wrench: np.ndarray | None,
     kernel=None,
 ) -> np.ndarray:
-    """Joint accelerations; ``kernel`` is ``_arm_kernel(arm, q)`` when the
-    caller has it already."""
-    cs, dcs, a_sin, mass, jac = _arm_kernel(arm, q) if kernel is None else kernel
-    phidot = np.cumsum(qdot)
-    rhs = tau - arm._smap.T @ (a_sin @ (phidot * phidot) + _gravity_phi(arm, dcs))
-    if wall is not None or task_wrench is not None:
-        w = np.zeros(2)
-        if task_wrench is not None:
-            w += task_wrench
-        if wall is not None:
-            w += contact_force(wall, _end_effector(arm, cs), jac @ qdot)
-        rhs = rhs + jac.T @ w
-    return np.linalg.solve(mass, rhs)
+    """Joint accelerations ``M^-1 (tau - C qdot - G + J^T w)``, in floats;
+    ``kernel`` is ``_arm_kernel(arm, q)`` when the caller has it already.
+
+    A non-finite state gives a non-finite result, so the step reports it.
+
+    Raises:
+        numpy.linalg.LinAlgError: when the mass matrix is not positive definite.
+    """
+    c, s, a_sin, mass, jac = _arm_kernel(arm, q) if kernel is None else kernel
+    qdot = _floats(qdot)
+    _, load = _velocity_loads(a_sin, qdot)
+    w0, w1 = (0.0, 0.0) if task_wrench is None else _floats(task_wrench)
+    if wall is not None:
+        f0, f1 = contact_force(wall, _tip(jac), [_dot(row, qdot) for row in jac]).tolist()
+        w0, w1 = w0 + f0, w1 + f1
+    # rhs = tau - S^T (load + G_phi) + J^T w, the suffix sum run backwards
+    rhs = _floats(tau)
+    gravity = _gravity_phi(arm, c, s)
+    jx, jy = jac
+    acc = 0.0
+    for a in range(len(rhs) - 1, -1, -1):
+        acc += load[a] + gravity[a]
+        rhs[a] += jx[a] * w0 + jy[a] * w1 - acc
+    return np.array(_cho_solve(_cholesky(mass), rhs))
 
 
 def _advance(pos, vel, accel, dt: float, integrator: str, t: float, accel0=None):
@@ -490,7 +644,7 @@ def _advance(pos, vel, accel, dt: float, integrator: str, t: float, accel0=None)
         k4a = accel(pos + dt * k3v, k4v)
         new_pos = pos + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
         new_vel = vel + (dt / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
-    if not (np.all(np.isfinite(new_pos)) and np.all(np.isfinite(new_vel))):
+    if not (np.isfinite(new_pos).all() and np.isfinite(new_vel).all()):
         raise IntegrationBlowupError(t + dt)
     return new_pos, new_vel
 

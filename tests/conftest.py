@@ -1,6 +1,12 @@
-"""Shared test plumbing: per-criterion result lines echoed in the run summary."""
+"""Shared test plumbing: per-criterion result lines echoed in the run summary,
+and the hypothesis profile CI selects."""
 
 import pytest
+from hypothesis import settings
+
+# `pytest --hypothesis-profile=ci` draws the same examples on every run, so a
+# property failure seen in CI reproduces locally with the same flag.
+settings.register_profile("ci", derandomize=True)
 
 _criterion_lines = []
 

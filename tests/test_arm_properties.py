@@ -5,9 +5,18 @@ tick fed that sample are computed on a lean path that skips the Coriolis
 matrix and re-uses one M^-1 J^T solve; these tests hold them to
 ``arm_dynamics`` and ``task_space_quantities`` at random states, wrenches,
 torques and targets.
+
+All of those read one kernel (``dynamics._arm_kernel``, Python floats), so
+agreeing with each other cannot catch an error in it. ``reference_terms`` is
+the independent reference: the absolute-angle closed forms written out with
+numpy matrices (``phi = S q``, ``C = cs^T cs``, ``M = S^T (A o C + I) S``,
+``J = (l * dcs) S``), checked on 2-, 3- and 4-link arms with random positive
+parameters, with ``np.linalg.inv`` and ``eigvalsh`` as the reference for the
+closed-form 2 x 2 task-space block.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,11 +38,14 @@ from fractal_impedance import (
     fic_task_wrench,
     forward_kinematics,
     joint_positions,
+    kinetic_energy,
     new_attractor_states,
     null_space_torque,
+    potential_energy,
     task_space_quantities,
 )
-from fractal_impedance.dynamics import _arm_accel, _arm_task_state
+from fractal_impedance import dynamics
+from fractal_impedance.dynamics import _arm_accel, _arm_kernel, _arm_task_state
 
 ARM = PlanarArm.default()
 WALL = ContactWall(axis=0, offset=0.5, stiffness=2000.0, damping=5.0)
@@ -219,3 +231,129 @@ def test_task_space_quantities_match_sample(q, qdot):
         assert_close(ts.lam, sample.task.lam)
         assert_close(ts.jbar_t, sample.task.jbar_t)
         assert_close(ts.nullspace, sample.task.nullspace)
+
+
+def reference_terms(arm, q):
+    """The arm's closed forms as numpy matrices, independent of the kernel.
+
+    Each entry comes with the scale its rounding error is judged against:
+    the same sum with every term replaced by its magnitude bound (cos and sin
+    by 1). A folded arm sums large terms to a small one, and an angle rounded
+    differently moves a term by its coefficient times that rounding.
+    """
+    n = len(q)
+    smap = np.tril(np.ones((n, n)))
+    phi = smap @ q
+    cs = np.array([np.cos(phi), np.sin(phi)])
+    dcs = np.array([-cs[1], cs[0]])
+    cmat = np.zeros((n, n))
+    for i in range(n):
+        cmat[:i, i] = arm.lengths[:i]
+        cmat[i, i] = arm.com_offsets[i]
+    coupling = cmat @ np.diag(arm.masses) @ cmat.T
+    first = cmat @ arm.masses
+    g_abs = float(np.sum(np.abs(arm.gravity)))
+    return {
+        "mass": (
+            smap.T @ (coupling * (cs.T @ cs) + np.diag(arm.inertias)) @ smap,
+            smap.T @ (coupling + np.diag(arm.inertias)) @ smap,
+        ),
+        "a_sin": (coupling * (cs.T @ dcs), coupling),
+        "jac": ((arm.lengths * dcs) @ smap, np.ones((2, 1)) * (arm.lengths @ smap)),
+        "gravity": (smap.T @ (-first * (arm.gravity @ dcs)), smap.T @ first * g_abs),
+        "tip": (cs @ arm.lengths, np.sum(arm.lengths)),
+        "potential": (-first @ (arm.gravity @ cs), np.sum(first) * g_abs),
+    }
+
+
+def within(got, want_and_scale, rel=1e-12):
+    want, scale = want_and_scale
+    return bool(np.all(np.abs(np.asarray(got) - want) <= rel * scale))
+
+
+@st.composite
+def arm_states(draw):
+    """A 2-, 3- or 4-link arm with random positive parameters, and a state."""
+    n = draw(st.sampled_from((2, 3, 4)))
+
+    def positive(lo, hi):
+        return st.lists(st.floats(lo, hi), min_size=n, max_size=n).map(np.array)
+
+    lengths = draw(positive(0.1, 2.0))
+    arm = PlanarArm(
+        lengths=lengths,
+        masses=draw(positive(0.1, 5.0)),
+        com_offsets=draw(positive(0.05, 1.0)) * lengths,
+        inertias=draw(positive(1e-3, 1.0)),
+        gravity=draw(vec(2, 20.0)),
+        q=np.zeros(n),
+        qdot=np.zeros(n),
+    )
+    return arm, draw(vec(n, math.pi)), draw(vec(n, 5.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(state=arm_states())
+def test_kernel_matches_reference_closed_forms(state):
+    arm, q, qdot = state
+    ref = reference_terms(arm, q)
+    _, _, a_sin, mass, jac = _arm_kernel(arm, q)
+    assert within(np.array(a_sin), ref["a_sin"])
+    assert within(np.array(mass), ref["mass"])
+    assert within(np.array(jac), ref["jac"])
+    dyn = arm_dynamics(arm, q, qdot)
+    assert within(dyn.mass_matrix, ref["mass"])
+    assert within(dyn.jacobian, ref["jac"])
+    assert within(dyn.gravity, ref["gravity"])
+    assert within(forward_kinematics(arm, q), ref["tip"])
+    assert within(potential_energy(arm, q), ref["potential"])
+    mass_ref = ref["mass"][0]
+    assert kinetic_energy(arm, q, qdot) == pytest.approx(
+        0.5 * qdot @ mass_ref @ qdot, rel=1e-12, abs=1e-12
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(state=arm_states(), tau=vec(4, 50.0))
+def test_accel_matches_reference_solve(state, tau):
+    arm, q, qdot = state
+    n = len(q)
+    ref = reference_terms(arm, q)
+    mass = ref["mass"][0]
+    phidot = np.cumsum(qdot)
+    load = ref["a_sin"][0] @ (phidot * phidot)
+    rhs = tau[:n] - np.tril(np.ones((n, n))).T @ load - ref["gravity"][0]
+    want = np.linalg.solve(mass, rhs)
+    got = _arm_accel(arm, tau[:n], q, qdot, None, None)
+    tol = 1e-13 * np.linalg.cond(mass) * max(1.0, float(np.max(np.abs(want))))
+    assert np.allclose(got, want, rtol=0.0, atol=tol)
+
+
+def reference_task_block(arm, q):
+    """J M^-1 J^T from the reference closed forms and numpy's solve."""
+    ref = reference_terms(arm, q)
+    mass, jac = ref["mass"][0], ref["jac"][0]
+    return jac @ np.linalg.solve(mass, jac.T), float(np.linalg.cond(mass))
+
+
+@settings(max_examples=300, deadline=None)
+@given(state=arm_states())
+def test_task_space_block_matches_inv_and_eigvalsh(state):
+    arm, q, _ = state
+    core, cond_m = reference_task_block(arm, q)
+    cond_core = float(np.linalg.cond(core))
+    assume(cond_core < 1e8)
+    # the test quantity: with an infinite tolerance every call reports it
+    with mock.patch.object(dynamics, "SINGULARITY_TOL", math.inf):
+        with pytest.raises(SingularConfigurationError) as err:
+            task_space_quantities(arm, q)
+    smallest = float(np.min(np.abs(np.linalg.eigvalsh(0.5 * (core + core.T)))))
+    scale = float(np.max(np.abs(core)))
+    assert err.value.smallest_singular_value == pytest.approx(
+        smallest, rel=0.0, abs=1e-13 * cond_m * scale
+    )
+    assume(smallest > 2.0 * dynamics.SINGULARITY_TOL)
+    lam = task_space_quantities(arm, q).lam
+    want = np.linalg.inv(core)
+    tol = 1e-13 * cond_m * cond_core * float(np.max(np.abs(want)))
+    assert np.allclose(lam, want, rtol=0.0, atol=tol)

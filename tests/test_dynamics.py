@@ -176,6 +176,23 @@ class TestTaskSpace:
             task_space_quantities(arm, np.zeros(3))
         assert e.value.smallest_singular_value < 1e-8
 
+    def test_singular_mass_matrix_raises(self):
+        # last link without rotational inertia and with its COM on its joint:
+        # the last row of M vanishes
+        arm = PlanarArm(
+            lengths=(1.0, 1.0, 1.0),
+            masses=(1.0, 1.0, 1.0),
+            com_offsets=(0.5, 0.5, 0.0),
+            inertias=(0.1, 0.1, 0.0),
+            gravity=(0.0, -9.81),
+            q=np.array([0.3, 0.9, 0.9]),
+            qdot=np.zeros(3),
+        )
+        with pytest.raises(np.linalg.LinAlgError):
+            _arm_accel(arm, np.zeros(3), arm.q, arm.qdot, None, None)
+        with pytest.raises(np.linalg.LinAlgError):
+            task_space_quantities(arm, arm.q)
+
 
 class TestStepPlant:
     def test_requires_positive_dt(self):
@@ -228,6 +245,19 @@ class TestStepPlant:
         out = step_plant(arm, np.array([1.0, 0.0, 0.0]), 1e-2)
         assert out is not arm
         assert out.qdot[0] > 0.0
+
+    @pytest.mark.parametrize("with_wall", [False, True])
+    @pytest.mark.parametrize(
+        "q, qdot", [((math.inf, 0.3, 0.2), (0.0, 0.0, 0.0)), ((0.3, 0.9, 0.9), (math.inf, 0.0, 0.0))]
+    )
+    def test_arm_accel_propagates_non_finite_state(self, q, qdot, with_wall):
+        # a non-finite result, not an exception, so _advance reports the blowup
+        arm = PlanarArm.default()
+        wall = ContactWall(axis=0, offset=0.5, stiffness=2000.0, damping=5.0) if with_wall else None
+        with np.errstate(all="ignore"):
+            qdd = _arm_accel(arm, np.zeros(3), np.array(q), np.array(qdot), wall, np.ones(2))
+        assert qdd.shape == (3,)
+        assert not np.all(np.isfinite(qdd))
 
     @pytest.mark.parametrize("integrator", ["rk4", "semi_implicit"])
     def test_given_first_stage_is_bit_identical(self, integrator):

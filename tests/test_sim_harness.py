@@ -363,6 +363,27 @@ class TestEpisodes:
         assert rec.t.shape[0] == rec.x.shape[0]
         assert np.all(np.isfinite(rec.x))
 
+    @pytest.mark.parametrize("integrator, t_blowup", [("rk4", 0.03), ("semi_implicit", 0.09)])
+    def test_arm_blowup_is_reported_not_raised(self, integrator, t_blowup):
+        sc = Scenario(
+            name="arm_blowup",
+            plant="arm",
+            controller="baseline",
+            duration=1.0,
+            dt=1e-2,
+            feedback_hz=100.0,
+            integrator=integrator,
+            reference={"type": "static", "pose": (1.0, 1.5)},
+            k_d=1e6,
+        )
+        with np.errstate(all="ignore"):
+            rec = run_scenario(sc)
+        assert rec.error is not None
+        assert rec.error["type"] == "integration_blowup"
+        assert rec.error["time"] == pytest.approx(t_blowup)
+        assert rec.n_samples == round(t_blowup / sc.dt)
+        assert np.all(np.isfinite(rec.x))
+
     @pytest.mark.parametrize("controller", ["fic", "baseline"])
     def test_singular_start_is_reported_not_raised(self, controller):
         # fully stretched arm: J M^-1 J^T is exactly singular at the first sample
