@@ -139,18 +139,18 @@ def fic_task_wrench(
     if len(states) != config.n_task:
         raise ValueError("one attractor state per task DoF required")
     d_rate = x_err_rate if damping_rate is None else damping_rate
-    wrench = np.zeros(config.n_task)
-    new_states = []
-    for i, (params, state) in enumerate(zip(config.stiffness, states)):
+    wrench, new_states = [], []
+    for i, (params, state, damping) in enumerate(
+        zip(config.stiffness, states, config.damping.tolist())
+    ):
+        err = float(x_err[i])
         if config.switch_enabled:
             state = update_attractor(
-                state, params, float(x_err[i]), float(x_err_rate[i]), rate_tol=config.rate_tol
+                state, params, err, float(x_err_rate[i]), rate_tol=config.rate_tol
             )
         new_states.append(state)
-        wrench[i] = fic_wrench(state, params, float(x_err[i])) + config.damping[i] * float(
-            d_rate[i]
-        )
-    return ControlResult(wrench=wrench, states=tuple(new_states))
+        wrench.append(fic_wrench(state, params, err) + damping * float(d_rate[i]))
+    return ControlResult(wrench=np.array(wrench), states=tuple(new_states))
 
 
 def baseline_impedance_wrench(
@@ -200,8 +200,8 @@ def _arm_tick(
     """
     if sample is None:
         sample = _arm_task_state(arm, arm.q, arm.qdot)
-    x_err = np.asarray(x_target, dtype=float) - sample.x
-    damping_rate = -sample.xdot
+    x_err = np.asarray(x_target, dtype=float) - np.array(sample.x)
+    damping_rate = -np.array(sample.xdot)
     x_err_rate = damping_rate
     if target_rate is not None:
         x_err_rate = damping_rate + np.asarray(target_rate, dtype=float)
@@ -209,7 +209,7 @@ def _arm_tick(
     tau_null = null_space_torque(arm.q, arm.qdot, config.posture_target, config.posture_gains)
     gravity, bias, jdot_qdot = _arm_drift(arm, sample.kernel, arm.qdot)
     ts = sample.task
-    comp = ts.lam @ (sample.minv_jt.T @ bias - jdot_qdot)
+    comp = ts.lam @ (np.array(sample.minv_jt) @ bias - jdot_qdot)
     torques = sample.jac.T @ (result.wrench + comp) + gravity + ts.nullspace @ tau_null
     return ControlResult(wrench=result.wrench, states=result.states, torques=torques)
 

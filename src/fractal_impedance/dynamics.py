@@ -7,12 +7,18 @@ use absolute link angles, where the mass matrix couples through
 ``A_ab sin(phi_a - phi_b) phidot_b^2``; joint-space quantities follow from the
 constant lower-triangular map ``phi = S q``, so ``S^T v`` is a suffix sum.
 
-The arm's kernel, acceleration and task space work on Python floats, not numpy
-arrays: at three joints and a 2-D task each matrix holds a few flops, and
-numpy's per-call dispatch (type checks, error-state contexts, array
-allocation) costs more than the arithmetic. An integrator stage builds one
-array, the joint acceleration it returns; a sample builds the arrays the
-controller tick reads. The loops work for any number of links.
+The plant state of the episode loop, the integrator step ``_advance``, both
+plants' accelerations, the arm's kernel and task inertia, and the contact and
+pulse wrenches work on lists of Python floats, not numpy arrays: a point mass
+has one to a few DoFs and the arm three joints and a 2-D task, so each vector
+holds a few flops, and numpy's per-call dispatch (type checks, error-state
+contexts, array allocation) costs more than the arithmetic. Elementwise float
+operations in numpy's order give the bits of the numpy array expressions. An
+integrator stage builds no array. An arm sample builds one, the Jacobian that
+``J qdot`` is computed with; the task-space arrays J^T-bar and N are formed
+only when a controller tick reads them. Public functions take arrays or
+sequences; ``contact_force`` and ``external_wrench`` return lists of floats,
+the others arrays. The loops work for any number of links.
 
 Environment effects (unilateral wall, force pulses) are plain functions so the
 integrators can evaluate them at stage states.
@@ -23,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
-from operator import mul
+from operator import add, mul, truediv
 from typing import NamedTuple
 
 import numpy as np
@@ -82,6 +88,7 @@ class PointMassPlant:
     inertia: np.ndarray
     x: np.ndarray
     xdot: np.ndarray
+    _masses: tuple = field(init=False, repr=False)  # inertia as floats
 
     def __post_init__(self) -> None:
         self.inertia = np.asarray(self.inertia, dtype=float)
@@ -91,6 +98,7 @@ class PointMassPlant:
             raise ValueError("point-mass inertia must be a 1-D positive array")
         if self.x.shape != self.inertia.shape or self.xdot.shape != self.inertia.shape:
             raise ValueError("state dimensions must match inertia")
+        self._masses = tuple(self.inertia.tolist())
 
     @property
     def n_task(self) -> int:
@@ -221,7 +229,7 @@ def _link_dirs(q) -> tuple[list, list]:
     non-finite state propagates instead of raising."""
     c, s = [], []
     phi = 0.0
-    for qi in _floats(q):
+    for qi in q:
         phi += qi
         if math.isinf(phi):  # math.cos raises here
             phi = math.nan
@@ -244,9 +252,9 @@ def _jacobian_rows(arm: PlanarArm, c: list, s: list) -> tuple[list, list]:
     return jx, jy
 
 
-def _tip(jac: tuple[list, list]) -> np.ndarray:
+def _tip(jac: tuple[list, list]) -> list:
     jx, jy = jac
-    return np.array((jy[0], -jx[0]))
+    return [jy[0], -jx[0]]
 
 
 def _arm_kernel(arm: PlanarArm, q):
@@ -345,11 +353,11 @@ def arm_dynamics(arm: PlanarArm, q: np.ndarray, qdot: np.ndarray) -> ArmDynamics
     )
 
 
-def _arm_drift(arm: PlanarArm, kernel, qdot: np.ndarray):
+def _arm_drift(arm: PlanarArm, kernel, qdot):
     """Gravity torque G, velocity-product torque C qdot and tip drift Jd qdot
     at the state whose ``_arm_kernel`` terms are ``kernel``."""
     c, s, a_sin, _, _ = kernel
-    phidot_sq, load = _velocity_loads(a_sin, _floats(qdot))
+    phidot_sq, load = _velocity_loads(a_sin, qdot)
     lp = list(map(mul, arm._link_lengths, phidot_sq))
     return (
         np.array(_suffix(_gravity_phi(arm, c, s))),
@@ -359,7 +367,7 @@ def _arm_drift(arm: PlanarArm, kernel, qdot: np.ndarray):
 
 
 def forward_kinematics(arm: PlanarArm, q: np.ndarray) -> np.ndarray:
-    return _tip(_jacobian_rows(arm, *_link_dirs(q)))
+    return np.array(_tip(_jacobian_rows(arm, *_link_dirs(q))))
 
 
 def joint_positions(arm: PlanarArm, q: np.ndarray) -> np.ndarray:
@@ -391,9 +399,9 @@ class TaskSpace:
     nullspace: np.ndarray  # I - J^T jbar_t
 
 
-def _task_space(mass: list, jac) -> tuple[np.ndarray, TaskSpace]:
-    """``M^-1 J^T`` and the operational-space quantities, from M and the
-    Jacobian rows as floats; the 2 x 2 block ``J M^-1 J^T`` is inverted in
+def _task_inertia(mass: list, jac) -> tuple[tuple, tuple]:
+    """The columns of ``M^-1 J^T`` and the task inertia Lam, as floats, from M
+    and the Jacobian rows; the 2 x 2 block ``J M^-1 J^T`` is inverted in
     closed form.
 
     The only place the singularity test runs: it precedes every inversion of
@@ -417,13 +425,19 @@ def _task_space(mass: list, jac) -> tuple[np.ndarray, TaskSpace]:
     if smallest < SINGULARITY_TOL:
         raise SingularConfigurationError(smallest)
     det = a * d - b * c
-    lam = ((d / det, -b / det), (-c / det, a / det))
+    return cols, ((d / det, -b / det), (-c / det, a / det))
+
+
+def _task_space(jac, cols: tuple, lam: tuple) -> TaskSpace:
+    """The operational-space arrays from the Jacobian rows and the floats of
+    ``_task_inertia``: J^T-bar and N are formed only here, where they are read."""
+    jx, jy = jac
+    mx, my = cols
     jbar_t = [[l0 * u + l1 * v for u, v in zip(mx, my)] for l0, l1 in lam]
     nullspace = [[-(xi * b0 + yi * b1) for b0, b1 in zip(*jbar_t)] for xi, yi in zip(jx, jy)]
     for i, row in enumerate(nullspace):
         row[i] += 1.0
-    task = TaskSpace(lam=np.array(lam), jbar_t=np.array(jbar_t), nullspace=np.array(nullspace))
-    return np.array(cols).T, task
+    return TaskSpace(lam=np.array(lam), jbar_t=np.array(jbar_t), nullspace=np.array(nullspace))
 
 
 def task_space_quantities(
@@ -439,7 +453,7 @@ def task_space_quantities(
         _, _, _, mass, jac = _arm_kernel(arm, q)
     else:
         mass, jac = dyn.mass_matrix.tolist(), dyn.jacobian.tolist()
-    return _task_space(mass, jac)[1]
+    return _task_space(jac, *_task_inertia(mass, jac))
 
 
 class ArmSample(NamedTuple):
@@ -447,20 +461,29 @@ class ArmSample(NamedTuple):
 
     The loop's task state, the controller tick and the integrator's first
     stage all read it, so a sample costs one kernel, one M^-1 J^T solve and
-    one singularity test. The arrays are the ones the tick reads.
+    one singularity test. The task-space arrays (``task``) are formed when a
+    controller tick reads them, not at every sample.
     """
 
     kernel: tuple  # _arm_kernel(arm, q)
-    x: np.ndarray  # end-effector pose
-    xdot: np.ndarray  # J qdot
-    jac: np.ndarray  # J
-    minv_jt: np.ndarray  # M^-1 J^T
-    task: TaskSpace
+    x: list  # end-effector pose
+    xdot: list  # J qdot
+    jac: np.ndarray  # J, the array xdot is computed with
+    minv_jt: tuple  # the columns of M^-1 J^T, floats
+    lam: tuple  # task inertia Lam, floats
     ke: float  # task kinetic energy 0.5 xdot' Lam xdot
 
+    @property
+    def task(self) -> TaskSpace:
+        return _task_space(self.kernel[4], self.minv_jt, self.lam)
 
-def _arm_task_state(arm: PlanarArm, q: np.ndarray, qdot: np.ndarray) -> ArmSample:
+
+def _arm_task_state(arm: PlanarArm, q, qdot) -> ArmSample:
     """Evaluate the arm at a sample.
+
+    ``xdot`` is numpy's ``J @ qdot``, so it equals the closed-form
+    ``arm_dynamics(...).jacobian @ qdot`` bit for bit; a float sum rounds
+    differently where the matrix-vector product fuses multiply and add.
 
     Raises:
         SingularConfigurationError: from the task-space test, before any
@@ -468,13 +491,13 @@ def _arm_task_state(arm: PlanarArm, q: np.ndarray, qdot: np.ndarray) -> ArmSampl
     """
     kernel = _arm_kernel(arm, q)
     _, _, _, mass, jac_rows = kernel
-    minv_jt, task = _task_space(mass, jac_rows)
+    cols, lam = _task_inertia(mass, jac_rows)
     jac = np.array(jac_rows)
-    xdot = jac @ qdot
-    v0, v1 = xdot.tolist()
-    (l00, l01), (l10, l11) = task.lam.tolist()
+    xdot = (jac @ qdot).tolist()
+    v0, v1 = xdot
+    (l00, l01), (l10, l11) = lam
     ke = 0.5 * ((v0 * l00 + v1 * l10) * v0 + (v0 * l01 + v1 * l11) * v1)
-    return ArmSample(kernel, _tip(jac_rows), xdot, jac, minv_jt, task, ke)
+    return ArmSample(kernel, _tip(jac_rows), xdot, jac, cols, lam, ke)
 
 
 @dataclass(frozen=True)
@@ -499,9 +522,10 @@ class ContactWall:
             raise ValueError("wall direction must be +1 or -1")
 
 
-def contact_force(wall: ContactWall, x: np.ndarray, xdot: np.ndarray) -> np.ndarray:
-    """Contact wrench on the plant, zero when not penetrating."""
-    f = np.zeros(len(x))
+def contact_force(wall: ContactWall, x, xdot) -> list:
+    """Contact wrench on the plant as a list of floats, zero when not
+    penetrating."""
+    f = [0.0] * len(x)
     pen = wall.direction * (float(x[wall.axis]) - wall.offset)
     if pen <= 0.0:
         return f
@@ -549,12 +573,13 @@ class PerturbationProfile:
                     raise ValueError(f"overlapping pulses on DoF {dof}")
 
 
-def external_wrench(profile: PerturbationProfile, t: float) -> np.ndarray:
-    """Sum of pulses active at time t (zero vector outside all pulses)."""
-    w = np.zeros(profile.n_dof)
+def external_wrench(profile: PerturbationProfile, t: float) -> list:
+    """Sum of pulses active at time t as a list of floats (zero outside all
+    pulses)."""
+    w = [0.0] * profile.n_dof
     for p in profile.pulses:
         if p.start <= t < p.end:
-            w += np.asarray(p.wrench)
+            w = list(map(add, w, p.wrench))
     return w
 
 
@@ -562,43 +587,43 @@ class PointMassSample(NamedTuple):
     """The point mass at a sampled state, in the shape of ``ArmSample``'s
     fields that the loop reads; it has no kernel terms to share."""
 
-    x: np.ndarray
-    xdot: np.ndarray
+    x: list
+    xdot: list
     ke: float  # 0.5 xdot' M xdot
     kernel: None = None
 
 
-def _point_mass_task_state(plant: PointMassPlant, x: np.ndarray, xdot: np.ndarray):
-    return PointMassSample(x, xdot, 0.5 * float(np.dot(plant.inertia * xdot, xdot)))
+def _point_mass_task_state(plant: PointMassPlant, x: list, xdot: list) -> PointMassSample:
+    return PointMassSample(x, xdot, 0.5 * _dot(map(mul, plant._masses, xdot), xdot))
 
 
 def _point_mass_accel(
     plant: PointMassPlant,
-    force: np.ndarray,
-    x: np.ndarray,
-    xdot: np.ndarray,
+    force: list,
+    x: list,
+    xdot: list,
     wall: ContactWall | None,
-    task_wrench: np.ndarray | None,
+    task_wrench: list | None,
     kernel=None,
-) -> np.ndarray:
-    """Task accelerations; same signature as ``_arm_accel`` (the point mass
-    has no kernel, so ``kernel`` is ignored)."""
-    f = force if task_wrench is None else force + task_wrench
+) -> list:
+    """Task accelerations as floats; same signature as ``_arm_accel`` (the
+    point mass has no kernel, so ``kernel`` is ignored)."""
+    f = force if task_wrench is None else list(map(add, force, task_wrench))
     if wall is not None:
-        f = f + contact_force(wall, x, xdot)
-    return f / plant.inertia
+        f = list(map(add, f, contact_force(wall, x, xdot)))
+    return list(map(truediv, f, plant._masses))
 
 
 def _arm_accel(
     arm: PlanarArm,
-    tau: np.ndarray,
-    q: np.ndarray,
-    qdot: np.ndarray,
+    tau,
+    q,
+    qdot,
     wall: ContactWall | None,
-    task_wrench: np.ndarray | None,
+    task_wrench,
     kernel=None,
-) -> np.ndarray:
-    """Joint accelerations ``M^-1 (tau - C qdot - G + J^T w)``, in floats;
+) -> list:
+    """Joint accelerations ``M^-1 (tau - C qdot - G + J^T w)`` as floats;
     ``kernel`` is ``_arm_kernel(arm, q)`` when the caller has it already.
 
     A non-finite state gives a non-finite result, so the step reports it.
@@ -607,45 +632,69 @@ def _arm_accel(
         numpy.linalg.LinAlgError: when the mass matrix is not positive definite.
     """
     c, s, a_sin, mass, jac = _arm_kernel(arm, q) if kernel is None else kernel
-    qdot = _floats(qdot)
     _, load = _velocity_loads(a_sin, qdot)
-    w0, w1 = (0.0, 0.0) if task_wrench is None else _floats(task_wrench)
+    w0, w1 = (0.0, 0.0) if task_wrench is None else task_wrench
     if wall is not None:
-        f0, f1 = contact_force(wall, _tip(jac), [_dot(row, qdot) for row in jac]).tolist()
+        f0, f1 = contact_force(wall, _tip(jac), [_dot(row, qdot) for row in jac])
         w0, w1 = w0 + f0, w1 + f1
     # rhs = tau - S^T (load + G_phi) + J^T w, the suffix sum run backwards
-    rhs = _floats(tau)
+    rhs = list(tau)
     gravity = _gravity_phi(arm, c, s)
     jx, jy = jac
     acc = 0.0
     for a in range(len(rhs) - 1, -1, -1):
         acc += load[a] + gravity[a]
         rhs[a] += jx[a] * w0 + jy[a] * w1 - acc
-    return np.array(_cho_solve(_cholesky(mass), rhs))
+    return _cho_solve(_cholesky(mass), rhs)
 
 
 def _advance(pos, vel, accel, dt: float, integrator: str, t: float, accel0=None):
-    """One fixed integration step of pos'' = accel(pos, vel); shared core.
+    """One fixed integration step of pos'' = accel(pos, vel) over lists of
+    floats; the one integrator of both plants.
 
-    ``accel0`` is ``accel(pos, vel)`` when the caller has it already.
+    ``accel0`` is ``accel(pos, vel)`` when the caller has it already. Each
+    component is combined in the order numpy's array expressions
+    ``vel + 0.5 * dt * acc`` and ``pos + dt / 6 * (k1 + 2 k2 + 2 k3 + k4)``
+    use, so the step gives their bits. Explicit loops, not comprehensions:
+    at one to three components a comprehension's own call costs more than
+    its arithmetic.
+
+    Raises:
+        IntegrationBlowupError: when a component of the new state is not
+            finite; it carries the time ``t + dt``.
     """
     if accel0 is None:
         accel0 = accel(pos, vel)
+    new_pos, new_vel = [], []
     if integrator == "semi_implicit":
-        new_vel = vel + dt * accel0
-        new_pos = pos + dt * new_vel
+        for p, v, a in zip(pos, vel, accel0):
+            v = v + dt * a
+            new_pos.append(p + dt * v)
+            new_vel.append(v)
     else:
-        k1v, k1a = vel, accel0
-        k2v = vel + 0.5 * dt * k1a
-        k2a = accel(pos + 0.5 * dt * k1v, k2v)
-        k3v = vel + 0.5 * dt * k2a
-        k3a = accel(pos + 0.5 * dt * k2v, k3v)
-        k4v = vel + dt * k3a
-        k4a = accel(pos + dt * k3v, k4v)
-        new_pos = pos + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        new_vel = vel + (dt / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
-    if not (np.isfinite(new_pos).all() and np.isfinite(new_vel).all()):
-        raise IntegrationBlowupError(t + dt)
+        h = 0.5 * dt
+        p2, v2 = [], []
+        for p, v, a in zip(pos, vel, accel0):
+            p2.append(p + h * v)
+            v2.append(v + h * a)
+        a2 = accel(p2, v2)
+        p3, v3 = [], []
+        for p, v, kv, ka in zip(pos, vel, v2, a2):
+            p3.append(p + h * kv)
+            v3.append(v + h * ka)
+        a3 = accel(p3, v3)
+        p4, v4 = [], []
+        for p, v, kv, ka in zip(pos, vel, v3, a3):
+            p4.append(p + dt * kv)
+            v4.append(v + dt * ka)
+        a4 = accel(p4, v4)
+        h = dt / 6.0
+        for p, v, b2, b3, b4, a1, c2, c3, c4 in zip(pos, vel, v2, v3, v4, accel0, a2, a3, a4):
+            new_pos.append(p + h * (v + 2.0 * b2 + 2.0 * b3 + b4))
+            new_vel.append(v + h * (a1 + 2.0 * c2 + 2.0 * c3 + c4))
+    for value in new_pos + new_vel:
+        if not math.isfinite(value):
+            raise IntegrationBlowupError(t + dt)
     return new_pos, new_vel
 
 
@@ -676,13 +725,14 @@ def step_plant(
         raise ValueError(f"dt must be positive, got {dt}")
     if integrator not in INTEGRATORS:
         raise ValueError(f"unknown integrator {integrator!r}, expected {INTEGRATORS}")
+    # The step runs on floats; arrays cross only this boundary.
     if callable(force):
-        force_fn = force
+        force_fn = lambda pp, vv: _floats(force(np.array(pp), np.array(vv)))
     else:
-        held = np.asarray(force, dtype=float)
+        held = _floats(force)
         force_fn = lambda pp, vv: held
     if task_wrench is not None:
-        task_wrench = np.asarray(task_wrench, dtype=float)
+        task_wrench = _floats(task_wrench)
 
     if isinstance(plant, PointMassPlant):
         pos, vel, plant_accel = plant.x, plant.xdot, _point_mass_accel
@@ -692,7 +742,7 @@ def step_plant(
         raise TypeError(f"unsupported plant type {type(plant).__name__}")
     accel = lambda xx, vv: plant_accel(plant, force_fn(xx, vv), xx, vv, wall, task_wrench)
 
-    new_pos, new_vel = _advance(pos, vel, accel, dt, integrator, t)
+    new_pos, new_vel = _advance(_floats(pos), _floats(vel), accel, dt, integrator, t)
     if isinstance(plant, PointMassPlant):
         return replace(plant, x=new_pos, xdot=new_vel)
     return replace(plant, q=new_pos, qdot=new_vel)

@@ -8,7 +8,14 @@ consumed once and the commanded force is held until the next tick.
 
 Each sample evaluates the plant once (``dynamics._arm_task_state`` or
 ``_point_mass_task_state``), then one ``dynamics._advance`` step follows. The
-bookkeeping runs the library's laws:
+loop keeps the plant state, reference, held wrench and pulse wrench as lists
+of Python floats, because numpy's per-call dispatch on vectors of one to three
+entries costs more than their arithmetic. It writes each sample into compact
+``array`` columns, and the record's arrays are built from them once, after the
+loop. Elementwise float arithmetic in numpy's order gives numpy's bits, so a
+1-DoF record is the one numpy expressions would give; a sum over several DoFs
+(kinetic energy, contact power) may differ from ``np.dot`` in the last bit.
+The bookkeeping runs the library's laws:
 
 - tick instants: ``_tick_starts``, which ``zoh_sample`` also uses;
 - absorbed energy E_in: ``energy_audit.fic_work`` per DoF over each sample
@@ -22,7 +29,9 @@ bookkeeping runs the library's laws:
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field, replace
+from operator import mul
 
 import numpy as np
 
@@ -45,6 +54,7 @@ from .dynamics import (
     SingularConfigurationError,
     _advance,
     _arm_accel,
+    _dot,
     _arm_task_state,
     _point_mass_accel,
     _point_mass_task_state,
@@ -333,48 +343,44 @@ def build_plant(sc: Scenario) -> PointMassPlant | PlanarArm:
     return PlanarArm.default(q=sc.q0, qdot=sc.qdot0, gravity=sc.gravity)
 
 
-def _make_reference(sc: Scenario, x_start: np.ndarray):
-    """Reference pose and rate as a function of time, resolved against the start pose.
+def _make_reference(sc: Scenario, x_start):
+    """Reference pose and rate as lists of floats, as a function of time,
+    resolved against the start pose. A static reference returns one constant
+    pair, which callers must not modify.
 
     The rate goes into the divergence/convergence classification: with a moving
     reference the error rate is xd_dot - xdot, and dropping the feedforward term
     would tag a growing error as converging.
     """
     ref = sc.reference
-    zero = np.zeros_like(x_start)
+    zero = [0.0] * len(x_start)
     if ref["type"] == "static":
-        pose = (
-            x_start.copy() if ref.get("pose") is None else np.asarray(ref["pose"], dtype=float)
-        )
-        return lambda t: (pose, zero)
+        pose = [float(v) for v in (x_start if ref.get("pose") is None else ref["pose"])]
+        pair = (pose, zero)
+        return lambda t: pair
     if ref["type"] == "sinusoid":
-        center = (
-            x_start.copy()
-            if ref.get("center") is None
-            else np.asarray(ref["center"], dtype=float)
-        )
+        center = [float(v) for v in (x_start if ref.get("center") is None else ref["center"])]
         axis = int(ref["axis"])
         amp, omega = float(ref["amplitude"]), 2.0 * math.pi / float(ref["period"])
 
         def sinusoid(t):
-            pose = center.copy()
+            pose = list(center)
             pose[axis] += amp * math.sin(omega * t)
-            rate = zero.copy()
+            rate = list(zero)
             rate[axis] = amp * omega * math.cos(omega * t)
             return pose, rate
 
         return sinusoid
     radius, omega = float(ref["radius"]), 2.0 * math.pi / float(ref["period"])
     if ref.get("center") is None:
-        center = x_start - np.array([radius, 0.0])  # start on the circle, zero error
+        cx, cy = float(x_start[0]) - radius, float(x_start[1])  # start on the circle
     else:
-        center = np.asarray(ref["center"], dtype=float)
+        cx, cy = (float(v) for v in ref["center"])
+    speed = radius * omega
 
     def circle(t):
         c, s = math.cos(omega * t), math.sin(omega * t)
-        pose = center + radius * np.array([c, s])
-        rate = radius * omega * np.array([-s, c])
-        return pose, rate
+        return [cx + radius * c, cy + radius * s], [speed * -s, speed * c]
 
     return circle
 
@@ -389,6 +395,24 @@ def _tick_starts(n: int, feedback_hz: float, dt: float) -> np.ndarray:
     starts = np.ones(n, dtype=bool)
     starts[1:] = idx[1:] > idx[:-1]
     return starts
+
+
+def _pulse_table(profile: PerturbationProfile, n_steps: int, dt: float) -> list | None:
+    """The pulse wrench of each step k < n_steps (at t = k dt), or None
+    when no step reads one. ``external_wrench`` runs once per distinct set of
+    active pulses, and the steps of one set share its row."""
+    if not (profile.pulses and n_steps):
+        return None
+    t = np.arange(n_steps) * dt
+    active = np.array([(p.start <= t) & (t < p.end) for p in profile.pulses]).T
+    bounds = np.flatnonzero(np.any(active[1:] != active[:-1], axis=1)) + 1
+    rows, table = {}, []
+    for a, b in zip([0, *bounds.tolist()], [*bounds.tolist(), n_steps]):
+        key = active[a].tobytes()
+        if key not in rows:
+            rows[key] = external_wrench(profile, a * dt)
+        table += [rows[key]] * (b - a)
+    return table
 
 
 def zoh_sample(signal: np.ndarray, feedback_hz: float, dt: float) -> np.ndarray:
@@ -449,41 +473,38 @@ def run_scenario(sc: Scenario) -> EpisodeRecord:
     plant = build_plant(sc)
     wall = build_wall(sc)
     profile = build_profile(sc)
-    has_pulses = len(profile.pulses) > 0
     fic = build_fic_config(sc) if use_fic else None
     base = build_baseline_config(sc) if not use_fic else None
 
     if is_arm:
-        pos, vel = plant.q.copy(), plant.qdot.copy()
+        pos, vel = plant.q.tolist(), plant.qdot.tolist()
         task_state, accel = _arm_task_state, _arm_accel
-        x_start = forward_kinematics(plant, pos)
+        x_start = forward_kinematics(plant, pos).tolist()
     else:
-        pos, vel = plant.x.copy(), plant.xdot.copy()
+        pos, vel = plant.x.tolist(), plant.xdot.tolist()
         task_state, accel = _point_mass_task_state, _point_mass_accel
-        x_start = pos.copy()
+        x_start = pos
     ref_fn = _make_reference(sc, x_start)
+    pulse_rows = _pulse_table(profile, n_steps, dt)
+    w_pulse = None
 
     states = new_attractor_states(d)
     x_b0 = tuple(p.x_b for p in fic.stiffness) if use_fic else None
     trackers = [LyapunovTracker(params=p) for p in fic.stiffness] if use_fic else None
+    k_d = None if use_fic else base.k_d.tolist()
+    phase_row = [Phase.DIVERGENCE.value] * d  # the attractor phases, changed at ticks
     ticks = _tick_starts(n, sc.feedback_hz, dt).tolist()
 
-    xd_a = np.empty((n, d))
-    x_a = np.empty((n, d))
-    xe_a = np.empty((n, d))
-    xv_a = np.empty((n, d))
-    ph_a = np.empty((n, d), dtype=np.int64)
-    wr_a = np.empty((n, d))
-    cf_a = np.empty((n, d))
-    pot_a = np.empty(n)
-    ke_a = np.empty(n)
-    ein_a = np.empty(n)
+    # Record columns, d values per sample for the vector series.
+    xd_c, x_c, xe_c, xv_c, wr_c, cf_c = (array("d") for _ in range(6))
+    pot_c, ke_c, ein_c = array("d"), array("d"), array("d")
+    ph_c = array("q")
+    cf = [0.0] * d  # contact force; stays zero without a wall
 
     e_in = 0.0
     c_work = 0.0
     events = []
     error = None
-    n_rec = n
     prev_xe = None
     prev_cpow = 0.0
 
@@ -493,20 +514,21 @@ def run_scenario(sc: Scenario) -> EpisodeRecord:
             sample = task_state(plant, pos, vel)
         except SingularConfigurationError as exc:
             error = {"type": "singular_configuration", "time": t, "message": str(exc)}
-            n_rec = k
             break
         x_now, v_now = sample.x, sample.xdot
         x_d, xd_rate = ref_fn(t)
-        x_err = x_d - x_now
+        x_err = [a - b for a, b in zip(x_d, x_now)]
 
         if k > 0 and use_fic:
             for i in range(d):
-                if ph_a[k - 1, i] == Phase.DIVERGENCE.value:
-                    e_in += fic_work(fic.stiffness[i], float(prev_xe[i]), float(x_err[i]))
-        cf = contact_force(wall, x_now, v_now) if wall is not None else np.zeros(d)
-        cpow = float(np.dot(cf, v_now))
-        if k > 0:
-            c_work += 0.5 * (cpow + prev_cpow) * dt
+                if states[i].phase is Phase.DIVERGENCE:  # as recorded at sample k - 1
+                    e_in += fic_work(fic.stiffness[i], prev_xe[i], x_err[i])
+        if wall is not None:
+            cf = contact_force(wall, x_now, v_now)
+            cpow = _dot(cf, v_now)
+            if k > 0:
+                c_work += 0.5 * (cpow + prev_cpow) * dt
+            prev_cpow = cpow
 
         if ticks[k]:
             if use_fic and sc.xb_schedule is not None:
@@ -514,9 +536,10 @@ def run_scenario(sc: Scenario) -> EpisodeRecord:
                 if new_xb != tuple(p.x_b for p in fic.stiffness):
                     fic = build_fic_config(sc, x_b_override=new_xb)
                     for i in range(d):
-                        trackers[i].change_params(fic.stiffness[i], states[i], float(x_err[i]))
+                        trackers[i].change_params(fic.stiffness[i], states[i], x_err[i])
             if is_arm:
-                plant.q, plant.qdot = pos, vel  # the arm controllers read the plant state
+                # the arm controllers read the plant state
+                plant.q, plant.qdot = np.array(pos), np.array(vel)
                 if use_fic:
                     res = fic_control_torques(
                         plant, x_d, states, fic, target_rate=xd_rate, sample=sample
@@ -524,42 +547,43 @@ def run_scenario(sc: Scenario) -> EpisodeRecord:
                     states = res.states
                 else:
                     res = baseline_control_torques(plant, x_d, base, sample=sample)
-                held_wrench, held_force = res.wrench, res.torques
+                held_wrench, held_force = res.wrench.tolist(), res.torques.tolist()
             else:
+                damping_rate = [-v for v in v_now]
                 if use_fic:
-                    res = fic_task_wrench(
-                        fic, states, x_err, xd_rate - v_now, damping_rate=-v_now
-                    )
-                    states, held_wrench = res.states, res.wrench
+                    rate = [r - v for r, v in zip(xd_rate, v_now)]
+                    res = fic_task_wrench(fic, states, x_err, rate, damping_rate=damping_rate)
+                    states, held_wrench = res.states, res.wrench.tolist()
                 else:
-                    held_wrench = baseline_impedance_wrench(base, x_err, -v_now)
+                    held_wrench = baseline_impedance_wrench(base, x_err, damping_rate).tolist()
                 held_force = held_wrench
+            if use_fic:
+                phase_row = [s.phase.value for s in states]
 
-        xd_a[k] = x_d
-        x_a[k] = x_now
-        xe_a[k] = x_err
-        xv_a[k] = v_now
-        wr_a[k] = held_wrench
-        cf_a[k] = cf
+        xd_c.extend(x_d)
+        x_c.extend(x_now)
+        xe_c.extend(x_err)
+        xv_c.extend(v_now)
+        wr_c.extend(held_wrench)
+        cf_c.extend(cf)
+        ph_c.extend(phase_row)
         if use_fic:
             pot = 0.0
             for i in range(d):
-                ph_a[k, i] = states[i].phase.value
-                val, ev = trackers[i].update(states[i], float(x_err[i]), t=t, dof=i)
+                val, ev = trackers[i].update(states[i], x_err[i], t=t, dof=i)
                 pot += val
                 if ev is not None:
                     events.append(ev)
         else:
-            ph_a[k] = Phase.DIVERGENCE.value
-            pot = 0.5 * float(np.dot(base.k_d * x_err, x_err))
-        pot_a[k] = pot
-        ke_a[k] = sample.ke
-        ein_a[k] = e_in
+            pot = 0.5 * _dot(map(mul, k_d, x_err), x_err)
+        pot_c.append(pot)
+        ke_c.append(sample.ke)
+        ein_c.append(e_in)
         prev_xe = x_err
-        prev_cpow = cpow
 
         if k < n_steps:
-            w_pulse = external_wrench(profile, t) if has_pulses else None
+            if pulse_rows is not None:
+                w_pulse = pulse_rows[k]
             try:
                 pos, vel = _advance(
                     pos,
@@ -576,37 +600,39 @@ def run_scenario(sc: Scenario) -> EpisodeRecord:
                     "time": exc.time,
                     "message": str(exc),
                 }
-                n_rec = k + 1
                 break
 
-    sl = slice(0, n_rec)
+    # The record arrays view the columns; nothing is copied.
+    n_rec = len(ke_c)
+    xe_a = _rows(xe_c, d)
     t_a = np.arange(n_rec) * dt
-    ke = ke_a[sl]
+    ke = np.frombuffer(ke_c)
+    phase_s = np.frombuffer(ph_c, dtype=np.int64).reshape(n_rec, d)
     # E_rel: running maximum of the task KE over samples where any DoF converges.
-    converging = np.any(ph_a[sl] == Phase.CONVERGENCE.value, axis=1)
+    converging = np.any(phase_s == Phase.CONVERGENCE.value, axis=1)
     e_rel_cum = np.maximum.accumulate(np.where(converging, ke, 0.0))
     forced = np.zeros(n_rec, dtype=bool)
     for p in profile.pulses:
         forced |= (p.start - dt <= t_a) & (t_a < p.end + dt)
     ledger = EnergyLedger(
-        e_in=float(ein_a[n_rec - 1]) if n_rec else 0.0,
+        e_in=ein_c[-1] if n_rec else 0.0,
         e_rel=float(e_rel_cum[-1]) if n_rec else 0.0,
         contact_work=c_work,
         switch_events=tuple(events),
     )
-    recov, conv = _pulse_recoveries(t_a, xe_a[sl], profile, dt)
+    recov, conv = _pulse_recoveries(t_a, xe_a, profile, dt)
     return EpisodeRecord(
         scenario=sc,
         t=t_a,
-        x_d=xd_a[sl].copy(),
-        x=x_a[sl].copy(),
-        x_err=xe_a[sl].copy(),
-        xdot=xv_a[sl].copy(),
-        phase_s=ph_a[sl].copy(),
-        wrench=wr_a[sl].copy(),
-        contact_f=cf_a[sl].copy(),
-        v=pot_a[sl] + ke,
-        e_in_cum=ein_a[sl].copy(),
+        x_d=_rows(xd_c, d),
+        x=_rows(x_c, d),
+        x_err=xe_a,
+        xdot=_rows(xv_c, d),
+        phase_s=phase_s,
+        wrench=_rows(wr_c, d),
+        contact_f=_rows(cf_c, d),
+        v=np.frombuffer(pot_c) + ke,
+        e_in_cum=np.frombuffer(ein_c),
         e_rel_cum=e_rel_cum,
         forced=forced,
         ledger=ledger,
@@ -614,6 +640,11 @@ def run_scenario(sc: Scenario) -> EpisodeRecord:
         convergence_times=conv,
         error=error,
     )
+
+
+def _rows(col: array, d: int) -> np.ndarray:
+    """A float column of d values per sample as an (n, d) array view."""
+    return np.frombuffer(col).reshape(-1, d)
 
 
 def _pulse_recoveries(t: np.ndarray, x_err: np.ndarray, profile: PerturbationProfile, dt: float):

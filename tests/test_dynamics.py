@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fractal_impedance import (
     ContactWall,
@@ -23,7 +25,7 @@ from fractal_impedance import (
     step_plant,
     task_space_quantities,
 )
-from fractal_impedance.dynamics import _advance, _arm_accel
+from fractal_impedance.dynamics import INTEGRATORS, _advance, _arm_accel
 
 RNG = np.random.default_rng(7)
 
@@ -256,7 +258,7 @@ class TestStepPlant:
         wall = ContactWall(axis=0, offset=0.5, stiffness=2000.0, damping=5.0) if with_wall else None
         with np.errstate(all="ignore"):
             qdd = _arm_accel(arm, np.zeros(3), np.array(q), np.array(qdot), wall, np.ones(2))
-        assert qdd.shape == (3,)
+        assert np.asarray(qdd).shape == (3,)
         assert not np.all(np.isfinite(qdd))
 
     @pytest.mark.parametrize("integrator", ["rk4", "semi_implicit"])
@@ -270,6 +272,83 @@ class TestStepPlant:
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
+def _advance_reference(pos, vel, accel, dt, integrator, t, accel0=None):
+    """The integrator step written with numpy array expressions: the float
+    ``_advance`` must reproduce it bit for bit."""
+    if accel0 is None:
+        accel0 = accel(pos, vel)
+    if integrator == "semi_implicit":
+        new_vel = vel + dt * accel0
+        new_pos = pos + dt * new_vel
+    else:
+        k1v, k1a = vel, accel0
+        k2v = vel + 0.5 * dt * k1a
+        k2a = accel(pos + 0.5 * dt * k1v, k2v)
+        k3v = vel + 0.5 * dt * k2a
+        k3a = accel(pos + 0.5 * dt * k2v, k3v)
+        k4v = vel + dt * k3a
+        k4a = accel(pos + dt * k3v, k4v)
+        new_pos = pos + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        new_vel = vel + (dt / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
+    if not (np.isfinite(new_pos).all() and np.isfinite(new_vel).all()):
+        raise IntegrationBlowupError(t + dt)
+    return new_pos, new_vel
+
+
+def _step_outcome(step, pos, vel, accel, dt, integrator, t, given_first):
+    """("ok", bytes of the new state) or ("blowup", time) of one step."""
+    accel0 = accel(pos, vel) if given_first else None
+    try:
+        with np.errstate(all="ignore"):
+            new_pos, new_vel = step(pos, vel, accel, dt, integrator, t, accel0)
+    except IntegrationBlowupError as exc:
+        return "blowup", exc.time
+    return "ok", np.asarray(new_pos, float).tobytes() + np.asarray(new_vel, float).tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(1, 4),
+    dt=st.floats(1e-6, 0.1),
+    t=st.floats(0.0, 100.0),
+    integrator=st.sampled_from(INTEGRATORS),
+    given_first=st.booleans(),
+    bad_stage=st.sampled_from([None, 0, 1, 2, 3]),
+    bad_value=st.sampled_from([math.inf, -math.inf, math.nan]),
+)
+def test_float_advance_matches_numpy_reference(
+    data, n, dt, t, integrator, given_first, bad_stage, bad_value
+):
+    # a random affine acceleration field a = c + g * pos + b * vel, evaluated in
+    # the same float arithmetic for both steps; the stage ``bad_stage`` returns
+    # a non-finite component, which both steps must report at the same time
+    vec = st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)
+    pos, vel, c, g, b = (data.draw(vec) for _ in range(5))
+
+    def field(as_array):
+        calls = []
+
+        def accel(pp, vv):
+            out = [
+                ci + gi * float(pi) + bi * float(vi) for ci, gi, bi, pi, vi in zip(c, g, b, pp, vv)
+            ]
+            if len(calls) == bad_stage:
+                out[-1] = bad_value
+            calls.append(1)
+            return np.array(out) if as_array else out
+
+        return accel
+
+    want = _step_outcome(
+        _advance_reference, np.array(pos), np.array(vel), field(True), dt, integrator, t, given_first
+    )
+    got = _step_outcome(_advance, pos, vel, field(False), dt, integrator, t, given_first)
+    assert got == want
+    if bad_stage == 0 or (bad_stage is not None and integrator == "rk4"):
+        assert got == ("blowup", t + dt)
+
+
 class TestContactWall:
     def test_penetration_force(self):
         wall = ContactWall(axis=0, offset=0.5, stiffness=1e4)
@@ -280,7 +359,7 @@ class TestContactWall:
     def test_no_force_outside(self):
         wall = ContactWall(axis=0, offset=0.5, stiffness=1e4)
         f = contact_force(wall, np.array([0.49, 0.0]), np.zeros(2))
-        assert np.all(f == 0.0)
+        assert np.all(np.asarray(f) == 0.0)
 
     def test_non_adhesive_clamp(self):
         # damping pulling the mass back in may not create a sticking force

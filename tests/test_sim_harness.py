@@ -1,6 +1,8 @@
 """Scenario plumbing: validation, ZOH sampling, episodes, metrics, calibration."""
 
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -341,6 +343,30 @@ class TestEpisodes:
         assert np.array_equal(a.x, b.x)
         assert np.array_equal(a.wrench, b.wrench)
         assert np.array_equal(a.v, b.v)
+
+    def test_episode_memory_stays_near_record_size(self):
+        # the loop writes compact columns that the record arrays view; per-sample
+        # Python lists of floats would take several times the record's bytes
+        sc = scenario(
+            duration=6.0,
+            damping=2.5,
+            pulses=(
+                {"start": 0.5, "duration": 0.2, "wrench": (8.0,)},
+                {"start": 2.5, "duration": 0.15, "wrench": (-6.0,)},
+            ),
+        )
+        run_scenario(replace(sc, duration=0.6))  # imports and caches outside the peak
+        tracemalloc.start()
+        try:
+            rec = run_scenario(sc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        fields = ("t", "x_d", "x", "x_err", "xdot", "phase_s", "wrench", "contact_f", "v")
+        fields += ("e_in_cum", "e_rel_cum", "forced")
+        record_bytes = sum(getattr(rec, f).nbytes for f in fields)
+        assert rec.n_samples == 6001
+        assert peak <= 2.5 * record_bytes
 
     def test_blowup_is_reported_not_raised(self):
         sc = Scenario(
