@@ -271,7 +271,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--config", required=True, help="scenario JSON file")
     run_p.add_argument("--out", default=None, help="output file path")
     run_p.add_argument("--format", choices=("csv", "json"), default="csv")
-    run_p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     run_p.set_defaults(func=_cmd_run)
 
     sweep_p = sub.add_parser("sweep", help="re-run one scenario across feedback rates")
@@ -279,7 +278,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--rates", default="1000,100,20", help="feedback rates (Hz)")
     sweep_p.add_argument("--out", default=None, help="output prefix")
     sweep_p.add_argument("--format", choices=("csv", "json"), default="csv")
-    sweep_p.add_argument("--seed", type=int, default=None)
     sweep_p.set_defaults(func=_cmd_sweep)
 
     cal_p = sub.add_parser("calibrate", help="largest stable w_max per boundary size")
@@ -315,8 +313,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     scenario = parse_config(args.config)
-    if args.seed is not None:
-        scenario = replace(scenario, seed=args.seed)
     log.info("running scenario '%s'", scenario.name)
     record = run_scenario(scenario)
     out = Path(args.out) if args.out else Path(f"{scenario.name}.{args.format}")
@@ -337,8 +333,6 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     scenario = parse_config(args.config)
-    if args.seed is not None:
-        scenario = replace(scenario, seed=args.seed)
     rates = _parse_float_list(args.rates, "rates")
     base = _out_base(args.out, "sweep")
     summary = []

@@ -15,8 +15,10 @@ holds a few flops, and numpy's per-call dispatch (type checks, error-state
 contexts, array allocation) costs more than the arithmetic. Elementwise float
 operations in numpy's order give the bits of the numpy array expressions. An
 integrator stage builds no array. An arm sample builds one, the Jacobian that
-``J qdot`` is computed with; the task-space arrays J^T-bar and N are formed
-only when a controller tick reads them. Public functions take arrays or
+``J qdot`` is computed with, and factors M once for its task inertia and the
+first integrator stage. Neither J^T-bar nor N is formed in the loop: the
+controller's torque map folds N into its task term, and only
+``task_space_quantities`` builds them. Public functions take arrays or
 sequences; ``contact_force`` and ``external_wrench`` return lists of floats,
 the others arrays. The loops work for any number of links.
 
@@ -354,16 +356,12 @@ def arm_dynamics(arm: PlanarArm, q: np.ndarray, qdot: np.ndarray) -> ArmDynamics
 
 
 def _arm_drift(arm: PlanarArm, kernel, qdot):
-    """Gravity torque G, velocity-product torque C qdot and tip drift Jd qdot
-    at the state whose ``_arm_kernel`` terms are ``kernel``."""
+    """Gravity torque G, velocity-product torque C qdot and tip drift Jd qdot,
+    as floats, at the state whose ``_arm_kernel`` terms are ``kernel``."""
     c, s, a_sin, _, _ = kernel
     phidot_sq, load = _velocity_loads(a_sin, qdot)
     lp = list(map(mul, arm._link_lengths, phidot_sq))
-    return (
-        np.array(_suffix(_gravity_phi(arm, c, s))),
-        np.array(_suffix(load)),
-        np.array((-_dot(c, lp), -_dot(s, lp))),
-    )
+    return _suffix(_gravity_phi(arm, c, s)), _suffix(load), (-_dot(c, lp), -_dot(s, lp))
 
 
 def forward_kinematics(arm: PlanarArm, q: np.ndarray) -> np.ndarray:
@@ -399,10 +397,10 @@ class TaskSpace:
     nullspace: np.ndarray  # I - J^T jbar_t
 
 
-def _task_inertia(mass: list, jac) -> tuple[tuple, tuple]:
-    """The columns of ``M^-1 J^T`` and the task inertia Lam, as floats, from M
-    and the Jacobian rows; the 2 x 2 block ``J M^-1 J^T`` is inverted in
-    closed form.
+def _task_inertia(mass: list, jac) -> tuple[list, tuple, tuple]:
+    """The Cholesky factor of M, the columns of ``M^-1 J^T`` and the task
+    inertia Lam, as floats, from M and the Jacobian rows; the 2 x 2 block
+    ``J M^-1 J^T`` is inverted in closed form.
 
     The only place the singularity test runs: it precedes every inversion of
     J M^-1 J^T. Its quantity is the smallest |eigenvalue| of the symmetrised
@@ -425,19 +423,7 @@ def _task_inertia(mass: list, jac) -> tuple[tuple, tuple]:
     if smallest < SINGULARITY_TOL:
         raise SingularConfigurationError(smallest)
     det = a * d - b * c
-    return cols, ((d / det, -b / det), (-c / det, a / det))
-
-
-def _task_space(jac, cols: tuple, lam: tuple) -> TaskSpace:
-    """The operational-space arrays from the Jacobian rows and the floats of
-    ``_task_inertia``: J^T-bar and N are formed only here, where they are read."""
-    jx, jy = jac
-    mx, my = cols
-    jbar_t = [[l0 * u + l1 * v for u, v in zip(mx, my)] for l0, l1 in lam]
-    nullspace = [[-(xi * b0 + yi * b1) for b0, b1 in zip(*jbar_t)] for xi, yi in zip(jx, jy)]
-    for i, row in enumerate(nullspace):
-        row[i] += 1.0
-    return TaskSpace(lam=np.array(lam), jbar_t=np.array(jbar_t), nullspace=np.array(nullspace))
+    return low, cols, ((d / det, -b / det), (-c / det, a / det))
 
 
 def task_space_quantities(
@@ -453,29 +439,31 @@ def task_space_quantities(
         _, _, _, mass, jac = _arm_kernel(arm, q)
     else:
         mass, jac = dyn.mass_matrix.tolist(), dyn.jacobian.tolist()
-    return _task_space(jac, *_task_inertia(mass, jac))
+    _, (mx, my), lam = _task_inertia(mass, jac)
+    jbar_t = [[l0 * u + l1 * v for u, v in zip(mx, my)] for l0, l1 in lam]
+    nullspace = [[-(xi * b0 + yi * b1) for b0, b1 in zip(*jbar_t)] for xi, yi in zip(*jac)]
+    for i, row in enumerate(nullspace):
+        row[i] += 1.0
+    return TaskSpace(lam=np.array(lam), jbar_t=np.array(jbar_t), nullspace=np.array(nullspace))
 
 
 class ArmSample(NamedTuple):
     """One evaluation of the arm at a sampled state (q, qdot).
 
     The loop's task state, the controller tick and the integrator's first
-    stage all read it, so a sample costs one kernel, one M^-1 J^T solve and
-    one singularity test. The task-space arrays (``task``) are formed when a
-    controller tick reads them, not at every sample.
+    stage all read it, so a sample costs one kernel, one Cholesky factor of
+    M, one M^-1 J^T solve and one singularity test.
     """
 
+    q: list  # the sampled state
+    qdot: list
     kernel: tuple  # _arm_kernel(arm, q)
+    chol: list  # lower Cholesky factor of M
     x: list  # end-effector pose
     xdot: list  # J qdot
-    jac: np.ndarray  # J, the array xdot is computed with
     minv_jt: tuple  # the columns of M^-1 J^T, floats
     lam: tuple  # task inertia Lam, floats
     ke: float  # task kinetic energy 0.5 xdot' Lam xdot
-
-    @property
-    def task(self) -> TaskSpace:
-        return _task_space(self.kernel[4], self.minv_jt, self.lam)
 
 
 def _arm_task_state(arm: PlanarArm, q, qdot) -> ArmSample:
@@ -490,14 +478,13 @@ def _arm_task_state(arm: PlanarArm, q, qdot) -> ArmSample:
             inversion of J M^-1 J^T.
     """
     kernel = _arm_kernel(arm, q)
-    _, _, _, mass, jac_rows = kernel
-    cols, lam = _task_inertia(mass, jac_rows)
-    jac = np.array(jac_rows)
-    xdot = (jac @ qdot).tolist()
+    _, _, _, mass, jac = kernel
+    low, cols, lam = _task_inertia(mass, jac)
+    xdot = (np.array(jac) @ qdot).tolist()
     v0, v1 = xdot
     (l00, l01), (l10, l11) = lam
     ke = 0.5 * ((v0 * l00 + v1 * l10) * v0 + (v0 * l01 + v1 * l11) * v1)
-    return ArmSample(kernel, _tip(jac_rows), xdot, jac, cols, lam, ke)
+    return ArmSample(q, qdot, kernel, low, _tip(jac), xdot, cols, lam, ke)
 
 
 @dataclass(frozen=True)
@@ -591,6 +578,7 @@ class PointMassSample(NamedTuple):
     xdot: list
     ke: float  # 0.5 xdot' M xdot
     kernel: None = None
+    chol: None = None
 
 
 def _point_mass_task_state(plant: PointMassPlant, x: list, xdot: list) -> PointMassSample:
@@ -605,9 +593,11 @@ def _point_mass_accel(
     wall: ContactWall | None,
     task_wrench: list | None,
     kernel=None,
+    chol=None,
 ) -> list:
     """Task accelerations as floats; same signature as ``_arm_accel`` (the
-    point mass has no kernel, so ``kernel`` is ignored)."""
+    point mass has no kernel or factor, so ``kernel`` and ``chol`` are
+    ignored)."""
     f = force if task_wrench is None else list(map(add, force, task_wrench))
     if wall is not None:
         f = list(map(add, f, contact_force(wall, x, xdot)))
@@ -622,9 +612,11 @@ def _arm_accel(
     wall: ContactWall | None,
     task_wrench,
     kernel=None,
+    chol=None,
 ) -> list:
     """Joint accelerations ``M^-1 (tau - C qdot - G + J^T w)`` as floats;
-    ``kernel`` is ``_arm_kernel(arm, q)`` when the caller has it already.
+    ``kernel`` is ``_arm_kernel(arm, q)`` and ``chol`` the Cholesky factor of
+    its mass matrix when the caller has them already.
 
     A non-finite state gives a non-finite result, so the step reports it.
 
@@ -645,7 +637,7 @@ def _arm_accel(
     for a in range(len(rhs) - 1, -1, -1):
         acc += load[a] + gravity[a]
         rhs[a] += jx[a] * w0 + jy[a] * w1 - acc
-    return _cho_solve(_cholesky(mass), rhs)
+    return _cho_solve(_cholesky(mass) if chol is None else chol, rhs)
 
 
 def _advance(pos, vel, accel, dt: float, integrator: str, t: float, accel0=None):

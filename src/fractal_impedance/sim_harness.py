@@ -7,13 +7,16 @@ zero-order hold at ``feedback_hz``: the measurement taken at a tick is
 consumed once and the commanded force is held until the next tick.
 
 Each sample evaluates the plant once (``dynamics._arm_task_state`` or
-``_point_mass_task_state``), then one ``dynamics._advance`` step follows. The
-loop keeps the plant state, reference, held wrench and pulse wrench as lists
-of Python floats, because numpy's per-call dispatch on vectors of one to three
-entries costs more than their arithmetic. It writes each sample into compact
-``array`` columns, and the record's arrays are built from them once, after the
-loop. Elementwise float arithmetic in numpy's order gives numpy's bits, so a
-1-DoF record is the one numpy expressions would give; a sum over several DoFs
+``_point_mass_task_state``), then one ``dynamics._advance`` step follows. A
+tick is one block for both plants: the task law reads the errors from the
+sample, and for the arm ``controllers._arm_torques`` maps the wrench at that
+same sample; the plant object is never written. The loop keeps the plant
+state, reference, held wrench and pulse wrench as lists of Python floats,
+because numpy's per-call dispatch on vectors of one to three entries costs
+more than their arithmetic. It writes each sample into compact ``array``
+columns, and the record's arrays are built from them once, after the loop.
+Elementwise float arithmetic in numpy's order gives numpy's bits, so a 1-DoF
+record is the one numpy expressions would give; a sum over several DoFs
 (kinetic energy, contact power) may differ from ``np.dot`` in the last bit.
 The bookkeeping runs the library's laws:
 
@@ -38,12 +41,13 @@ import numpy as np
 from .controllers import (
     BaselineConfig,
     FicConfig,
-    baseline_control_torques,
+    _arm_torques,
+    _per_dof,
     baseline_impedance_wrench,
-    fic_control_torques,
     fic_task_wrench,
     new_attractor_states,
 )
+from .controllers import baseline_control_torques, fic_control_torques  # noqa: F401 (bench hook)
 from .dynamics import (
     ContactWall,
     IntegrationBlowupError,
@@ -125,7 +129,6 @@ class Scenario:
     dt: float = 1e-4
     feedback_hz: float = 1000.0
     integrator: str = "rk4"
-    seed: int = 0
     # point-mass plant
     inertia: tuple = (1.0,)
     x0: tuple | None = None
@@ -270,13 +273,6 @@ class Scenario:
             build_wall(self)
 
 
-def _per_dof(value, d: int, name: str) -> tuple:
-    vals = value if isinstance(value, tuple) else (value,) * d
-    if len(vals) != d:
-        raise ValueError(f"{name}: expected scalar or {d} entries")
-    return tuple(float(v) for v in vals)
-
-
 def build_stiffness(sc: Scenario, x_b_override: tuple | None = None) -> tuple:
     d = sc.n_task
     kc = _per_dof(sc.k_const, d, "k_const")
@@ -287,29 +283,29 @@ def build_stiffness(sc: Scenario, x_b_override: tuple | None = None) -> tuple:
     )
 
 
+def _posture_target(sc: Scenario) -> tuple | None:
+    """The arm's posture target, q0 by default; a point mass has none."""
+    if sc.plant != "arm":
+        return None
+    return sc.q0 if sc.posture_target is None else sc.posture_target
+
+
 def build_fic_config(sc: Scenario, x_b_override: tuple | None = None) -> FicConfig:
-    d = sc.n_task
-    posture = sc.posture_target
-    if posture is None and sc.plant == "arm":
-        posture = sc.q0
     return FicConfig(
         stiffness=build_stiffness(sc, x_b_override),
-        damping=np.asarray(_per_dof(sc.damping, d, "damping")),
-        posture_target=None if sc.plant != "arm" else np.asarray(posture),
-        posture_gains=tuple(float(g) for g in sc.posture_gains),
+        damping=sc.damping,
+        posture_target=_posture_target(sc),
+        posture_gains=sc.posture_gains,
     )
 
 
 def build_baseline_config(sc: Scenario) -> BaselineConfig:
     d = sc.n_task
-    posture = sc.posture_target
-    if posture is None and sc.plant == "arm":
-        posture = sc.q0
     return BaselineConfig(
-        k_d=np.asarray(_per_dof(sc.k_d, d, "k_d")),
-        d_d=np.asarray(_per_dof(sc.d_d, d, "d_d")),
-        posture_target=None if sc.plant != "arm" else np.asarray(posture),
-        posture_gains=tuple(float(g) for g in sc.posture_gains),
+        k_d=_per_dof(sc.k_d, d, "k_d"),
+        d_d=_per_dof(sc.d_d, d, "d_d"),
+        posture_target=_posture_target(sc),
+        posture_gains=sc.posture_gains,
     )
 
 
@@ -475,6 +471,8 @@ def run_scenario(sc: Scenario) -> EpisodeRecord:
     profile = build_profile(sc)
     fic = build_fic_config(sc) if use_fic else None
     base = build_baseline_config(sc) if not use_fic else None
+    ctrl = fic if use_fic else base
+    posture = ctrl.posture_target, ctrl.posture_gains  # the arm's null-space task
 
     if is_arm:
         pos, vel = plant.q.tolist(), plant.qdot.tolist()
@@ -491,7 +489,6 @@ def run_scenario(sc: Scenario) -> EpisodeRecord:
     states = new_attractor_states(d)
     x_b0 = tuple(p.x_b for p in fic.stiffness) if use_fic else None
     trackers = [LyapunovTracker(params=p) for p in fic.stiffness] if use_fic else None
-    k_d = None if use_fic else base.k_d.tolist()
     phase_row = [Phase.DIVERGENCE.value] * d  # the attractor phases, changed at ticks
     ticks = _tick_starts(n, sc.feedback_hz, dt).tolist()
 
@@ -537,28 +534,16 @@ def run_scenario(sc: Scenario) -> EpisodeRecord:
                     fic = build_fic_config(sc, x_b_override=new_xb)
                     for i in range(d):
                         trackers[i].change_params(fic.stiffness[i], states[i], x_err[i])
-            if is_arm:
-                # the arm controllers read the plant state
-                plant.q, plant.qdot = np.array(pos), np.array(vel)
-                if use_fic:
-                    res = fic_control_torques(
-                        plant, x_d, states, fic, target_rate=xd_rate, sample=sample
-                    )
-                    states = res.states
-                else:
-                    res = baseline_control_torques(plant, x_d, base, sample=sample)
-                held_wrench, held_force = res.wrench.tolist(), res.torques.tolist()
-            else:
-                damping_rate = [-v for v in v_now]
-                if use_fic:
-                    rate = [r - v for r, v in zip(xd_rate, v_now)]
-                    res = fic_task_wrench(fic, states, x_err, rate, damping_rate=damping_rate)
-                    states, held_wrench = res.states, res.wrench.tolist()
-                else:
-                    held_wrench = baseline_impedance_wrench(base, x_err, damping_rate).tolist()
-                held_force = held_wrench
+            damping_rate = [-v for v in v_now]
             if use_fic:
+                rate = [r - v for r, v in zip(xd_rate, v_now)]
+                held_wrench, states, _ = fic_task_wrench(fic, states, x_err, rate, damping_rate)
                 phase_row = [s.phase.value for s in states]
+            else:
+                held_wrench = baseline_impedance_wrench(base, x_err, damping_rate)
+            held_force = held_wrench
+            if is_arm:
+                held_force = _arm_torques(plant, sample, held_wrench, *posture)
 
         xd_c.extend(x_d)
         x_c.extend(x_now)
@@ -575,7 +560,7 @@ def run_scenario(sc: Scenario) -> EpisodeRecord:
                 if ev is not None:
                     events.append(ev)
         else:
-            pot = 0.5 * _dot(map(mul, k_d, x_err), x_err)
+            pot = 0.5 * _dot(map(mul, base.k_d, x_err), x_err)
         pot_c.append(pot)
         ke_c.append(sample.ke)
         ein_c.append(e_in)
@@ -592,7 +577,7 @@ def run_scenario(sc: Scenario) -> EpisodeRecord:
                     dt,
                     sc.integrator,
                     t,
-                    accel(plant, held_force, pos, vel, wall, w_pulse, sample.kernel),
+                    accel(plant, held_force, pos, vel, wall, w_pulse, sample.kernel, sample.chol),
                 )
             except IntegrationBlowupError as exc:
                 error = {

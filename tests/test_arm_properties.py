@@ -16,6 +16,7 @@ closed-form 2 x 2 task-space block.
 """
 
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -134,7 +135,7 @@ def sample_or_skip(arm):
         sample = _arm_task_state(arm, arm.q, arm.qdot)
     except SingularConfigurationError:
         assume(False)
-    assume(float(np.linalg.cond(sample.task.lam)) < 1e6)
+    assume(float(np.linalg.cond(sample.lam)) < 1e6)
     return sample
 
 
@@ -161,6 +162,15 @@ def assert_close(got, want, rel=1e-9):
     assert np.allclose(got, want, rtol=0.0, atol=rel * scale)
 
 
+# The torque map folds N tau_null into the task term, which equals the
+# composition's N @ tau_null only in exact arithmetic; so the posture target
+# (or none) and gains (zero included) are drawn too.
+gains = st.tuples(
+    st.just(0.0) | st.floats(0.0, 50.0), st.just(0.0) | st.floats(0.0, 10.0)
+)
+postures = st.none() | vec(3, math.pi)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     q=vec(3, math.pi),
@@ -168,42 +178,54 @@ def assert_close(got, want, rel=1e-9):
     offset=vec(2, 0.5),
     rate=vec(2, 2.0),
     with_rate=st.booleans(),
+    posture=postures,
+    posture_gains=gains,
 )
-def test_fic_tick_on_sample_matches_composition(q, qdot, offset, rate, with_rate):
+def test_fic_tick_on_sample_matches_composition(
+    q, qdot, offset, rate, with_rate, posture, posture_gains
+):
     arm = arm_at(q, qdot)
     sample = sample_or_skip(arm)
     x_target = sample.x + offset
     target_rate = rate if with_rate else None
     states = new_attractor_states(2)
+    config = replace(FIC, posture_target=posture, posture_gains=posture_gains)
 
     def law(x_err, x_err_rate, damping_rate):
-        res = fic_task_wrench(FIC, states, x_err, x_err_rate, damping_rate=damping_rate)
+        res = fic_task_wrench(config, states, x_err, x_err_rate, damping_rate=damping_rate)
         return res.wrench, res.states
 
-    want_tau, want_w, want_states = composed_tick(arm, x_target, FIC, law, target_rate)
-    got = fic_control_torques(arm, x_target, states, FIC, target_rate, sample=sample)
+    want_tau, want_w, want_states = composed_tick(arm, x_target, config, law, target_rate)
+    got = fic_control_torques(arm, x_target, states, config, target_rate, sample=sample)
     assert np.array_equal(got.wrench, want_w)
     assert got.states == want_states
     assert_close(got.torques, want_tau)
-    own = fic_control_torques(arm, x_target, states, FIC, target_rate)
+    own = fic_control_torques(arm, x_target, states, config, target_rate)
     assert np.array_equal(own.torques, got.torques)
 
 
 @settings(max_examples=200, deadline=None)
-@given(q=vec(3, math.pi), qdot=vec(3, 5.0), offset=vec(2, 0.5))
-def test_baseline_tick_on_sample_matches_composition(q, qdot, offset):
+@given(
+    q=vec(3, math.pi),
+    qdot=vec(3, 5.0),
+    offset=vec(2, 0.5),
+    posture=postures,
+    posture_gains=gains,
+)
+def test_baseline_tick_on_sample_matches_composition(q, qdot, offset, posture, posture_gains):
     arm = arm_at(q, qdot)
     sample = sample_or_skip(arm)
     x_target = sample.x + offset
+    config = replace(BASE, posture_target=posture, posture_gains=posture_gains)
 
     def law(x_err, x_err_rate, _damping_rate):
-        return baseline_impedance_wrench(BASE, x_err, x_err_rate), ()
+        return baseline_impedance_wrench(config, x_err, x_err_rate), ()
 
-    want_tau, want_w, _ = composed_tick(arm, x_target, BASE, law, None)
-    got = baseline_control_torques(arm, x_target, BASE, sample=sample)
+    want_tau, want_w, _ = composed_tick(arm, x_target, config, law, None)
+    got = baseline_control_torques(arm, x_target, config, sample=sample)
     assert np.array_equal(got.wrench, want_w)
     assert_close(got.torques, want_tau)
-    own = baseline_control_torques(arm, x_target, BASE)
+    own = baseline_control_torques(arm, x_target, config)
     assert np.array_equal(own.torques, got.torques)
 
 
@@ -227,10 +249,11 @@ def test_accel_on_sample_kernel_matches_fresh_call(q, qdot, tau, w, with_wall):
 def test_task_space_quantities_match_sample(q, qdot):
     sample = sample_or_skip(arm_at(q, qdot))
     dyn = arm_dynamics(ARM, q, qdot)
+    jbar_t = np.array(sample.lam) @ np.array(sample.minv_jt)  # Lam (M^-1 J^T)^T
     for ts in (task_space_quantities(ARM, q), task_space_quantities(ARM, q, dyn)):
-        assert_close(ts.lam, sample.task.lam)
-        assert_close(ts.jbar_t, sample.task.jbar_t)
-        assert_close(ts.nullspace, sample.task.nullspace)
+        assert_close(ts.lam, sample.lam)
+        assert_close(ts.jbar_t, jbar_t)
+        assert_close(ts.nullspace, np.eye(3) - dyn.jacobian.T @ jbar_t)
 
 
 def reference_terms(arm, q):

@@ -171,13 +171,6 @@ class TestCliCommands:
         payload = json.loads((tmp_path / "out.json").read_text())
         assert payload["records"][0]["error"] is None
 
-    def test_run_seed_override_is_deterministic(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        cfg = write_config(tmp_path, BASE_CONFIG)
-        main(["run", "--config", cfg, "--seed", "3", "--out", "a.csv"])
-        main(["run", "--config", cfg, "--seed", "3", "--out", "b.csv"])
-        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
-
     def test_bad_config_exit_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path, dict(BASE_CONFIG, plant="hexapod"))
         assert main(["run", "--config", cfg]) == 1

@@ -16,11 +16,13 @@ from fractal_impedance import (
     baseline_impedance_wrench,
     fic_control_torques,
     fic_task_wrench,
+    fic_wrench,
     forward_kinematics,
     new_attractor_states,
     null_space_torque,
     task_space_quantities,
 )
+from fractal_impedance.dynamics import _arm_task_state
 
 RNG = np.random.default_rng(11)
 
@@ -86,16 +88,15 @@ class TestFicTaskWrench:
         ).wrench[0] - 2.0 * (-0.2)
         assert res.wrench[0] == pytest.approx(spring_only, rel=1e-12)
 
-    def test_switch_disabled_keeps_divergence(self):
-        cfg = fic_config(switch_enabled=False)
-        states = new_attractor_states(1)
-        res = fic_task_wrench(cfg, states, np.array([0.05]), np.array([-0.4]))
-        assert res.states[0].phase is Phase.DIVERGENCE
-
     def test_state_count_checked(self):
         cfg = fic_config(n=2)
         with pytest.raises(ValueError):
             fic_task_wrench(cfg, new_attractor_states(1), np.zeros(2), np.zeros(2))
+
+    def test_error_count_checked(self):
+        cfg = fic_config(n=2)
+        with pytest.raises(ValueError):
+            fic_task_wrench(cfg, new_attractor_states(2), np.zeros(1), np.zeros(1))
 
     def test_spring_path_bounded_in_closed_loop_sweep(self):
         # random walks through both phases never exceed the wrench bound
@@ -180,8 +181,26 @@ class TestArmTorques:
         dyn = arm_dynamics(arm, arm.q, arm.qdot)
         t0 = fic_control_torques(arm, x_target, new_attractor_states(2), base).torques
         t1 = fic_control_torques(arm, x_target, new_attractor_states(2), with_null).torques
-        diff = dyn.jacobian @ np.linalg.solve(dyn.mass_matrix, t1 - t0)
+        diff = dyn.jacobian @ np.linalg.solve(dyn.mass_matrix, np.subtract(t1, t0))
         assert np.linalg.norm(diff) < 1e-8
+
+    def test_tick_reads_the_sample_not_the_plant(self):
+        # the loop hands the tick its sample and writes nothing to the plant
+        arm = arm_at([0.3, 0.9, 0.9], [0.2, -0.1, 0.4])
+        sample = _arm_task_state(arm, arm.q, arm.qdot)
+        x_target = forward_kinematics(arm, arm.q) + np.array([0.05, -0.03])
+        cfg = FicConfig(
+            stiffness=fic_config(n=2).stiffness,
+            damping=1.0,
+            posture_target=(0.0, 0.5, 0.5),
+            posture_gains=(8.0, 2.0),
+        )
+        states = new_attractor_states(2)
+        want = fic_control_torques(arm, x_target, states, cfg, sample=sample).torques
+        arm.q, arm.qdot = np.full(3, np.nan), np.full(3, np.nan)
+        got = fic_control_torques(arm, x_target, states, cfg, sample=sample).torques
+        assert np.all(np.isfinite(got))
+        assert np.array_equal(got, want)
 
     def test_baseline_same_compensation_path(self):
         arm = arm_at([0.3, 0.9, 0.9])
@@ -215,17 +234,12 @@ class TestArmTorques:
 
 class TestDegenerateEquivalence:
     def test_switchless_fic_matches_linear_baseline_near_origin(self):
-        # with the switch disabled and tiny errors, k_d ~ k_const + 1
-        k_const = 100.0
-        fic = fic_config(k_const=k_const, x_b=0.1, damping=2.5, switch_enabled=False)
-        base = BaselineConfig(k_d=(k_const + 1.0,), d_d=2.5)
-        states = new_attractor_states(1)
+        # the Divergence law alone, with tiny errors: k_d ~ k_const + 1
+        k_const, damping = 100.0, 2.5
+        params = StiffnessParams(k_const, 30.0, 0.1)
+        base = BaselineConfig(k_d=(k_const + 1.0,), d_d=damping)
         for x in (0.001, 0.003, -0.002):
             for rate in (0.0, 0.05, -0.1):
-                w_fic = fic_task_wrench(
-                    fic, states, np.array([x]), np.array([rate])
-                ).wrench[0]
-                w_base = baseline_impedance_wrench(
-                    base, np.array([x]), np.array([rate])
-                )[0]
+                w_fic = fic_wrench(AttractorState(), params, x) + damping * rate
+                w_base = baseline_impedance_wrench(base, [x], [rate])[0]
                 assert w_fic == pytest.approx(w_base, rel=0.01)

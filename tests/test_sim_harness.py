@@ -424,26 +424,20 @@ class TestEpisodes:
     @pytest.mark.parametrize("integrator, per_step", [("rk4", 4), ("semi_implicit", 1)])
     def test_one_arm_kernel_per_sample_and_stage(self, monkeypatch, integrator, per_step):
         # the sample's kernel serves the task state, the tick and the first stage
-        calls = []
-        kernel = dynamics._arm_kernel
-
-        def counted(arm, q):
-            calls.append(1)
-            return kernel(arm, q)
-
-        monkeypatch.setattr(dynamics, "_arm_kernel", counted)
-        sc = Scenario(
-            plant="arm",
-            duration=0.1,
-            dt=1e-3,
-            feedback_hz=500.0,
-            integrator=integrator,
-            damping=5.0,
-            pulses=({"start": 0.02, "duration": 0.03, "wrench": (5.0, -3.0)},),
-        )
-        rec = run_scenario(sc)
+        calls = count_calls(monkeypatch, "_arm_kernel")
+        rec = run_scenario(kernel_episode(integrator))
         assert rec.error is None and rec.n_samples == 101
         assert len(calls) == per_step * 100 + 1
+
+    @pytest.mark.parametrize("integrator", ["rk4", "semi_implicit"])
+    def test_one_mass_factor_per_kernel(self, monkeypatch, integrator):
+        # the sample's Cholesky factor of M serves its task inertia and the
+        # first stage, so M is factored once per kernel
+        kernels = count_calls(monkeypatch, "_arm_kernel")
+        factors = count_calls(monkeypatch, "_cholesky")
+        rec = run_scenario(kernel_episode(integrator))
+        assert rec.error is None
+        assert len(factors) == len(kernels)
 
     def test_schedule_shrinks_boundary_stepwise(self):
         sc = scenario(
@@ -455,6 +449,31 @@ class TestEpisodes:
         assert _schedule_x_b(sc, 1.0, (0.2,)) == (0.16,)
         assert _schedule_x_b(sc, 3.99, (0.2,)) == pytest.approx((0.08,))
         assert _schedule_x_b(sc, 50.0, (0.2,)) == (0.05,)
+
+
+def count_calls(monkeypatch, name):
+    """Count the calls of ``dynamics.<name>``; returns the growing list."""
+    calls = []
+    fn = getattr(dynamics, name)
+
+    def counted(*args):
+        calls.append(1)
+        return fn(*args)
+
+    monkeypatch.setattr(dynamics, name, counted)
+    return calls
+
+
+def kernel_episode(integrator):
+    return Scenario(
+        plant="arm",
+        duration=0.1,
+        dt=1e-3,
+        feedback_hz=500.0,
+        integrator=integrator,
+        damping=5.0,
+        pulses=({"start": 0.02, "duration": 0.03, "wrench": (5.0, -3.0)},),
+    )
 
 
 class TestRandomPulses:
