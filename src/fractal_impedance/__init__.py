@@ -34,7 +34,6 @@ from .dynamics import (
     joint_positions,
     kinetic_energy,
     potential_energy,
-    step_plant,
     task_space_quantities,
 )
 from .energy_audit import (
@@ -48,7 +47,6 @@ from .energy_audit import (
     ic_work_discrete,
     lyapunov_monitor,
     lyapunov_value,
-    passivity_margin,
 )
 from .fic_core import (
     AttractorState,
@@ -57,7 +55,6 @@ from .fic_core import (
     beta_squared,
     classify_phase,
     convergence_force,
-    convergence_stiffness,
     fic_wrench,
     spring_energy,
     spring_force,
@@ -90,7 +87,6 @@ __all__ = [
     "classify_phase",
     "update_attractor",
     "convergence_force",
-    "convergence_stiffness",
     "fic_wrench",
     # dynamics
     "PointMassPlant",
@@ -110,7 +106,6 @@ __all__ = [
     "task_space_quantities",
     "contact_force",
     "external_wrench",
-    "step_plant",
     # controllers
     "FicConfig",
     "BaselineConfig",
@@ -128,7 +123,6 @@ __all__ = [
     "LyapunovTracker",
     "energy_in",
     "energy_released",
-    "passivity_margin",
     "fic_work",
     "ic_work_discrete",
     "lyapunov_value",

@@ -19,8 +19,9 @@ integrator stage builds no array. An arm sample builds one, the Jacobian that
 first integrator stage. Neither J^T-bar nor N is formed in the loop: the
 controller's torque map folds N into its task term, and only
 ``task_space_quantities`` builds them. Public functions take arrays or
-sequences; ``contact_force`` and ``external_wrench`` return lists of floats,
-the others arrays. The loops work for any number of links.
+sequences; ``contact_force`` and ``external_wrench`` return lists of floats.
+``_advance`` is the one stepping path, and ``Scenario`` checks the integrator
+name against ``INTEGRATORS``. The loops work for any number of links.
 
 Environment effects (unilateral wall, force pulses) are plain functions so the
 integrators can evaluate them at stage states.
@@ -29,7 +30,7 @@ integrators can evaluate them at stage states.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import add, mul, truediv
 from typing import NamedTuple
@@ -54,7 +55,6 @@ __all__ = [
     "task_space_quantities",
     "contact_force",
     "external_wrench",
-    "step_plant",
 ]
 
 SINGULARITY_TOL = 1e-8
@@ -689,52 +689,3 @@ def _advance(pos, vel, accel, dt: float, integrator: str, t: float, accel0=None)
             raise IntegrationBlowupError(t + dt)
     return new_pos, new_vel
 
-
-def step_plant(
-    plant: PointMassPlant | PlanarArm,
-    force: np.ndarray,
-    dt: float,
-    integrator: str = "rk4",
-    *,
-    wall: ContactWall | None = None,
-    task_wrench: np.ndarray | None = None,
-    t: float = 0.0,
-) -> PointMassPlant | PlanarArm:
-    """Advance the plant one fixed step under a held generalized force.
-
-    ``force`` is task force for the point mass and joint torque for the arm,
-    either a constant vector (held over the step, the ZOH case) or a callable
-    ``force(pos, vel)`` re-evaluated at integrator stage states (closed-loop
-    laws without a harness). ``task_wrench`` is an extra end-effector wrench
-    (point mass: added to ``force`` directly). Wall and task wrench are
-    evaluated at stage states. Returns a new plant value.
-
-    Raises:
-        ValueError: for dt <= 0 or an unknown integrator.
-        IntegrationBlowupError: when the stepped state is non-finite.
-    """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if integrator not in INTEGRATORS:
-        raise ValueError(f"unknown integrator {integrator!r}, expected {INTEGRATORS}")
-    # The step runs on floats; arrays cross only this boundary.
-    if callable(force):
-        force_fn = lambda pp, vv: _floats(force(np.array(pp), np.array(vv)))
-    else:
-        held = _floats(force)
-        force_fn = lambda pp, vv: held
-    if task_wrench is not None:
-        task_wrench = _floats(task_wrench)
-
-    if isinstance(plant, PointMassPlant):
-        pos, vel, plant_accel = plant.x, plant.xdot, _point_mass_accel
-    elif isinstance(plant, PlanarArm):
-        pos, vel, plant_accel = plant.q, plant.qdot, _arm_accel
-    else:
-        raise TypeError(f"unsupported plant type {type(plant).__name__}")
-    accel = lambda xx, vv: plant_accel(plant, force_fn(xx, vv), xx, vv, wall, task_wrench)
-
-    new_pos, new_vel = _advance(_floats(pos), _floats(vel), accel, dt, integrator, t)
-    if isinstance(plant, PointMassPlant):
-        return replace(plant, x=new_pos, xdot=new_vel)
-    return replace(plant, q=new_pos, qdot=new_vel)

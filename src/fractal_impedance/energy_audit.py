@@ -23,7 +23,6 @@ __all__ = [
     "LyapunovTracker",
     "energy_in",
     "energy_released",
-    "passivity_margin",
     "fic_work",
     "ic_work_discrete",
     "lyapunov_value",
@@ -99,10 +98,6 @@ def energy_released(lam_trace, xdot_trace) -> float:
     else:
         ke = 0.5 * np.einsum("ni,nij,nj->n", xdot, lam, xdot)
     return float(np.max(ke))
-
-
-def passivity_margin(ledger: EnergyLedger) -> float:
-    return ledger.margin
 
 
 def fic_work(params: StiffnessParams, x_a: float, x_b: float) -> float:

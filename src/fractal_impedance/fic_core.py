@@ -21,8 +21,6 @@ import enum
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 __all__ = [
     "Phase",
     "StiffnessParams",
@@ -34,7 +32,6 @@ __all__ = [
     "classify_phase",
     "update_attractor",
     "convergence_force",
-    "convergence_stiffness",
     "fic_wrench",
 ]
 
@@ -62,7 +59,9 @@ def beta_squared(k_const: float, w_max: float, x_b: float) -> float:
 
     Raises:
         ValueError: if ``x_b <= 0``, ``w_max <= 0``, ``k_const < 0`` or the
-            profile is infeasible (``w_max / x_b - k_const <= 1``).
+            profile is infeasible: ``w_max / x_b - k_const <= 1``, or a
+            coefficient that is not finite and positive in floating point
+            (``x_b^2`` underflows, ``w_max / x_b`` overflows).
     """
     if x_b <= 0.0:
         raise ValueError(f"x_b must be positive, got {x_b}")
@@ -75,7 +74,13 @@ def beta_squared(k_const: float, w_max: float, x_b: float) -> float:
         raise ValueError(
             f"infeasible stiffness profile: w_max/x_b - k_const = {arg} <= 1"
         )
-    return math.log(arg) / (x_b * x_b)
+    x_b_sq = x_b * x_b
+    beta_sq = math.log(arg) / x_b_sq if x_b_sq > 0.0 else math.inf
+    if not 0.0 < beta_sq < math.inf:
+        raise ValueError(
+            f"infeasible stiffness profile: beta^2 = {beta_sq} is not finite and positive"
+        )
+    return beta_sq
 
 
 @dataclass(frozen=True)
@@ -105,14 +110,43 @@ class StiffnessParams:
         return self.w_max / self.x_b
 
 
-def _stiffness_scalar(p: StiffnessParams, x_err: float) -> float:
+def stiffness(p: StiffnessParams, x_err: float) -> float:
+    """Displacement-dependent spring stiffness k_d(x_err).
+
+    ``k_const + exp(beta_sq * x_err^2)`` inside the boundary and ``w_max / |x_err|``
+    beyond it, which caps the force magnitude at ``w_max``. Continuous at the
+    boundary where both branches equal ``w_max / x_b``.
+    """
     ax = abs(x_err)
     if ax > p.x_b:
         return p.w_max / ax
     return p.k_const + math.exp(p.beta_sq * x_err * x_err)
 
 
-def _energy_scalar(p: StiffnessParams, x_err: float) -> float:
+def spring_force(p: StiffnessParams, x_err: float) -> float:
+    """Divergence-phase spring wrench k_d(x_err) * x_err.
+
+    Exactly odd in ``x_err`` and bounded by ``w_max`` in magnitude; exactly
+    ``w_max * sign(x_err)`` at and beyond the virtual boundary. Rounding can
+    carry the exponential branch a few ulps past ``w_max`` near the boundary,
+    so its magnitude is capped there too.
+    """
+    if abs(x_err) >= p.x_b:
+        return math.copysign(p.w_max, x_err)
+    f = stiffness(p, x_err) * x_err
+    if abs(f) > p.w_max:
+        return math.copysign(p.w_max, x_err)
+    return f
+
+
+def spring_energy(p: StiffnessParams, x_err: float) -> float:
+    """Potential energy stored by the spring from 0 to ``x_err`` (J).
+
+    Closed form of the force integral: inside the boundary
+    ``k_const x^2 / 2 + (exp(beta_sq x^2) - 1) / (2 beta_sq)``, and past it the
+    boundary value plus ``w_max (|x| - x_b)``. Even in ``x_err``, zero at zero,
+    strictly increasing in |x_err| and radially unbounded.
+    """
     ax = abs(x_err)
     core = min(ax, p.x_b)
     e = 0.5 * p.k_const * core * core + (
@@ -121,58 +155,6 @@ def _energy_scalar(p: StiffnessParams, x_err: float) -> float:
     if ax > p.x_b:
         e += p.w_max * (ax - p.x_b)
     return e
-
-
-def stiffness(p: StiffnessParams, x_err):
-    """Displacement-dependent spring stiffness k_d(x_err).
-
-    ``k_const + exp(beta_sq * x_err^2)`` inside the boundary and ``w_max / |x_err|``
-    beyond it, which caps the force magnitude at ``w_max``. Continuous at the
-    boundary where both branches equal ``w_max / x_b``. Accepts scalars or arrays.
-    """
-    if isinstance(x_err, (float, int)):
-        return _stiffness_scalar(p, float(x_err))
-    x = np.asarray(x_err, dtype=float)
-    ax = np.abs(x)
-    # Clip the exponent at the boundary value; the clipped region is overwritten
-    # by the saturated branch, this only avoids spurious overflow.
-    inner = p.k_const + np.exp(p.beta_sq * np.minimum(ax, p.x_b) ** 2)
-    outer = p.w_max / np.where(ax > p.x_b, ax, 1.0)
-    return np.where(ax > p.x_b, outer, inner)
-
-
-def spring_force(p: StiffnessParams, x_err):
-    """Divergence-phase spring wrench k_d(x_err) * x_err.
-
-    Odd in ``x_err`` and bounded by ``w_max`` in magnitude; exactly
-    ``w_max * sign(x_err)`` at and beyond the virtual boundary.
-    """
-    if isinstance(x_err, (float, int)):
-        x = float(x_err)
-        if abs(x) > p.x_b:
-            return math.copysign(p.w_max, x)
-        return _stiffness_scalar(p, x) * x
-    x = np.asarray(x_err, dtype=float)
-    return stiffness(p, x) * x
-
-
-def spring_energy(p: StiffnessParams, x_err):
-    """Potential energy stored by the spring from 0 to ``x_err`` (J).
-
-    Closed form of the force integral: inside the boundary
-    ``k_const x^2 / 2 + (exp(beta_sq x^2) - 1) / (2 beta_sq)``, and past it the
-    boundary value plus ``w_max (|x| - x_b)``. Even in ``x_err``, zero at zero,
-    strictly increasing in |x_err| and radially unbounded.
-    """
-    if isinstance(x_err, (float, int)):
-        return _energy_scalar(p, float(x_err))
-    x = np.asarray(x_err, dtype=float)
-    ax = np.abs(x)
-    core = np.minimum(ax, p.x_b)
-    e = 0.5 * p.k_const * core**2 + (np.exp(p.beta_sq * core**2) - 1.0) / (
-        2.0 * p.beta_sq
-    )
-    return e + p.w_max * np.maximum(ax - p.x_b, 0.0)
 
 
 def classify_phase(x_err: float, x_err_rate: float, rate_tol: float = 0.0) -> Phase:
@@ -232,7 +214,7 @@ def update_attractor(
     if state.phase is Phase.DIVERGENCE and new_phase is Phase.CONVERGENCE:
         if abs(x_err) < displacement_tol:
             return state
-        e_in = _energy_scalar(p, x_err)
+        e_in = spring_energy(p, x_err)
         return AttractorState(
             phase=Phase.CONVERGENCE,
             x_tilde_max=x_err,
@@ -268,17 +250,6 @@ def convergence_force(state: AttractorState, x_err: float) -> float:
             f"convergence error {x_err} outside recorded excursion [0, {xm}]"
         )
     return state.k_prime_total * (x_err - state.x_tilde_mid)
-
-
-def convergence_stiffness(state: AttractorState, x_err: float) -> float:
-    """Diagnostic ratio convergence_force / x_err.
-
-    The convergence law is a force, not a materialized stiffness; the ratio
-    diverges at zero error, so it is only defined for |x_err| > 1e-9.
-    """
-    if abs(x_err) <= 1e-9:
-        raise ValueError("convergence stiffness undefined for |x_err| <= 1e-9")
-    return convergence_force(state, x_err) / x_err
 
 
 def fic_wrench(state: AttractorState, p: StiffnessParams, x_err: float) -> float:

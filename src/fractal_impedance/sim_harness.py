@@ -49,6 +49,7 @@ from .controllers import (
 )
 from .controllers import baseline_control_torques, fic_control_torques  # noqa: F401 (bench hook)
 from .dynamics import (
+    INTEGRATORS,
     ContactWall,
     IntegrationBlowupError,
     PerturbationProfile,
@@ -194,8 +195,8 @@ class Scenario:
             raise ValueError(
                 f"feedback_hz: must satisfy 0 < feedback_hz <= 1/dt = {1.0 / self.dt:.6g}"
             )
-        if self.integrator not in ("rk4", "semi_implicit"):
-            raise ValueError("integrator: must be 'rk4' or 'semi_implicit'")
+        if self.integrator not in INTEGRATORS:
+            raise ValueError(f"integrator: must be one of {INTEGRATORS}")
         d = self.n_task
         if self.plant == "point_mass":
             if len(self.inertia) < 1 or any(m <= 0 for m in self.inertia):

@@ -176,6 +176,13 @@ class TestCliCommands:
         assert main(["run", "--config", cfg]) == 1
         assert "config error at /plant" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("gains", [{"x_b": 1e-200}, {"w_max": 1e300, "x_b": 1e-10}])
+    def test_degenerate_spring_exit_1(self, tmp_path, capsys, gains):
+        # x_b^2 underflows, or w_max / x_b overflows: beta^2 is not finite
+        cfg = write_config(tmp_path, dict(BASE_CONFIG, **gains))
+        assert main(["run", "--config", cfg]) == 1
+        assert "infeasible stiffness profile" in capsys.readouterr().err
+
     def test_missing_required_flag_exit_1(self, capsys):
         assert main(["run"]) == 1
         assert "argument error" in capsys.readouterr().err

@@ -22,10 +22,9 @@ from fractal_impedance import (
     joint_positions,
     kinetic_energy,
     potential_energy,
-    step_plant,
     task_space_quantities,
 )
-from fractal_impedance.dynamics import INTEGRATORS, _advance, _arm_accel
+from fractal_impedance.dynamics import INTEGRATORS, _advance, _arm_accel, _point_mass_accel
 
 RNG = np.random.default_rng(7)
 
@@ -141,14 +140,12 @@ class TestEnergyBookkeeping:
     def test_free_swing_conserves_energy(self):
         # no gravity, no torque: total energy drift must stay tiny over 10 s
         arm = PlanarArm.default(gravity=(0.0, 0.0))
-        arm.q = np.array([0.3, 0.9, 0.9])
-        arm.qdot = np.array([0.5, -0.4, 0.8])
-        e0 = kinetic_energy(arm, arm.q, arm.qdot)
-        plant = arm
-        tau = np.zeros(3)
+        q, qdot = [0.3, 0.9, 0.9], [0.5, -0.4, 0.8]
+        e0 = kinetic_energy(arm, q, qdot)
+        accel = lambda qq, dd: _arm_accel(arm, [0.0, 0.0, 0.0], qq, dd, None, None)
         for _ in range(10000):
-            plant = step_plant(plant, tau, 1e-3, integrator="rk4")
-        e1 = kinetic_energy(plant, plant.q, plant.qdot)
+            q, qdot = _advance(q, qdot, accel, 1e-3, "rk4", 0.0)
+        e1 = kinetic_energy(arm, q, qdot)
         assert abs(e1 - e0) / e0 < 1e-6
 
 
@@ -197,56 +194,52 @@ class TestTaskSpace:
 
 
 class TestStepPlant:
-    def test_requires_positive_dt(self):
-        plant = PointMassPlant(inertia=(1.0,), x=(0.0,), xdot=(0.0,))
-        with pytest.raises(ValueError):
-            step_plant(plant, np.zeros(1), 0.0)
-
-    def test_rejects_unknown_integrator(self):
-        plant = PointMassPlant(inertia=(1.0,), x=(0.0,), xdot=(0.0,))
-        with pytest.raises(ValueError):
-            step_plant(plant, np.zeros(1), 1e-3, integrator="euler")
+    """``_advance``, the one stepping path, driven by acceleration closures."""
 
     def test_harmonic_oscillator_accuracy(self):
         # unit mass, force -x, from (1, 0): x(t) = cos t, so x(pi/2) = 0
         plant = PointMassPlant(inertia=(1.0,), x=(1.0,), xdot=(0.0,))
+        accel = lambda pos, vel: _point_mass_accel(plant, [-pos[0]], pos, vel, None, None)
         dt = math.pi / 2 / 2000
-        force = lambda pos, vel: -pos
+        x, xdot = [1.0], [0.0]
         for _ in range(2000):
-            plant = step_plant(plant, force, dt, integrator="rk4")
-        assert abs(plant.x[0]) <= 1e-6
+            x, xdot = _advance(x, xdot, accel, dt, "rk4", 0.0)
+        assert abs(x[0]) <= 1e-6
 
     def test_semi_implicit_stays_bounded(self):
         plant = PointMassPlant(inertia=(1.0,), x=(1.0,), xdot=(0.0,))
-        force = lambda pos, vel: -pos
+        accel = lambda pos, vel: _point_mass_accel(plant, [-pos[0]], pos, vel, None, None)
+        x, xdot = [1.0], [0.0]
         for _ in range(5000):
-            plant = step_plant(plant, force, 1e-2, integrator="semi_implicit")
-        e = 0.5 * plant.xdot[0] ** 2 + 0.5 * plant.x[0] ** 2
+            x, xdot = _advance(x, xdot, accel, 1e-2, "semi_implicit", 0.0)
+        e = 0.5 * xdot[0] ** 2 + 0.5 * x[0] ** 2
         assert 0.3 < e < 0.7
 
     def test_constant_force_point_mass(self):
         plant = PointMassPlant(inertia=(2.0,), x=(0.0,), xdot=(0.0,))
-        plant = step_plant(plant, np.array([4.0]), 0.5)
+        accel = lambda pos, vel: _point_mass_accel(plant, [4.0], pos, vel, None, None)
+        x, xdot = _advance([0.0], [0.0], accel, 0.5, "rk4", 0.0)
         # a = 2, x = a t^2 / 2 = 0.25, v = 1 for the exact quadratic
-        assert plant.x[0] == pytest.approx(0.25, rel=1e-12)
-        assert plant.xdot[0] == pytest.approx(1.0, rel=1e-12)
+        assert x[0] == pytest.approx(0.25, rel=1e-12)
+        assert xdot[0] == pytest.approx(1.0, rel=1e-12)
 
     def test_blowup_reports_time(self):
         plant = PointMassPlant(inertia=(1.0,), x=(1.0,), xdot=(0.0,))
-        force = lambda pos, vel: pos * 1e200
-        with np.errstate(over="ignore"), pytest.raises(IntegrationBlowupError) as e:
-            p = plant
+        accel = lambda pos, vel: _point_mass_accel(plant, [pos[0] * 1e200], pos, vel, None, None)
+        with pytest.raises(IntegrationBlowupError) as e:
+            x, xdot = [1.0], [0.0]
             for _ in range(50):
-                p = step_plant(p, force, 1.0)
+                x, xdot = _advance(x, xdot, accel, 1.0, "rk4", 0.0)
         assert e.value.time >= 0.0
 
     def test_arm_step_advances_state(self):
         arm = PlanarArm.default(gravity=(0.0, 0.0))
         arm.q = np.array([0.3, 0.9, 0.9])
         arm.qdot = np.zeros(3)
-        out = step_plant(arm, np.array([1.0, 0.0, 0.0]), 1e-2)
-        assert out is not arm
-        assert out.qdot[0] > 0.0
+        accel = lambda qq, dd: _arm_accel(arm, [1.0, 0.0, 0.0], qq, dd, None, None)
+        _, qdot = _advance(arm.q.tolist(), arm.qdot.tolist(), accel, 1e-2, "rk4", 0.0)
+        assert arm.qdot[0] == 0.0  # the step returns a new state
+        assert qdot[0] > 0.0
 
     @pytest.mark.parametrize("with_wall", [False, True])
     @pytest.mark.parametrize(

@@ -15,7 +15,6 @@ from fractal_impedance import (
     ic_work_discrete,
     lyapunov_monitor,
     lyapunov_value,
-    passivity_margin,
     spring_energy,
     update_attractor,
 )
@@ -89,10 +88,10 @@ class TestEnergyReleased:
 class TestPassivityMargin:
     def test_margin_is_release_minus_absorption(self):
         ledger = EnergyLedger(e_in=0.4, e_rel=0.25)
-        assert passivity_margin(ledger) == pytest.approx(-0.15, rel=1e-12)
+        assert ledger.margin == pytest.approx(-0.15, rel=1e-12)
 
     def test_empty_ledger(self):
-        assert passivity_margin(EnergyLedger()) == 0.0
+        assert EnergyLedger().margin == 0.0
 
 
 class TestFicWork:

@@ -90,6 +90,8 @@ class TestScenarioValidation:
     def test_feedback_above_sim_rate(self):
         with pytest.raises(ValueError, match="feedback_hz:"):
             scenario(feedback_hz=2000.0, dt=1e-3)
+        with pytest.raises(ValueError, match="dt:"):
+            scenario(dt=0.0)
 
     def test_unknown_integrator(self):
         with pytest.raises(ValueError, match="integrator:"):
