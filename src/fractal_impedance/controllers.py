@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import ArmSample, PlanarArm, _arm_drift, _arm_task_state, _dot
+from .dynamics import ArmSample, PlanarArm, _arm_drift, _dot
 from .dynamics import arm_dynamics, forward_kinematics, task_space_quantities  # noqa: F401 (bench hook)
 from .fic_core import (
     DEFAULT_RATE_TOL,
@@ -196,21 +196,16 @@ def fic_control_torques(
     states: tuple[AttractorState, ...],
     config: FicConfig,
     target_rate=None,
-    sample: ArmSample | None = None,
+    *,
+    sample: ArmSample,
 ) -> ControlResult:
     """One FIC tick on the arm.
 
-    ``target_rate`` is the reference velocity; omitting it for a moving
-    reference misclassifies a growing error as converging. ``sample`` is
-    ``_arm_task_state(arm, arm.q, arm.qdot)`` when the caller has it; the
-    tick reads the state from the sample, not from ``arm``.
-
-    Raises:
-        SingularConfigurationError: from the task-space test when the tick
-            builds its own sample.
+    ``sample`` is ``dynamics._arm_task_state(arm, q, qdot)`` at the state the
+    tick acts on: the arm holds parameters only, and the tick reads the state
+    from the sample. ``target_rate`` is the reference velocity; omitting it
+    for a moving reference misclassifies a growing error as converging.
     """
-    if sample is None:
-        sample = _arm_task_state(arm, arm.q, arm.qdot)
     x_err, x_err_rate, damping_rate = _task_errors(sample, x_target, target_rate)
     wrench, states, _ = fic_task_wrench(config, states, x_err, x_err_rate, damping_rate)
     torques = _arm_torques(arm, sample, wrench, config.posture_target, config.posture_gains)
@@ -218,15 +213,13 @@ def fic_control_torques(
 
 
 def baseline_control_torques(
-    arm: PlanarArm, x_target, config: BaselineConfig, sample: ArmSample | None = None
+    arm: PlanarArm, x_target, config: BaselineConfig, *, sample: ArmSample
 ) -> ControlResult:
     """One baseline tick on the arm; same compensation path as the FIC.
 
     The error rate is measured-velocity only: the baseline law is defined
     with zero desired velocity. ``sample`` is as for ``fic_control_torques``.
     """
-    if sample is None:
-        sample = _arm_task_state(arm, arm.q, arm.qdot)
     x_err, x_err_rate, _ = _task_errors(sample, x_target)
     wrench = baseline_impedance_wrench(config, x_err, x_err_rate)
     torques = _arm_torques(arm, sample, wrench, config.posture_target, config.posture_gains)

@@ -7,7 +7,8 @@ use absolute link angles, where the mass matrix couples through
 ``A_ab sin(phi_a - phi_b) phidot_b^2``; joint-space quantities follow from the
 constant lower-triangular map ``phi = S q``, so ``S^T v`` is a suffix sum.
 
-The plant state of the episode loop, the integrator step ``_advance``, both
+Plant objects hold their parameters only, as tuples of floats; the state is
+the caller's. The episode loop's state, the integrator step ``_advance``, both
 plants' accelerations, the arm's kernel and task inertia, and the contact and
 pulse wrenches work on lists of Python floats, not numpy arrays: a point mass
 has one to a few DoFs and the arm three joints and a 2-D task, so each vector
@@ -85,26 +86,15 @@ class SingularConfigurationError(RuntimeError):
 
 @dataclass
 class PointMassPlant:
-    """Point mass per task DoF: inertia[i] * xdd[i] = applied force[i]."""
+    """Point mass per task DoF, inertia[i] * xdd[i] = applied force[i]; the
+    inertia is held as floats, the state by the caller."""
 
-    inertia: np.ndarray
-    x: np.ndarray
-    xdot: np.ndarray
-    _masses: tuple = field(init=False, repr=False)  # inertia as floats
+    inertia: tuple
 
     def __post_init__(self) -> None:
-        self.inertia = np.asarray(self.inertia, dtype=float)
-        self.x = np.asarray(self.x, dtype=float)
-        self.xdot = np.asarray(self.xdot, dtype=float)
-        if self.inertia.ndim != 1 or np.any(self.inertia <= 0.0):
-            raise ValueError("point-mass inertia must be a 1-D positive array")
-        if self.x.shape != self.inertia.shape or self.xdot.shape != self.inertia.shape:
-            raise ValueError("state dimensions must match inertia")
-        self._masses = tuple(self.inertia.tolist())
-
-    @property
-    def n_task(self) -> int:
-        return self.inertia.shape[0]
+        self.inertia = tuple(map(float, self.inertia))
+        if not self.inertia or not all(m > 0.0 for m in self.inertia):
+            raise ValueError("point-mass inertia must be positive per DoF")
 
 
 @dataclass
@@ -113,38 +103,30 @@ class PlanarArm:
 
     Link i has length ``lengths[i]``, mass ``masses[i]``, center of mass at
     ``com_offsets[i]`` along the link and rotational inertia ``inertias[i]``
-    about its COM. ``gravity`` is the field vector in task coordinates.
-    Link parameters are fixed at construction; ``q``/``qdot`` is the state.
+    about its COM. ``gravity`` is the field vector in task coordinates. The
+    arm holds these parameters only, as tuples of floats; every function that
+    evaluates it takes the joint state ``(q, qdot)`` from the caller.
     """
 
-    lengths: np.ndarray
-    masses: np.ndarray
-    com_offsets: np.ndarray
-    inertias: np.ndarray
-    gravity: np.ndarray
-    q: np.ndarray
-    qdot: np.ndarray
-    # Constant terms of the absolute-angle formulation as tuples of floats:
-    # link coupling A, first moments, lengths, rotational inertias, gravity.
+    lengths: tuple
+    masses: tuple
+    com_offsets: tuple
+    inertias: tuple
+    gravity: tuple
+    # Constant terms of the absolute-angle formulation: link coupling A and
+    # first moments, as tuples of floats.
     _coupling: tuple = field(init=False, repr=False)
     _first_moments: tuple = field(init=False, repr=False)
-    _link_lengths: tuple = field(init=False, repr=False)
-    _link_inertias: tuple = field(init=False, repr=False)
-    _gravity_xy: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        for name in ("lengths", "masses", "com_offsets", "inertias", "q", "qdot"):
-            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
-        self.gravity = np.asarray(self.gravity, dtype=float)
-        n = self.lengths.shape[0]
-        if any(
-            getattr(self, name).shape != (n,)
-            for name in ("masses", "com_offsets", "inertias", "q", "qdot")
-        ):
+        for name in ("lengths", "masses", "com_offsets", "inertias", "gravity"):
+            setattr(self, name, tuple(map(float, getattr(self, name))))
+        n = len(self.lengths)
+        if any(len(getattr(self, name)) != n for name in ("masses", "com_offsets", "inertias")):
             raise ValueError("per-link parameter arrays must share one length")
-        if self.gravity.shape != (2,):
+        if len(self.gravity) != 2:
             raise ValueError("gravity must be a 2-vector")
-        if np.any(self.lengths <= 0.0) or np.any(self.masses <= 0.0):
+        if not all(v > 0.0 for v in self.lengths + self.masses):
             raise ValueError("link lengths and masses must be positive")
         # cmat[a, i]: coefficient of the unit vector of absolute angle a in the
         # position of COM i (full upstream links, partial own link).
@@ -154,32 +136,12 @@ class PlanarArm:
             cmat[i, i] = self.com_offsets[i]
         self._coupling = tuple(map(tuple, (cmat @ np.diag(self.masses) @ cmat.T).tolist()))
         self._first_moments = tuple((cmat @ self.masses).tolist())
-        self._link_lengths = tuple(self.lengths.tolist())
-        self._link_inertias = tuple(self.inertias.tolist())
-        self._gravity_xy = tuple(self.gravity.tolist())
 
     @classmethod
-    def default(cls, q=None, qdot=None, gravity=(0.0, -9.81)) -> "PlanarArm":
+    def default(cls, gravity=(0.0, -9.81)) -> "PlanarArm":
         """Three identical links: length 1 m, mass 1 kg, COM at midpoint,
         slender-rod inertia about the COM."""
-        n = 3
-        return cls(
-            lengths=np.ones(n),
-            masses=np.ones(n),
-            com_offsets=np.full(n, 0.5),
-            inertias=np.full(n, 1.0 / 12.0),
-            gravity=np.asarray(gravity, dtype=float),
-            q=np.zeros(n) if q is None else np.asarray(q, dtype=float),
-            qdot=np.zeros(n) if qdot is None else np.asarray(qdot, dtype=float),
-        )
-
-    @property
-    def n_joints(self) -> int:
-        return self.lengths.shape[0]
-
-    @property
-    def n_task(self) -> int:
-        return 2
+        return cls((1.0,) * 3, (1.0,) * 3, (0.5,) * 3, (1.0 / 12.0,) * 3, gravity)
 
 
 @dataclass(frozen=True)
@@ -243,7 +205,7 @@ def _link_dirs(q) -> tuple[list, list]:
 def _jacobian_rows(arm: PlanarArm, c: list, s: list) -> tuple[list, list]:
     """Rows ``(jx, jy)`` of the end-effector Jacobian ``(l * [-sin; cos]) S``.
     Their first entries are the tip pose ``(jy[0], -jx[0])``."""
-    lengths = arm._link_lengths
+    lengths = arm.lengths
     n = len(c)
     jx, jy = [0.0] * n, [0.0] * n
     x = y = 0.0
@@ -274,7 +236,7 @@ def _arm_kernel(arm: PlanarArm, q):
     b = [[0.0] * n for _ in range(n)]
     for i in range(n):
         ci, si, ai, bi, row = c[i], s[i], a_sin[i], b[i], arm._coupling[i]
-        bi[i] = row[i] + arm._link_inertias[i]  # cos(phi_i - phi_i) = 1
+        bi[i] = row[i] + arm.inertias[i]  # cos(phi_i - phi_i) = 1
         for j in range(i + 1, n):
             cj, sj = c[j], s[j]
             bi[j] = b[j][i] = row[j] * (ci * cj + si * sj)
@@ -285,7 +247,7 @@ def _arm_kernel(arm: PlanarArm, q):
 
 def _gravity_phi(arm: PlanarArm, c: list, s: list) -> list:
     """Gravity load in absolute-angle coordinates."""
-    gx, gy = arm._gravity_xy
+    gx, gy = arm.gravity
     return [m * (gx * sa - gy * ca) for m, ca, sa in zip(arm._first_moments, c, s)]
 
 
@@ -344,7 +306,7 @@ def arm_dynamics(arm: PlanarArm, q: np.ndarray, qdot: np.ndarray) -> ArmDynamics
     c, s, a_sin, mass, jac = _arm_kernel(arm, q)
     phidot = list(accumulate(_floats(qdot)))
     coriolis = np.array(_suffix_2d([list(map(mul, row, phidot)) for row in a_sin]))
-    lp = [-l * p for l, p in zip(arm._link_lengths, phidot)]
+    lp = [-l * p for l, p in zip(arm.lengths, phidot)]
     return ArmDynamics(
         mass_matrix=np.array(mass),
         coriolis=coriolis,
@@ -360,7 +322,7 @@ def _arm_drift(arm: PlanarArm, kernel, qdot):
     as floats, at the state whose ``_arm_kernel`` terms are ``kernel``."""
     c, s, a_sin, _, _ = kernel
     phidot_sq, load = _velocity_loads(a_sin, qdot)
-    lp = list(map(mul, arm._link_lengths, phidot_sq))
+    lp = list(map(mul, arm.lengths, phidot_sq))
     return _suffix(_gravity_phi(arm, c, s)), _suffix(load), (-_dot(c, lp), -_dot(s, lp))
 
 
@@ -369,16 +331,16 @@ def forward_kinematics(arm: PlanarArm, q: np.ndarray) -> np.ndarray:
 
 
 def joint_positions(arm: PlanarArm, q: np.ndarray) -> np.ndarray:
-    """Base and joint/tip positions, shape (n_joints + 1, 2)."""
+    """Base and joint/tip positions, shape (links + 1, 2)."""
     c, s = _link_dirs(q)
-    xs = np.concatenate(([0.0], np.cumsum(arm.lengths * c)))
-    ys = np.concatenate(([0.0], np.cumsum(arm.lengths * s)))
+    xs = np.concatenate(([0.0], np.cumsum(np.multiply(arm.lengths, c))))
+    ys = np.concatenate(([0.0], np.cumsum(np.multiply(arm.lengths, s))))
     return np.column_stack((xs, ys))
 
 
 def potential_energy(arm: PlanarArm, q: np.ndarray) -> float:
     c, s = _link_dirs(q)
-    gx, gy = arm._gravity_xy
+    gx, gy = arm.gravity
     return -_dot(arm._first_moments, [gx * ca + gy * sa for ca, sa in zip(c, s)])
 
 
@@ -582,7 +544,7 @@ class PointMassSample(NamedTuple):
 
 
 def _point_mass_task_state(plant: PointMassPlant, x: list, xdot: list) -> PointMassSample:
-    return PointMassSample(x, xdot, 0.5 * _dot(map(mul, plant._masses, xdot), xdot))
+    return PointMassSample(x, xdot, 0.5 * _dot(map(mul, plant.inertia, xdot), xdot))
 
 
 def _point_mass_accel(
@@ -601,7 +563,7 @@ def _point_mass_accel(
     f = force if task_wrench is None else list(map(add, force, task_wrench))
     if wall is not None:
         f = list(map(add, f, contact_force(wall, x, xdot)))
-    return list(map(truediv, f, plant._masses))
+    return list(map(truediv, f, plant.inertia))
 
 
 def _arm_accel(

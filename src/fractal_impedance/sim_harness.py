@@ -10,10 +10,11 @@ Each sample evaluates the plant once (``dynamics._arm_task_state`` or
 ``_point_mass_task_state``), then one ``dynamics._advance`` step follows. A
 tick is one block for both plants: the task law reads the errors from the
 sample, and for the arm ``controllers._arm_torques`` maps the wrench at that
-same sample; the plant object is never written. The loop keeps the plant
-state, reference, held wrench and pulse wrench as lists of Python floats,
-because numpy's per-call dispatch on vectors of one to three entries costs
-more than their arithmetic. It writes each sample into compact ``array``
+same sample. The plant object holds parameters only. The loop keeps the
+plant state (from the scenario's q0/qdot0 or x0/xdot0), the reference, the
+held wrench and the pulse wrench as lists of Python floats, because numpy's
+per-call dispatch on vectors of one to three entries costs more than their
+arithmetic. It writes each sample into compact ``array``
 columns, and the record's arrays are built from them once, after the loop.
 Elementwise float arithmetic in numpy's order gives numpy's bits, so a 1-DoF
 record is the one numpy expressions would give; a sum over several DoFs
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from operator import mul
 
 import numpy as np
@@ -96,12 +97,15 @@ _WALL_KEYS = {"axis", "offset", "stiffness", "damping", "direction"}
 _SCHEDULE_KEYS = {"x_b_end", "rate", "interval"}
 
 
-def _coerce(obj):
-    """Lists to tuples recursively, so scenarios are plain hashable-ish values."""
+def _coerce(obj, name: str):
+    """Lists to tuples recursively, so scenarios are plain hashable-ish values;
+    a float that is not finite is an error of the field ``name``."""
     if isinstance(obj, (list, tuple)):
-        return tuple(_coerce(o) for o in obj)
+        return tuple(_coerce(o, name) for o in obj)
     if isinstance(obj, dict):
-        return {k: _coerce(v) for k, v in obj.items()}
+        return {k: _coerce(v, name) for k, v in obj.items()}
+    if isinstance(obj, float) and not math.isfinite(obj):
+        raise ValueError(f"{name}: must be finite")
     return obj
 
 
@@ -155,27 +159,8 @@ class Scenario:
     xb_schedule: dict | None = None
 
     def __post_init__(self) -> None:
-        for name in (
-            "inertia",
-            "x0",
-            "xdot0",
-            "q0",
-            "qdot0",
-            "gravity",
-            "posture_target",
-            "posture_gains",
-            "k_const",
-            "w_max",
-            "x_b",
-            "damping",
-            "k_d",
-            "d_d",
-            "reference",
-            "pulses",
-            "wall",
-            "xb_schedule",
-        ):
-            object.__setattr__(self, name, _coerce(getattr(self, name)))
+        for f in fields(self):
+            object.__setattr__(self, f.name, _coerce(getattr(self, f.name), f.name))
         self._validate()
 
     @property
@@ -206,6 +191,8 @@ class Scenario:
                 if val is not None and len(val) != d:
                     raise ValueError(f"{name}: expected {d} entries")
         else:
+            if len(self.q0) != 3:  # the links of PlanarArm.default
+                raise ValueError("q0: expected 3 entries")
             if len(self.q0) != len(self.qdot0):
                 raise ValueError("qdot0: length must match q0")
             if len(self.gravity) != 2:
@@ -214,23 +201,20 @@ class Scenario:
                 raise ValueError("posture_target: length must match q0")
         if len(self.posture_gains) != 2 or any(g < 0 for g in self.posture_gains):
             raise ValueError("posture_gains: expected two non-negative values")
-        # Controller configs are built once here so bad gains fail at parse time.
-        if self.controller == "fic":
-            build_fic_config(self)
-            if self.xb_schedule is not None:
-                _check_keys("xb_schedule", self.xb_schedule, _SCHEDULE_KEYS, _SCHEDULE_KEYS)
-                end, rate, itv = (
-                    self.xb_schedule["x_b_end"],
-                    self.xb_schedule["rate"],
-                    self.xb_schedule["interval"],
-                )
-                if end <= 0 or rate <= 0 or itv <= 0:
-                    raise ValueError("xb_schedule: x_b_end, rate, interval must be positive")
-                build_fic_config(self, x_b_override=(end,) * d)
-        else:
-            build_baseline_config(self)
-            if self.xb_schedule is not None:
+        # The builders run once here, so bad gains fail at parse time.
+        build_controller(self)
+        if self.xb_schedule is not None:
+            if self.controller != "fic":
                 raise ValueError("xb_schedule: only valid with the fic controller")
+            _check_keys("xb_schedule", self.xb_schedule, _SCHEDULE_KEYS, _SCHEDULE_KEYS)
+            end, rate, itv = (
+                self.xb_schedule["x_b_end"],
+                self.xb_schedule["rate"],
+                self.xb_schedule["interval"],
+            )
+            if end <= 0 or rate <= 0 or itv <= 0:
+                raise ValueError("xb_schedule: x_b_end, rate, interval must be positive")
+            build_controller(self, x_b=(end,) * d)
         ref = self.reference
         if not isinstance(ref, dict) or "type" not in ref:
             raise ValueError("reference: missing key 'type'")
@@ -266,78 +250,60 @@ class Scenario:
             _check_keys(f"pulses[{idx}]", p, _PULSE_KEYS, _PULSE_KEYS)
             if len(p["wrench"]) != d:
                 raise ValueError(f"pulses[{idx}].wrench: expected {d} entries")
-        build_profile(self)  # validates per-DoF overlap and magnitudes
         if self.wall is not None:
             _check_keys("wall", self.wall, _WALL_KEYS, {"axis", "offset", "stiffness"})
             if not 0 <= int(self.wall["axis"]) < d:
                 raise ValueError("wall.axis: out of range")
-            build_wall(self)
+        build_environment(self)  # checks pulse overlap, pulse and wall values
 
 
-def build_stiffness(sc: Scenario, x_b_override: tuple | None = None) -> tuple:
+def build_controller(sc: Scenario, x_b: tuple | None = None) -> FicConfig | BaselineConfig:
+    """The scenario's controller config; ``x_b`` replaces the FIC boundaries.
+    The arm's posture target is q0 by default; a point mass has none."""
     d = sc.n_task
+    posture = None
+    if sc.plant == "arm":
+        posture = sc.q0 if sc.posture_target is None else sc.posture_target
+    if sc.controller == "baseline":
+        return BaselineConfig(
+            k_d=_per_dof(sc.k_d, d, "k_d"),
+            d_d=_per_dof(sc.d_d, d, "d_d"),
+            posture_target=posture,
+            posture_gains=sc.posture_gains,
+        )
     kc = _per_dof(sc.k_const, d, "k_const")
     wm = _per_dof(sc.w_max, d, "w_max")
-    xb = x_b_override if x_b_override is not None else _per_dof(sc.x_b, d, "x_b")
-    return tuple(
-        StiffnessParams(k_const=kc[i], w_max=wm[i], x_b=xb[i]) for i in range(d)
-    )
-
-
-def _posture_target(sc: Scenario) -> tuple | None:
-    """The arm's posture target, q0 by default; a point mass has none."""
-    if sc.plant != "arm":
-        return None
-    return sc.q0 if sc.posture_target is None else sc.posture_target
-
-
-def build_fic_config(sc: Scenario, x_b_override: tuple | None = None) -> FicConfig:
+    xb = _per_dof(sc.x_b, d, "x_b") if x_b is None else x_b
     return FicConfig(
-        stiffness=build_stiffness(sc, x_b_override),
+        stiffness=tuple(map(StiffnessParams, kc, wm, xb)),
         damping=sc.damping,
-        posture_target=_posture_target(sc),
+        posture_target=posture,
         posture_gains=sc.posture_gains,
     )
 
 
-def build_baseline_config(sc: Scenario) -> BaselineConfig:
-    d = sc.n_task
-    return BaselineConfig(
-        k_d=_per_dof(sc.k_d, d, "k_d"),
-        d_d=_per_dof(sc.d_d, d, "d_d"),
-        posture_target=_posture_target(sc),
-        posture_gains=sc.posture_gains,
-    )
-
-
-def build_profile(sc: Scenario) -> PerturbationProfile:
+def build_environment(sc: Scenario) -> tuple:
+    """The scenario's plant (a ``PointMassPlant`` or a ``PlanarArm``), its
+    ``PerturbationProfile`` and its ``ContactWall``, None without one."""
+    if sc.plant == "arm":
+        plant = PlanarArm.default(gravity=sc.gravity)
+    else:
+        plant = PointMassPlant(sc.inertia)
     pulses = tuple(
         Pulse(start=float(p["start"]), duration=float(p["duration"]), wrench=p["wrench"])
         for p in sc.pulses
     )
-    return PerturbationProfile(n_dof=sc.n_task, pulses=pulses)
-
-
-def build_wall(sc: Scenario) -> ContactWall | None:
-    if sc.wall is None:
-        return None
-    w = sc.wall
-    return ContactWall(
-        axis=int(w["axis"]),
-        offset=float(w["offset"]),
-        stiffness=float(w["stiffness"]),
-        damping=float(w.get("damping", 0.0)),
-        direction=int(w.get("direction", 1)),
-    )
-
-
-def build_plant(sc: Scenario) -> PointMassPlant | PlanarArm:
-    if sc.plant == "point_mass":
-        d = sc.n_task
-        x0 = np.zeros(d) if sc.x0 is None else np.asarray(sc.x0, dtype=float)
-        v0 = np.zeros(d) if sc.xdot0 is None else np.asarray(sc.xdot0, dtype=float)
-        return PointMassPlant(inertia=np.asarray(sc.inertia, dtype=float), x=x0, xdot=v0)
-    return PlanarArm.default(q=sc.q0, qdot=sc.qdot0, gravity=sc.gravity)
+    wall = None
+    if sc.wall is not None:
+        w = sc.wall
+        wall = ContactWall(
+            axis=int(w["axis"]),
+            offset=float(w["offset"]),
+            stiffness=float(w["stiffness"]),
+            damping=float(w.get("damping", 0.0)),
+            direction=int(w.get("direction", 1)),
+        )
+    return plant, PerturbationProfile(n_dof=sc.n_task, pulses=pulses), wall
 
 
 def _make_reference(sc: Scenario, x_start):
@@ -467,20 +433,19 @@ def run_scenario(sc: Scenario) -> EpisodeRecord:
     use_fic = sc.controller == "fic"
     is_arm = sc.plant == "arm"
 
-    plant = build_plant(sc)
-    wall = build_wall(sc)
-    profile = build_profile(sc)
-    fic = build_fic_config(sc) if use_fic else None
-    base = build_baseline_config(sc) if not use_fic else None
-    ctrl = fic if use_fic else base
+    plant, profile, wall = build_environment(sc)
+    ctrl = build_controller(sc)
+    fic = ctrl if use_fic else None
+    base = None if use_fic else ctrl
     posture = ctrl.posture_target, ctrl.posture_gains  # the arm's null-space task
 
     if is_arm:
-        pos, vel = plant.q.tolist(), plant.qdot.tolist()
+        pos, vel = list(map(float, sc.q0)), list(map(float, sc.qdot0))
         task_state, accel = _arm_task_state, _arm_accel
         x_start = forward_kinematics(plant, pos).tolist()
     else:
-        pos, vel = plant.x.tolist(), plant.xdot.tolist()
+        pos = [0.0] * d if sc.x0 is None else list(map(float, sc.x0))
+        vel = [0.0] * d if sc.xdot0 is None else list(map(float, sc.xdot0))
         task_state, accel = _point_mass_task_state, _point_mass_accel
         x_start = pos
     ref_fn = _make_reference(sc, x_start)
@@ -532,7 +497,7 @@ def run_scenario(sc: Scenario) -> EpisodeRecord:
             if use_fic and sc.xb_schedule is not None:
                 new_xb = _schedule_x_b(sc, t, x_b0)
                 if new_xb != tuple(p.x_b for p in fic.stiffness):
-                    fic = build_fic_config(sc, x_b_override=new_xb)
+                    fic = build_controller(sc, x_b=new_xb)
                     for i in range(d):
                         trackers[i].change_params(fic.stiffness[i], states[i], x_err[i])
             damping_rate = [-v for v in v_now]

@@ -123,35 +123,30 @@ def test_forward_kinematics_is_chain_tip(q):
     assert np.allclose(forward_kinematics(ARM, q), tip, rtol=0.0, atol=1e-12)
 
 
-def arm_at(q, qdot):
-    arm = PlanarArm.default()
-    arm.q, arm.qdot = q, qdot
-    return arm
-
-
-def sample_or_skip(arm):
-    """The arm's sample, skipping singular and badly conditioned states."""
+def sample_or_skip(q, qdot):
+    """The arm's sample at (q, qdot), skipping singular and badly conditioned
+    states."""
     try:
-        sample = _arm_task_state(arm, arm.q, arm.qdot)
+        sample = _arm_task_state(ARM, q, qdot)
     except SingularConfigurationError:
         assume(False)
     assume(float(np.linalg.cond(sample.lam)) < 1e6)
     return sample
 
 
-def composed_tick(arm, x_target, config, law, target_rate):
+def composed_tick(q, qdot, x_target, config, law, target_rate):
     """The arm tick composed from the public closed forms, one solve each."""
-    x = forward_kinematics(arm, arm.q)
-    dyn = arm_dynamics(arm, arm.q, arm.qdot)
+    x = forward_kinematics(ARM, q)
+    dyn = arm_dynamics(ARM, q, qdot)
     x_err = x_target - x
-    damping_rate = -(dyn.jacobian @ arm.qdot)
+    damping_rate = -(dyn.jacobian @ qdot)
     x_err_rate = damping_rate if target_rate is None else damping_rate + target_rate
     wrench, states = law(x_err, x_err_rate, damping_rate)
-    tau_null = null_space_torque(arm.q, arm.qdot, config.posture_target, config.posture_gains)
-    ts = task_space_quantities(arm, arm.q, dyn)
+    tau_null = null_space_torque(q, qdot, config.posture_target, config.posture_gains)
+    ts = task_space_quantities(ARM, q, dyn)
     comp = ts.lam @ (
         dyn.jacobian @ np.linalg.solve(dyn.mass_matrix, dyn.bias)
-        - dyn.jacobian_dot @ arm.qdot
+        - dyn.jacobian_dot @ qdot
     )
     torques = dyn.jacobian.T @ (wrench + comp) + dyn.gravity + ts.nullspace @ tau_null
     return torques, wrench, states
@@ -184,8 +179,7 @@ postures = st.none() | vec(3, math.pi)
 def test_fic_tick_on_sample_matches_composition(
     q, qdot, offset, rate, with_rate, posture, posture_gains
 ):
-    arm = arm_at(q, qdot)
-    sample = sample_or_skip(arm)
+    sample = sample_or_skip(q, qdot)
     x_target = sample.x + offset
     target_rate = rate if with_rate else None
     states = new_attractor_states(2)
@@ -195,13 +189,11 @@ def test_fic_tick_on_sample_matches_composition(
         res = fic_task_wrench(config, states, x_err, x_err_rate, damping_rate=damping_rate)
         return res.wrench, res.states
 
-    want_tau, want_w, want_states = composed_tick(arm, x_target, config, law, target_rate)
-    got = fic_control_torques(arm, x_target, states, config, target_rate, sample=sample)
+    want_tau, want_w, want_states = composed_tick(q, qdot, x_target, config, law, target_rate)
+    got = fic_control_torques(ARM, x_target, states, config, target_rate, sample=sample)
     assert np.array_equal(got.wrench, want_w)
     assert got.states == want_states
     assert_close(got.torques, want_tau)
-    own = fic_control_torques(arm, x_target, states, config, target_rate)
-    assert np.array_equal(own.torques, got.torques)
 
 
 @settings(max_examples=200, deadline=None)
@@ -213,20 +205,17 @@ def test_fic_tick_on_sample_matches_composition(
     posture_gains=gains,
 )
 def test_baseline_tick_on_sample_matches_composition(q, qdot, offset, posture, posture_gains):
-    arm = arm_at(q, qdot)
-    sample = sample_or_skip(arm)
+    sample = sample_or_skip(q, qdot)
     x_target = sample.x + offset
     config = replace(BASE, posture_target=posture, posture_gains=posture_gains)
 
     def law(x_err, x_err_rate, _damping_rate):
         return baseline_impedance_wrench(config, x_err, x_err_rate), ()
 
-    want_tau, want_w, _ = composed_tick(arm, x_target, config, law, None)
-    got = baseline_control_torques(arm, x_target, config, sample=sample)
+    want_tau, want_w, _ = composed_tick(q, qdot, x_target, config, law, None)
+    got = baseline_control_torques(ARM, x_target, config, sample=sample)
     assert np.array_equal(got.wrench, want_w)
     assert_close(got.torques, want_tau)
-    own = baseline_control_torques(arm, x_target, config)
-    assert np.array_equal(own.torques, got.torques)
 
 
 @settings(max_examples=200, deadline=None)
@@ -238,7 +227,7 @@ def test_baseline_tick_on_sample_matches_composition(q, qdot, offset, posture, p
     with_wall=st.booleans(),
 )
 def test_accel_on_sample_kernel_matches_fresh_call(q, qdot, tau, w, with_wall):
-    sample = sample_or_skip(arm_at(q, qdot))
+    sample = sample_or_skip(q, qdot)
     wall = WALL if with_wall else None
     fresh = _arm_accel(ARM, tau, q, qdot, wall, w)
     assert_close(_arm_accel(ARM, tau, q, qdot, wall, w, sample.kernel), fresh)
@@ -247,7 +236,7 @@ def test_accel_on_sample_kernel_matches_fresh_call(q, qdot, tau, w, with_wall):
 @settings(max_examples=200, deadline=None)
 @given(q=vec(3, math.pi), qdot=vec(3, 5.0))
 def test_task_space_quantities_match_sample(q, qdot):
-    sample = sample_or_skip(arm_at(q, qdot))
+    sample = sample_or_skip(q, qdot)
     dyn = arm_dynamics(ARM, q, qdot)
     jbar_t = np.array(sample.lam) @ np.array(sample.minv_jt)  # Lam (M^-1 J^T)^T
     for ts in (task_space_quantities(ARM, q), task_space_quantities(ARM, q, dyn)):
@@ -309,8 +298,6 @@ def arm_states(draw):
         com_offsets=draw(positive(0.05, 1.0)) * lengths,
         inertias=draw(positive(1e-3, 1.0)),
         gravity=draw(vec(2, 20.0)),
-        q=np.zeros(n),
-        qdot=np.zeros(n),
     )
     return arm, draw(vec(n, math.pi)), draw(vec(n, 5.0))
 

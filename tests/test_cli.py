@@ -176,6 +176,27 @@ class TestCliCommands:
         assert main(["run", "--config", cfg]) == 1
         assert "config error at /plant" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "changes, error",
+        [
+            ({"plant": "arm", "q0": [0.3, 0.9], "qdot0": [0, 0]}, "/q0: expected 3 entries"),
+            # json.loads accepts NaN and Infinity
+            ({"damping": math.nan}, "/damping: must be finite"),
+            ({"inertia": [math.nan]}, "/inertia: must be finite"),
+            ({"x0": [math.nan]}, "/x0: must be finite"),
+            ({"controller": "baseline", "k_d": math.inf}, "/k_d: must be finite"),
+            (
+                {"pulses": [{"start": math.nan, "duration": 0.05, "wrench": [4.0]}]},
+                "/pulses: must be finite",
+            ),
+            ({"duration": math.inf}, "/duration: must be finite"),
+        ],
+    )
+    def test_bad_value_exit_1(self, tmp_path, capsys, changes, error):
+        cfg = write_config(tmp_path, dict(BASE_CONFIG, **changes))
+        assert main(["run", "--config", cfg]) == 1
+        assert f"config error at {error}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("gains", [{"x_b": 1e-200}, {"w_max": 1e300, "x_b": 1e-10}])
     def test_degenerate_spring_exit_1(self, tmp_path, capsys, gains):
         # x_b^2 underflows, or w_max / x_b overflows: beta^2 is not finite

@@ -150,27 +150,29 @@ class TestNullSpaceTorque:
         assert np.allclose(tau, 0.0)
 
 
-def arm_at(q, qdot=None):
-    arm = PlanarArm.default()
-    arm.q = np.asarray(q, dtype=float)
-    arm.qdot = np.zeros(3) if qdot is None else np.asarray(qdot, dtype=float)
-    return arm
+ARM = PlanarArm.default()
+
+
+def arm_state(q, qdot=(0.0, 0.0, 0.0)):
+    """An arm state as arrays and the sample a tick acts on."""
+    q, qdot = np.asarray(q, dtype=float), np.asarray(qdot, dtype=float)
+    return q, qdot, _arm_task_state(ARM, q, qdot)
 
 
 class TestArmTorques:
     def test_at_target_rest_only_gravity_remains(self):
-        arm = arm_at([0.3, 0.9, 0.9])
-        x_target = forward_kinematics(arm, arm.q)
+        q, qdot, sample = arm_state([0.3, 0.9, 0.9])
+        x_target = forward_kinematics(ARM, q)
         cfg = fic_config(n=2)
-        res = fic_control_torques(arm, x_target, new_attractor_states(2), cfg)
-        dyn = arm_dynamics(arm, arm.q, arm.qdot)
+        res = fic_control_torques(ARM, x_target, new_attractor_states(2), cfg, sample=sample)
+        dyn = arm_dynamics(ARM, q, qdot)
         assert np.allclose(res.wrench, 0.0, atol=1e-12)
         assert np.allclose(res.torques, dyn.gravity, atol=1e-9)
 
     def test_null_torque_does_not_change_task_wrench(self):
         # compare delivered task acceleration with and without posture torque
-        arm = arm_at([0.3, 0.9, 0.9], [0.2, -0.1, 0.4])
-        x_target = forward_kinematics(arm, arm.q) + np.array([0.05, -0.03])
+        q, qdot, sample = arm_state([0.3, 0.9, 0.9], [0.2, -0.1, 0.4])
+        x_target = forward_kinematics(ARM, q) + np.array([0.05, -0.03])
         base = fic_config(n=2, damping=1.0)
         with_null = FicConfig(
             stiffness=base.stiffness,
@@ -178,55 +180,37 @@ class TestArmTorques:
             posture_target=(0.0, 0.5, 0.5),
             posture_gains=(8.0, 2.0),
         )
-        dyn = arm_dynamics(arm, arm.q, arm.qdot)
-        t0 = fic_control_torques(arm, x_target, new_attractor_states(2), base).torques
-        t1 = fic_control_torques(arm, x_target, new_attractor_states(2), with_null).torques
+        dyn = arm_dynamics(ARM, q, qdot)
+        states = new_attractor_states(2)
+        t0 = fic_control_torques(ARM, x_target, states, base, sample=sample).torques
+        t1 = fic_control_torques(ARM, x_target, states, with_null, sample=sample).torques
         diff = dyn.jacobian @ np.linalg.solve(dyn.mass_matrix, np.subtract(t1, t0))
         assert np.linalg.norm(diff) < 1e-8
 
-    def test_tick_reads_the_sample_not_the_plant(self):
-        # the loop hands the tick its sample and writes nothing to the plant
-        arm = arm_at([0.3, 0.9, 0.9], [0.2, -0.1, 0.4])
-        sample = _arm_task_state(arm, arm.q, arm.qdot)
-        x_target = forward_kinematics(arm, arm.q) + np.array([0.05, -0.03])
-        cfg = FicConfig(
-            stiffness=fic_config(n=2).stiffness,
-            damping=1.0,
-            posture_target=(0.0, 0.5, 0.5),
-            posture_gains=(8.0, 2.0),
-        )
-        states = new_attractor_states(2)
-        want = fic_control_torques(arm, x_target, states, cfg, sample=sample).torques
-        arm.q, arm.qdot = np.full(3, np.nan), np.full(3, np.nan)
-        got = fic_control_torques(arm, x_target, states, cfg, sample=sample).torques
-        assert np.all(np.isfinite(got))
-        assert np.array_equal(got, want)
-
     def test_baseline_same_compensation_path(self):
-        arm = arm_at([0.3, 0.9, 0.9])
-        x_target = forward_kinematics(arm, arm.q)
+        q, qdot, sample = arm_state([0.3, 0.9, 0.9])
+        x_target = forward_kinematics(ARM, q)
         cfg = BaselineConfig(k_d=(100.0, 100.0), d_d=2.5)
-        res = baseline_control_torques(arm, x_target, cfg)
-        dyn = arm_dynamics(arm, arm.q, arm.qdot)
+        res = baseline_control_torques(ARM, x_target, cfg, sample=sample)
+        dyn = arm_dynamics(ARM, q, qdot)
         assert np.allclose(res.torques, dyn.gravity, atol=1e-9)
 
     def test_singular_pose_raises(self):
-        arm = arm_at([0.0, 0.0, 0.0])
-        cfg = fic_config(n=2)
+        # the sample a tick needs cannot be built at a stretched arm
         with pytest.raises(SingularConfigurationError):
-            fic_control_torques(arm, np.array([3.1, 0.0]), new_attractor_states(2), cfg)
+            arm_state([0.0, 0.0, 0.0])
 
     def test_moving_reference_rate_enters_classification(self):
         # receding target, arm at rest: with the feedforward rate the error is
         # growing, so the phase must stay divergence and the wrench nonzero
-        arm = arm_at([0.3, 0.9, 0.9])
-        x = forward_kinematics(arm, arm.q)
+        q, _, sample = arm_state([0.3, 0.9, 0.9])
+        x = forward_kinematics(ARM, q)
         cfg = fic_config(n=2, k_const=100.0)
         states = new_attractor_states(2)
-        states = fic_control_torques(arm, x, states, cfg).states
+        states = fic_control_torques(ARM, x, states, cfg, sample=sample).states
         x_target = x + np.array([0.01, 0.0])
         res = fic_control_torques(
-            arm, x_target, states, cfg, target_rate=np.array([0.05, 0.0])
+            ARM, x_target, states, cfg, target_rate=np.array([0.05, 0.0]), sample=sample
         )
         assert res.states[0].phase is Phase.DIVERGENCE
         assert res.wrench[0] > 0.5

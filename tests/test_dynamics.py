@@ -184,13 +184,12 @@ class TestTaskSpace:
             com_offsets=(0.5, 0.5, 0.0),
             inertias=(0.1, 0.1, 0.0),
             gravity=(0.0, -9.81),
-            q=np.array([0.3, 0.9, 0.9]),
-            qdot=np.zeros(3),
         )
+        q = np.array([0.3, 0.9, 0.9])
         with pytest.raises(np.linalg.LinAlgError):
-            _arm_accel(arm, np.zeros(3), arm.q, arm.qdot, None, None)
+            _arm_accel(arm, np.zeros(3), q, np.zeros(3), None, None)
         with pytest.raises(np.linalg.LinAlgError):
-            task_space_quantities(arm, arm.q)
+            task_space_quantities(arm, q)
 
 
 class TestStepPlant:
@@ -198,7 +197,7 @@ class TestStepPlant:
 
     def test_harmonic_oscillator_accuracy(self):
         # unit mass, force -x, from (1, 0): x(t) = cos t, so x(pi/2) = 0
-        plant = PointMassPlant(inertia=(1.0,), x=(1.0,), xdot=(0.0,))
+        plant = PointMassPlant(inertia=(1.0,))
         accel = lambda pos, vel: _point_mass_accel(plant, [-pos[0]], pos, vel, None, None)
         dt = math.pi / 2 / 2000
         x, xdot = [1.0], [0.0]
@@ -207,7 +206,7 @@ class TestStepPlant:
         assert abs(x[0]) <= 1e-6
 
     def test_semi_implicit_stays_bounded(self):
-        plant = PointMassPlant(inertia=(1.0,), x=(1.0,), xdot=(0.0,))
+        plant = PointMassPlant(inertia=(1.0,))
         accel = lambda pos, vel: _point_mass_accel(plant, [-pos[0]], pos, vel, None, None)
         x, xdot = [1.0], [0.0]
         for _ in range(5000):
@@ -216,7 +215,7 @@ class TestStepPlant:
         assert 0.3 < e < 0.7
 
     def test_constant_force_point_mass(self):
-        plant = PointMassPlant(inertia=(2.0,), x=(0.0,), xdot=(0.0,))
+        plant = PointMassPlant(inertia=(2.0,))
         accel = lambda pos, vel: _point_mass_accel(plant, [4.0], pos, vel, None, None)
         x, xdot = _advance([0.0], [0.0], accel, 0.5, "rk4", 0.0)
         # a = 2, x = a t^2 / 2 = 0.25, v = 1 for the exact quadratic
@@ -224,7 +223,7 @@ class TestStepPlant:
         assert xdot[0] == pytest.approx(1.0, rel=1e-12)
 
     def test_blowup_reports_time(self):
-        plant = PointMassPlant(inertia=(1.0,), x=(1.0,), xdot=(0.0,))
+        plant = PointMassPlant(inertia=(1.0,))
         accel = lambda pos, vel: _point_mass_accel(plant, [pos[0] * 1e200], pos, vel, None, None)
         with pytest.raises(IntegrationBlowupError) as e:
             x, xdot = [1.0], [0.0]
@@ -234,11 +233,10 @@ class TestStepPlant:
 
     def test_arm_step_advances_state(self):
         arm = PlanarArm.default(gravity=(0.0, 0.0))
-        arm.q = np.array([0.3, 0.9, 0.9])
-        arm.qdot = np.zeros(3)
+        q, qdot0 = [0.3, 0.9, 0.9], [0.0, 0.0, 0.0]
         accel = lambda qq, dd: _arm_accel(arm, [1.0, 0.0, 0.0], qq, dd, None, None)
-        _, qdot = _advance(arm.q.tolist(), arm.qdot.tolist(), accel, 1e-2, "rk4", 0.0)
-        assert arm.qdot[0] == 0.0  # the step returns a new state
+        _, qdot = _advance(q, qdot0, accel, 1e-2, "rk4", 0.0)
+        assert qdot0[0] == 0.0  # the step returns a new state
         assert qdot[0] > 0.0
 
     @pytest.mark.parametrize("with_wall", [False, True])
@@ -415,11 +413,7 @@ class TestPerturbations:
 class TestPlantValidation:
     def test_point_mass_requires_positive_inertia(self):
         with pytest.raises(ValueError):
-            PointMassPlant(inertia=(0.0,), x=(0.0,), xdot=(0.0,))
-
-    def test_point_mass_dim_consistency(self):
-        with pytest.raises(ValueError):
-            PointMassPlant(inertia=(1.0, 1.0), x=(0.0,), xdot=(0.0, 0.0))
+            PointMassPlant(inertia=(0.0,))
 
     def test_arm_requires_consistent_link_counts(self):
         with pytest.raises(ValueError):
@@ -429,6 +423,4 @@ class TestPlantValidation:
                 com_offsets=(0.5, 0.5, 0.5),
                 inertias=(0.1, 0.1, 0.1),
                 gravity=(0.0, -9.81),
-                q=np.zeros(3),
-                qdot=np.zeros(3),
             )
