@@ -30,7 +30,6 @@ __all__ = [
 ]
 
 DESCENT_TOL = 1e-6  # J per step, autonomous undamped fine-step runs
-SWITCH_CONTINUITY_TOL = 1e-9  # J
 
 
 @dataclass(frozen=True)

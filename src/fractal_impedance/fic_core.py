@@ -104,11 +104,6 @@ class StiffnessParams:
             self, "beta_sq", beta_squared(self.k_const, self.w_max, self.x_b)
         )
 
-    @property
-    def k_max(self) -> float:
-        """Stiffness at the virtual boundary, w_max / x_b."""
-        return self.w_max / self.x_b
-
 
 def stiffness(p: StiffnessParams, x_err: float) -> float:
     """Displacement-dependent spring stiffness k_d(x_err).

@@ -603,11 +603,13 @@ def _pulse_recoveries(t: np.ndarray, x_err: np.ndarray, profile: PerturbationPro
 
     Convergence: first instant the error norm drops below 5% of the pulse's
     peak. Recovery: first instant after which it stays below for 0.2 s.
-    Times are measured from the pulse end; NaN when not reached.
+    Times are measured from the pulse end; NaN when not reached. The norm is
+    a running ``hypot``, which does not overflow on a blown-up record and is
+    exactly ``|x_err|`` for one DoF.
     """
     if len(profile.pulses) == 0 or t.shape[0] == 0:
         return (), ()
-    err_norm = np.sqrt(np.sum(x_err * x_err, axis=1))
+    err_norm = np.hypot.reduce(x_err, axis=1, initial=0.0)
     dwell = max(int(round(RECOVERY_DWELL / dt)), 1)
     starts = sorted(p.start for p in profile.pulses)
     recov, conv = [], []

@@ -384,12 +384,23 @@ class TestEpisodes:
             k_d=1e6,
             d_d=0.0,
         )
-        with np.errstate(over="ignore"):
-            rec = run_scenario(sc)
-        assert rec.error is not None
-        assert rec.error["type"] == "integration_blowup"
-        assert rec.t.shape[0] == rec.x.shape[0]
-        assert np.all(np.isfinite(rec.x))
+        # with a pulse, the recovery metric reads errors up to ~3e302; no
+        # numpy warning may escape (warnings are errors in this suite)
+        pulsed = Scenario(
+            duration=3.0,
+            dt=1e-2,
+            feedback_hz=100.0,
+            controller="baseline",
+            k_d=1e6,
+            pulses=({"start": 0.5, "duration": 0.1, "wrench": (5.0,)},),
+        )
+        for rec in (run_scenario(sc), run_scenario(pulsed)):
+            assert rec.error is not None
+            assert rec.error["type"] == "integration_blowup"
+            assert rec.t.shape[0] == rec.x.shape[0]
+            assert np.all(np.isfinite(rec.x))
+        assert float(np.max(np.abs(rec.x_err))) > 1e300
+        assert len(rec.recovery_times) == len(rec.convergence_times) == 1
 
     @pytest.mark.parametrize("integrator, t_blowup", [("rk4", 0.03), ("semi_implicit", 0.09)])
     def test_arm_blowup_is_reported_not_raised(self, integrator, t_blowup):
