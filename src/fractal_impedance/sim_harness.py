@@ -14,8 +14,8 @@ same sample. The plant object holds parameters only. The loop keeps the
 plant state (from the scenario's q0/qdot0 or x0/xdot0), the reference, the
 held wrench and the pulse wrench as lists of Python floats, because numpy's
 per-call dispatch on vectors of one to three entries costs more than their
-arithmetic. It writes each sample into compact ``array``
-columns, and the record's arrays are built from them once, after the loop.
+arithmetic. It writes each sample into compact ``array`` columns, and the
+record's arrays are built from them once, after the loop.
 Elementwise float arithmetic in numpy's order gives numpy's bits, so a 1-DoF
 record is the one numpy expressions would give; a sum over several DoFs
 (kinetic energy, contact power) may differ from ``np.dot`` in the last bit.
