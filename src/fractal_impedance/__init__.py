@@ -46,7 +46,6 @@ from .energy_audit import (
     fic_work,
     ic_work_discrete,
     lyapunov_monitor,
-    lyapunov_value,
 )
 from .fic_core import (
     AttractorState,
@@ -125,7 +124,6 @@ __all__ = [
     "energy_released",
     "fic_work",
     "ic_work_discrete",
-    "lyapunov_value",
     "lyapunov_monitor",
     # sim_harness
     "Scenario",

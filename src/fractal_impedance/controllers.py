@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import ArmSample, PlanarArm, _arm_drift, _dot
+from .dynamics import ArmSample, PlanarArm, _arm_drift, _dot, _suffix
 from .dynamics import arm_dynamics, forward_kinematics, task_space_quantities  # noqa: F401 (bench hook)
 from .fic_core import (
     DEFAULT_RATE_TOL,
@@ -167,18 +167,22 @@ def _arm_torques(arm: PlanarArm, sample: ArmSample, wrench, posture_target, post
     tau = J^T (w + Lam ((M^-1 J^T)^T (C qd - tau_null) - Jd qd)) + G + tau_null
 
     that is J^T (w + Lam ((M^-1 J^T)^T C qd - Jd qd)) + G + N tau_null, with
-    N = I - J^T Lam (M^-1 J^T)^T folded into the task term, unformed.
+    N = I - J^T Lam (M^-1 J^T)^T folded into the task term, unformed. It is
+    evaluated in absolute angles: ``(M^-1 J^T)^T v = (B^-1 J_phi^T)^T S^-T v``,
+    ``S^-T C qd`` is the velocity load and ``tau = S^T (J_phi^T f + G_phi) +
+    tau_null``.
     """
     tau_null = null_space_torque(sample.q, sample.qdot, posture_target, posture_gains)
-    gravity, bias, (a0, a1) = _arm_drift(arm, sample.kernel, sample.qdot)
-    r = [b - t for b, t in zip(bias, tau_null)]
-    mx, my = sample.minv_jt
-    u0, u1 = _dot(mx, r) - a0, _dot(my, r) - a1
-    (l00, l01), (l10, l11) = sample.lam
+    gravity, load, (a0, a1) = _arm_drift(arm, sample.kernel, sample.qdot)
+    tn = tau_null + [0.0]
+    r = [v - (tn[a] - tn[a + 1]) for a, v in enumerate(load)]  # load - S^-T tau_null
+    (px, py), ((l00, l01), (l10, l11)) = sample.binv_jt, sample.lam
+    u0, u1 = _dot(px, r) - a0, _dot(py, r) - a1
     f0 = wrench[0] + (l00 * u0 + l01 * u1)
     f1 = wrench[1] + (l10 * u0 + l11 * u1)
-    jx, jy = sample.kernel[4]
-    return [x * f0 + y * f1 + g + t for x, y, g, t in zip(jx, jy, gravity, tau_null)]
+    jx, jy = sample.kernel[3]
+    task = _suffix([x * f0 + y * f1 + g for x, y, g in zip(jx, jy, gravity)])
+    return [a + t for a, t in zip(task, tau_null)]
 
 
 def _task_errors(sample: ArmSample, x_target, target_rate=None):

@@ -1,11 +1,14 @@
 """Rigid-body plants, contact, perturbations and fixed-step integrators.
 
 Two plants: a task-space point mass (diagonal inertia, no kinematics) and a
-planar serial arm with a 2-D positional task. The arm's closed-form dynamics
-use absolute link angles, where the mass matrix couples through
-``A_ab cos(phi_a - phi_b)`` and the velocity-product bias through
-``A_ab sin(phi_a - phi_b) phidot_b^2``; joint-space quantities follow from the
-constant lower-triangular map ``phi = S q``, so ``S^T v`` is a suffix sum.
+planar serial arm with a 2-D positional task. The arm is solved in its
+absolute link angles ``phi = S q``, where its terms have no suffix sums:
+inertia ``B = A o cos(phi_a - phi_b) + diag(I)``, velocity-product load
+``(A o sin(phi_a - phi_b)) phidot^2``, Jacobian ``J_phi = l o [-sin; cos]``.
+``B phidd = S^-T tau - load - G_phi + J_phi^T w`` gives ``qdd = S^-1 phidd``
+(first differences), and ``J M^-1 J^T = J_phi B^-1 J_phi^T`` the task inertia
+from the same factor of B. Only the public joint-space functions form
+``M = S^T B S`` and ``J = J_phi S``, where ``S^T v`` is a suffix sum.
 
 Plant objects hold their parameters only, as tuples of floats; the state is
 the caller's. The episode loop's state, the integrator step ``_advance``, both
@@ -15,10 +18,10 @@ has one to a few DoFs and the arm three joints and a 2-D task, so each vector
 holds a few flops, and numpy's per-call dispatch (type checks, error-state
 contexts, array allocation) costs more than the arithmetic. Elementwise float
 operations in numpy's order give the bits of the numpy array expressions. An
-integrator stage builds no array. An arm sample builds one, the Jacobian that
-``J qdot`` is computed with, and factors M once for its task inertia and the
-first integrator stage. Neither J^T-bar nor N is formed in the loop: the
-controller's torque map folds N into its task term, and only
+integrator stage builds no array and factors B once; an arm sample builds
+one, the Jacobian that ``J qdot`` is computed with, and its factor of B serves
+its task inertia and the first stage. Neither J^T-bar nor N is formed in the
+loop: the torque map folds N into its task term, and only
 ``task_space_quantities`` builds them. Public functions take arrays or
 sequences; ``contact_force`` and ``external_wrench`` return lists of floats.
 ``_advance`` is the one stepping path, and ``Scenario`` checks the integrator
@@ -33,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import accumulate
-from operator import add, mul, truediv
+from operator import add, mul, neg, truediv
 from typing import NamedTuple
 
 import numpy as np
@@ -156,11 +159,6 @@ class ArmDynamics:
     jacobian_dot: np.ndarray
 
 
-def _floats(v) -> list:
-    """A vector as a list of Python floats."""
-    return np.asarray(v, dtype=float).tolist()
-
-
 def _dot(u, v) -> float:
     return sum(map(mul, u, v))
 
@@ -202,18 +200,16 @@ def _link_dirs(q) -> tuple[list, list]:
     return c, s
 
 
-def _jacobian_rows(arm: PlanarArm, c: list, s: list) -> tuple[list, list]:
-    """Rows ``(jx, jy)`` of the end-effector Jacobian ``(l * [-sin; cos]) S``.
-    Their first entries are the tip pose ``(jy[0], -jx[0])``."""
-    lengths = arm.lengths
-    n = len(c)
-    jx, jy = [0.0] * n, [0.0] * n
-    x = y = 0.0
-    for i in range(n - 1, -1, -1):
-        x += lengths[i] * c[i]
-        y += lengths[i] * s[i]
-        jx[i], jy[i] = -y, x
-    return jx, jy
+def _link_jacobian(arm: PlanarArm, c: list, s: list) -> tuple[list, list]:
+    """Rows of ``J_phi = l o [-sin phi; cos phi]``, the end-effector Jacobian
+    in absolute angles."""
+    return list(map(neg, map(mul, arm.lengths, s))), list(map(mul, arm.lengths, c))
+
+
+def _jacobian_rows(jphi) -> tuple[list, list]:
+    """Rows ``(jx, jy)`` of the joint-space Jacobian ``J = J_phi S``. Their
+    first entries are the tip pose ``(jy[0], -jx[0])``."""
+    return _suffix(jphi[0]), _suffix(jphi[1])
 
 
 def _tip(jac: tuple[list, list]) -> list:
@@ -221,28 +217,30 @@ def _tip(jac: tuple[list, list]) -> list:
     return [jy[0], -jx[0]]
 
 
-def _arm_kernel(arm: PlanarArm, q):
-    """State-dependent arm terms at ``q`` that every arm quantity shares.
+def _link_inertia(arm: PlanarArm, c: list, s: list) -> list:
+    """The inertia in absolute angles, ``B = A o cos(phi_a - phi_b) + diag(I)``,
+    as the rows of its lower triangle (row ``i`` holds columns ``0..i``); the
+    angle differences come from products of the link directions."""
+    b = []
+    for i, row in enumerate(arm._coupling):
+        ci, si, bi = c[i], s[i], []
+        for j in range(i):
+            bi.append(row[j] * (ci * c[j] + si * s[j]))
+        bi.append(row[i] + arm.inertias[i])  # cos(phi_i - phi_i) = 1
+        b.append(bi)
+    return b
 
-    Returns, as Python floats, the link cos/sin ``c`` and ``s``, the coupling
-    sines ``a_sin[a][b] = A_ab sin(phi_a - phi_b)``, the joint-space mass
-    matrix ``S^T (A o cos(phi_a - phi_b) + diag(I)) S`` (a 2-D suffix sum) and
-    the Jacobian rows ``(jx, jy)``. Angle differences come from products of
-    the link directions, once per pair of links.
+
+def _arm_kernel(arm: PlanarArm, q):
+    """State-dependent arm terms at ``q`` that every arm quantity in the loop
+    shares: as Python floats, the link cos/sin ``c`` and ``s``, the lower
+    Cholesky factor of the absolute-angle inertia B and the rows of J_phi.
+
+    Raises:
+        numpy.linalg.LinAlgError: when B (so M) is not positive definite.
     """
     c, s = _link_dirs(q)
-    n = len(c)
-    a_sin = [[0.0] * n for _ in range(n)]
-    b = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        ci, si, ai, bi, row = c[i], s[i], a_sin[i], b[i], arm._coupling[i]
-        bi[i] = row[i] + arm.inertias[i]  # cos(phi_i - phi_i) = 1
-        for j in range(i + 1, n):
-            cj, sj = c[j], s[j]
-            bi[j] = b[j][i] = row[j] * (ci * cj + si * sj)
-            ai[j] = row[j] * (si * cj - ci * sj)
-            a_sin[j][i] = -ai[j]
-    return c, s, a_sin, _suffix_2d(b), _jacobian_rows(arm, c, s)
+    return c, s, _cholesky(_link_inertia(arm, c, s)), _link_jacobian(arm, c, s)
 
 
 def _gravity_phi(arm: PlanarArm, c: list, s: list) -> list:
@@ -251,32 +249,39 @@ def _gravity_phi(arm: PlanarArm, c: list, s: list) -> list:
     return [m * (gx * sa - gy * ca) for m, ca, sa in zip(arm._first_moments, c, s)]
 
 
-def _velocity_loads(a_sin: list, qdot: list) -> tuple[list, list]:
+def _velocity_load(arm: PlanarArm, c: list, s: list, qdot) -> tuple[list, list]:
     """Squared absolute angle rates and the velocity-product load
-    ``a_sin @ phidot^2`` in absolute-angle coordinates."""
-    phidot_sq = []
-    phidot = 0.0
-    for v in qdot:
-        phidot += v
-        phidot_sq.append(phidot * phidot)
-    return phidot_sq, [_dot(row, phidot_sq) for row in a_sin]
+    ``(A o sin(phi_a - phi_b)) phidot^2`` in absolute-angle coordinates; the
+    sine matrix is antisymmetric, so each pair of links is visited once."""
+    sq = [p * p for p in accumulate(qdot)]
+    n = len(sq)
+    load = [0.0] * n
+    for i in range(n):
+        ci, si, row, sq_i = c[i], s[i], arm._coupling[i], sq[i]
+        for j in range(i + 1, n):
+            a = row[j] * (si * c[j] - ci * s[j])
+            load[i] += a * sq[j]
+            load[j] -= a * sq_i
+    return sq, load
 
 
 def _cholesky(m) -> list:
-    """Lower Cholesky factor of the mass matrix (reads the lower triangle).
+    """Lower Cholesky factor of B or M as ragged rows; reads the lower
+    triangle only.
 
     Raises:
         numpy.linalg.LinAlgError: when ``m`` is not positive definite.
     """
     low = []
-    for i, mi in enumerate(m):
+    for mi in m:
         row = []
-        for j, lj in enumerate(low):
+        for lj in low:
+            j = len(row)
             acc = mi[j]
-            for a, b in zip(row, lj):
-                acc -= a * b
+            for k in range(j):
+                acc -= row[k] * lj[k]
             row.append(acc / lj[j])
-        acc = mi[i]
+        acc = mi[len(row)]
         for a in row:
             acc -= a * a
         if acc <= 0.0:
@@ -288,12 +293,14 @@ def _cholesky(m) -> list:
 
 def _cho_solve(low: list, b) -> list:
     """Solve ``L L^T x = b`` for the factor ``L`` of ``_cholesky``."""
-    x = []
-    for i, (li, acc) in enumerate(zip(low, b)):
-        for a, xk in zip(li, x):
-            acc -= a * xk
-        x.append(acc / li[i])
-    for i in reversed(range(len(low))):
+    x = list(b)
+    n = len(x)
+    for i in range(n):
+        li, acc = low[i], x[i]
+        for k in range(i):
+            acc -= li[k] * x[k]
+        x[i] = acc / li[i]
+    for i in range(n - 1, -1, -1):
         li = low[i]
         x[i] = xi = x[i] / li[i]
         for k in range(i):
@@ -303,31 +310,35 @@ def _cho_solve(low: list, b) -> list:
 
 def arm_dynamics(arm: PlanarArm, q: np.ndarray, qdot: np.ndarray) -> ArmDynamics:
     """Closed-form mass matrix, Coriolis, gravity and end-effector Jacobians."""
-    c, s, a_sin, mass, jac = _arm_kernel(arm, q)
-    phidot = list(accumulate(_floats(qdot)))
-    coriolis = np.array(_suffix_2d([list(map(mul, row, phidot)) for row in a_sin]))
+    c, s = _link_dirs(q)
+    phidot = list(accumulate(map(float, qdot)))
+    a_sin = np.array(arm._coupling) * (np.outer(s, c) - np.outer(c, s))  # A o sin(phi_a - phi_b)
+    coriolis = np.array(_suffix_2d((a_sin * phidot).tolist()))
     lp = [-l * p for l, p in zip(arm.lengths, phidot)]
+    low = _link_inertia(arm, c, s)  # M = S^T B S, B from its lower triangle
+    b = [[low[max(i, j)][min(i, j)] for j in range(len(low))] for i in range(len(low))]
     return ArmDynamics(
-        mass_matrix=np.array(mass),
+        mass_matrix=np.array(_suffix_2d(b)),
         coriolis=coriolis,
         bias=coriolis @ np.asarray(qdot, dtype=float),
         gravity=np.array(_suffix(_gravity_phi(arm, c, s))),
-        jacobian=np.array(jac),
+        jacobian=np.array(_jacobian_rows(_link_jacobian(arm, c, s))),
         jacobian_dot=np.array((_suffix(list(map(mul, lp, c))), _suffix(list(map(mul, lp, s))))),
     )
 
 
 def _arm_drift(arm: PlanarArm, kernel, qdot):
-    """Gravity torque G, velocity-product torque C qdot and tip drift Jd qdot,
-    as floats, at the state whose ``_arm_kernel`` terms are ``kernel``."""
-    c, s, a_sin, _, _ = kernel
-    phidot_sq, load = _velocity_loads(a_sin, qdot)
+    """Gravity load G_phi, velocity-product load and tip drift Jd qdot, as
+    floats in absolute-angle coordinates (``G = S^T G_phi``, ``C qdot = S^T
+    load``), at the state whose ``_arm_kernel`` terms are ``kernel``."""
+    c, s, _, _ = kernel
+    phidot_sq, load = _velocity_load(arm, c, s, qdot)
     lp = list(map(mul, arm.lengths, phidot_sq))
-    return _suffix(_gravity_phi(arm, c, s)), _suffix(load), (-_dot(c, lp), -_dot(s, lp))
+    return _gravity_phi(arm, c, s), load, (-_dot(c, lp), -_dot(s, lp))
 
 
 def forward_kinematics(arm: PlanarArm, q: np.ndarray) -> np.ndarray:
-    return np.array(_tip(_jacobian_rows(arm, *_link_dirs(q))))
+    return np.array(_tip(_jacobian_rows(_link_jacobian(arm, *_link_dirs(q)))))
 
 
 def joint_positions(arm: PlanarArm, q: np.ndarray) -> np.ndarray:
@@ -345,9 +356,8 @@ def potential_energy(arm: PlanarArm, q: np.ndarray) -> float:
 
 
 def kinetic_energy(arm: PlanarArm, q: np.ndarray, qdot: np.ndarray) -> float:
-    qdot = _floats(qdot)
-    _, _, _, mass, _ = _arm_kernel(arm, q)
-    return 0.5 * _dot([_dot(row, qdot) for row in mass], qdot)
+    qdot = np.asarray(qdot, dtype=float)
+    return 0.5 * float(qdot @ arm_dynamics(arm, q, qdot).mass_matrix @ qdot)
 
 
 @dataclass(frozen=True)
@@ -359,24 +369,24 @@ class TaskSpace:
     nullspace: np.ndarray  # I - J^T jbar_t
 
 
-def _task_inertia(mass: list, jac) -> tuple[list, tuple, tuple]:
-    """The Cholesky factor of M, the columns of ``M^-1 J^T`` and the task
-    inertia Lam, as floats, from M and the Jacobian rows; the 2 x 2 block
-    ``J M^-1 J^T`` is inverted in closed form.
+def _task_inertia(low: list, jac) -> tuple[tuple, tuple]:
+    """The columns of ``H^-1 J^T`` and the task inertia ``(J H^-1 J^T)^-1``
+    as floats, from the Cholesky factor of an inertia H and the Jacobian rows
+    in the same angles (B and J_phi in the loop, M and J for
+    ``task_space_quantities``: the same block); the 2 x 2 block is inverted
+    in closed form.
 
     The only place the singularity test runs: it precedes every inversion of
-    J M^-1 J^T. Its quantity is the smallest |eigenvalue| of the symmetrised
+    the block. Its quantity is the smallest |eigenvalue| of the symmetrised
     block, computed as |det| over the largest |eigenvalue| so that a
     near-singular block loses no digits to cancellation.
 
     Raises:
         SingularConfigurationError: when the smallest singular value of
             J M^-1 J^T drops below ``SINGULARITY_TOL``.
-        numpy.linalg.LinAlgError: when M is not positive definite.
     """
-    low = _cholesky(mass)
     jx, jy = jac
-    mx, my = cols = _cho_solve(low, jx), _cho_solve(low, jy)  # M^-1 J^T by column
+    mx, my = cols = _cho_solve(low, jx), _cho_solve(low, jy)
     a, b, c, d = _dot(jx, mx), _dot(jx, my), _dot(jy, mx), _dot(jy, my)
     off = 0.5 * (b + c)
     det_sym = a * d - off * off
@@ -385,23 +395,22 @@ def _task_inertia(mass: list, jac) -> tuple[list, tuple, tuple]:
     if smallest < SINGULARITY_TOL:
         raise SingularConfigurationError(smallest)
     det = a * d - b * c
-    return low, cols, ((d / det, -b / det), (-c / det, a / det))
+    return cols, ((d / det, -b / det), (-c / det, a / det))
 
 
 def task_space_quantities(
     arm: PlanarArm, q: np.ndarray, dyn: ArmDynamics | None = None
 ) -> TaskSpace:
-    """Operational-space quantities at ``q``.
+    """Operational-space quantities at ``q``, solved in joint space.
 
     Raises:
         SingularConfigurationError: when the smallest singular value of
             J M^-1 J^T drops below 1e-8.
+        numpy.linalg.LinAlgError: when M is not positive definite.
     """
-    if dyn is None:
-        _, _, _, mass, jac = _arm_kernel(arm, q)
-    else:
-        mass, jac = dyn.mass_matrix.tolist(), dyn.jacobian.tolist()
-    _, (mx, my), lam = _task_inertia(mass, jac)
+    dyn = arm_dynamics(arm, q, np.zeros(len(q))) if dyn is None else dyn
+    mass, jac = dyn.mass_matrix.tolist(), dyn.jacobian.tolist()
+    (mx, my), lam = _task_inertia(_cholesky(mass), jac)
     jbar_t = [[l0 * u + l1 * v for u, v in zip(mx, my)] for l0, l1 in lam]
     nullspace = [[-(xi * b0 + yi * b1) for b0, b1 in zip(*jbar_t)] for xi, yi in zip(*jac)]
     for i, row in enumerate(nullspace):
@@ -413,17 +422,16 @@ class ArmSample(NamedTuple):
     """One evaluation of the arm at a sampled state (q, qdot).
 
     The loop's task state, the controller tick and the integrator's first
-    stage all read it, so a sample costs one kernel, one Cholesky factor of
-    M, one M^-1 J^T solve and one singularity test.
+    stage all read it, so a sample costs one kernel (one Cholesky factor of
+    B), one ``B^-1 J_phi^T`` solve and one singularity test.
     """
 
     q: list  # the sampled state
     qdot: list
     kernel: tuple  # _arm_kernel(arm, q)
-    chol: list  # lower Cholesky factor of M
     x: list  # end-effector pose
     xdot: list  # J qdot
-    minv_jt: tuple  # the columns of M^-1 J^T, floats
+    binv_jt: tuple  # the columns of B^-1 J_phi^T, floats
     lam: tuple  # task inertia Lam, floats
     ke: float  # task kinetic energy 0.5 xdot' Lam xdot
 
@@ -440,13 +448,14 @@ def _arm_task_state(arm: PlanarArm, q, qdot) -> ArmSample:
             inversion of J M^-1 J^T.
     """
     kernel = _arm_kernel(arm, q)
-    _, _, _, mass, jac = kernel
-    low, cols, lam = _task_inertia(mass, jac)
+    _, _, low, jphi = kernel
+    cols, lam = _task_inertia(low, jphi)
+    jac = _jacobian_rows(jphi)
     xdot = (np.array(jac) @ qdot).tolist()
     v0, v1 = xdot
     (l00, l01), (l10, l11) = lam
     ke = 0.5 * ((v0 * l00 + v1 * l10) * v0 + (v0 * l01 + v1 * l11) * v1)
-    return ArmSample(q, qdot, kernel, low, _tip(jac), xdot, cols, lam, ke)
+    return ArmSample(q, qdot, kernel, _tip(jac), xdot, cols, lam, ke)
 
 
 @dataclass(frozen=True)
@@ -540,7 +549,6 @@ class PointMassSample(NamedTuple):
     xdot: list
     ke: float  # 0.5 xdot' M xdot
     kernel: None = None
-    chol: None = None
 
 
 def _point_mass_task_state(plant: PointMassPlant, x: list, xdot: list) -> PointMassSample:
@@ -555,11 +563,9 @@ def _point_mass_accel(
     wall: ContactWall | None,
     task_wrench: list | None,
     kernel=None,
-    chol=None,
 ) -> list:
     """Task accelerations as floats; same signature as ``_arm_accel`` (the
-    point mass has no kernel or factor, so ``kernel`` and ``chol`` are
-    ignored)."""
+    point mass has no kernel, so ``kernel`` is ignored)."""
     f = force if task_wrench is None else list(map(add, force, task_wrench))
     if wall is not None:
         f = list(map(add, f, contact_force(wall, x, xdot)))
@@ -574,32 +580,36 @@ def _arm_accel(
     wall: ContactWall | None,
     task_wrench,
     kernel=None,
-    chol=None,
 ) -> list:
-    """Joint accelerations ``M^-1 (tau - C qdot - G + J^T w)`` as floats;
-    ``kernel`` is ``_arm_kernel(arm, q)`` and ``chol`` the Cholesky factor of
-    its mass matrix when the caller has them already.
+    """Joint accelerations ``M^-1 (tau - C qdot - G + J^T w)`` as floats,
+    solved in absolute angles with the factor of B; ``kernel`` is
+    ``_arm_kernel(arm, q)`` when the caller has it already.
 
     A non-finite state gives a non-finite result, so the step reports it.
 
     Raises:
         numpy.linalg.LinAlgError: when the mass matrix is not positive definite.
     """
-    c, s, a_sin, mass, jac = _arm_kernel(arm, q) if kernel is None else kernel
-    _, load = _velocity_loads(a_sin, qdot)
+    c, s, low, (jx, jy) = _arm_kernel(arm, q) if kernel is None else kernel
+    _, load = _velocity_load(arm, c, s, qdot)
     w0, w1 = (0.0, 0.0) if task_wrench is None else task_wrench
     if wall is not None:
+        jac = _jacobian_rows((jx, jy))
         f0, f1 = contact_force(wall, _tip(jac), [_dot(row, qdot) for row in jac])
         w0, w1 = w0 + f0, w1 + f1
-    # rhs = tau - S^T (load + G_phi) + J^T w, the suffix sum run backwards
-    rhs = list(tau)
     gravity = _gravity_phi(arm, c, s)
-    jx, jy = jac
-    acc = 0.0
-    for a in range(len(rhs) - 1, -1, -1):
-        acc += load[a] + gravity[a]
-        rhs[a] += jx[a] * w0 + jy[a] * w1 - acc
-    return _cho_solve(_cholesky(mass) if chol is None else chol, rhs)
+    n = len(c)
+    rhs = [0.0] * n
+    t1 = 0.0  # tau[a + 1]
+    for a in range(n - 1, -1, -1):
+        t = tau[a]
+        rhs[a] = t - t1 + (jx[a] * w0 + jy[a] * w1) - (load[a] + gravity[a])
+        t1 = t
+    phidd = _cho_solve(low, rhs)
+    qdd = phidd[:]
+    for a in range(1, n):
+        qdd[a] -= phidd[a - 1]
+    return qdd
 
 
 def _advance(pos, vel, accel, dt: float, integrator: str, t: float, accel0=None):

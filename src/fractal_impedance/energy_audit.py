@@ -25,7 +25,6 @@ __all__ = [
     "energy_released",
     "fic_work",
     "ic_work_discrete",
-    "lyapunov_value",
     "lyapunov_monitor",
 ]
 
@@ -142,25 +141,6 @@ def _phase_form(params: StiffnessParams, state: AttractorState, x_err: float) ->
         return spring_energy(params, x_err)
     dx = x_err - state.x_tilde_mid
     return 0.5 * state.k_prime_total * dx * dx + 0.5 * state.e_in
-
-
-def lyapunov_value(
-    params: StiffnessParams,
-    state: AttractorState,
-    lam: float,
-    x_err: float,
-    xdot: float,
-) -> float:
-    """Piecewise Lyapunov candidate for one DoF (no episode offset).
-
-    Kinetic energy 0.5 lam xdot^2 plus the phase potential. V(0, 0) = 0 in
-    Divergence, and the two phase forms agree at the divergence-to-convergence
-    switch point by construction.
-    """
-    if lam <= 0.0:
-        raise ValueError("lam must be positive")
-    xdot = float(xdot)
-    return 0.5 * lam * xdot * xdot + _phase_form(params, state, float(x_err))
 
 
 @dataclass

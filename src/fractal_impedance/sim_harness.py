@@ -543,7 +543,7 @@ def run_scenario(sc: Scenario) -> EpisodeRecord:
                     dt,
                     sc.integrator,
                     t,
-                    accel(plant, held_force, pos, vel, wall, w_pulse, sample.kernel, sample.chol),
+                    accel(plant, held_force, pos, vel, wall, w_pulse, sample.kernel),
                 )
             except IntegrationBlowupError as exc:
                 error = {
@@ -644,13 +644,18 @@ def _pulse_recoveries(t: np.ndarray, x_err: np.ndarray, profile: PerturbationPro
 
 
 def compute_metrics(record: EpisodeRecord) -> dict:
-    """Tracking and recovery metrics of one episode."""
+    """Tracking and recovery metrics of one episode. Each error column is
+    divided by the power of two ``k`` at or below its peak before it is
+    squared or summed: that is exact, so a finite record gets numpy's values
+    bit for bit, and a blown-up record does not overflow."""
     err = record.x_err
     d = err.shape[1] if err.size else 0
-    rmse = tuple(float(np.sqrt(np.mean(err[:, i] ** 2))) for i in range(d))
-    mean_err = tuple(float(np.mean(err[:, i])) for i in range(d))
-    std_err = tuple(float(np.std(err[:, i])) for i in range(d))
     max_abs = tuple(float(np.max(np.abs(err[:, i]))) if err.size else 0.0 for i in range(d))
+    ks = [math.ldexp(1.0, math.frexp(p)[1] - 1) if 0.0 < p < math.inf else 1.0 for p in max_abs]
+    cols = [(k, err[:, i] / k) for i, k in enumerate(ks)]
+    rmse = tuple(float(k * np.sqrt(np.mean(u**2))) for k, u in cols)
+    mean_err = tuple(float(k * np.mean(u)) for k, u in cols)
+    std_err = tuple(float(k * np.std(u)) for k, u in cols)
     recov = record.recovery_times
     finite = [r for r in recov if not math.isnan(r)]
     return {

@@ -2,17 +2,18 @@
 
 The integrator's acceleration, the per-sample evaluation and the controller
 tick fed that sample are computed on a lean path that skips the Coriolis
-matrix and re-uses one M^-1 J^T solve; these tests hold them to
-``arm_dynamics`` and ``task_space_quantities`` at random states, wrenches,
-torques and targets.
+matrix and solves in absolute link angles with one factor of B; these tests
+hold them to ``arm_dynamics`` and ``task_space_quantities`` (joint space, M)
+at random states, wrenches, torques and targets.
 
-All of those read one kernel (``dynamics._arm_kernel``, Python floats), so
-agreeing with each other cannot catch an error in it. ``reference_terms`` is
-the independent reference: the absolute-angle closed forms written out with
-numpy matrices (``phi = S q``, ``C = cs^T cs``, ``M = S^T (A o C + I) S``,
-``J = (l * dcs) S``), checked on 2-, 3- and 4-link arms with random positive
-parameters, with ``np.linalg.inv`` and ``eigvalsh`` as the reference for the
-closed-form 2 x 2 task-space block.
+All of those build B and J_phi with the same helpers of
+``dynamics._arm_kernel`` (Python floats), so agreeing with each other cannot
+catch an error in them. ``reference_terms`` is the independent
+reference: the absolute-angle closed forms written out with numpy matrices
+(``phi = S q``, ``C = cs^T cs``, ``B = A o C + I``, ``J_phi = l * dcs``,
+``M = S^T B S``, ``J = J_phi S``), checked on 2-, 3- and 4-link arms with
+random positive parameters, with ``np.linalg.inv`` and ``eigvalsh`` as the
+reference for the closed-form 2 x 2 task-space block.
 """
 
 import math
@@ -46,6 +47,7 @@ from fractal_impedance import (
     task_space_quantities,
 )
 from fractal_impedance import dynamics
+from fractal_impedance.controllers import _arm_torques
 from fractal_impedance.dynamics import _arm_accel, _arm_kernel, _arm_task_state
 
 ARM = PlanarArm.default()
@@ -238,7 +240,9 @@ def test_accel_on_sample_kernel_matches_fresh_call(q, qdot, tau, w, with_wall):
 def test_task_space_quantities_match_sample(q, qdot):
     sample = sample_or_skip(q, qdot)
     dyn = arm_dynamics(ARM, q, qdot)
-    jbar_t = np.array(sample.lam) @ np.array(sample.minv_jt)  # Lam (M^-1 J^T)^T
+    # M^-1 J^T = S^-1 B^-1 J_phi^T: a first difference down each column
+    minv_jt = np.diff(np.array(sample.binv_jt), axis=1, prepend=0.0)
+    jbar_t = np.array(sample.lam) @ minv_jt  # Lam (M^-1 J^T)^T
     for ts in (task_space_quantities(ARM, q), task_space_quantities(ARM, q, dyn)):
         assert_close(ts.lam, sample.lam)
         assert_close(ts.jbar_t, jbar_t)
@@ -265,13 +269,15 @@ def reference_terms(arm, q):
     coupling = cmat @ np.diag(arm.masses) @ cmat.T
     first = cmat @ arm.masses
     g_abs = float(np.sum(np.abs(arm.gravity)))
+    link_inertia = coupling * (cs.T @ cs) + np.diag(arm.inertias)
+    link_inertia_scale = coupling + np.diag(arm.inertias)
+    link_jac = arm.lengths * dcs
     return {
-        "mass": (
-            smap.T @ (coupling * (cs.T @ cs) + np.diag(arm.inertias)) @ smap,
-            smap.T @ (coupling + np.diag(arm.inertias)) @ smap,
-        ),
+        "link_inertia": (link_inertia, link_inertia_scale),
+        "link_jac": (link_jac, np.ones((2, 1)) * arm.lengths),
+        "mass": (smap.T @ link_inertia @ smap, smap.T @ link_inertia_scale @ smap),
         "a_sin": (coupling * (cs.T @ dcs), coupling),
-        "jac": ((arm.lengths * dcs) @ smap, np.ones((2, 1)) * (arm.lengths @ smap)),
+        "jac": (link_jac @ smap, np.ones((2, 1)) * (arm.lengths @ smap)),
         "gravity": (smap.T @ (-first * (arm.gravity @ dcs)), smap.T @ first * g_abs),
         "tip": (cs @ arm.lengths, np.sum(arm.lengths)),
         "potential": (-first @ (arm.gravity @ cs), np.sum(first) * g_abs),
@@ -306,14 +312,21 @@ def arm_states(draw):
 @given(state=arm_states())
 def test_kernel_matches_reference_closed_forms(state):
     arm, q, qdot = state
+    n = len(q)
     ref = reference_terms(arm, q)
-    _, _, a_sin, mass, jac = _arm_kernel(arm, q)
-    assert within(np.array(a_sin), ref["a_sin"])
-    assert within(np.array(mass), ref["mass"])
-    assert within(np.array(jac), ref["jac"])
+    _, _, low, jphi = _arm_kernel(arm, q)
+    factor = np.zeros((n, n))
+    for i, row in enumerate(low):
+        factor[i, : i + 1] = row
+    assert within(factor @ factor.T, ref["link_inertia"])
+    assert within(np.array(jphi), ref["link_jac"])
     dyn = arm_dynamics(arm, q, qdot)
     assert within(dyn.mass_matrix, ref["mass"])
     assert within(dyn.jacobian, ref["jac"])
+    smap, phidot = np.tril(np.ones((n, n))), np.cumsum(qdot)
+    a_sin, a_scale = ref["a_sin"]
+    coriolis = smap.T @ (a_sin * phidot) @ smap
+    assert within(dyn.coriolis, (coriolis, smap.T @ (a_scale * np.abs(phidot)) @ smap))
     assert within(dyn.gravity, ref["gravity"])
     assert within(forward_kinematics(arm, q), ref["tip"])
     assert within(potential_energy(arm, q), ref["potential"])
@@ -337,6 +350,30 @@ def test_accel_matches_reference_solve(state, tau):
     got = _arm_accel(arm, tau[:n], q, qdot, None, None)
     tol = 1e-13 * np.linalg.cond(mass) * max(1.0, float(np.max(np.abs(want))))
     assert np.allclose(got, want, rtol=0.0, atol=tol)
+
+
+@settings(max_examples=300, deadline=None)
+@given(state=arm_states(), w=vec(2, 50.0), posture_gains=gains, data=st.data())
+def test_torque_map_matches_reference_composition(state, w, posture_gains, data):
+    # the tick's torque map on 2-, 3- and 4-link arms, against the joint-space
+    # composition with J^T, M^-1 J^T, Lam and N formed from the reference
+    arm, q, qdot = state
+    try:
+        sample = _arm_task_state(arm, q, qdot)
+    except SingularConfigurationError:
+        assume(False)
+    ref = reference_terms(arm, q)
+    mass, jac = ref["mass"][0], ref["jac"][0]
+    minv_jt = np.linalg.solve(mass, jac.T)
+    lam = np.linalg.inv(jac @ minv_jt)
+    assume(float(np.linalg.cond(lam)) < 1e6)
+    posture = data.draw(st.none() | vec(len(q), math.pi))
+    dyn = arm_dynamics(arm, q, qdot)
+    nullspace = np.eye(len(q)) - jac.T @ lam @ minv_jt.T
+    tau_null = null_space_torque(q, qdot, posture, posture_gains)
+    comp = lam @ (minv_jt.T @ dyn.bias - dyn.jacobian_dot @ qdot)
+    want = jac.T @ (w + comp) + ref["gravity"][0] + nullspace @ tau_null
+    assert_close(_arm_torques(arm, sample, w.tolist(), posture, posture_gains), want)
 
 
 def reference_task_block(arm, q):

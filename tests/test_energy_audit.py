@@ -14,10 +14,10 @@ from fractal_impedance import (
     fic_work,
     ic_work_discrete,
     lyapunov_monitor,
-    lyapunov_value,
     spring_energy,
     update_attractor,
 )
+from fractal_impedance.energy_audit import _phase_form
 
 P = StiffnessParams(k_const=0.0, w_max=30.0, x_b=0.05)
 E_AT_005 = 0.11704834043148468
@@ -147,6 +147,25 @@ class TestIcWorkDiscrete:
         x, _, _ = self.sampled(rate)
         got = ic_work_discrete(1.0, 1.0, x, dt=1.0 / rate)
         assert got == pytest.approx(W_CUBIC, rel=5e-3)
+
+
+def lyapunov_value(
+    params: StiffnessParams,
+    state: AttractorState,
+    lam: float,
+    x_err: float,
+    xdot: float,
+) -> float:
+    """Piecewise Lyapunov candidate for one DoF (no episode offset).
+
+    Kinetic energy 0.5 lam xdot^2 plus the phase potential. V(0, 0) = 0 in
+    Divergence, and the two phase forms agree at the divergence-to-convergence
+    switch point by construction.
+    """
+    if lam <= 0.0:
+        raise ValueError("lam must be positive")
+    xdot = float(xdot)
+    return 0.5 * lam * xdot * xdot + _phase_form(params, state, float(x_err))
 
 
 class TestLyapunovValue:

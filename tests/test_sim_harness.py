@@ -566,6 +566,41 @@ class TestMetrics:
         )
         assert m["rmse"][0] > 1e-4
 
+    def test_blown_up_record_metrics_do_not_overflow(self):
+        # errors above 1e300: squaring them overflows, which the suite's
+        # warning filter turns into a failure
+        sc = scenario(
+            controller="baseline",
+            k_d=1e6,
+            dt=1e-3,
+            feedback_hz=100.0,
+            duration=2.0,
+            pulses=({"start": 0.1, "duration": 0.1, "wrench": (5.0,)},),
+        )
+        rec = run_scenario(sc)
+        e = rec.x_err[:, 0]
+        peak = float(np.max(np.abs(e)))
+        assert rec.error["type"] == "integration_blowup" and peak > 1e300
+        m = compute_metrics(rec)
+        u = e / peak
+        assert m["rmse"][0] == pytest.approx(peak * np.sqrt(np.mean(u * u)), rel=1e-12)
+        assert m["mean_err"][0] == pytest.approx(peak * np.mean(u), rel=1e-12)
+        assert m["std_err"][0] == pytest.approx(peak * np.std(u), rel=1e-12)
+        assert m["max_abs_err"][0] == peak
+
+    def test_finite_record_metrics_are_numpys_bit_for_bit(self):
+        sc = scenario(
+            duration=3.0,
+            damping=1.0,
+            reference={"type": "sinusoid", "axis": 0, "amplitude": 0.05, "period": 1.0},
+        )
+        rec = run_scenario(sc)
+        e = rec.x_err[:, 0]
+        m = compute_metrics(rec)
+        assert m["rmse"][0] == float(np.sqrt(np.mean(e**2)))
+        assert m["mean_err"][0] == float(np.mean(e))
+        assert m["std_err"][0] == float(np.std(e))
+
 
 class TestOscillationDetector:
     @staticmethod
