@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import ArmSample, PlanarArm, _arm_drift, _dot, _suffix
+from .dynamics import ArmSample, PlanarArm, _arm_drift
 from .dynamics import arm_dynamics, forward_kinematics, task_space_quantities  # noqa: F401 (bench hook)
 from .fic_core import (
     DEFAULT_RATE_TOL,
@@ -172,17 +172,21 @@ def _arm_torques(arm: PlanarArm, sample: ArmSample, wrench, posture_target, post
     ``S^-T C qd`` is the velocity load and ``tau = S^T (J_phi^T f + G_phi) +
     tau_null``.
     """
-    tau_null = null_space_torque(sample.q, sample.qdot, posture_target, posture_gains)
-    gravity, load, (a0, a1) = _arm_drift(arm, sample.kernel, sample.qdot)
-    tn = tau_null + [0.0]
-    r = [v - (tn[a] - tn[a + 1]) for a, v in enumerate(load)]  # load - S^-T tau_null
-    (px, py), ((l00, l01), (l10, l11)) = sample.binv_jt, sample.lam
-    u0, u1 = _dot(px, r) - a0, _dot(py, r) - a1
+    n0, n1, n2 = null_space_torque(sample.q, sample.qdot, posture_target, posture_gains)
+    ld0, ld1, ld2 = sample.load
+    r0, r1, r2 = ld0 - (n0 - n1), ld1 - (n1 - n2), ld2 - n2  # load - S^-T tau_null
+    a0, a1 = _arm_drift(arm, sample)
+    (px0, px1, px2), (py0, py1, py2) = sample.binv_jt
+    u0 = 0.0 + px0 * r0 + px1 * r1 + px2 * r2 - a0
+    u1 = 0.0 + py0 * r0 + py1 * r1 + py2 * r2 - a1
+    (l00, l01), (l10, l11) = sample.lam
     f0 = wrench[0] + (l00 * u0 + l01 * u1)
     f1 = wrench[1] + (l10 * u0 + l11 * u1)
-    jx, jy = sample.kernel[3]
-    task = _suffix([x * f0 + y * f1 + g for x, y, g in zip(jx, jy, gravity)])
-    return [a + t for a, t in zip(task, tau_null)]
+    _, _, _, ((jx0, jx1, jx2), (jy0, jy1, jy2)), (g0, g1, g2) = sample.kernel
+    t2 = jx2 * f0 + jy2 * f1 + g2
+    t1 = jx1 * f0 + jy1 * f1 + g1 + t2  # S^T: suffix sums
+    t0 = jx0 * f0 + jy0 * f1 + g0 + t1
+    return [t0 + n0, t1 + n1, t2 + n2]
 
 
 def _task_errors(sample: ArmSample, x_target, target_rate=None):

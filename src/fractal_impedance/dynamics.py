@@ -13,19 +13,19 @@ from the same factor of B. Only the public joint-space functions form
 Plant objects hold their parameters only, as tuples of floats; the state is
 the caller's. The episode loop's state, the integrator step ``_advance``, both
 plants' accelerations, the arm's kernel and task inertia, and the contact and
-pulse wrenches work on lists of Python floats, not numpy arrays: a point mass
-has one to a few DoFs and the arm three joints and a 2-D task, so each vector
-holds a few flops, and numpy's per-call dispatch (type checks, error-state
-contexts, array allocation) costs more than the arithmetic. Elementwise float
-operations in numpy's order give the bits of the numpy array expressions. An
-integrator stage builds no array and factors B once; an arm sample builds
-one, the Jacobian that ``J qdot`` is computed with, and its factor of B serves
-its task inertia and the first stage. Neither J^T-bar nor N is formed in the
-loop: the torque map folds N into its task term, and only
-``task_space_quantities`` builds them. Public functions take arrays or
-sequences; ``contact_force`` and ``external_wrench`` return lists of floats.
-``_advance`` is the one stepping path, and ``Scenario`` checks the integrator
-name against ``INTEGRATORS``. The loops work for any number of links.
+pulse wrenches work on Python floats, not numpy arrays: each vector holds a
+few flops, and numpy's per-call dispatch costs more than the arithmetic.
+
+The arm has exactly 3 links, the one arm the harness builds, so its terms are
+straight-line float code on unpacked locals, with no loop over links. Each sum
+keeps a fixed order of association, ``0.0 +`` starts included: reordering a
+float sum changes its last bits, and so the records. An integrator stage
+builds no array and factors B once; an arm sample builds one, the Jacobian
+that ``J qdot`` is computed with, and its factor of B and velocity load serve
+its task inertia, the tick and the first stage. Neither J^T-bar nor N is
+formed in the loop: the torque map folds N into its task term, and only
+``task_space_quantities`` builds them. ``_advance`` is the one stepping path,
+and ``Scenario`` checks the integrator name against ``INTEGRATORS``.
 
 Environment effects (unilateral wall, force pulses) are plain functions so the
 integrators can evaluate them at stage states.
@@ -35,8 +35,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate
-from operator import add, mul, neg, truediv
+from math import cos, sin
+from operator import add, mul, truediv
 from typing import NamedTuple
 
 import numpy as np
@@ -102,7 +102,8 @@ class PointMassPlant:
 
 @dataclass
 class PlanarArm:
-    """Planar serial chain with revolute joints and a 2-D positional task.
+    """Planar serial chain of 3 links with revolute joints and a 2-D
+    positional task.
 
     Link i has length ``lengths[i]``, mass ``masses[i]``, center of mass at
     ``com_offsets[i]`` along the link and rotational inertia ``inertias[i]``
@@ -122,21 +123,18 @@ class PlanarArm:
     _first_moments: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        for name in ("lengths", "masses", "com_offsets", "inertias", "gravity"):
-            setattr(self, name, tuple(map(float, getattr(self, name))))
-        n = len(self.lengths)
-        if any(len(getattr(self, name)) != n for name in ("masses", "com_offsets", "inertias")):
-            raise ValueError("per-link parameter arrays must share one length")
-        if len(self.gravity) != 2:
-            raise ValueError("gravity must be a 2-vector")
+        sizes = {"lengths": 3, "masses": 3, "com_offsets": 3, "inertias": 3, "gravity": 2}
+        for name, size in sizes.items():
+            value = tuple(map(float, getattr(self, name)))
+            if len(value) != size:
+                raise ValueError(f"{name}: expected {size} entries")
+            setattr(self, name, value)
         if not all(v > 0.0 for v in self.lengths + self.masses):
             raise ValueError("link lengths and masses must be positive")
         # cmat[a, i]: coefficient of the unit vector of absolute angle a in the
         # position of COM i (full upstream links, partial own link).
-        cmat = np.zeros((n, n))
-        for i in range(n):
-            cmat[:i, i] = self.lengths[:i]
-            cmat[i, i] = self.com_offsets[i]
+        (l0, l1, _), (o0, o1, o2) = self.lengths, self.com_offsets
+        cmat = np.array(((o0, l0, l0), (0.0, o1, l1), (0.0, 0.0, o2)))
         self._coupling = tuple(map(tuple, (cmat @ np.diag(self.masses) @ cmat.T).tolist()))
         self._first_moments = tuple((cmat @ self.masses).tolist())
 
@@ -165,45 +163,35 @@ def _dot(u, v) -> float:
 
 def _suffix(v) -> list:
     """``S^T v`` for ``phi = S q``: entry ``j`` sums ``v[a]`` over ``a >= j``."""
-    out = list(v)
-    for j in range(len(out) - 2, -1, -1):
-        out[j] += out[j + 1]
-    return out
+    v0, v1, v2 = v
+    t = v1 + v2
+    return [v0 + t, t, v2]
 
 
 def _suffix_2d(b) -> list:
     """``S^T B S``: entry ``(i, j)`` sums ``B[a][c]`` over ``a >= i``, ``c >= j``."""
-    n = len(b)
-    out = [None] * n
-    below = [0.0] * n  # row i + 1 of the result
-    for i in range(n - 1, -1, -1):
-        row, acc, new = b[i], 0.0, [0.0] * n
-        for j in range(n - 1, -1, -1):
-            acc += row[j]
-            new[j] = below[j] + acc
-        out[i] = below = new
-    return out
+    return [list(row) for row in zip(*map(_suffix, zip(*map(_suffix, b))))]
 
 
-def _link_dirs(q) -> tuple[list, list]:
+def _link_dirs(q) -> tuple[tuple, tuple]:
     """cos and sin of the absolute link angles ``phi = S q`` (running sums of
     ``q``). An infinite angle gives NaN, as numpy's cos does, so a
     non-finite state propagates instead of raising."""
-    c, s = [], []
-    phi = 0.0
-    for qi in q:
-        phi += qi
-        if math.isinf(phi):  # math.cos raises here
-            phi = math.nan
-        c.append(math.cos(phi))
-        s.append(math.sin(phi))
-    return c, s
+    p0 = 0.0 + q[0]
+    p1 = p0 + q[1]
+    p2 = p1 + q[2]
+    try:
+        return (cos(p0), cos(p1), cos(p2)), (sin(p0), sin(p1), sin(p2))
+    except ValueError:  # math.cos raises at an infinite angle
+        phi = [math.nan if math.isinf(p) else p for p in (p0, p1, p2)]
+        return tuple(map(cos, phi)), tuple(map(sin, phi))
 
 
-def _link_jacobian(arm: PlanarArm, c: list, s: list) -> tuple[list, list]:
+def _link_jacobian(arm: PlanarArm, c, s) -> tuple[tuple, tuple]:
     """Rows of ``J_phi = l o [-sin phi; cos phi]``, the end-effector Jacobian
     in absolute angles."""
-    return list(map(neg, map(mul, arm.lengths, s))), list(map(mul, arm.lengths, c))
+    l0, l1, l2 = arm.lengths
+    return (-(l0 * s[0]), -(l1 * s[1]), -(l2 * s[2])), (l0 * c[0], l1 * c[1], l2 * c[2])
 
 
 def _jacobian_rows(jphi) -> tuple[list, list]:
@@ -212,133 +200,130 @@ def _jacobian_rows(jphi) -> tuple[list, list]:
     return _suffix(jphi[0]), _suffix(jphi[1])
 
 
-def _tip(jac: tuple[list, list]) -> list:
-    jx, jy = jac
-    return [jy[0], -jx[0]]
-
-
-def _link_inertia(arm: PlanarArm, c: list, s: list) -> list:
+def _link_inertia(arm: PlanarArm, c, s) -> tuple:
     """The inertia in absolute angles, ``B = A o cos(phi_a - phi_b) + diag(I)``,
-    as the rows of its lower triangle (row ``i`` holds columns ``0..i``); the
-    angle differences come from products of the link directions."""
-    b = []
-    for i, row in enumerate(arm._coupling):
-        ci, si, bi = c[i], s[i], []
-        for j in range(i):
-            bi.append(row[j] * (ci * c[j] + si * s[j]))
-        bi.append(row[i] + arm.inertias[i])  # cos(phi_i - phi_i) = 1
-        b.append(bi)
-    return b
+    as its lower triangle ``(b00, b10, b11, b20, b21, b22)``; the angle
+    differences come from products of the link directions."""
+    (c0, c1, c2), (s0, s1, s2) = c, s
+    (a00, _, _), (a10, a11, _), (a20, a21, a22) = arm._coupling
+    i0, i1, i2 = arm.inertias
+    return (
+        a00 + i0,  # cos(phi_a - phi_a) = 1
+        a10 * (c1 * c0 + s1 * s0), a11 + i1,
+        a20 * (c2 * c0 + s2 * s0), a21 * (c2 * c1 + s2 * s1), a22 + i2,
+    )
+
+
+def _cholesky3(b) -> tuple:
+    """Lower Cholesky factor ``(l00, l10, l11, l20, l21, l22)`` of B or M
+    from its lower triangle in the same order.
+
+    Raises:
+        numpy.linalg.LinAlgError: when the matrix is not positive definite.
+    """
+    b00, b10, b11, b20, b21, b22 = b
+    if b00 <= 0.0:
+        raise np.linalg.LinAlgError("mass matrix is not positive definite")
+    l00 = math.sqrt(b00)
+    l10 = b10 / l00
+    d = b11 - l10 * l10
+    if d <= 0.0:
+        raise np.linalg.LinAlgError("mass matrix is not positive definite")
+    l11 = math.sqrt(d)
+    l20 = b20 / l00
+    l21 = (b21 - l20 * l10) / l11
+    d = b22 - l20 * l20 - l21 * l21
+    if d <= 0.0:
+        raise np.linalg.LinAlgError("mass matrix is not positive definite")
+    return l00, l10, l11, l20, l21, math.sqrt(d)
+
+
+def _cho_solve3(low, b0, b1, b2) -> tuple:
+    """Solve ``L L^T x = b`` for the factor ``L`` of ``_cholesky3``: forward,
+    then back substitution."""
+    l00, l10, l11, l20, l21, l22 = low
+    y0 = b0 / l00
+    y1 = (b1 - l10 * y0) / l11
+    x2 = (b2 - l20 * y0 - l21 * y1) / l22 / l22
+    x1 = (y1 - l21 * x2) / l11
+    return (y0 - l20 * x2 - l10 * x1) / l00, x1, x2
+
+
+def _gravity_phi(arm: PlanarArm, c, s) -> tuple:
+    """Gravity load in absolute-angle coordinates."""
+    (c0, c1, c2), (s0, s1, s2) = c, s
+    gx, gy = arm.gravity
+    m0, m1, m2 = arm._first_moments
+    return m0 * (gx * s0 - gy * c0), m1 * (gx * s1 - gy * c1), m2 * (gx * s2 - gy * c2)
 
 
 def _arm_kernel(arm: PlanarArm, q):
     """State-dependent arm terms at ``q`` that every arm quantity in the loop
-    shares: as Python floats, the link cos/sin ``c`` and ``s``, the lower
-    Cholesky factor of the absolute-angle inertia B and the rows of J_phi.
+    shares, as Python floats: the link cos/sin ``c`` and ``s``, the lower
+    Cholesky factor of the absolute-angle inertia B, the rows of J_phi and
+    the gravity load G_phi.
 
     Raises:
         numpy.linalg.LinAlgError: when B (so M) is not positive definite.
     """
     c, s = _link_dirs(q)
-    return c, s, _cholesky(_link_inertia(arm, c, s)), _link_jacobian(arm, c, s)
+    low = _cholesky3(_link_inertia(arm, c, s))
+    return c, s, low, _link_jacobian(arm, c, s), _gravity_phi(arm, c, s)
 
 
-def _gravity_phi(arm: PlanarArm, c: list, s: list) -> list:
-    """Gravity load in absolute-angle coordinates."""
-    gx, gy = arm.gravity
-    return [m * (gx * sa - gy * ca) for m, ca, sa in zip(arm._first_moments, c, s)]
-
-
-def _velocity_load(arm: PlanarArm, c: list, s: list, qdot) -> tuple[list, list]:
+def _velocity_load(arm: PlanarArm, c, s, qdot) -> tuple[tuple, tuple]:
     """Squared absolute angle rates and the velocity-product load
     ``(A o sin(phi_a - phi_b)) phidot^2`` in absolute-angle coordinates; the
-    sine matrix is antisymmetric, so each pair of links is visited once."""
-    sq = [p * p for p in accumulate(qdot)]
-    n = len(sq)
-    load = [0.0] * n
-    for i in range(n):
-        ci, si, row, sq_i = c[i], s[i], arm._coupling[i], sq[i]
-        for j in range(i + 1, n):
-            a = row[j] * (si * c[j] - ci * s[j])
-            load[i] += a * sq[j]
-            load[j] -= a * sq_i
-    return sq, load
-
-
-def _cholesky(m) -> list:
-    """Lower Cholesky factor of B or M as ragged rows; reads the lower
-    triangle only.
-
-    Raises:
-        numpy.linalg.LinAlgError: when ``m`` is not positive definite.
-    """
-    low = []
-    for mi in m:
-        row = []
-        for lj in low:
-            j = len(row)
-            acc = mi[j]
-            for k in range(j):
-                acc -= row[k] * lj[k]
-            row.append(acc / lj[j])
-        acc = mi[len(row)]
-        for a in row:
-            acc -= a * a
-        if acc <= 0.0:
-            raise np.linalg.LinAlgError("mass matrix is not positive definite")
-        row.append(math.sqrt(acc))
-        low.append(row)
-    return low
-
-
-def _cho_solve(low: list, b) -> list:
-    """Solve ``L L^T x = b`` for the factor ``L`` of ``_cholesky``."""
-    x = list(b)
-    n = len(x)
-    for i in range(n):
-        li, acc = low[i], x[i]
-        for k in range(i):
-            acc -= li[k] * x[k]
-        x[i] = acc / li[i]
-    for i in range(n - 1, -1, -1):
-        li = low[i]
-        x[i] = xi = x[i] / li[i]
-        for k in range(i):
-            x[k] -= li[k] * xi
-    return x
+    sine matrix is antisymmetric, so each pair of links enters once."""
+    (c0, c1, c2), (s0, s1, s2) = c, s
+    (_, a01, a02), (_, _, a12), _ = arm._coupling
+    p0 = qdot[0]
+    p1 = p0 + qdot[1]
+    p2 = p1 + qdot[2]
+    sq0, sq1, sq2 = p0 * p0, p1 * p1, p2 * p2
+    a01 = a01 * (s0 * c1 - c0 * s1)
+    a02 = a02 * (s0 * c2 - c0 * s2)
+    a12 = a12 * (s1 * c2 - c1 * s2)
+    return (sq0, sq1, sq2), (
+        0.0 + a01 * sq1 + a02 * sq2,
+        0.0 - a01 * sq0 + a12 * sq2,
+        0.0 - a02 * sq0 - a12 * sq1,
+    )
 
 
 def arm_dynamics(arm: PlanarArm, q: np.ndarray, qdot: np.ndarray) -> ArmDynamics:
     """Closed-form mass matrix, Coriolis, gravity and end-effector Jacobians."""
     c, s = _link_dirs(q)
-    phidot = list(accumulate(map(float, qdot)))
+    qdot = np.asarray(qdot, dtype=float)
+    phidot = np.cumsum(qdot)
     a_sin = np.array(arm._coupling) * (np.outer(s, c) - np.outer(c, s))  # A o sin(phi_a - phi_b)
     coriolis = np.array(_suffix_2d((a_sin * phidot).tolist()))
-    lp = [-l * p for l, p in zip(arm.lengths, phidot)]
-    low = _link_inertia(arm, c, s)  # M = S^T B S, B from its lower triangle
-    b = [[low[max(i, j)][min(i, j)] for j in range(len(low))] for i in range(len(low))]
+    lp = -np.multiply(arm.lengths, phidot)
+    b00, b10, b11, b20, b21, b22 = _link_inertia(arm, c, s)  # M = S^T B S
+    b = ((b00, b10, b20), (b10, b11, b21), (b20, b21, b22))
     return ArmDynamics(
         mass_matrix=np.array(_suffix_2d(b)),
         coriolis=coriolis,
-        bias=coriolis @ np.asarray(qdot, dtype=float),
+        bias=coriolis @ qdot,
         gravity=np.array(_suffix(_gravity_phi(arm, c, s))),
         jacobian=np.array(_jacobian_rows(_link_jacobian(arm, c, s))),
-        jacobian_dot=np.array((_suffix(list(map(mul, lp, c))), _suffix(list(map(mul, lp, s))))),
+        jacobian_dot=np.array((_suffix(lp * c), _suffix(lp * s))),
     )
 
 
-def _arm_drift(arm: PlanarArm, kernel, qdot):
-    """Gravity load G_phi, velocity-product load and tip drift Jd qdot, as
-    floats in absolute-angle coordinates (``G = S^T G_phi``, ``C qdot = S^T
-    load``), at the state whose ``_arm_kernel`` terms are ``kernel``."""
-    c, s, _, _ = kernel
-    phidot_sq, load = _velocity_load(arm, c, s, qdot)
-    lp = list(map(mul, arm.lengths, phidot_sq))
-    return _gravity_phi(arm, c, s), load, (-_dot(c, lp), -_dot(s, lp))
+def _arm_drift(arm: PlanarArm, sample) -> tuple[float, float]:
+    """The tip drift ``Jd qdot = -(l o phidot^2) . (cos phi, sin phi)`` at
+    an arm sample, as floats."""
+    (c0, c1, c2), (s0, s1, s2) = sample.kernel[0], sample.kernel[1]
+    sq0, sq1, sq2 = sample.phidot_sq
+    l0, l1, l2 = arm.lengths
+    lp0, lp1, lp2 = l0 * sq0, l1 * sq1, l2 * sq2
+    return -(0.0 + c0 * lp0 + c1 * lp1 + c2 * lp2), -(0.0 + s0 * lp0 + s1 * lp1 + s2 * lp2)
 
 
 def forward_kinematics(arm: PlanarArm, q: np.ndarray) -> np.ndarray:
-    return np.array(_tip(_jacobian_rows(_link_jacobian(arm, *_link_dirs(q)))))
+    jx, jy = _jacobian_rows(_link_jacobian(arm, *_link_dirs(q)))
+    return np.array([jy[0], -jx[0]])
 
 
 def joint_positions(arm: PlanarArm, q: np.ndarray) -> np.ndarray:
@@ -369,7 +354,7 @@ class TaskSpace:
     nullspace: np.ndarray  # I - J^T jbar_t
 
 
-def _task_inertia(low: list, jac) -> tuple[tuple, tuple]:
+def _task_inertia(low, jac) -> tuple[tuple, tuple]:
     """The columns of ``H^-1 J^T`` and the task inertia ``(J H^-1 J^T)^-1``
     as floats, from the Cholesky factor of an inertia H and the Jacobian rows
     in the same angles (B and J_phi in the loop, M and J for
@@ -385,9 +370,13 @@ def _task_inertia(low: list, jac) -> tuple[tuple, tuple]:
         SingularConfigurationError: when the smallest singular value of
             J M^-1 J^T drops below ``SINGULARITY_TOL``.
     """
-    jx, jy = jac
-    mx, my = cols = _cho_solve(low, jx), _cho_solve(low, jy)
-    a, b, c, d = _dot(jx, mx), _dot(jx, my), _dot(jy, mx), _dot(jy, my)
+    (jx0, jx1, jx2), (jy0, jy1, jy2) = jac
+    mx = mx0, mx1, mx2 = _cho_solve3(low, jx0, jx1, jx2)
+    my = my0, my1, my2 = _cho_solve3(low, jy0, jy1, jy2)
+    a = 0.0 + jx0 * mx0 + jx1 * mx1 + jx2 * mx2
+    b = 0.0 + jx0 * my0 + jx1 * my1 + jx2 * my2
+    c = 0.0 + jy0 * mx0 + jy1 * mx1 + jy2 * mx2
+    d = 0.0 + jy0 * my0 + jy1 * my1 + jy2 * my2
     off = 0.5 * (b + c)
     det_sym = a * d - off * off
     largest = abs(0.5 * (a + d)) + math.hypot(0.5 * (a - d), off)
@@ -395,7 +384,7 @@ def _task_inertia(low: list, jac) -> tuple[tuple, tuple]:
     if smallest < SINGULARITY_TOL:
         raise SingularConfigurationError(smallest)
     det = a * d - b * c
-    return cols, ((d / det, -b / det), (-c / det, a / det))
+    return (mx, my), ((d / det, -b / det), (-c / det, a / det))
 
 
 def task_space_quantities(
@@ -408,9 +397,10 @@ def task_space_quantities(
             J M^-1 J^T drops below 1e-8.
         numpy.linalg.LinAlgError: when M is not positive definite.
     """
-    dyn = arm_dynamics(arm, q, np.zeros(len(q))) if dyn is None else dyn
-    mass, jac = dyn.mass_matrix.tolist(), dyn.jacobian.tolist()
-    (mx, my), lam = _task_inertia(_cholesky(mass), jac)
+    dyn = arm_dynamics(arm, q, np.zeros(3)) if dyn is None else dyn
+    m, jac = dyn.mass_matrix.tolist(), dyn.jacobian.tolist()
+    low = _cholesky3((m[0][0], m[1][0], m[1][1], m[2][0], m[2][1], m[2][2]))
+    (mx, my), lam = _task_inertia(low, jac)
     jbar_t = [[l0 * u + l1 * v for u, v in zip(mx, my)] for l0, l1 in lam]
     nullspace = [[-(xi * b0 + yi * b1) for b0, b1 in zip(*jbar_t)] for xi, yi in zip(*jac)]
     for i, row in enumerate(nullspace):
@@ -421,9 +411,9 @@ def task_space_quantities(
 class ArmSample(NamedTuple):
     """One evaluation of the arm at a sampled state (q, qdot).
 
-    The loop's task state, the controller tick and the integrator's first
-    stage all read it, so a sample costs one kernel (one Cholesky factor of
-    B), one ``B^-1 J_phi^T`` solve and one singularity test.
+    The loop's task state, the tick and the first integrator stage all read
+    it, so a sample costs one kernel (one factor of B), one ``B^-1 J_phi^T``
+    solve, one singularity test and one velocity load.
     """
 
     q: list  # the sampled state
@@ -434,6 +424,8 @@ class ArmSample(NamedTuple):
     binv_jt: tuple  # the columns of B^-1 J_phi^T, floats
     lam: tuple  # task inertia Lam, floats
     ke: float  # task kinetic energy 0.5 xdot' Lam xdot
+    phidot_sq: tuple  # squared absolute angle rates
+    load: tuple  # velocity-product load in absolute angles
 
 
 def _arm_task_state(arm: PlanarArm, q, qdot) -> ArmSample:
@@ -448,14 +440,15 @@ def _arm_task_state(arm: PlanarArm, q, qdot) -> ArmSample:
             inversion of J M^-1 J^T.
     """
     kernel = _arm_kernel(arm, q)
-    _, _, low, jphi = kernel
+    c, s, low, jphi, _ = kernel
     cols, lam = _task_inertia(low, jphi)
-    jac = _jacobian_rows(jphi)
+    jx, jy = jac = _jacobian_rows(jphi)
     xdot = (np.array(jac) @ qdot).tolist()
     v0, v1 = xdot
     (l00, l01), (l10, l11) = lam
     ke = 0.5 * ((v0 * l00 + v1 * l10) * v0 + (v0 * l01 + v1 * l11) * v1)
-    return ArmSample(q, qdot, kernel, _tip(jac), xdot, cols, lam, ke)
+    sq, load = _velocity_load(arm, c, s, qdot)
+    return ArmSample(q, qdot, kernel, [jy[0], -jx[0]], xdot, cols, lam, ke, sq, load)
 
 
 @dataclass(frozen=True)
@@ -543,12 +536,11 @@ def external_wrench(profile: PerturbationProfile, t: float) -> list:
 
 class PointMassSample(NamedTuple):
     """The point mass at a sampled state, in the shape of ``ArmSample``'s
-    fields that the loop reads; it has no kernel terms to share."""
+    fields that the loop reads."""
 
     x: list
     xdot: list
     ke: float  # 0.5 xdot' M xdot
-    kernel: None = None
 
 
 def _point_mass_task_state(plant: PointMassPlant, x: list, xdot: list) -> PointMassSample:
@@ -562,10 +554,10 @@ def _point_mass_accel(
     xdot: list,
     wall: ContactWall | None,
     task_wrench: list | None,
-    kernel=None,
+    sample=None,
 ) -> list:
     """Task accelerations as floats; same signature as ``_arm_accel`` (the
-    point mass has no kernel, so ``kernel`` is ignored)."""
+    point mass has no terms to share, so ``sample`` is ignored)."""
     f = force if task_wrench is None else list(map(add, force, task_wrench))
     if wall is not None:
         f = list(map(add, f, contact_force(wall, x, xdot)))
@@ -579,37 +571,39 @@ def _arm_accel(
     qdot,
     wall: ContactWall | None,
     task_wrench,
-    kernel=None,
+    sample: ArmSample | None = None,
 ) -> list:
     """Joint accelerations ``M^-1 (tau - C qdot - G + J^T w)`` as floats,
-    solved in absolute angles with the factor of B; ``kernel`` is
-    ``_arm_kernel(arm, q)`` when the caller has it already.
+    solved in absolute angles with the factor of B. ``sample`` is
+    ``_arm_task_state(arm, q, qdot)`` when the caller has it already; its
+    kernel and velocity load serve the stage.
 
     A non-finite state gives a non-finite result, so the step reports it.
 
     Raises:
         numpy.linalg.LinAlgError: when the mass matrix is not positive definite.
     """
-    c, s, low, (jx, jy) = _arm_kernel(arm, q) if kernel is None else kernel
-    _, load = _velocity_load(arm, c, s, qdot)
+    if sample is None:
+        kernel = _arm_kernel(arm, q)
+        _, (ld0, ld1, ld2) = _velocity_load(arm, kernel[0], kernel[1], qdot)
+    else:
+        kernel = sample.kernel
+        ld0, ld1, ld2 = sample.load
+    _, _, low, jphi, (g0, g1, g2) = kernel
+    (jx0, jx1, jx2), (jy0, jy1, jy2) = jphi
     w0, w1 = (0.0, 0.0) if task_wrench is None else task_wrench
-    if wall is not None:
-        jac = _jacobian_rows((jx, jy))
-        f0, f1 = contact_force(wall, _tip(jac), [_dot(row, qdot) for row in jac])
+    if wall is not None:  # the tip and J qdot, from the rows of J = J_phi S
+        (x0, x1, x2), (y0, y1, y2) = _jacobian_rows(jphi)
+        qd0, qd1, qd2 = qdot
+        xdot = 0.0 + x0 * qd0 + x1 * qd1 + x2 * qd2, 0.0 + y0 * qd0 + y1 * qd1 + y2 * qd2
+        f0, f1 = contact_force(wall, (y0, -x0), xdot)
         w0, w1 = w0 + f0, w1 + f1
-    gravity = _gravity_phi(arm, c, s)
-    n = len(c)
-    rhs = [0.0] * n
-    t1 = 0.0  # tau[a + 1]
-    for a in range(n - 1, -1, -1):
-        t = tau[a]
-        rhs[a] = t - t1 + (jx[a] * w0 + jy[a] * w1) - (load[a] + gravity[a])
-        t1 = t
-    phidd = _cho_solve(low, rhs)
-    qdd = phidd[:]
-    for a in range(1, n):
-        qdd[a] -= phidd[a - 1]
-    return qdd
+    t0, t1, t2 = tau
+    r0 = t0 - t1 + (jx0 * w0 + jy0 * w1) - (ld0 + g0)
+    r1 = t1 - t2 + (jx1 * w0 + jy1 * w1) - (ld1 + g1)
+    r2 = t2 + (jx2 * w0 + jy2 * w1) - (ld2 + g2)
+    p0, p1, p2 = _cho_solve3(low, r0, r1, r2)
+    return [p0, p1 - p0, p2 - p1]
 
 
 def _advance(pos, vel, accel, dt: float, integrator: str, t: float, accel0=None):

@@ -543,7 +543,7 @@ def run_scenario(sc: Scenario) -> EpisodeRecord:
                     dt,
                     sc.integrator,
                     t,
-                    accel(plant, held_force, pos, vel, wall, w_pulse, sample.kernel),
+                    accel(plant, held_force, pos, vel, wall, w_pulse, sample),
                 )
             except IntegrationBlowupError as exc:
                 error = {

@@ -11,8 +11,8 @@ All of those build B and J_phi with the same helpers of
 catch an error in them. ``reference_terms`` is the independent
 reference: the absolute-angle closed forms written out with numpy matrices
 (``phi = S q``, ``C = cs^T cs``, ``B = A o C + I``, ``J_phi = l * dcs``,
-``M = S^T B S``, ``J = J_phi S``), checked on 2-, 3- and 4-link arms with
-random positive parameters, with ``np.linalg.inv`` and ``eigvalsh`` as the
+``M = S^T B S``, ``J = J_phi S``), checked on 3-link arms with random
+positive parameters, with ``np.linalg.inv`` and ``eigvalsh`` as the
 reference for the closed-form 2 x 2 task-space block.
 """
 
@@ -232,7 +232,7 @@ def test_accel_on_sample_kernel_matches_fresh_call(q, qdot, tau, w, with_wall):
     sample = sample_or_skip(q, qdot)
     wall = WALL if with_wall else None
     fresh = _arm_accel(ARM, tau, q, qdot, wall, w)
-    assert_close(_arm_accel(ARM, tau, q, qdot, wall, w, sample.kernel), fresh)
+    assert_close(_arm_accel(ARM, tau, q, qdot, wall, w, sample), fresh)
 
 
 @settings(max_examples=200, deadline=None)
@@ -291,11 +291,10 @@ def within(got, want_and_scale, rel=1e-12):
 
 @st.composite
 def arm_states(draw):
-    """A 2-, 3- or 4-link arm with random positive parameters, and a state."""
-    n = draw(st.sampled_from((2, 3, 4)))
+    """A 3-link arm with random positive parameters, and a state."""
 
     def positive(lo, hi):
-        return st.lists(st.floats(lo, hi), min_size=n, max_size=n).map(np.array)
+        return st.lists(st.floats(lo, hi), min_size=3, max_size=3).map(np.array)
 
     lengths = draw(positive(0.1, 2.0))
     arm = PlanarArm(
@@ -305,7 +304,7 @@ def arm_states(draw):
         inertias=draw(positive(1e-3, 1.0)),
         gravity=draw(vec(2, 20.0)),
     )
-    return arm, draw(vec(n, math.pi)), draw(vec(n, 5.0))
+    return arm, draw(vec(3, math.pi)), draw(vec(3, 5.0))
 
 
 @settings(max_examples=300, deadline=None)
@@ -314,10 +313,9 @@ def test_kernel_matches_reference_closed_forms(state):
     arm, q, qdot = state
     n = len(q)
     ref = reference_terms(arm, q)
-    _, _, low, jphi = _arm_kernel(arm, q)
+    _, _, low, jphi, _ = _arm_kernel(arm, q)
     factor = np.zeros((n, n))
-    for i, row in enumerate(low):
-        factor[i, : i + 1] = row
+    factor[np.tril_indices(n)] = low  # (l00, l10, l11, l20, l21, l22)
     assert within(factor @ factor.T, ref["link_inertia"])
     assert within(np.array(jphi), ref["link_jac"])
     dyn = arm_dynamics(arm, q, qdot)
@@ -337,7 +335,7 @@ def test_kernel_matches_reference_closed_forms(state):
 
 
 @settings(max_examples=300, deadline=None)
-@given(state=arm_states(), tau=vec(4, 50.0))
+@given(state=arm_states(), tau=vec(3, 50.0))
 def test_accel_matches_reference_solve(state, tau):
     arm, q, qdot = state
     n = len(q)
@@ -345,9 +343,9 @@ def test_accel_matches_reference_solve(state, tau):
     mass = ref["mass"][0]
     phidot = np.cumsum(qdot)
     load = ref["a_sin"][0] @ (phidot * phidot)
-    rhs = tau[:n] - np.tril(np.ones((n, n))).T @ load - ref["gravity"][0]
+    rhs = tau - np.tril(np.ones((n, n))).T @ load - ref["gravity"][0]
     want = np.linalg.solve(mass, rhs)
-    got = _arm_accel(arm, tau[:n], q, qdot, None, None)
+    got = _arm_accel(arm, tau, q, qdot, None, None)
     tol = 1e-13 * np.linalg.cond(mass) * max(1.0, float(np.max(np.abs(want))))
     assert np.allclose(got, want, rtol=0.0, atol=tol)
 
@@ -355,7 +353,7 @@ def test_accel_matches_reference_solve(state, tau):
 @settings(max_examples=300, deadline=None)
 @given(state=arm_states(), w=vec(2, 50.0), posture_gains=gains, data=st.data())
 def test_torque_map_matches_reference_composition(state, w, posture_gains, data):
-    # the tick's torque map on 2-, 3- and 4-link arms, against the joint-space
+    # the tick's torque map on random 3-link arms, against the joint-space
     # composition with J^T, M^-1 J^T, Lam and N formed from the reference
     arm, q, qdot = state
     try:

@@ -415,6 +415,17 @@ class TestPlantValidation:
         with pytest.raises(ValueError):
             PointMassPlant(inertia=(0.0,))
 
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_arm_requires_three_links(self, n):
+        with pytest.raises(ValueError, match="expected 3 entries"):
+            PlanarArm(
+                lengths=(1.0,) * n,
+                masses=(1.0,) * n,
+                com_offsets=(0.5,) * n,
+                inertias=(0.1,) * n,
+                gravity=(0.0, -9.81),
+            )
+
     def test_arm_requires_consistent_link_counts(self):
         with pytest.raises(ValueError):
             PlanarArm(

@@ -13,16 +13,19 @@ from fractal_impedance import (
     Pulse,
     Scenario,
     StiffnessParams,
+    arm_dynamics,
     calibrate_sweep,
     compute_metrics,
+    contact_force,
     detect_oscillation,
     energy_in,
     energy_released,
+    forward_kinematics,
     random_pulse_profile,
     run_scenario,
     zoh_sample,
 )
-from fractal_impedance import dynamics
+from fractal_impedance import dynamics, sim_harness
 from fractal_impedance.sim_harness import _make_reference, _pulse_recoveries, _schedule_x_b
 
 
@@ -444,13 +447,40 @@ class TestEpisodes:
 
     @pytest.mark.parametrize("integrator", ["rk4", "semi_implicit"])
     def test_one_mass_factor_per_kernel(self, monkeypatch, integrator):
-        # the sample's Cholesky factor of M serves its task inertia and the
-        # first stage, so M is factored once per kernel
+        # the sample's Cholesky factor of B serves its task inertia and the
+        # first stage, so B is factored once per kernel; its velocity load
+        # serves the tick and the first stage, so it too is computed once
         kernels = count_calls(monkeypatch, "_arm_kernel")
-        factors = count_calls(monkeypatch, "_cholesky")
+        factors = count_calls(monkeypatch, "_cholesky3")
+        loads = count_calls(monkeypatch, "_velocity_load")
         rec = run_scenario(kernel_episode(integrator))
         assert rec.error is None
-        assert len(factors) == len(kernels)
+        assert len(factors) == len(loads) == len(kernels)
+
+    @pytest.mark.parametrize("integrator", ["rk4", "semi_implicit"])
+    def test_arm_wall_episode_matches_numpy_joint_space_solve(self, monkeypatch, integrator):
+        # a pulse drives the arm into a wall; every stage of the float solve in
+        # absolute angles, wall force included, against numpy on M and J
+        sc = Scenario(
+            plant="arm",
+            duration=1.5,
+            dt=1e-3,
+            feedback_hz=500.0,
+            integrator=integrator,
+            reference={"type": "static", "pose": (1.6, 1.9)},
+            k_const=100.0,
+            damping=5.0,
+            wall={"axis": 0, "offset": 1.2, "stiffness": 3000.0, "damping": 5.0},
+            pulses=({"start": 0.3, "duration": 0.1, "wrench": (8.0, -5.0)},),
+        )
+        rec = run_scenario(sc)
+        monkeypatch.setattr(sim_harness, "_arm_accel", numpy_arm_accel)
+        ref = run_scenario(sc)
+        assert rec.error is None and ref.error is None
+        assert np.count_nonzero(rec.contact_f[:, 0]) > 1000
+        assert np.array_equal(rec.phase_s, ref.phase_s)
+        for name in ("x", "xdot", "wrench", "contact_f", "v", "e_in_cum"):
+            assert np.allclose(getattr(rec, name), getattr(ref, name), rtol=0.0, atol=1e-9)
 
     def test_schedule_shrinks_boundary_stepwise(self):
         sc = scenario(
@@ -475,6 +505,16 @@ def count_calls(monkeypatch, name):
 
     monkeypatch.setattr(dynamics, name, counted)
     return calls
+
+
+def numpy_arm_accel(arm, tau, q, qdot, wall, task_wrench, sample=None):
+    """The arm stage as numpy's solve of the joint-space closed forms."""
+    dyn = arm_dynamics(arm, q, qdot)
+    w = np.zeros(2) if task_wrench is None else np.array(task_wrench, dtype=float)
+    if wall is not None:
+        w = w + contact_force(wall, forward_kinematics(arm, q), dyn.jacobian @ np.asarray(qdot))
+    rhs = np.asarray(tau) - dyn.bias - dyn.gravity + dyn.jacobian.T @ w
+    return np.linalg.solve(dyn.mass_matrix, rhs).tolist()
 
 
 def kernel_episode(integrator):
