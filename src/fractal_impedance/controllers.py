@@ -14,10 +14,9 @@ own types. An arm tick reads its state and every arm term from one
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
-
-import numpy as np
 
 from .dynamics import ArmSample, PlanarArm, _arm_drift
 from .dynamics import arm_dynamics, forward_kinematics, task_space_quantities  # noqa: F401 (bench hook)
@@ -42,14 +41,19 @@ __all__ = [
 ]
 
 
-def _per_dof(value, d: int, name: str) -> tuple:
-    """A scalar (broadcast) or one value per DoF, as a tuple of d floats."""
+def _per_dof(value, d: int | None, name: str) -> tuple:
+    """A scalar (broadcast) or one value per DoF, as a tuple of d floats;
+    with ``d=None`` a scalar is one DoF and a sequence gives any number."""
     try:
-        vals = tuple(map(float, value))
+        vals = tuple(value)
     except TypeError:  # a scalar
-        return (float(value),) * d
-    if len(vals) != d:
-        raise ValueError(f"{name}: expected scalar or {d} entries")
+        vals = (value,) * (1 if d is None else d)
+    try:
+        vals = tuple(map(float, vals))
+    except TypeError:  # a nested entry
+        vals = None
+    if vals is None or (d is not None and len(vals) != d):
+        raise ValueError(f"{name}: expected scalar or {'per-DoF' if d is None else d} entries")
     return vals
 
 
@@ -58,8 +62,8 @@ def _set_posture(config) -> None:
     if config.posture_target is not None:
         object.__setattr__(config, "posture_target", tuple(map(float, config.posture_target)))
     kp, kd = config.posture_gains
-    if kp < 0.0 or kd < 0.0:
-        raise ValueError("posture gains must be non-negative")
+    if not (0.0 <= kp < math.inf and 0.0 <= kd < math.inf):  # NaN fails too
+        raise ValueError("posture gains must be finite and non-negative")
     object.__setattr__(config, "posture_gains", (float(kp), float(kd)))
 
 
@@ -75,8 +79,8 @@ class FicConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "stiffness", tuple(self.stiffness))
         damping = _per_dof(self.damping, len(self.stiffness), "damping")
-        if any(v < 0.0 for v in damping):
-            raise ValueError("damping must be non-negative")
+        if not all(0.0 <= v < math.inf for v in damping):
+            raise ValueError("damping must be finite and non-negative")
         object.__setattr__(self, "damping", damping)
         _set_posture(self)
 
@@ -95,10 +99,10 @@ class BaselineConfig:
     posture_gains: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self) -> None:
-        k_d = tuple(np.atleast_1d(np.asarray(self.k_d, dtype=float)).tolist())
+        k_d = _per_dof(self.k_d, None, "k_d")
         d_d = _per_dof(self.d_d, len(k_d), "d_d")
-        if any(v <= 0.0 for v in k_d) or any(v < 0.0 for v in d_d):
-            raise ValueError("baseline needs k_d > 0 and d_d >= 0")
+        if not (all(0.0 < v < math.inf for v in k_d) and all(0.0 <= v < math.inf for v in d_d)):
+            raise ValueError("baseline needs finite k_d > 0 and d_d >= 0")
         object.__setattr__(self, "k_d", k_d)
         object.__setattr__(self, "d_d", d_d)
         _set_posture(self)

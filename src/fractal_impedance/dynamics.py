@@ -25,7 +25,9 @@ that ``J qdot`` is computed with, and its factor of B and velocity load serve
 its task inertia, the tick and the first stage. Neither J^T-bar nor N is
 formed in the loop: the torque map folds N into its task term, and only
 ``task_space_quantities`` builds them. ``_advance`` is the one stepping path,
-and ``Scenario`` checks the integrator name against ``INTEGRATORS``.
+and ``Scenario`` checks the integrator name against ``INTEGRATORS``; with
+``accel=None`` every stage takes the given first-stage acceleration, for a
+plant whose acceleration does not depend on its state.
 
 Environment effects (unilateral wall, force pulses) are plain functions so the
 integrators can evaluate them at stage states.
@@ -610,7 +612,8 @@ def _advance(pos, vel, accel, dt: float, integrator: str, t: float, accel0=None)
     """One fixed integration step of pos'' = accel(pos, vel) over lists of
     floats; the one integrator of both plants.
 
-    ``accel0`` is ``accel(pos, vel)`` when the caller has it already. Each
+    ``accel0`` is ``accel(pos, vel)`` when the caller has it already;
+    ``accel=None`` means every stage's acceleration is ``accel0``. Each
     component is combined in the order numpy's array expressions
     ``vel + 0.5 * dt * acc`` and ``pos + dt / 6 * (k1 + 2 k2 + 2 k3 + k4)``
     use, so the step gives their bits. Explicit loops, not comprehensions:
@@ -621,7 +624,9 @@ def _advance(pos, vel, accel, dt: float, integrator: str, t: float, accel0=None)
         IntegrationBlowupError: when a component of the new state is not
             finite; it carries the time ``t + dt``.
     """
-    if accel0 is None:
+    if accel is None:
+        accel = lambda p, v: accel0  # noqa: E731
+    elif accel0 is None:
         accel0 = accel(pos, vel)
     new_pos, new_vel = [], []
     if integrator == "semi_implicit":

@@ -7,8 +7,13 @@ zero-order hold at ``feedback_hz``: the measurement taken at a tick is
 consumed once and the commanded force is held until the next tick.
 
 Each sample evaluates the plant once (``dynamics._arm_task_state`` or
-``_point_mass_task_state``), then one ``dynamics._advance`` step follows. A
-tick is one block for both plants: the task law reads the errors from the
+``_point_mass_task_state``), then one ``dynamics._advance`` step follows.
+The arm, and a point mass against a wall, evaluate the acceleration at each
+stage. A wall-free point mass accelerates by (held force + pulse) / m in any
+state, so the loop recomputes it only at a tick or at a pulse edge (the steps
+of one set of active pulses share one pulse row) and steps with
+``accel=None``.
+A tick is one block for both plants: the task law reads the errors from the
 sample, and for the arm ``controllers._arm_torques`` maps the wrench at that
 same sample. The plant object holds parameters only. The loop keeps the
 plant state (from the scenario's q0/qdot0 or x0/xdot0), the reference, the
@@ -450,7 +455,10 @@ def run_scenario(sc: Scenario) -> EpisodeRecord:
         x_start = pos
     ref_fn = _make_reference(sc, x_start)
     pulse_rows = _pulse_table(profile, n_steps, dt)
-    w_pulse = None
+    w_pulse = accel0_pulse = None
+    # (held force + pulse row) / m: set at a tick or a pulse edge, not per stage
+    state_free = not is_arm and wall is None
+    stage = None if state_free else lambda xx, vv: accel(plant, held_force, xx, vv, wall, w_pulse)
 
     states = new_attractor_states(d)
     x_b0 = tuple(p.x_b for p in fic.stiffness) if use_fic else None
@@ -535,16 +543,11 @@ def run_scenario(sc: Scenario) -> EpisodeRecord:
         if k < n_steps:
             if pulse_rows is not None:
                 w_pulse = pulse_rows[k]
+            if not state_free or ticks[k] or w_pulse is not accel0_pulse:
+                accel0 = accel(plant, held_force, pos, vel, wall, w_pulse, sample)
+                accel0_pulse = w_pulse
             try:
-                pos, vel = _advance(
-                    pos,
-                    vel,
-                    lambda xx, vv: accel(plant, held_force, xx, vv, wall, w_pulse),
-                    dt,
-                    sc.integrator,
-                    t,
-                    accel(plant, held_force, pos, vel, wall, w_pulse, sample),
-                )
+                pos, vel = _advance(pos, vel, stage, dt, sc.integrator, t, accel0)
             except IntegrationBlowupError as exc:
                 error = {
                     "type": "integration_blowup",
@@ -633,12 +636,12 @@ def _pulse_recoveries(t: np.ndarray, x_err: np.ndarray, profile: PerturbationPro
         conv.append(float(t[after_idx[hit[0]]] - p.end) if hit.size else math.nan)
         rec_t = math.nan
         if below.size >= dwell:
+            # samples below the threshold in each window of ``dwell`` samples
             run = np.cumsum(below.astype(np.int64))
-            for j in range(below.size - dwell + 1):
-                total = run[j + dwell - 1] - (run[j - 1] if j > 0 else 0)
-                if total == dwell:
-                    rec_t = float(t[after_idx[j]] - p.end)
-                    break
+            window = run[dwell - 1 :] - np.concatenate(([0], run[:-dwell]))
+            full = np.flatnonzero(window == dwell)
+            if full.size:
+                rec_t = float(t[after_idx[full[0]]] - p.end)
         recov.append(rec_t)
     return tuple(recov), tuple(conv)
 

@@ -25,6 +25,7 @@ from fractal_impedance import (
 from fractal_impedance.dynamics import _arm_task_state
 
 RNG = np.random.default_rng(11)
+NAN, INF = float("nan"), float("inf")
 
 
 def fic_config(n=1, k_const=0.0, w_max=30.0, x_b=0.1, damping=0.0, **kw):
@@ -50,8 +51,37 @@ class TestConfigs:
         with pytest.raises(ValueError):
             BaselineConfig(k_d=(0.0,), d_d=1.0)
 
+    @pytest.mark.parametrize(
+        "config, kwargs",
+        [
+            pytest.param(fic_config, {"damping": NAN}, id="fic-damping-nan"),
+            pytest.param(fic_config, {"damping": INF}, id="fic-damping-inf"),
+            pytest.param(fic_config, {"n": 2, "damping": (1.0, NAN)}, id="fic-damping-dof-nan"),
+            pytest.param(fic_config, {"damping": ((1.0,),)}, id="fic-damping-nested"),
+            pytest.param(fic_config, {"posture_gains": (NAN, 0.0)}, id="fic-posture-nan"),
+            pytest.param(fic_config, {"posture_gains": (0.0, INF)}, id="fic-posture-inf"),
+            pytest.param(BaselineConfig, {"k_d": NAN, "d_d": 1.0}, id="base-k_d-nan"),
+            pytest.param(BaselineConfig, {"k_d": (100.0, INF), "d_d": 1.0}, id="base-k_d-inf"),
+            pytest.param(
+                BaselineConfig, {"k_d": ((100.0, 50.0),), "d_d": 1.0}, id="base-k_d-nested"
+            ),
+            pytest.param(BaselineConfig, {"k_d": 100.0, "d_d": NAN}, id="base-d_d-nan"),
+            pytest.param(BaselineConfig, {"k_d": 100.0, "d_d": INF}, id="base-d_d-inf"),
+            pytest.param(
+                BaselineConfig,
+                {"k_d": 100.0, "d_d": 1.0, "posture_gains": (NAN, 0.0)},
+                id="base-posture-nan",
+            ),
+        ],
+    )
+    def test_non_finite_or_nested_gains_rejected(self, config, kwargs):
+        # a ValueError, not a config that carries NaN or inf, nor a bare TypeError
+        with pytest.raises(ValueError):
+            config(**kwargs)
+
     def test_n_task(self):
         assert fic_config(n=2).n_task == 2
+        assert BaselineConfig(k_d=100.0, d_d=2.5).n_task == 1
         assert BaselineConfig(k_d=(100.0, 50.0), d_d=2.5).n_task == 2
 
 

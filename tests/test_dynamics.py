@@ -340,6 +340,22 @@ def test_float_advance_matches_numpy_reference(
         assert got == ("blowup", t + dt)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(1, 3),
+    dt=st.floats(1e-6, 0.1),
+    integrator=st.sampled_from(INTEGRATORS),
+)
+def test_state_free_advance_is_constant_field_bit_for_bit(data, n, dt, integrator):
+    # accel=None reuses accel0 at every stage, as a closure returning it would
+    vec = st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)
+    pos, vel, a0 = (data.draw(vec) for _ in range(3))
+    want = _advance(pos, vel, lambda p, v: a0, dt, integrator, 0.0, a0)
+    got = _advance(pos, vel, None, dt, integrator, 0.0, a0)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
 class TestContactWall:
     def test_penetration_force(self):
         wall = ContactWall(axis=0, offset=0.5, stiffness=1e4)

@@ -26,7 +26,13 @@ from fractal_impedance import (
     zoh_sample,
 )
 from fractal_impedance import dynamics, sim_harness
-from fractal_impedance.sim_harness import _make_reference, _pulse_recoveries, _schedule_x_b
+from fractal_impedance.sim_harness import (
+    RECOVERY_DWELL,
+    RECOVERY_FRACTION,
+    _make_reference,
+    _pulse_recoveries,
+    _schedule_x_b,
+)
 
 
 LEDGER_DEFECT = (
@@ -437,6 +443,28 @@ class TestEpisodes:
         assert rec.error["time"] == 0.0
         assert rec.n_samples == 0
 
+    @pytest.mark.parametrize("with_wall", [False, True])
+    def test_point_mass_accel_per_held_force_or_stage(self, monkeypatch, with_wall):
+        # without a wall the acceleration is (held force + pulse) / m, so the
+        # loop evaluates it only at a tick or a pulse edge (none falls on a
+        # tick here); against a wall, at every RK4 stage
+        calls = count_calls(monkeypatch, "_point_mass_accel", module=sim_harness)
+        sc = scenario(
+            duration=2.0,
+            feedback_hz=100.0,
+            damping=0.5,
+            wall={"axis": 0, "offset": 0.05, "stiffness": 3000.0} if with_wall else None,
+            pulses=(
+                {"start": 0.505, "duration": 0.103, "wrench": (10.0,)},
+                {"start": 1.2025, "duration": 0.15, "wrench": (-6.0,)},
+            ),
+        )
+        rec = run_scenario(sc)
+        assert rec.error is None and rec.n_samples == 2001
+        ticks = int(np.count_nonzero(sim_harness._tick_starts(2000, sc.feedback_hz, sc.dt)))
+        assert ticks == 200
+        assert len(calls) == (4 * 2000 if with_wall else ticks + 4)
+
     @pytest.mark.parametrize("integrator, per_step", [("rk4", 4), ("semi_implicit", 1)])
     def test_one_arm_kernel_per_sample_and_stage(self, monkeypatch, integrator, per_step):
         # the sample's kernel serves the task state, the tick and the first stage
@@ -494,16 +522,17 @@ class TestEpisodes:
         assert _schedule_x_b(sc, 50.0, (0.2,)) == (0.05,)
 
 
-def count_calls(monkeypatch, name):
-    """Count the calls of ``dynamics.<name>``; returns the growing list."""
+def count_calls(monkeypatch, name, module=dynamics):
+    """Count the calls of ``<module>.<name>``, as that module binds it;
+    returns the growing list."""
     calls = []
-    fn = getattr(dynamics, name)
+    fn = getattr(module, name)
 
     def counted(*args):
         calls.append(1)
         return fn(*args)
 
-    monkeypatch.setattr(dynamics, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -582,6 +611,41 @@ class TestRecoveryTiming:
         profile = PerturbationProfile(1, (Pulse(0.5, 0.5, (1.0,)),))
         recov, conv = _pulse_recoveries(t, np.zeros((t.size, 1)), profile, dt)
         assert recov[0] == 0.0 and conv[0] == 0.0
+
+
+    @pytest.mark.parametrize("shape", ["recovered", "unrecovered", "dwell_at_end", "noisy"])
+    def test_dwell_search_matches_loop(self, shape):
+        # the windowed-sum search against a plain loop over every window start
+        dt = 1e-3
+        t = np.arange(0.0, 3.0, dt)
+        pulse = Pulse(0.5, 0.2, (1.0,))
+        rng = np.random.default_rng(5)
+        err = np.where(t < pulse.end, 1.0, np.exp(-3.0 * (t - pulse.end)))
+        if shape == "recovered":  # dips below, comes back above once, then settles
+            err[(t >= 1.6) & (t < 1.65)] = 0.2
+        elif shape == "unrecovered":  # back above the threshold every 0.15 s
+            err[(t >= pulse.end) & (np.round(t / dt) % 150 == 0)] = 0.2
+        elif shape == "dwell_at_end":  # the last 0.2 s are the only dwell
+            err[t < t[-1] - 0.2 + dt / 2] = np.maximum(err[t < t[-1] - 0.2 + dt / 2], 0.2)
+        else:
+            err = err + np.abs(rng.normal(0.0, 0.012, t.size))  # flickers at the threshold
+        recov, _ = _pulse_recoveries(t, err[:, None], PerturbationProfile(1, (pulse,)), dt)
+
+        after = np.flatnonzero(t >= pulse.end)
+        below = err[after] < RECOVERY_FRACTION * np.max(err[t >= pulse.start])
+        dwell = round(RECOVERY_DWELL / dt)
+        want = math.nan
+        for j in range(below.size - dwell + 1):
+            if below[j : j + dwell].all():
+                want = float(t[after[j]] - pulse.end)
+                break
+        assert recov[0] == want or math.isnan(recov[0]) and math.isnan(want)
+        if shape == "unrecovered":
+            assert math.isnan(want)
+        elif shape == "dwell_at_end":
+            assert want == pytest.approx(t[-1] - 0.2 + dt - pulse.end)
+        else:
+            assert not math.isnan(want)
 
 
 class TestMetrics:
