@@ -57,13 +57,17 @@ def _per_dof(value, d: int | None, name: str) -> tuple:
     return vals
 
 
+def _check_posture_gains(kp, kd) -> None:
+    if not (0.0 <= kp < math.inf and 0.0 <= kd < math.inf):  # NaN fails too
+        raise ValueError("posture gains must be finite and non-negative")
+
+
 def _set_posture(config) -> None:
     """The posture target and gains as float tuples; the gains checked."""
     if config.posture_target is not None:
         object.__setattr__(config, "posture_target", tuple(map(float, config.posture_target)))
     kp, kd = config.posture_gains
-    if not (0.0 <= kp < math.inf and 0.0 <= kd < math.inf):  # NaN fails too
-        raise ValueError("posture gains must be finite and non-negative")
+    _check_posture_gains(kp, kd)
     object.__setattr__(config, "posture_gains", (float(kp), float(kd)))
 
 
@@ -159,8 +163,7 @@ def null_space_torque(q, qdot, posture_target, gains: tuple[float, float]) -> li
     if posture_target is None:
         return [0.0] * len(q)
     kp, kd = gains
-    if kp < 0.0 or kd < 0.0:
-        raise ValueError("posture gains must be non-negative")
+    _check_posture_gains(kp, kd)
     return [kp * (p - a) - kd * v for p, a, v in zip(posture_target, q, qdot, strict=True)]
 
 

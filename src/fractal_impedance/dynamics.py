@@ -613,7 +613,8 @@ def _advance(pos, vel, accel, dt: float, integrator: str, t: float, accel0=None)
     floats; the one integrator of both plants.
 
     ``accel0`` is ``accel(pos, vel)`` when the caller has it already;
-    ``accel=None`` means every stage's acceleration is ``accel0``. Each
+    ``accel=None`` means every stage's acceleration is ``accel0``, read
+    directly at each stage with no closure or call. Each
     component is combined in the order numpy's array expressions
     ``vel + 0.5 * dt * acc`` and ``pos + dt / 6 * (k1 + 2 k2 + 2 k3 + k4)``
     use, so the step gives their bits. Explicit loops, not comprehensions:
@@ -624,9 +625,7 @@ def _advance(pos, vel, accel, dt: float, integrator: str, t: float, accel0=None)
         IntegrationBlowupError: when a component of the new state is not
             finite; it carries the time ``t + dt``.
     """
-    if accel is None:
-        accel = lambda p, v: accel0  # noqa: E731
-    elif accel0 is None:
+    if accel0 is None:
         accel0 = accel(pos, vel)
     new_pos, new_vel = [], []
     if integrator == "semi_implicit":
@@ -640,17 +639,17 @@ def _advance(pos, vel, accel, dt: float, integrator: str, t: float, accel0=None)
         for p, v, a in zip(pos, vel, accel0):
             p2.append(p + h * v)
             v2.append(v + h * a)
-        a2 = accel(p2, v2)
+        a2 = accel0 if accel is None else accel(p2, v2)
         p3, v3 = [], []
         for p, v, kv, ka in zip(pos, vel, v2, a2):
             p3.append(p + h * kv)
             v3.append(v + h * ka)
-        a3 = accel(p3, v3)
+        a3 = accel0 if accel is None else accel(p3, v3)
         p4, v4 = [], []
         for p, v, kv, ka in zip(pos, vel, v3, a3):
             p4.append(p + dt * kv)
             v4.append(v + dt * ka)
-        a4 = accel(p4, v4)
+        a4 = accel0 if accel is None else accel(p4, v4)
         h = dt / 6.0
         for p, v, b2, b3, b4, a1, c2, c3, c4 in zip(pos, vel, v2, v3, v4, accel0, a2, a3, a4):
             new_pos.append(p + h * (v + 2.0 * b2 + 2.0 * b3 + b4))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fic_core import AttractorState, Phase, StiffnessParams, spring_energy
+from .fic_core import _CONV, _DIV, AttractorState, StiffnessParams, spring_energy
 
 __all__ = [
     "EnergyLedger",
@@ -137,9 +137,9 @@ def _phase_form(params: StiffnessParams, state: AttractorState, x_err: float) ->
     # Phase potential. Divergence stores spring potential; Convergence is the
     # midpoint spring plus e_in/2, which meets the Divergence branch exactly
     # at x_tilde_max.
-    if state.phase is Phase.DIVERGENCE:
+    if state.phase is _DIV:
         return spring_energy(params, x_err)
-    dx = x_err - state.x_tilde_mid
+    dx = x_err - 0.5 * state.x_tilde_max  # the bits of ``x_tilde_mid``
     return 0.5 * state.k_prime_total * dx * dx + 0.5 * state.e_in
 
 
@@ -167,9 +167,7 @@ class LyapunovTracker:
         if self._prev is not None and state.phase is not self._prev.phase:
             before = _phase_form(self.params, self._prev, x_err) + self.offset
             self.offset = before - _phase_form(self.params, state, x_err)
-            kind = (
-                "div_to_conv" if state.phase is Phase.CONVERGENCE else "conv_to_div"
-            )
+            kind = "div_to_conv" if state.phase is _CONV else "conv_to_div"
             event = SwitchEvent(
                 t=t,
                 dof=dof,

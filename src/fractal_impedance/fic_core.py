@@ -13,6 +13,11 @@ Conventions
 applied to the plant, so a positive error yields a positive restoring wrench.
 Everything is per-DoF and unit-agnostic: N and m for linear DoFs, N*m and rad
 for angular ones.
+
+Code that runs per sample compares phases by identity against the module-level
+members ``_CONV`` and ``_DIV``: on Python 3.11 ``enum.EnumType`` defines
+``__getattr__``, which makes each ``Phase.DIVERGENCE`` lookup cost about ten
+module global reads.
 """
 
 from __future__ import annotations
@@ -48,6 +53,9 @@ class Phase(enum.Enum):
 
     CONVERGENCE = 0
     DIVERGENCE = 1
+
+
+_CONV, _DIV = Phase.CONVERGENCE, Phase.DIVERGENCE
 
 
 def beta_squared(k_const: float, w_max: float, x_b: float) -> float:
@@ -161,10 +169,10 @@ def classify_phase(x_err: float, x_err_rate: float, rate_tol: float = 0.0) -> Ph
     sampled loops pass a small positive tolerance instead.
     """
     if abs(x_err_rate) <= rate_tol:
-        return Phase.DIVERGENCE
+        return _DIV
     if math.copysign(1.0, x_err) == math.copysign(1.0, x_err_rate) and x_err != 0.0:
-        return Phase.DIVERGENCE
-    return Phase.CONVERGENCE
+        return _DIV
+    return _CONV
 
 
 @dataclass(frozen=True)
@@ -206,19 +214,24 @@ def update_attractor(
     discards the snapshot. Returns a new state; inputs are not mutated.
     """
     new_phase = classify_phase(x_err, x_err_rate, rate_tol)
-    if state.phase is Phase.DIVERGENCE and new_phase is Phase.CONVERGENCE:
+    if state.phase is _DIV and new_phase is _CONV:
         if abs(x_err) < displacement_tol:
             return state
         e_in = spring_energy(p, x_err)
         return AttractorState(
-            phase=Phase.CONVERGENCE,
+            phase=_CONV,
             x_tilde_max=x_err,
             e_in=e_in,
             k_prime_total=4.0 * e_in / (x_err * x_err),
         )
-    if state.phase is Phase.CONVERGENCE and new_phase is Phase.DIVERGENCE:
-        return AttractorState(phase=Phase.DIVERGENCE)
+    if state.phase is _CONV and new_phase is _DIV:
+        return AttractorState(phase=_DIV)
     return state
+
+
+def _midpoint_force(state: AttractorState, x_err: float) -> float:
+    """The midpoint law k' (x_err - x_tilde_max / 2), unchecked."""
+    return state.k_prime_total * (x_err - 0.5 * state.x_tilde_max)
 
 
 def convergence_force(state: AttractorState, x_err: float) -> float:
@@ -234,7 +247,7 @@ def convergence_force(state: AttractorState, x_err: float) -> float:
             outside [0, x_tilde_max] (same sign); the caller must have
             re-classified the phase before asking for a convergence wrench.
     """
-    if state.phase is not Phase.CONVERGENCE:
+    if state.phase is not _CONV:
         raise ValueError("convergence_force requires a Convergence-phase state")
     xm = state.x_tilde_max
     # Domain check with a small relative slack for switch-sample roundoff.
@@ -244,7 +257,7 @@ def convergence_force(state: AttractorState, x_err: float) -> float:
         raise ValueError(
             f"convergence error {x_err} outside recorded excursion [0, {xm}]"
         )
-    return state.k_prime_total * (x_err - state.x_tilde_mid)
+    return _midpoint_force(state, x_err)
 
 
 def fic_wrench(state: AttractorState, p: StiffnessParams, x_err: float) -> float:
@@ -258,10 +271,11 @@ def fic_wrench(state: AttractorState, p: StiffnessParams, x_err: float) -> float
     at ``w_max``, so the spring-path command never exceeds the allowed wrench
     in either phase. The midpoint-spring law is antisymmetric about
     ``x_tilde_mid``, so capping preserves the equal-accelerate/decelerate
-    split and the zero net work of a full convergence stroke.
+    split and the zero net work of a full convergence stroke. The clamped
+    point lies in the domain, so the law is not checked again.
     """
-    if state.phase is Phase.DIVERGENCE:
+    if state.phase is _DIV:
         return spring_force(p, float(x_err))
     xm = state.x_tilde_max
     x_eval = min(max(float(x_err), min(0.0, xm)), max(0.0, xm))
-    return min(max(convergence_force(state, x_eval), -p.w_max), p.w_max)
+    return min(max(_midpoint_force(state, x_eval), -p.w_max), p.w_max)

@@ -74,7 +74,7 @@ from .dynamics import (
     forward_kinematics,
 )
 from .energy_audit import EnergyLedger, LyapunovTracker, fic_work
-from .fic_core import Phase, StiffnessParams, spring_energy  # noqa: F401 (bench hook)
+from .fic_core import _CONV, _DIV, StiffnessParams, spring_energy  # noqa: F401 (bench hook)
 
 __all__ = [
     "Scenario",
@@ -463,7 +463,7 @@ def run_scenario(sc: Scenario) -> EpisodeRecord:
     states = new_attractor_states(d)
     x_b0 = tuple(p.x_b for p in fic.stiffness) if use_fic else None
     trackers = [LyapunovTracker(params=p) for p in fic.stiffness] if use_fic else None
-    phase_row = [Phase.DIVERGENCE.value] * d  # the attractor phases, changed at ticks
+    phase_row = [_DIV.value] * d  # the attractor phases' s flags, changed at ticks
     ticks = _tick_starts(n, sc.feedback_hz, dt).tolist()
 
     # Record columns, d values per sample for the vector series.
@@ -492,7 +492,7 @@ def run_scenario(sc: Scenario) -> EpisodeRecord:
 
         if k > 0 and use_fic:
             for i in range(d):
-                if states[i].phase is Phase.DIVERGENCE:  # as recorded at sample k - 1
+                if states[i].phase is _DIV:  # as recorded at sample k - 1
                     e_in += fic_work(fic.stiffness[i], prev_xe[i], x_err[i])
         if wall is not None:
             cf = contact_force(wall, x_now, v_now)
@@ -512,7 +512,7 @@ def run_scenario(sc: Scenario) -> EpisodeRecord:
             if use_fic:
                 rate = [r - v for r, v in zip(xd_rate, v_now)]
                 held_wrench, states, _ = fic_task_wrench(fic, states, x_err, rate, damping_rate)
-                phase_row = [s.phase.value for s in states]
+                phase_row = [1 if s.phase is _DIV else 0 for s in states]  # Phase.value
             else:
                 held_wrench = baseline_impedance_wrench(base, x_err, damping_rate)
             held_force = held_wrench
@@ -563,7 +563,7 @@ def run_scenario(sc: Scenario) -> EpisodeRecord:
     ke = np.frombuffer(ke_c)
     phase_s = np.frombuffer(ph_c, dtype=np.int64).reshape(n_rec, d)
     # E_rel: running maximum of the task KE over samples where any DoF converges.
-    converging = np.any(phase_s == Phase.CONVERGENCE.value, axis=1)
+    converging = np.any(phase_s == _CONV.value, axis=1)
     e_rel_cum = np.maximum.accumulate(np.where(converging, ke, 0.0))
     forced = np.zeros(n_rec, dtype=bool)
     for p in profile.pulses:

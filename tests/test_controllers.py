@@ -179,6 +179,13 @@ class TestNullSpaceTorque:
         tau = null_space_torque(np.ones(3), np.zeros(3), None, (4.0, 0.0))
         assert np.allclose(tau, 0.0)
 
+    @pytest.mark.parametrize("bad", [NAN, INF, -1.0])
+    @pytest.mark.parametrize("which", ["kp", "kd"])
+    def test_rejects_non_finite_or_negative_gains(self, which, bad):
+        gains = (bad, 0.0) if which == "kp" else (0.0, bad)
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            null_space_torque(np.ones(3), np.zeros(3), np.zeros(3), gains)
+
 
 ARM = PlanarArm.default()
 

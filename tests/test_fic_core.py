@@ -1,6 +1,7 @@
 """Unit contracts for the saturating spring and the phase-switching attractor."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -323,3 +324,22 @@ def test_beta_squared_is_finite_positive_or_rejected(k_const, w_max, x_b):
     except ValueError:
         return
     assert 0.0 < beta_sq < math.inf
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    p=feasible_params(),
+    x_max=st.floats(1e-6, 10.0) | st.floats(-10.0, -1e-6),
+    frac=st.floats(-2.0, 3.0) | st.sampled_from([0.0, 0.5, 1.0, -0.0]),
+)
+def test_fic_wrench_is_the_capped_strict_law_at_the_clamped_point(p, x_max, frac):
+    # one convergence law: the sampled-loop command is the strict law at the
+    # point clamped to the excursion, capped at w_max, bit for bit
+    assert classify_phase(x_max, -x_max) is Phase.CONVERGENCE
+    state = update_attractor(AttractorState(), p, x_max, -x_max)
+    assert state.phase is Phase.CONVERGENCE
+    assert update_attractor(state, p, x_max, x_max).phase is Phase.DIVERGENCE
+    x = frac * x_max
+    clamped = min(max(x, min(0.0, x_max)), max(0.0, x_max))
+    want = min(max(convergence_force(state, clamped), -p.w_max), p.w_max)
+    assert struct.pack("<d", fic_wrench(state, p, x)) == struct.pack("<d", want)

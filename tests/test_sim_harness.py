@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import types
 from dataclasses import replace
 
 import numpy as np
@@ -25,7 +26,7 @@ from fractal_impedance import (
     run_scenario,
     zoh_sample,
 )
-from fractal_impedance import dynamics, sim_harness
+from fractal_impedance import dynamics, energy_audit, fic_core, sim_harness
 from fractal_impedance.sim_harness import (
     RECOVERY_DWELL,
     RECOVERY_FRACTION,
@@ -33,6 +34,7 @@ from fractal_impedance.sim_harness import (
     _pulse_recoveries,
     _schedule_x_b,
 )
+from test_dynamics import _advance_reference
 
 
 LEDGER_DEFECT = (
@@ -510,6 +512,46 @@ class TestEpisodes:
         for name in ("x", "xdot", "wrench", "contact_f", "v", "e_in_cum"):
             assert np.allclose(getattr(rec, name), getattr(ref, name), rtol=0.0, atol=1e-9)
 
+    @pytest.mark.parametrize("integrator", ["rk4", "semi_implicit"])
+    def test_point_mass_wall_episode_matches_numpy_stage_by_stage(self, monkeypatch, integrator):
+        # a pulse drives the point mass into a wall between ticks; the
+        # reference step evaluates the contact force at every stage state,
+        # with the held force and pulse of the loop's last acceleration call
+        sc = scenario(
+            duration=1.0,
+            dt=1e-3,
+            feedback_hz=250.0,
+            integrator=integrator,
+            damping=0.5,
+            wall={"axis": 0, "offset": 0.01, "stiffness": 3000.0, "damping": 5.0},
+            pulses=({"start": 0.2, "duration": 0.3, "wrench": (10.0,)},),
+        )
+        rec = run_scenario(sc)
+        plant, _, wall = sim_harness.build_environment(sc)
+        held = {}
+
+        def spy_accel(plant, force, x, xdot, wall, task_wrench, sample=None):
+            held.update(force=force, pulse=task_wrench)
+            return numpy_point_mass_accel(plant, force, x, xdot, wall, task_wrench)
+
+        def reference_step(pos, vel, accel, dt, integrator, t, accel0=None):
+            def stage(p, v):
+                return numpy_point_mass_accel(plant, held["force"], p, v, wall, held["pulse"])
+
+            new_pos, new_vel = _advance_reference(
+                np.array(pos), np.array(vel), stage, dt, integrator, t
+            )
+            return new_pos.tolist(), new_vel.tolist()
+
+        monkeypatch.setattr(sim_harness, "_point_mass_accel", spy_accel)
+        monkeypatch.setattr(sim_harness, "_advance", reference_step)
+        ref = run_scenario(sc)
+        assert rec.error is None and ref.error is None
+        assert np.count_nonzero(ref.contact_f[:, 0]) > 150
+        for name in ("x", "xdot", "phase_s", "wrench", "contact_f", "v", "e_in_cum"):
+            assert np.array_equal(getattr(rec, name), getattr(ref, name)), name
+        assert rec.ledger.contact_work == ref.ledger.contact_work
+
     def test_schedule_shrinks_boundary_stepwise(self):
         sc = scenario(
             duration=1.0,
@@ -534,6 +576,44 @@ def count_calls(monkeypatch, name, module=dynamics):
 
     monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def numpy_point_mass_accel(plant, force, x, xdot, wall, task_wrench):
+    """The point-mass stage as numpy expressions, contact force included."""
+    f = np.array(force, dtype=float)
+    if task_wrench is not None:
+        f = f + np.array(task_wrench, dtype=float)
+    if wall is not None:
+        f = f + np.array(contact_force(wall, x, xdot))
+    return f / np.array(plant.inertia)
+
+
+def _names(code) -> set:
+    """The global and attribute names a code object and the code nested in
+    it (comprehensions) read."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            names |= _names(const)
+    return names
+
+
+def test_per_sample_path_reads_no_enum_attribute_and_holds_no_closure():
+    # on Python 3.11 EnumType defines __getattr__, which makes each
+    # ``Phase.X`` cost about ten global reads; the per-sample laws compare
+    # against module-level members instead, and ``_advance`` reads ``accel0``
+    # with no cell
+    per_sample = (
+        fic_core.classify_phase,
+        fic_core.update_attractor,
+        fic_core.fic_wrench,
+        energy_audit._phase_form,
+        energy_audit.LyapunovTracker.update,
+        sim_harness.run_scenario,
+    )
+    for fn in per_sample:
+        assert "Phase" not in _names(fn.__code__), fn.__qualname__
+    assert dynamics._advance.__code__.co_cellvars == ()
 
 
 def numpy_arm_accel(arm, tau, q, qdot, wall, task_wrench, sample=None):
