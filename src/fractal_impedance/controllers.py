@@ -137,19 +137,20 @@ def fic_task_wrench(
     ``x_err_rate`` drives the divergence/convergence classification and is the
     full error rate xd_dot - xdot. Damping stays passive: it acts on
     ``damping_rate`` (measured -xdot), defaulting to ``x_err_rate``, which is
-    the same thing whenever the reference is static.
+    the same thing whenever the reference is static. The lengths are checked
+    once; each DoF's two laws then take the inputs' values as they are.
     """
-    if len(states) != config.n_task:
-        raise ValueError("one attractor state per task DoF required")
+    stiffness, damping = config.stiffness, config.damping
+    d = len(stiffness)
     d_rate = x_err_rate if damping_rate is None else damping_rate
+    if not len(states) == len(x_err) == len(x_err_rate) == len(d_rate) == d:
+        raise ValueError("one attractor state, error, rate and damping rate per task DoF required")
     wrench, new_states = [], []
-    for params, state, damping, err, rate, d_r in zip(
-        config.stiffness, states, config.damping, x_err, x_err_rate, d_rate, strict=True
-    ):
-        err = float(err)
-        state = update_attractor(state, params, err, float(rate), rate_tol=DEFAULT_RATE_TOL)
+    for i in range(d):
+        params, err = stiffness[i], x_err[i]
+        state = update_attractor(states[i], params, err, x_err_rate[i], rate_tol=DEFAULT_RATE_TOL)
         new_states.append(state)
-        wrench.append(fic_wrench(state, params, err) + damping * float(d_r))
+        wrench.append(fic_wrench(state, params, err) + damping[i] * d_rate[i])
     return ControlResult(wrench, tuple(new_states))
 
 
@@ -158,13 +159,20 @@ def baseline_impedance_wrench(config: BaselineConfig, x_err, x_err_rate) -> list
     return [k * e + d * r for k, d, e, r in terms]
 
 
-def null_space_torque(q, qdot, posture_target, gains: tuple[float, float]) -> list:
-    """Joint-space PD toward a posture; projected by the caller."""
+def _posture_torque(q, qdot, posture_target, gains) -> list:
+    """The posture PD law, unchecked: the configs checked their gains."""
     if posture_target is None:
         return [0.0] * len(q)
     kp, kd = gains
-    _check_posture_gains(kp, kd)
     return [kp * (p - a) - kd * v for p, a, v in zip(posture_target, q, qdot, strict=True)]
+
+
+def null_space_torque(q, qdot, posture_target, gains: tuple[float, float]) -> list:
+    """Joint-space PD toward a posture; projected by the caller."""
+    if posture_target is not None:
+        kp, kd = gains
+        _check_posture_gains(kp, kd)
+    return _posture_torque(q, qdot, posture_target, gains)
 
 
 def _arm_torques(arm: PlanarArm, sample: ArmSample, wrench, posture_target, posture_gains) -> list:
@@ -179,7 +187,7 @@ def _arm_torques(arm: PlanarArm, sample: ArmSample, wrench, posture_target, post
     ``S^-T C qd`` is the velocity load and ``tau = S^T (J_phi^T f + G_phi) +
     tau_null``.
     """
-    n0, n1, n2 = null_space_torque(sample.q, sample.qdot, posture_target, posture_gains)
+    n0, n1, n2 = _posture_torque(sample.q, sample.qdot, posture_target, posture_gains)
     ld0, ld1, ld2 = sample.load
     r0, r1, r2 = ld0 - (n0 - n1), ld1 - (n1 - n2), ld2 - n2  # load - S^-T tau_null
     a0, a1 = _arm_drift(arm, sample)

@@ -26,8 +26,8 @@ its task inertia, the tick and the first stage. Neither J^T-bar nor N is
 formed in the loop: the torque map folds N into its task term, and only
 ``task_space_quantities`` builds them. ``_advance`` is the one stepping path,
 and ``Scenario`` checks the integrator name against ``INTEGRATORS``; with
-``accel=None`` every stage takes the given first-stage acceleration, for a
-plant whose acceleration does not depend on its state.
+``accel=None``, for a plant whose acceleration does not depend on its state,
+RK4 is one pass over the components that gives the general path's bits.
 
 Environment effects (unilateral wall, force pulses) are plain functions so the
 integrators can evaluate them at stage states.
@@ -613,9 +613,10 @@ def _advance(pos, vel, accel, dt: float, integrator: str, t: float, accel0=None)
     floats; the one integrator of both plants.
 
     ``accel0`` is ``accel(pos, vel)`` when the caller has it already;
-    ``accel=None`` means every stage's acceleration is ``accel0``, read
-    directly at each stage with no closure or call. Each
-    component is combined in the order numpy's array expressions
+    ``accel=None`` means every stage's acceleration is ``accel0``: RK4 then
+    reads no stage position and its second and third stage velocities are
+    equal, so it takes one pass per component. Each component is combined in
+    the order numpy's array expressions
     ``vel + 0.5 * dt * acc`` and ``pos + dt / 6 * (k1 + 2 k2 + 2 k3 + k4)``
     use, so the step gives their bits. Explicit loops, not comprehensions:
     at one to three components a comprehension's own call costs more than
@@ -633,23 +634,29 @@ def _advance(pos, vel, accel, dt: float, integrator: str, t: float, accel0=None)
             v = v + dt * a
             new_pos.append(p + dt * v)
             new_vel.append(v)
+    elif accel is None:
+        h, h6 = 0.5 * dt, dt / 6.0
+        for p, v, a in zip(pos, vel, accel0):
+            b2 = v + h * a
+            new_pos.append(p + h6 * (v + 2.0 * b2 + 2.0 * b2 + (v + dt * a)))
+            new_vel.append(v + h6 * (a + 2.0 * a + 2.0 * a + a))
     else:
         h = 0.5 * dt
         p2, v2 = [], []
         for p, v, a in zip(pos, vel, accel0):
             p2.append(p + h * v)
             v2.append(v + h * a)
-        a2 = accel0 if accel is None else accel(p2, v2)
+        a2 = accel(p2, v2)
         p3, v3 = [], []
         for p, v, kv, ka in zip(pos, vel, v2, a2):
             p3.append(p + h * kv)
             v3.append(v + h * ka)
-        a3 = accel0 if accel is None else accel(p3, v3)
+        a3 = accel(p3, v3)
         p4, v4 = [], []
         for p, v, kv, ka in zip(pos, vel, v3, a3):
             p4.append(p + dt * kv)
             v4.append(v + dt * ka)
-        a4 = accel0 if accel is None else accel(p4, v4)
+        a4 = accel(p4, v4)
         h = dt / 6.0
         for p, v, b2, b3, b4, a1, c2, c3, c4 in zip(pos, vel, v2, v3, v4, accel0, a2, a3, a4):
             new_pos.append(p + h * (v + 2.0 * b2 + 2.0 * b3 + b4))
@@ -658,4 +665,3 @@ def _advance(pos, vel, accel, dt: float, integrator: str, t: float, accel0=None)
         if not math.isfinite(value):
             raise IntegrationBlowupError(t + dt)
     return new_pos, new_vel
-

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fractal_impedance import (
     AttractorState,
@@ -21,8 +23,10 @@ from fractal_impedance import (
     new_attractor_states,
     null_space_torque,
     task_space_quantities,
+    update_attractor,
 )
 from fractal_impedance.dynamics import _arm_task_state
+from fractal_impedance.fic_core import DEFAULT_RATE_TOL
 
 RNG = np.random.default_rng(11)
 NAN, INF = float("nan"), float("inf")
@@ -128,6 +132,14 @@ class TestFicTaskWrench:
         with pytest.raises(ValueError):
             fic_task_wrench(cfg, new_attractor_states(2), np.zeros(1), np.zeros(1))
 
+    @pytest.mark.parametrize("short", ["x_err_rate", "damping_rate"])
+    def test_rate_counts_checked(self, short):
+        cfg = fic_config(n=2)
+        rates = {"x_err_rate": np.zeros(2), "damping_rate": np.zeros(2)}
+        rates[short] = np.zeros(1)
+        with pytest.raises(ValueError):
+            fic_task_wrench(cfg, new_attractor_states(2), np.zeros(2), **rates)
+
     def test_spring_path_bounded_in_closed_loop_sweep(self):
         # random walks through both phases never exceed the wrench bound
         cfg = fic_config(x_b=0.05)
@@ -139,6 +151,37 @@ class TestFicTaskWrench:
             res = fic_task_wrench(cfg, states, np.array([x]), np.array([rate]))
             states = res.states
             assert abs(res.wrench[0]) <= 30.0 * (1 + 1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(1, 3), with_damping_rate=st.booleans())
+def test_fic_task_wrench_is_the_per_dof_composition(data, n, with_damping_rate):
+    # random gains and attractor states (either phase), then one tick: the
+    # wrench and states are update_attractor -> fic_wrench + damping * d_r
+    # per DoF, bit for bit, from float lists and numpy arrays alike
+    vec = st.lists(st.floats(-0.3, 0.3), min_size=n, max_size=n)
+    gains = st.lists(st.floats(0.0, 50.0), min_size=n, max_size=n)
+    k_const, damping = data.draw(gains), data.draw(gains)
+    cfg = FicConfig(tuple(StiffnessParams(k, 30.0, 0.1) for k in k_const), tuple(damping))
+    first_err, first_rate, x_err, rate, d_rate = (data.draw(vec) for _ in range(5))
+    states = tuple(
+        update_attractor(AttractorState(), p, e, r, rate_tol=DEFAULT_RATE_TOL)
+        for p, e, r in zip(cfg.stiffness, first_err, first_rate)
+    )
+    d_rate = d_rate if with_damping_rate else None
+    want_states = tuple(
+        update_attractor(s, p, e, r, rate_tol=DEFAULT_RATE_TOL)
+        for s, p, e, r in zip(states, cfg.stiffness, x_err, rate)
+    )
+    want_wrench = [
+        fic_wrench(s, p, e) + d * r
+        for s, p, e, d, r in zip(want_states, cfg.stiffness, x_err, damping, d_rate or rate)
+    ]
+    for as_input in (list, np.array):
+        d_in = None if d_rate is None else as_input(d_rate)
+        res = fic_task_wrench(cfg, states, as_input(x_err), as_input(rate), d_in)
+        assert np.array(res.wrench).tobytes() == np.array(want_wrench).tobytes()
+        assert res.states == want_states
 
 
 class TestBaselineWrench:

@@ -286,9 +286,10 @@ def _advance_reference(pos, vel, accel, dt, integrator, t, accel0=None):
     return new_pos, new_vel
 
 
-def _step_outcome(step, pos, vel, accel, dt, integrator, t, given_first):
+def _step_outcome(step, pos, vel, accel, dt, integrator, t, given_first, accel0=None):
     """("ok", bytes of the new state) or ("blowup", time) of one step."""
-    accel0 = accel(pos, vel) if given_first else None
+    if given_first:
+        accel0 = accel(pos, vel)
     try:
         with np.errstate(all="ignore"):
             new_pos, new_vel = step(pos, vel, accel, dt, integrator, t, accel0)
@@ -340,20 +341,29 @@ def test_float_advance_matches_numpy_reference(
         assert got == ("blowup", t + dt)
 
 
+# accel0 components past the range of ordinary fields: infinities, NaN and
+# the edge of overflow, with steps long enough to overflow a finite one
+extreme_accel = st.floats(-1e3, 1e3) | st.sampled_from(
+    [math.inf, -math.inf, math.nan, 1e308, -1e308]
+)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     data=st.data(),
     n=st.integers(1, 3),
-    dt=st.floats(1e-6, 0.1),
+    dt=st.floats(1e-6, 0.1) | st.floats(0.1, 1e300),
     integrator=st.sampled_from(INTEGRATORS),
 )
 def test_state_free_advance_is_constant_field_bit_for_bit(data, n, dt, integrator):
-    # accel=None reuses accel0 at every stage, as a closure returning it would
+    # accel=None reuses accel0 at every stage, as a closure returning it would;
+    # both report the same blowup time or give the same bytes
     vec = st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)
-    pos, vel, a0 = (data.draw(vec) for _ in range(3))
-    want = _advance(pos, vel, lambda p, v: a0, dt, integrator, 0.0, a0)
-    got = _advance(pos, vel, None, dt, integrator, 0.0, a0)
-    assert np.array(got).tobytes() == np.array(want).tobytes()
+    pos, vel = data.draw(vec), data.draw(vec)
+    a0 = data.draw(st.lists(extreme_accel, min_size=n, max_size=n))
+    want = _step_outcome(_advance, pos, vel, lambda p, v: a0, dt, integrator, 0.0, given_first=True)
+    got = _step_outcome(_advance, pos, vel, None, dt, integrator, 0.0, given_first=False, accel0=a0)
+    assert got == want
 
 
 class TestContactWall:

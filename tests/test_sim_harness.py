@@ -1,5 +1,6 @@
 """Scenario plumbing: validation, ZOH sampling, episodes, metrics, calibration."""
 
+import dataclasses
 import math
 import tracemalloc
 import types
@@ -21,12 +22,14 @@ from fractal_impedance import (
     detect_oscillation,
     energy_in,
     energy_released,
+    external_wrench,
+    fic_task_wrench,
     forward_kinematics,
     random_pulse_profile,
     run_scenario,
     zoh_sample,
 )
-from fractal_impedance import dynamics, energy_audit, fic_core, sim_harness
+from fractal_impedance import controllers, dynamics, energy_audit, fic_core, sim_harness
 from fractal_impedance.sim_harness import (
     RECOVERY_DWELL,
     RECOVERY_FRACTION,
@@ -552,6 +555,58 @@ class TestEpisodes:
             assert np.array_equal(getattr(rec, name), getattr(ref, name)), name
         assert rec.ledger.contact_work == ref.ledger.contact_work
 
+    @pytest.mark.parametrize("feedback_hz", [1000.0, 100.0])
+    @pytest.mark.parametrize("integrator", ["rk4", "semi_implicit"])
+    def test_wall_free_point_mass_episode_matches_numpy_step(
+        self, monkeypatch, integrator, feedback_hz
+    ):
+        # the reference step holds a constant acceleration built from the
+        # last tick's wrench and the pulses active at the step, so a held
+        # acceleration the loop failed to renew would show; the pulse edges
+        # fall between 100 Hz ticks
+        sc = scenario(
+            duration=1.5,
+            feedback_hz=feedback_hz,
+            integrator=integrator,
+            inertia=(1.0, 2.5),
+            x0=(0.02, -0.01),
+            reference={"type": "static", "pose": (0.0, 0.0)},
+            damping=0.5,
+            pulses=(
+                {"start": 0.2035, "duration": 0.15, "wrench": (6.0, 0.0)},
+                {"start": 0.7072, "duration": 0.2, "wrench": (-2.0, 4.0)},
+            ),
+        )
+        rec = run_scenario(sc)
+        plant, profile, _ = sim_harness.build_environment(sc)
+        held = {}
+
+        def spy_tick(*args):
+            res = fic_task_wrench(*args)
+            held["force"] = res.wrench
+            return res
+
+        def reference_step(pos, vel, accel, dt, integrator, t, accel0=None):
+            pulse = external_wrench(profile, t)
+            acc = numpy_point_mass_accel(plant, held["force"], pos, vel, None, pulse)
+            new_pos, new_vel = _advance_reference(
+                np.array(pos), np.array(vel), lambda p, v: acc, dt, integrator, t
+            )
+            return new_pos.tolist(), new_vel.tolist()
+
+        monkeypatch.setattr(sim_harness, "fic_task_wrench", spy_tick)
+        monkeypatch.setattr(sim_harness, "_advance", reference_step)
+        ref = run_scenario(sc)
+        assert rec.error is None and ref.error is None
+        assert np.ptp(rec.wrench, axis=0).min() > 0.1
+        for f in dataclasses.fields(rec):
+            got, want = getattr(rec, f.name), getattr(ref, f.name)
+            if isinstance(got, np.ndarray):
+                assert np.array_equal(got, want), f.name
+        for name in ("recovery_times", "convergence_times"):
+            assert np.array_equal(getattr(rec, name), getattr(ref, name), equal_nan=True), name
+        assert rec.ledger == ref.ledger
+
     def test_schedule_shrinks_boundary_stepwise(self):
         sc = scenario(
             duration=1.0,
@@ -601,19 +656,22 @@ def _names(code) -> set:
 def test_per_sample_path_reads_no_enum_attribute_and_holds_no_closure():
     # on Python 3.11 EnumType defines __getattr__, which makes each
     # ``Phase.X`` cost about ten global reads; the per-sample laws compare
-    # against module-level members instead, and ``_advance`` reads ``accel0``
-    # with no cell
+    # against module-level members instead, and the tick and the step hold
+    # no cell
     per_sample = (
         fic_core.classify_phase,
         fic_core.update_attractor,
         fic_core.fic_wrench,
         energy_audit._phase_form,
         energy_audit.LyapunovTracker.update,
+        controllers.fic_task_wrench,
+        dynamics._advance,
         sim_harness.run_scenario,
     )
     for fn in per_sample:
         assert "Phase" not in _names(fn.__code__), fn.__qualname__
-    assert dynamics._advance.__code__.co_cellvars == ()
+    for fn in (controllers.fic_task_wrench, dynamics._advance):
+        assert fn.__code__.co_cellvars == (), fn.__qualname__
 
 
 def numpy_arm_accel(arm, tau, q, qdot, wall, task_wrench, sample=None):
