@@ -70,6 +70,9 @@ DEFAULT_CALIBRATION_GRID = (
 )
 
 
+_CSV_CHUNK_ROWS = 256  # rows formatted per write by emit_csv
+
+
 class ConfigError(Exception):
     """Configuration problem, carrying a JSON pointer to the offending key."""
 
@@ -210,15 +213,14 @@ def emit_csv(records, path: str | Path) -> None:
         raise ValueError("all records in one file must share the task dimension")
     cols = _episode_columns(d)
     data = np.vstack([_episode_matrix(r) for r in recs])
-    fmts = ["%.9g"] * len(cols)
-    for i, c in enumerate(cols):
-        if c.startswith("phase_s"):
-            fmts[i] = "%d"
+    row = ",".join("%d" if c.startswith("phase_s") else "%.9g" for c in cols) + "\n"
     path = Path(path)
     with path.open("w", newline="\n") as fh:
-        np.savetxt(
-            fh, data, fmt=fmts, delimiter=",", newline="\n", header=",".join(cols), comments=""
-        )
+        # np.savetxt's bytes, without its per-row numpy scalars; chunks keep
+        # the Python floats of a long record from being held all at once
+        fh.write(",".join(cols) + "\n")
+        for i in range(0, len(data), _CSV_CHUNK_ROWS):
+            fh.write("".join([row % tuple(r) for r in data[i : i + _CSV_CHUNK_ROWS].tolist()]))
     _write_json(path.with_name(path.name + ".meta.json"), [_record_meta(r) for r in recs])
 
 

@@ -160,15 +160,18 @@ def baseline_impedance_wrench(config: BaselineConfig, x_err, x_err_rate) -> list
 
 
 def _posture_torque(q, qdot, posture_target, gains) -> list:
-    """The posture PD law, unchecked: the configs checked their gains."""
+    """The posture PD law for the arm's 3 joints, unchecked: the configs
+    checked their gains."""
     if posture_target is None:
         return [0.0] * len(q)
     kp, kd = gains
-    return [kp * (p - a) - kd * v for p, a, v in zip(posture_target, q, qdot, strict=True)]
+    (p0, p1, p2), (a0, a1, a2), (v0, v1, v2) = posture_target, q, qdot
+    return [kp * (p0 - a0) - kd * v0, kp * (p1 - a1) - kd * v1, kp * (p2 - a2) - kd * v2]
 
 
 def null_space_torque(q, qdot, posture_target, gains: tuple[float, float]) -> list:
-    """Joint-space PD toward a posture; projected by the caller."""
+    """Joint-space PD toward a posture of the arm's 3 joints; projected by
+    the caller."""
     if posture_target is not None:
         kp, kd = gains
         _check_posture_gains(kp, kd)
@@ -188,7 +191,8 @@ def _arm_torques(arm: PlanarArm, sample: ArmSample, wrench, posture_target, post
     tau_null``.
     """
     n0, n1, n2 = _posture_torque(sample.q, sample.qdot, posture_target, posture_gains)
-    ld0, ld1, ld2 = sample.load
+    _, _, _, _, jphi, (g0, g1, g2), _, (ld0, ld1, ld2) = sample.kernel
+    (jx0, jx1, jx2), (jy0, jy1, jy2) = jphi
     r0, r1, r2 = ld0 - (n0 - n1), ld1 - (n1 - n2), ld2 - n2  # load - S^-T tau_null
     a0, a1 = _arm_drift(arm, sample)
     (px0, px1, px2), (py0, py1, py2) = sample.binv_jt
@@ -197,7 +201,6 @@ def _arm_torques(arm: PlanarArm, sample: ArmSample, wrench, posture_target, post
     (l00, l01), (l10, l11) = sample.lam
     f0 = wrench[0] + (l00 * u0 + l01 * u1)
     f1 = wrench[1] + (l10 * u0 + l11 * u1)
-    _, _, _, ((jx0, jx1, jx2), (jy0, jy1, jy2)), (g0, g1, g2) = sample.kernel
     t2 = jx2 * f0 + jy2 * f1 + g2
     t1 = jx1 * f0 + jy1 * f1 + g1 + t2  # S^T: suffix sums
     t0 = jx0 * f0 + jy0 * f1 + g0 + t1

@@ -17,17 +17,20 @@ pulse wrenches work on Python floats, not numpy arrays: each vector holds a
 few flops, and numpy's per-call dispatch costs more than the arithmetic.
 
 The arm has exactly 3 links, the one arm the harness builds, so its terms are
-straight-line float code on unpacked locals, with no loop over links. Each sum
-keeps a fixed order of association, ``0.0 +`` starts included: reordering a
-float sum changes its last bits, and so the records. An integrator stage
-builds no array and factors B once; an arm sample builds one, the Jacobian
-that ``J qdot`` is computed with, and its factor of B and velocity load serve
-its task inertia, the tick and the first stage. Neither J^T-bar nor N is
-formed in the loop: the torque map folds N into its task term, and only
-``task_space_quantities`` builds them. ``_advance`` is the one stepping path,
-and ``Scenario`` checks the integrator name against ``INTEGRATORS``; with
-``accel=None``, for a plant whose acceleration does not depend on its state,
-RK4 is one pass over the components that gives the general path's bits.
+straight-line float code on unpacked locals, with no loop over links.
+``_arm_kernel`` computes every term of a state that the loop shares (link
+directions, B and its factor, J_phi, G_phi, the velocity load) in one body,
+and the joint-space functions read theirs from it, so each formula is written
+once. Each sum keeps a fixed order of association, ``0.0 +`` starts included:
+reordering a float sum changes its last bits, and so the records. An
+integrator stage is one kernel and one solve and builds no array; an arm
+sample builds one, the Jacobian that ``J qdot`` is computed with, and its
+kernel serves its task inertia, the tick and the first stage. Neither J^T-bar
+nor N is formed in the loop: the torque map folds N into its task term, and
+only ``task_space_quantities`` builds them. ``_advance`` is the one stepping
+path, and ``Scenario`` checks the integrator name against ``INTEGRATORS``;
+with ``accel=None``, for a plant whose acceleration does not depend on its
+state, RK4 is one pass over the components that gives the general path's bits.
 
 Environment effects (unilateral wall, force pulses) are plain functions so the
 integrators can evaluate them at stage states.
@@ -175,45 +178,10 @@ def _suffix_2d(b) -> list:
     return [list(row) for row in zip(*map(_suffix, zip(*map(_suffix, b))))]
 
 
-def _link_dirs(q) -> tuple[tuple, tuple]:
-    """cos and sin of the absolute link angles ``phi = S q`` (running sums of
-    ``q``). An infinite angle gives NaN, as numpy's cos does, so a
-    non-finite state propagates instead of raising."""
-    p0 = 0.0 + q[0]
-    p1 = p0 + q[1]
-    p2 = p1 + q[2]
-    try:
-        return (cos(p0), cos(p1), cos(p2)), (sin(p0), sin(p1), sin(p2))
-    except ValueError:  # math.cos raises at an infinite angle
-        phi = [math.nan if math.isinf(p) else p for p in (p0, p1, p2)]
-        return tuple(map(cos, phi)), tuple(map(sin, phi))
-
-
-def _link_jacobian(arm: PlanarArm, c, s) -> tuple[tuple, tuple]:
-    """Rows of ``J_phi = l o [-sin phi; cos phi]``, the end-effector Jacobian
-    in absolute angles."""
-    l0, l1, l2 = arm.lengths
-    return (-(l0 * s[0]), -(l1 * s[1]), -(l2 * s[2])), (l0 * c[0], l1 * c[1], l2 * c[2])
-
-
 def _jacobian_rows(jphi) -> tuple[list, list]:
     """Rows ``(jx, jy)`` of the joint-space Jacobian ``J = J_phi S``. Their
     first entries are the tip pose ``(jy[0], -jx[0])``."""
     return _suffix(jphi[0]), _suffix(jphi[1])
-
-
-def _link_inertia(arm: PlanarArm, c, s) -> tuple:
-    """The inertia in absolute angles, ``B = A o cos(phi_a - phi_b) + diag(I)``,
-    as its lower triangle ``(b00, b10, b11, b20, b21, b22)``; the angle
-    differences come from products of the link directions."""
-    (c0, c1, c2), (s0, s1, s2) = c, s
-    (a00, _, _), (a10, a11, _), (a20, a21, a22) = arm._coupling
-    i0, i1, i2 = arm.inertias
-    return (
-        a00 + i0,  # cos(phi_a - phi_a) = 1
-        a10 * (c1 * c0 + s1 * s0), a11 + i1,
-        a20 * (c2 * c0 + s2 * s0), a21 * (c2 * c1 + s2 * s1), a22 + i2,
-    )
 
 
 def _cholesky3(b) -> tuple:
@@ -251,64 +219,82 @@ def _cho_solve3(low, b0, b1, b2) -> tuple:
     return (y0 - l20 * x2 - l10 * x1) / l00, x1, x2
 
 
-def _gravity_phi(arm: PlanarArm, c, s) -> tuple:
-    """Gravity load in absolute-angle coordinates."""
-    (c0, c1, c2), (s0, s1, s2) = c, s
-    gx, gy = arm.gravity
-    m0, m1, m2 = arm._first_moments
-    return m0 * (gx * s0 - gy * c0), m1 * (gx * s1 - gy * c1), m2 * (gx * s2 - gy * c2)
+def _arm_kernel(arm: PlanarArm, q, qdot=(0.0, 0.0, 0.0)) -> tuple:
+    """Every state-dependent arm term that the loop shares, as Python floats,
+    from one straight-line body: ``(c, s, b, low, (jx, jy), g, sq, load)``.
 
-
-def _arm_kernel(arm: PlanarArm, q):
-    """State-dependent arm terms at ``q`` that every arm quantity in the loop
-    shares, as Python floats: the link cos/sin ``c`` and ``s``, the lower
-    Cholesky factor of the absolute-angle inertia B, the rows of J_phi and
-    the gravity load G_phi.
+    - ``c``, ``s``: cos and sin of the absolute link angles ``phi = S q``
+      (running sums of ``q``). An infinite angle gives NaN, as numpy's cos
+      does, so a non-finite state propagates instead of raising.
+    - ``b``, ``low``: the inertia ``B = A o cos(phi_a - phi_b) + diag(I)`` as
+      its lower triangle ``(b00, b10, b11, b20, b21, b22)`` and its Cholesky
+      factor in the same order; the angle differences come from products of
+      the link directions.
+    - ``(jx, jy)``: the rows of ``J_phi = l o [-sin phi; cos phi]``, the
+      end-effector Jacobian in absolute angles.
+    - ``g``: the gravity load G_phi in absolute angles.
+    - ``sq``, ``load``: the squared absolute rates and the velocity-product
+      load ``(A o sin(phi_a - phi_b)) phidot^2``; the sine matrix is
+      antisymmetric, so each pair of links enters once. ``qdot`` defaults to
+      rest for the callers that read only the terms of ``q``.
 
     Raises:
         numpy.linalg.LinAlgError: when B (so M) is not positive definite.
     """
-    c, s = _link_dirs(q)
-    low = _cholesky3(_link_inertia(arm, c, s))
-    return c, s, low, _link_jacobian(arm, c, s), _gravity_phi(arm, c, s)
-
-
-def _velocity_load(arm: PlanarArm, c, s, qdot) -> tuple[tuple, tuple]:
-    """Squared absolute angle rates and the velocity-product load
-    ``(A o sin(phi_a - phi_b)) phidot^2`` in absolute-angle coordinates; the
-    sine matrix is antisymmetric, so each pair of links enters once."""
-    (c0, c1, c2), (s0, s1, s2) = c, s
-    (_, a01, a02), (_, _, a12), _ = arm._coupling
-    p0 = qdot[0]
-    p1 = p0 + qdot[1]
-    p2 = p1 + qdot[2]
-    sq0, sq1, sq2 = p0 * p0, p1 * p1, p2 * p2
+    p0 = 0.0 + q[0]
+    p1 = p0 + q[1]
+    p2 = p1 + q[2]
+    try:
+        c0, c1, c2, s0, s1, s2 = cos(p0), cos(p1), cos(p2), sin(p0), sin(p1), sin(p2)
+    except ValueError:  # math.cos raises at an infinite angle
+        p0, p1, p2 = (math.nan if math.isinf(p) else p for p in (p0, p1, p2))
+        c0, c1, c2, s0, s1, s2 = cos(p0), cos(p1), cos(p2), sin(p0), sin(p1), sin(p2)
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = arm._coupling
+    i0, i1, i2 = arm.inertias
+    b = (
+        a00 + i0,  # cos(phi_a - phi_a) = 1
+        a10 * (c1 * c0 + s1 * s0), a11 + i1,
+        a20 * (c2 * c0 + s2 * s0), a21 * (c2 * c1 + s2 * s1), a22 + i2,
+    )
+    l0, l1, l2 = arm.lengths
+    gx, gy = arm.gravity
+    m0, m1, m2 = arm._first_moments
+    v0 = qdot[0]
+    v1 = v0 + qdot[1]
+    v2 = v1 + qdot[2]
+    sq0, sq1, sq2 = v0 * v0, v1 * v1, v2 * v2
     a01 = a01 * (s0 * c1 - c0 * s1)
     a02 = a02 * (s0 * c2 - c0 * s2)
     a12 = a12 * (s1 * c2 - c1 * s2)
-    return (sq0, sq1, sq2), (
-        0.0 + a01 * sq1 + a02 * sq2,
-        0.0 - a01 * sq0 + a12 * sq2,
-        0.0 - a02 * sq0 - a12 * sq1,
+    return (
+        (c0, c1, c2), (s0, s1, s2), b, _cholesky3(b),
+        ((-(l0 * s0), -(l1 * s1), -(l2 * s2)), (l0 * c0, l1 * c1, l2 * c2)),
+        (m0 * (gx * s0 - gy * c0), m1 * (gx * s1 - gy * c1), m2 * (gx * s2 - gy * c2)),
+        (sq0, sq1, sq2),
+        (0.0 + a01 * sq1 + a02 * sq2, 0.0 - a01 * sq0 + a12 * sq2, 0.0 - a02 * sq0 - a12 * sq1),
     )
 
 
 def arm_dynamics(arm: PlanarArm, q: np.ndarray, qdot: np.ndarray) -> ArmDynamics:
-    """Closed-form mass matrix, Coriolis, gravity and end-effector Jacobians."""
-    c, s = _link_dirs(q)
+    """Closed-form mass matrix, Coriolis, gravity and end-effector Jacobians,
+    from the terms of ``_arm_kernel``.
+
+    Raises:
+        numpy.linalg.LinAlgError: when the mass matrix is not positive definite.
+    """
+    c, s, (b00, b10, b11, b20, b21, b22), _, jphi, g, _, _ = _arm_kernel(arm, q)
     qdot = np.asarray(qdot, dtype=float)
     phidot = np.cumsum(qdot)
     a_sin = np.array(arm._coupling) * (np.outer(s, c) - np.outer(c, s))  # A o sin(phi_a - phi_b)
     coriolis = np.array(_suffix_2d((a_sin * phidot).tolist()))
     lp = -np.multiply(arm.lengths, phidot)
-    b00, b10, b11, b20, b21, b22 = _link_inertia(arm, c, s)  # M = S^T B S
-    b = ((b00, b10, b20), (b10, b11, b21), (b20, b21, b22))
+    b = ((b00, b10, b20), (b10, b11, b21), (b20, b21, b22))  # M = S^T B S
     return ArmDynamics(
         mass_matrix=np.array(_suffix_2d(b)),
         coriolis=coriolis,
         bias=coriolis @ qdot,
-        gravity=np.array(_suffix(_gravity_phi(arm, c, s))),
-        jacobian=np.array(_jacobian_rows(_link_jacobian(arm, c, s))),
+        gravity=np.array(_suffix(g)),
+        jacobian=np.array(_jacobian_rows(jphi)),
         jacobian_dot=np.array((_suffix(lp * c), _suffix(lp * s))),
     )
 
@@ -316,28 +302,28 @@ def arm_dynamics(arm: PlanarArm, q: np.ndarray, qdot: np.ndarray) -> ArmDynamics
 def _arm_drift(arm: PlanarArm, sample) -> tuple[float, float]:
     """The tip drift ``Jd qdot = -(l o phidot^2) . (cos phi, sin phi)`` at
     an arm sample, as floats."""
-    (c0, c1, c2), (s0, s1, s2) = sample.kernel[0], sample.kernel[1]
-    sq0, sq1, sq2 = sample.phidot_sq
+    (c0, c1, c2), (s0, s1, s2), _, _, _, _, (sq0, sq1, sq2), _ = sample.kernel
     l0, l1, l2 = arm.lengths
     lp0, lp1, lp2 = l0 * sq0, l1 * sq1, l2 * sq2
     return -(0.0 + c0 * lp0 + c1 * lp1 + c2 * lp2), -(0.0 + s0 * lp0 + s1 * lp1 + s2 * lp2)
 
 
 def forward_kinematics(arm: PlanarArm, q: np.ndarray) -> np.ndarray:
-    jx, jy = _jacobian_rows(_link_jacobian(arm, *_link_dirs(q)))
+    _, _, _, _, jphi, *_ = _arm_kernel(arm, q)
+    jx, jy = _jacobian_rows(jphi)
     return np.array([jy[0], -jx[0]])
 
 
 def joint_positions(arm: PlanarArm, q: np.ndarray) -> np.ndarray:
     """Base and joint/tip positions, shape (links + 1, 2)."""
-    c, s = _link_dirs(q)
+    c, s, *_ = _arm_kernel(arm, q)
     xs = np.concatenate(([0.0], np.cumsum(np.multiply(arm.lengths, c))))
     ys = np.concatenate(([0.0], np.cumsum(np.multiply(arm.lengths, s))))
     return np.column_stack((xs, ys))
 
 
 def potential_energy(arm: PlanarArm, q: np.ndarray) -> float:
-    c, s = _link_dirs(q)
+    c, s, *_ = _arm_kernel(arm, q)
     gx, gy = arm.gravity
     return -_dot(arm._first_moments, [gx * ca + gy * sa for ca, sa in zip(c, s)])
 
@@ -414,20 +400,20 @@ class ArmSample(NamedTuple):
     """One evaluation of the arm at a sampled state (q, qdot).
 
     The loop's task state, the tick and the first integrator stage all read
-    it, so a sample costs one kernel (one factor of B), one ``B^-1 J_phi^T``
-    solve, one singularity test and one velocity load.
+    it, so a sample costs one kernel (one factor of B and one velocity load),
+    one ``B^-1 J_phi^T`` solve and one singularity test. The tick and the
+    stage read the kernel's terms from ``kernel``; the sample holds only what
+    the kernel does not.
     """
 
     q: list  # the sampled state
     qdot: list
-    kernel: tuple  # _arm_kernel(arm, q)
+    kernel: tuple  # _arm_kernel(arm, q, qdot)
     x: list  # end-effector pose
     xdot: list  # J qdot
     binv_jt: tuple  # the columns of B^-1 J_phi^T, floats
     lam: tuple  # task inertia Lam, floats
     ke: float  # task kinetic energy 0.5 xdot' Lam xdot
-    phidot_sq: tuple  # squared absolute angle rates
-    load: tuple  # velocity-product load in absolute angles
 
 
 def _arm_task_state(arm: PlanarArm, q, qdot) -> ArmSample:
@@ -441,16 +427,15 @@ def _arm_task_state(arm: PlanarArm, q, qdot) -> ArmSample:
         SingularConfigurationError: from the task-space test, before any
             inversion of J M^-1 J^T.
     """
-    kernel = _arm_kernel(arm, q)
-    c, s, low, jphi, _ = kernel
+    kernel = _arm_kernel(arm, q, qdot)
+    _, _, _, low, jphi, _, _, _ = kernel
     cols, lam = _task_inertia(low, jphi)
     jx, jy = jac = _jacobian_rows(jphi)
     xdot = (np.array(jac) @ qdot).tolist()
     v0, v1 = xdot
     (l00, l01), (l10, l11) = lam
     ke = 0.5 * ((v0 * l00 + v1 * l10) * v0 + (v0 * l01 + v1 * l11) * v1)
-    sq, load = _velocity_load(arm, c, s, qdot)
-    return ArmSample(q, qdot, kernel, [jy[0], -jx[0]], xdot, cols, lam, ke, sq, load)
+    return ArmSample(q, qdot, kernel, [jy[0], -jx[0]], xdot, cols, lam, ke)
 
 
 @dataclass(frozen=True)
@@ -578,20 +563,16 @@ def _arm_accel(
     """Joint accelerations ``M^-1 (tau - C qdot - G + J^T w)`` as floats,
     solved in absolute angles with the factor of B. ``sample`` is
     ``_arm_task_state(arm, q, qdot)`` when the caller has it already; its
-    kernel and velocity load serve the stage.
+    kernel serves the stage, which otherwise is one ``_arm_kernel`` call and
+    the solve.
 
     A non-finite state gives a non-finite result, so the step reports it.
 
     Raises:
         numpy.linalg.LinAlgError: when the mass matrix is not positive definite.
     """
-    if sample is None:
-        kernel = _arm_kernel(arm, q)
-        _, (ld0, ld1, ld2) = _velocity_load(arm, kernel[0], kernel[1], qdot)
-    else:
-        kernel = sample.kernel
-        ld0, ld1, ld2 = sample.load
-    _, _, low, jphi, (g0, g1, g2) = kernel
+    kernel = _arm_kernel(arm, q, qdot) if sample is None else sample.kernel
+    _, _, _, low, jphi, (g0, g1, g2), _, (ld0, ld1, ld2) = kernel
     (jx0, jx1, jx2), (jy0, jy1, jy2) = jphi
     w0, w1 = (0.0, 0.0) if task_wrench is None else task_wrench
     if wall is not None:  # the tip and J qdot, from the rows of J = J_phi S

@@ -38,6 +38,7 @@ The bookkeeping runs the library's laws:
 from __future__ import annotations
 
 import math
+import numbers
 from array import array
 from dataclasses import dataclass, field, fields, replace
 from operator import mul
@@ -112,6 +113,15 @@ def _coerce(obj, name: str):
     if isinstance(obj, float) and not math.isfinite(obj):
         raise ValueError(f"{name}: must be finite")
     return obj
+
+
+def _integral(value, name: str) -> int:
+    """An axis or direction: an integer, or an integral float such as 1.0."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"{name}: must be an integer, got {value!r}")
 
 
 def _check_keys(name: str, d: dict, allowed: set, required: set) -> None:
@@ -233,7 +243,7 @@ class Scenario:
             for key in ("axis", "amplitude", "period"):
                 if key not in ref:
                     raise ValueError(f"reference: missing key '{key}'")
-            if not 0 <= int(ref["axis"]) < d:
+            if not 0 <= _integral(ref["axis"], "reference.axis") < d:
                 raise ValueError("reference.axis: out of range")
             if ref["period"] <= 0:
                 raise ValueError("reference.period: must be positive")
@@ -257,8 +267,9 @@ class Scenario:
                 raise ValueError(f"pulses[{idx}].wrench: expected {d} entries")
         if self.wall is not None:
             _check_keys("wall", self.wall, _WALL_KEYS, {"axis", "offset", "stiffness"})
-            if not 0 <= int(self.wall["axis"]) < d:
+            if not 0 <= _integral(self.wall["axis"], "wall.axis") < d:
                 raise ValueError("wall.axis: out of range")
+            _integral(self.wall.get("direction", 1), "wall.direction")
         build_environment(self)  # checks pulse overlap, pulse and wall values
 
 

@@ -1,7 +1,9 @@
 """Command line interface: config parsing, output formats, subcommand exit codes."""
 
+import io
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +11,8 @@ import pytest
 from fractal_impedance import Scenario, run_scenario
 from fractal_impedance.cli import (
     ConfigError,
+    _episode_columns,
+    _episode_matrix,
     config_hash,
     emit_csv,
     emit_json,
@@ -111,7 +115,55 @@ def record():
     return run_scenario(scenario_from_dict(BASE_CONFIG))
 
 
+def savetxt_bytes(recs) -> bytes:
+    """The CSV that ``np.savetxt`` writes for the records, as emit_csv once
+    called it."""
+    cols = _episode_columns(recs[0].x.shape[1])
+    fmt = ["%d" if c.startswith("phase_s") else "%.9g" for c in cols]
+    data = np.vstack([_episode_matrix(r) for r in recs])
+    buf = io.StringIO()
+    np.savetxt(buf, data, fmt=fmt, delimiter=",", newline="\n", header=",".join(cols), comments="")
+    return buf.getvalue().encode()
+
+
+def csv_records(kind, record):
+    """Records of 1 and 2 task DoFs, each longer than one emit chunk."""
+    if kind == "1-dof":
+        return [record]
+    if kind == "two 1-dof records":
+        return [record, record]
+    if kind == "blown up":
+        doc = dict(
+            BASE_CONFIG, controller="baseline", duration=2.0, integrator="semi_implicit",
+            x0=[0.5], k_d=1e7, d_d=0.0, pulses=[],
+        )
+        with np.errstate(over="ignore"):
+            rec = run_scenario(scenario_from_dict(doc))
+        assert rec.error["type"] == "integration_blowup"
+        return [rec]
+    arm = run_scenario(
+        Scenario(
+            plant="arm", duration=0.3, dt=1e-3, feedback_hz=500.0, k_const=0.0,
+            reference={"type": "circle", "radius": 0.1, "period": 2.0},
+        )
+    )
+    if kind == "2-dof arm":
+        return [arm]
+    x = arm.x.copy()  # values whose formatting has edge cases
+    x[:7, 0] = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e-310, 1.5e300]
+    return [replace(arm, x=x)]
+
+
 class TestCsvOutput:
+    @pytest.mark.parametrize(
+        "kind", ["1-dof", "two 1-dof records", "blown up", "2-dof arm", "special values"]
+    )
+    def test_bytes_match_savetxt(self, tmp_path, record, kind):
+        recs = csv_records(kind, record)
+        assert sum(r.n_samples for r in recs) > 256
+        emit_csv(recs, tmp_path / "ep.csv")
+        assert (tmp_path / "ep.csv").read_bytes() == savetxt_bytes(recs)
+
     def test_schema_and_endings(self, tmp_path, record):
         out = tmp_path / "ep.csv"
         emit_csv([record], out)
@@ -190,6 +242,14 @@ class TestCliCommands:
                 "/pulses: must be finite",
             ),
             ({"duration": math.inf}, "/duration: must be finite"),
+            (
+                {"wall": {"axis": 0.5, "offset": 0.1, "stiffness": 1e3}},
+                "/wall/axis: must be an integer",
+            ),
+            (
+                {"reference": {"type": "sinusoid", "axis": 0.9, "amplitude": 0.1, "period": 1}},
+                "/reference/axis: must be an integer",
+            ),
         ],
     )
     def test_bad_value_exit_1(self, tmp_path, capsys, changes, error):

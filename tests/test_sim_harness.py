@@ -127,6 +127,34 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="reference.axis"):
             scenario(reference={"type": "sinusoid", "axis": 3, "amplitude": 0.1, "period": 1.0})
 
+    @pytest.mark.parametrize(
+        "changes, field",
+        [
+            ({"reference": {"type": "sinusoid", "axis": 0.9, "amplitude": 0.1, "period": 1.0}},
+             "reference.axis"),
+            ({"x0": (0.0, 0.0), "inertia": (1.0, 1.0), "reference": {"type": "static"},
+              "wall": {"axis": 1.7, "offset": 0.5, "stiffness": 1e3}}, "wall.axis"),
+            ({"wall": {"axis": 0, "offset": 0.5, "stiffness": 1e3, "direction": -0.5}},
+             "wall.direction"),
+            ({"wall": {"axis": "0", "offset": 0.5, "stiffness": 1e3}}, "wall.axis"),
+            ({"wall": {"axis": True, "offset": 0.5, "stiffness": 1e3}}, "wall.axis"),
+        ],
+    )
+    def test_non_integral_axis_rejected(self, changes, field):
+        # int() would truncate 1.7 to axis 1 while the config hash keeps 1.7
+        with pytest.raises(ValueError, match=f"{field}: must be an integer"):
+            scenario(**changes)
+
+    def test_integral_float_axis_accepted(self):
+        wall = {"axis": 0, "offset": 0.05, "stiffness": 3e3, "direction": 1}
+        ref = {"type": "sinusoid", "axis": 0, "amplitude": 0.3, "period": 1.0}
+        as_int = run_scenario(scenario(duration=0.5, wall=wall, reference=ref))
+        assert np.min(as_int.contact_f) < 0.0  # the wall pushes back
+        wall_f, ref_f = dict(wall, axis=0.0, direction=1.0), dict(ref, axis=0.0)
+        as_float = run_scenario(scenario(duration=0.5, wall=wall_f, reference=ref_f))
+        assert np.array_equal(as_int.x, as_float.x)
+        assert np.array_equal(as_int.contact_f, as_float.contact_f)
+
     def test_circle_needs_two_dof(self):
         with pytest.raises(ValueError, match="circle"):
             scenario(reference={"type": "circle", "radius": 0.1, "period": 1.0})
@@ -472,23 +500,23 @@ class TestEpisodes:
 
     @pytest.mark.parametrize("integrator, per_step", [("rk4", 4), ("semi_implicit", 1)])
     def test_one_arm_kernel_per_sample_and_stage(self, monkeypatch, integrator, per_step):
-        # the sample's kernel serves the task state, the tick and the first stage
+        # the sample's kernel serves the task state, the tick and the first
+        # stage; one more kernel gives forward_kinematics the start pose
         calls = count_calls(monkeypatch, "_arm_kernel")
         rec = run_scenario(kernel_episode(integrator))
         assert rec.error is None and rec.n_samples == 101
-        assert len(calls) == per_step * 100 + 1
+        assert len(calls) == per_step * 100 + 2
 
     @pytest.mark.parametrize("integrator", ["rk4", "semi_implicit"])
     def test_one_mass_factor_per_kernel(self, monkeypatch, integrator):
         # the sample's Cholesky factor of B serves its task inertia and the
-        # first stage, so B is factored once per kernel; its velocity load
-        # serves the tick and the first stage, so it too is computed once
+        # first stage, so B is factored once per kernel (the velocity load is
+        # a kernel output, so it too is computed once per kernel)
         kernels = count_calls(monkeypatch, "_arm_kernel")
         factors = count_calls(monkeypatch, "_cholesky3")
-        loads = count_calls(monkeypatch, "_velocity_load")
         rec = run_scenario(kernel_episode(integrator))
         assert rec.error is None
-        assert len(factors) == len(loads) == len(kernels)
+        assert len(factors) == len(kernels)
 
     @pytest.mark.parametrize("integrator", ["rk4", "semi_implicit"])
     def test_arm_wall_episode_matches_numpy_joint_space_solve(self, monkeypatch, integrator):

@@ -1,0 +1,125 @@
+"""Print one SHA-256 digest per benchmark pool case and calibration row.
+
+Usage, from the repository root:
+
+    python3 tools/record_digest.py [--src DIR]
+
+The library and the benchmark's case pools are imported from ``DIR/src`` and
+``DIR/bench`` (default: the checkout this file sits in), so the same tool can
+digest another checkout, such as a pull request's base commit, and the two
+outputs can be compared with ``diff``. Each output line is
+``<workload> <case> <sha256>``:
+
+- ``pm_pulse``, ``arm_pulse``: every pool case's ``EpisodeRecord``, that is
+  every record array, the ledger with its switch events, the recovery and
+  convergence times, the error and the scenario;
+- ``circle_csv``: the same for every pool case, plus the exit status and the
+  bytes of the CSV file and ``.meta.json`` sidecar that ``fic run`` writes;
+- ``calibrate``: every row of one ``calibrate_sweep`` over all ``x_B`` values
+  of the stored references (largest first), as the CI reference sweep runs it.
+
+Floats are hashed by their exact bits, so any change in the last bit of a
+record changes its digest.
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import dataclasses  # noqa: E402
+import enum  # noqa: E402
+import hashlib  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+def _feed(h, obj) -> None:
+    """Feed a canonical, type-tagged encoding of ``obj`` into the hash."""
+    import numpy as np
+
+    if isinstance(obj, np.ndarray):
+        h.update(f"a{obj.dtype.str}{obj.shape}:".encode())
+        h.update(np.ascontiguousarray(obj).tobytes())
+    elif isinstance(obj, enum.Enum):
+        h.update(f"e{type(obj).__name__}.{obj.name};".encode())
+    elif isinstance(obj, (bool, np.bool_)):
+        h.update(f"b{bool(obj)};".encode())
+    elif isinstance(obj, (int, np.integer)):
+        h.update(f"i{int(obj)};".encode())
+    elif isinstance(obj, (float, np.floating)):
+        h.update(f"f{float(obj).hex()};".encode())
+    elif isinstance(obj, bytes):
+        h.update(f"y{len(obj)}:".encode())
+        h.update(obj)
+    elif obj is None or isinstance(obj, str):
+        h.update(f"s{obj!r};".encode())
+    elif dataclasses.is_dataclass(obj):
+        h.update(f"d{type(obj).__name__}(".encode())
+        for f in dataclasses.fields(obj):
+            h.update(f"{f.name}=".encode())
+            _feed(h, getattr(obj, f.name))
+        h.update(b")")
+    elif isinstance(obj, dict):
+        h.update(f"m{len(obj)}{{".encode())
+        for key in sorted(obj):
+            _feed(h, key)
+            _feed(h, obj[key])
+        h.update(b"}")
+    elif isinstance(obj, (list, tuple)):
+        h.update(f"l{len(obj)}[".encode())
+        for item in obj:
+            _feed(h, item)
+        h.update(b"]")
+    else:
+        raise TypeError(f"no canonical encoding for {type(obj).__name__}")
+
+
+def digest(*objs) -> str:
+    h = hashlib.sha256()
+    for obj in objs:
+        _feed(h, obj)
+    return h.hexdigest()
+
+
+def _import_checkout(root: Path):
+    """The library and the benchmark's workloads of the checkout at ``root``."""
+    sys.path[:0] = [str(root / "src"), str(root / "bench")]
+    import fractal_impedance
+    import workloads
+
+    for module, sub in ((fractal_impedance, "src"), (workloads, "bench")):
+        if not Path(module.__file__).resolve().is_relative_to(root / sub):
+            sys.exit(f"{module.__name__} was imported from {module.__file__}, not {root / sub}")
+    return fractal_impedance, workloads
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", default=Path(__file__).resolve().parents[1], type=Path)
+    args = parser.parse_args(argv)
+    fi, wl = _import_checkout(args.src.resolve())
+    for name in ("pm_pulse", "arm_pulse"):
+        for i, sc in enumerate(wl.WORKLOADS[name]().pool):
+            print(f"{name} {i} {digest(fi.run_scenario(sc))}", flush=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        circle = wl.CircleCsv(workdir=Path(tmp))
+        for i, sc in enumerate(circle.pool):
+            code, out = circle.run(i)
+            meta = out.with_name(out.name + ".meta.json")
+            files = out.read_bytes(), meta.read_bytes()
+            out.unlink()
+            meta.unlink()
+            print(f"circle_csv {i} {digest(fi.run_scenario(sc), code, *files)}", flush=True)
+    cal = wl.Calibrate()
+    grid = sorted(map(float, wl.load_references()["calibrate"]), reverse=True)
+    for row in fi.calibrate_sweep(cal.base, cal.W_MAX_INIT, grid):
+        print(f"calibrate x_b={row['x_b']:g} {digest(row)}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
