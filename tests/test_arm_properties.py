@@ -303,7 +303,7 @@ def test_kernel_matches_reference_closed_forms(state):
     ref = reference_terms(arm, q)
     c, s, b, low, jphi, g, sq, load = _arm_kernel(arm, q, qdot)
     assert within(np.array((c, s)), ref["cs"])
-    tril = np.tril_indices(n)  # the order (m00, m10, m11, m20, m21, m22)
+    tril = np.tril_indices(n)  # row by row: (00, 10, 11, 20, 21, 22)
     link_inertia, link_inertia_scale = ref["link_inertia"]
     assert within(b, (link_inertia[tril], link_inertia_scale[tril]))
     factor = np.zeros((n, n))
