@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from math import cos, sin
-from operator import add, mul, truediv
+from operator import add, mul
 from typing import NamedTuple
 
 import numpy as np
@@ -454,10 +454,13 @@ class ContactWall:
     direction: int = 1
 
     def __post_init__(self) -> None:
-        if self.stiffness <= 0.0 or self.damping < 0.0:
-            raise ValueError("wall stiffness must be positive, damping non-negative")
+        # Each message starts with the scenario field it names.
+        if self.stiffness <= 0.0:
+            raise ValueError("wall.stiffness: must be positive")
+        if self.damping < 0.0:
+            raise ValueError("wall.damping: must be non-negative")
         if self.direction not in (-1, 1):
-            raise ValueError("wall direction must be +1 or -1")
+            raise ValueError("wall.direction: must be +1 or -1")
 
 
 def contact_force(wall: ContactWall, x, xdot) -> list:
@@ -521,17 +524,12 @@ def external_wrench(profile: PerturbationProfile, t: float) -> list:
     return w
 
 
-class PointMassSample(NamedTuple):
-    """The point mass at a sampled state, in the shape of ``ArmSample``'s
-    fields that the loop reads."""
-
-    x: list
-    xdot: list
-    ke: float  # 0.5 xdot' M xdot
-
-
-def _point_mass_task_state(plant: PointMassPlant, x: list, xdot: list) -> PointMassSample:
-    return PointMassSample(x, xdot, 0.5 * _dot(map(mul, plant.inertia, xdot), xdot))
+def _point_mass_ke(plant: PointMassPlant, xdot: list) -> float:
+    """Kinetic energy 0.5 xdot' M xdot, summed from 0.0 in DoF order."""
+    ke = 0.0
+    for m, v in zip(plant.inertia, xdot):
+        ke += m * v * v
+    return 0.5 * ke
 
 
 def _point_mass_accel(
@@ -543,12 +541,17 @@ def _point_mass_accel(
     task_wrench: list | None,
     sample=None,
 ) -> list:
-    """Task accelerations as floats; same signature as ``_arm_accel`` (the
-    point mass has no terms to share, so ``sample`` is ignored)."""
-    f = force if task_wrench is None else list(map(add, force, task_wrench))
+    """Task accelerations (force + task wrench + contact force) / m as floats,
+    summed in that order; same signature as ``_arm_accel`` (the point mass
+    has no terms to share, so ``sample`` is ignored). Without a wall this is
+    one pass over the DoFs."""
     if wall is not None:
-        f = list(map(add, f, contact_force(wall, x, xdot)))
-    return list(map(truediv, f, plant.inertia))
+        if task_wrench is not None:
+            force = [f + w for f, w in zip(force, task_wrench)]
+        task_wrench = contact_force(wall, x, xdot)
+    if task_wrench is None:
+        return [f / m for f, m in zip(force, plant.inertia)]
+    return [(f + w) / m for f, w, m in zip(force, task_wrench, plant.inertia)]
 
 
 def _arm_accel(

@@ -6,11 +6,17 @@ discrete-work drift of a constant-gain impedance controller is the ZOH
 Riemann sum of its continuous power; the FIC work is an exact potential
 difference. The Lyapunov candidate is piecewise (one quadratic per phase)
 with a per-switch constant that keeps the monitored value continuous.
+
+An episode's audit runs after its loop: ``episode_energy`` computes E_in,
+the monitored potentials and the switch events from the recorded errors and
+phases plus the few ticks where a phase changed or a schedule swapped the
+parameters, with the bits of a per-sample audit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -23,6 +29,7 @@ __all__ = [
     "LyapunovTracker",
     "energy_in",
     "energy_released",
+    "episode_energy",
     "fic_work",
     "ic_work_discrete",
     "lyapunov_monitor",
@@ -139,6 +146,12 @@ def _phase_form(params: StiffnessParams, state: AttractorState, x_err: float) ->
     # at x_tilde_max.
     if state.phase is _DIV:
         return spring_energy(params, x_err)
+    return _convergence_form(state, x_err)
+
+
+def _convergence_form(state: AttractorState, x_err):
+    """The Convergence phase potential of a float or, elementwise with the
+    same bits, of an array of errors."""
     dx = x_err - 0.5 * state.x_tilde_max  # the bits of ``x_tilde_mid``
     return 0.5 * state.k_prime_total * dx * dx + 0.5 * state.e_in
 
@@ -188,6 +201,57 @@ class LyapunovTracker:
         old = _phase_form(self.params, state, x_err)
         self.params = new_params
         self.offset += old - _phase_form(self.params, state, x_err)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a blown-up record, as float arithmetic
+def episode_energy(x_err, phase_s, dt, params, states, switch_states, swaps):
+    """E_in after each sample, the summed phase potentials per sample and the
+    ``SwitchEvent``s in (sample, DoF) order of one FIC episode, from its
+    record's (n, d) ``x_err`` and ``phase_s`` columns.
+
+    ``params`` and ``states`` are each DoF's parameters and attractor state
+    before the first tick; ``switch_states`` maps each tick where a phase
+    changed to the states it produced, and ``swaps`` each tick where an
+    ``xb_schedule`` replaced the parameters to the new ones. The bits are
+    those of a per-sample audit (``fic_work`` over each step that starts in
+    Divergence, with that step's parameters, DoF after DoF; ``change_params``
+    then ``update`` at every sample). Between those ticks a DoF's state,
+    parameters and tracker offset are fixed, so the tracker runs only there
+    and each run's potentials are computed at once.
+    """
+    n, d = x_err.shape
+    steps = np.zeros((n, d))  # E_in step into each sample, per DoF
+    potential = np.zeros(n)
+    events = []
+    for i in range(d):
+        col = phase_s[:, i]
+        changes = (np.flatnonzero(col[1:] != col[:-1]) + 1).tolist()
+        bounds = sorted({0, *swaps, *changes}) if n else []
+        tracker = LyapunovTracker(params=params[i])
+        state = states[i]
+        v = np.empty(n)
+        for a, b in zip(bounds, bounds[1:] + [n]):
+            if a in swaps:
+                tracker.change_params(swaps[a][i], state, x_err[a, i])
+            if a in switch_states:
+                state = switch_states[a][i]
+            _, event = tracker.update(state, x_err[a, i], t=a * dt, dof=i)
+            if event is not None:
+                events.append((a, i, event))
+            if state.phase is _DIV:
+                # the run's samples and the one that ends it, whose step
+                # still starts in this run and takes its parameters
+                seg = x_err[a : b + 1, i].tolist()
+                energy = np.fromiter(map(spring_energy, repeat(tracker.params), seg), float, len(seg))
+                v[a:b] = energy[: b - a] + tracker.offset
+                steps[a + 1 : a + len(seg), i] = energy[1:] - energy[:-1]
+            else:
+                v[a:b] = _convergence_form(state, x_err[a:b, i]) + tracker.offset
+        potential += v  # as ``pot = 0.0; pot += v_i`` over the DoFs
+    # A sequential sum in (sample, DoF) order; adding 0.0 leaves it unchanged.
+    e_in_cum = np.add.accumulate(steps.ravel())[d - 1 :: d]
+    events.sort(key=lambda e: e[:2])
+    return e_in_cum, potential, [e for _, _, e in events]
 
 
 @dataclass(frozen=True)

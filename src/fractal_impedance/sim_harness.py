@@ -6,13 +6,14 @@ alone. The loop advances physics at ``dt`` while the controller runs on a
 zero-order hold at ``feedback_hz``: the measurement taken at a tick is
 consumed once and the commanded force is held until the next tick.
 
-Each sample evaluates the plant once (``dynamics._arm_task_state`` or
-``_point_mass_task_state``), then one ``dynamics._advance`` step follows.
-The arm, and a point mass against a wall, evaluate the acceleration at each
-stage. A wall-free point mass accelerates by (held force + pulse) / m in any
-state, so the loop recomputes it only at a tick or at a pulse edge (the steps
-of one set of active pulses share one pulse row) and steps with
-``accel=None``.
+Each sample evaluates the plant once (the arm through
+``dynamics._arm_task_state``; the point mass is its own task state and adds
+only its kinetic energy, ``_point_mass_ke``), then one ``dynamics._advance``
+step follows. The arm, and a point mass against a wall, evaluate the
+acceleration at each stage. A wall-free point mass accelerates by (held force
++ pulse) / m in any state, so the loop recomputes it only at a tick or at a
+pulse edge (the steps of one set of active pulses share one pulse row) and
+steps with ``accel=None``.
 A tick is one block for both plants: the task law reads the errors from the
 sample, and for the arm ``controllers._arm_torques`` maps the wrench at that
 same sample. The plant object holds parameters only. The loop keeps the
@@ -24,15 +25,19 @@ record's arrays are built from them once, after the loop.
 Elementwise float arithmetic in numpy's order gives numpy's bits, so a 1-DoF
 record is the one numpy expressions would give; a sum over several DoFs
 (kinetic energy, contact power) may differ from ``np.dot`` in the last bit.
-The bookkeeping runs the library's laws:
+The loop does plant, controller and record work only. The bookkeeping runs
+the library's laws:
 
 - tick instants: ``_tick_starts``, which ``zoh_sample`` also uses;
-- absorbed energy E_in: ``energy_audit.fic_work`` per DoF over each sample
-  step that starts in Divergence (``energy_in`` over a whole segment);
+- absorbed energy E_in (``fic_work`` per DoF over each sample step that
+  starts in Divergence), the ``LyapunovTracker`` phase potentials and the
+  switch events: ``energy_audit.episode_energy`` after the loop, from the
+  record and the ticks where a phase changed or the schedule swapped the
+  parameters;
 - released energy E_rel: the running maximum of the task kinetic energy over
   samples where any DoF converges (``energy_released`` of those samples);
-- monitored V: the ``energy_audit.LyapunovTracker`` phase potentials plus the
-  task kinetic energy.
+- monitored V: the phase potentials (the baseline's spring potential) plus
+  the task kinetic energy.
 """
 
 from __future__ import annotations
@@ -41,7 +46,6 @@ import math
 import numbers
 from array import array
 from dataclasses import dataclass, field, fields, replace
-from operator import mul
 
 import numpy as np
 
@@ -69,12 +73,13 @@ from .dynamics import (
     _dot,
     _arm_task_state,
     _point_mass_accel,
-    _point_mass_task_state,
+    _point_mass_ke,
     contact_force,
     external_wrench,
     forward_kinematics,
 )
-from .energy_audit import EnergyLedger, LyapunovTracker, fic_work
+from .energy_audit import EnergyLedger, episode_energy
+from .energy_audit import LyapunovTracker  # noqa: F401 (bench hook)
 from .fic_core import _CONV, _DIV, StiffnessParams, spring_energy  # noqa: F401 (bench hook)
 
 __all__ = [
@@ -457,13 +462,14 @@ def run_scenario(sc: Scenario) -> EpisodeRecord:
 
     if is_arm:
         pos, vel = list(map(float, sc.q0)), list(map(float, sc.qdot0))
-        task_state, accel = _arm_task_state, _arm_accel
+        accel = _arm_accel
         x_start = forward_kinematics(plant, pos).tolist()
     else:
         pos = [0.0] * d if sc.x0 is None else list(map(float, sc.x0))
         vel = [0.0] * d if sc.xdot0 is None else list(map(float, sc.xdot0))
-        task_state, accel = _point_mass_task_state, _point_mass_accel
+        accel = _point_mass_accel
         x_start = pos
+    sample = None  # the arm's sample; the point mass needs none
     ref_fn = _make_reference(sc, x_start)
     pulse_rows = _pulse_table(profile, n_steps, dt)
     w_pulse = accel0_pulse = None
@@ -471,40 +477,38 @@ def run_scenario(sc: Scenario) -> EpisodeRecord:
     state_free = not is_arm and wall is None
     stage = None if state_free else lambda xx, vv: accel(plant, held_force, xx, vv, wall, w_pulse)
 
-    states = new_attractor_states(d)
+    states0 = states = new_attractor_states(d)
     x_b0 = tuple(p.x_b for p in fic.stiffness) if use_fic else None
-    trackers = [LyapunovTracker(params=p) for p in fic.stiffness] if use_fic else None
     phase_row = [_DIV.value] * d  # the attractor phases' s flags, changed at ticks
+    # For the energy audit after the loop: the states of each tick where a
+    # phase changed (a DoF's state changes only with its phase) and the
+    # parameters of each tick where the schedule replaced them.
+    switch_states, swaps = {}, {}
     ticks = _tick_starts(n, sc.feedback_hz, dt).tolist()
 
     # Record columns, d values per sample for the vector series.
-    xd_c, x_c, xe_c, xv_c, wr_c, cf_c = (array("d") for _ in range(6))
-    pot_c, ke_c, ein_c = array("d"), array("d"), array("d")
+    xd_c, x_c, xe_c, xv_c, wr_c, cf_c, ke_c = (array("d") for _ in range(7))
     ph_c = array("q")
     cf = [0.0] * d  # contact force; stays zero without a wall
 
-    e_in = 0.0
     c_work = 0.0
-    events = []
     error = None
-    prev_xe = None
     prev_cpow = 0.0
 
     for k in range(n):
         t = k * dt
-        try:
-            sample = task_state(plant, pos, vel)
-        except SingularConfigurationError as exc:
-            error = {"type": "singular_configuration", "time": t, "message": str(exc)}
-            break
-        x_now, v_now = sample.x, sample.xdot
+        if is_arm:
+            try:
+                sample = _arm_task_state(plant, pos, vel)
+            except SingularConfigurationError as exc:
+                error = {"type": "singular_configuration", "time": t, "message": str(exc)}
+                break
+            x_now, v_now, ke = sample.x, sample.xdot, sample.ke
+        else:
+            x_now, v_now, ke = pos, vel, _point_mass_ke(plant, vel)
         x_d, xd_rate = ref_fn(t)
         x_err = [a - b for a, b in zip(x_d, x_now)]
 
-        if k > 0 and use_fic:
-            for i in range(d):
-                if states[i].phase is _DIV:  # as recorded at sample k - 1
-                    e_in += fic_work(fic.stiffness[i], prev_xe[i], x_err[i])
         if wall is not None:
             cf = contact_force(wall, x_now, v_now)
             cpow = _dot(cf, v_now)
@@ -517,13 +521,15 @@ def run_scenario(sc: Scenario) -> EpisodeRecord:
                 new_xb = _schedule_x_b(sc, t, x_b0)
                 if new_xb != tuple(p.x_b for p in fic.stiffness):
                     fic = build_controller(sc, x_b=new_xb)
-                    for i in range(d):
-                        trackers[i].change_params(fic.stiffness[i], states[i], x_err[i])
+                    swaps[k] = fic.stiffness
             damping_rate = [-v for v in v_now]
             if use_fic:
                 rate = [r - v for r, v in zip(xd_rate, v_now)]
                 held_wrench, states, _ = fic_task_wrench(fic, states, x_err, rate, damping_rate)
-                phase_row = [1 if s.phase is _DIV else 0 for s in states]  # Phase.value
+                row = [1 if s.phase is _DIV else 0 for s in states]  # Phase.value
+                if row != phase_row:
+                    switch_states[k] = states
+                    phase_row = row
             else:
                 held_wrench = baseline_impedance_wrench(base, x_err, damping_rate)
             held_force = held_wrench
@@ -537,19 +543,7 @@ def run_scenario(sc: Scenario) -> EpisodeRecord:
         wr_c.extend(held_wrench)
         cf_c.extend(cf)
         ph_c.extend(phase_row)
-        if use_fic:
-            pot = 0.0
-            for i in range(d):
-                val, ev = trackers[i].update(states[i], x_err[i], t=t, dof=i)
-                pot += val
-                if ev is not None:
-                    events.append(ev)
-        else:
-            pot = 0.5 * _dot(map(mul, base.k_d, x_err), x_err)
-        pot_c.append(pot)
-        ke_c.append(sample.ke)
-        ein_c.append(e_in)
-        prev_xe = x_err
+        ke_c.append(ke)
 
         if k < n_steps:
             if pulse_rows is not None:
@@ -579,8 +573,14 @@ def run_scenario(sc: Scenario) -> EpisodeRecord:
     forced = np.zeros(n_rec, dtype=bool)
     for p in profile.pulses:
         forced |= (p.start - dt <= t_a) & (t_a < p.end + dt)
+    if use_fic:
+        e_in_cum, pot, events = episode_energy(
+            xe_a, phase_s, dt, ctrl.stiffness, states0, switch_states, swaps
+        )
+    else:
+        e_in_cum, pot, events = np.zeros(n_rec), _baseline_potential(base.k_d, xe_a), ()
     ledger = EnergyLedger(
-        e_in=ein_c[-1] if n_rec else 0.0,
+        e_in=float(e_in_cum[-1]) if n_rec else 0.0,
         e_rel=float(e_rel_cum[-1]) if n_rec else 0.0,
         contact_work=c_work,
         switch_events=tuple(events),
@@ -596,8 +596,8 @@ def run_scenario(sc: Scenario) -> EpisodeRecord:
         phase_s=phase_s,
         wrench=_rows(wr_c, d),
         contact_f=_rows(cf_c, d),
-        v=np.frombuffer(pot_c) + ke,
-        e_in_cum=np.frombuffer(ein_c),
+        v=pot + ke,
+        e_in_cum=e_in_cum,
         e_rel_cum=e_rel_cum,
         forced=forced,
         ledger=ledger,
@@ -605,6 +605,17 @@ def run_scenario(sc: Scenario) -> EpisodeRecord:
         convergence_times=conv,
         error=error,
     )
+
+
+@np.errstate(over="ignore")
+def _baseline_potential(k_d, x_err: np.ndarray) -> np.ndarray:
+    """0.5 sum_i k_i e_i^2 per sample, summed from 0.0 in DoF order; on a
+    blown-up record it overflows to inf as float arithmetic does."""
+    terms = np.array(k_d) * x_err * x_err
+    pot = np.zeros(x_err.shape[0])
+    for i in range(x_err.shape[1]):
+        pot += terms[:, i]
+    return 0.5 * pot
 
 
 def _rows(col: array, d: int) -> np.ndarray:

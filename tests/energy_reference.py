@@ -1,0 +1,100 @@
+"""Per-sample energy bookkeeping, as a test oracle for the episode audit.
+
+``run_scenario`` computes E_in, the monitored V and the switch events after
+its loop (``energy_audit.episode_energy``). This module keeps the form that
+ran inside the loop: at every sample, ``fic_work`` per DoF over each step
+that starts in Divergence, then at a tick ``change_params`` on a schedule
+swap, then ``LyapunovTracker.update`` per DoF. ``record_and_reference`` runs
+a scenario with the controller tick and the task state wrapped, so the
+oracle sees each tick's parameters and attractor states and each sample's
+kinetic energy, and replays that bookkeeping over the record.
+"""
+
+from dataclasses import dataclass
+from operator import mul
+
+import numpy as np
+
+from fractal_impedance import sim_harness
+from fractal_impedance.controllers import new_attractor_states
+from fractal_impedance.dynamics import _dot
+from fractal_impedance.energy_audit import LyapunovTracker, fic_work
+from fractal_impedance.fic_core import Phase
+
+
+@dataclass
+class Reference:
+    v: np.ndarray
+    e_in_cum: np.ndarray
+    e_in: float
+    switch_events: tuple
+    swap_samples: tuple  # samples where a schedule swapped the parameters
+
+
+def record_and_reference(sc, monkeypatch):
+    """The record of ``sc`` and the per-sample bookkeeping of its samples."""
+    kes, ticks = [], {}
+    pm_ke, arm_state = sim_harness._point_mass_ke, sim_harness._arm_task_state
+    tick = sim_harness.fic_task_wrench
+
+    def point_mass_ke(plant, xdot):
+        kes.append(pm_ke(plant, xdot))
+        return kes[-1]
+
+    def arm_task_state(arm, q, qdot):
+        sample = arm_state(arm, q, qdot)
+        kes.append(sample.ke)
+        return sample
+
+    def fic_task_wrench(config, states, *args):
+        result = tick(config, states, *args)
+        ticks[len(kes) - 1] = config.stiffness, result.states
+        return result
+
+    with monkeypatch.context() as m:
+        m.setattr(sim_harness, "_point_mass_ke", point_mass_ke)
+        m.setattr(sim_harness, "_arm_task_state", arm_task_state)
+        m.setattr(sim_harness, "fic_task_wrench", fic_task_wrench)
+        rec = sim_harness.run_scenario(sc)
+    return rec, reference_energy(rec, kes, ticks)
+
+
+def reference_energy(rec, kes, ticks) -> Reference:
+    sc = rec.scenario
+    ctrl = sim_harness.build_controller(sc)
+    n, d = rec.x_err.shape
+    v, e_in_cum, events, swaps = [], [], [], []
+    if sc.controller == "baseline":
+        for k in range(n):
+            x_err = rec.x_err[k].tolist()
+            v.append(0.5 * _dot(map(mul, ctrl.k_d, x_err), x_err) + kes[k])
+            e_in_cum.append(0.0)
+        return Reference(np.array(v), np.array(e_in_cum), 0.0, (), ())
+    params, states = ctrl.stiffness, new_attractor_states(d)
+    trackers = [LyapunovTracker(params=p) for p in params]
+    e_in, prev_xe = 0.0, None
+    for k in range(n):
+        t = k * sc.dt
+        x_err = rec.x_err[k].tolist()
+        if k > 0:
+            for i in range(d):
+                if states[i].phase is Phase.DIVERGENCE:  # as recorded at k - 1
+                    e_in += fic_work(params[i], prev_xe[i], x_err[i])
+        if k in ticks:
+            new_params, new_states = ticks[k]
+            if new_params != params:
+                for i in range(d):
+                    trackers[i].change_params(new_params[i], states[i], x_err[i])
+                params = new_params
+                swaps.append(k)
+            states = new_states
+        pot = 0.0
+        for i in range(d):
+            val, ev = trackers[i].update(states[i], x_err[i], t=t, dof=i)
+            pot += val
+            if ev is not None:
+                events.append(ev)
+        v.append(pot + kes[k])
+        e_in_cum.append(e_in)
+        prev_xe = x_err
+    return Reference(np.array(v), np.array(e_in_cum), e_in, tuple(events), tuple(swaps))

@@ -250,6 +250,18 @@ class TestCliCommands:
                 {"reference": {"type": "sinusoid", "axis": 0.9, "amplitude": 0.1, "period": 1}},
                 "/reference/axis: must be an integer",
             ),
+            (
+                {"wall": {"axis": 0, "offset": 0.1, "stiffness": 1e3, "direction": 2}},
+                "/wall/direction: must be +1 or -1",
+            ),
+            (
+                {"wall": {"axis": 0, "offset": 0.1, "stiffness": -1e3}},
+                "/wall/stiffness: must be positive",
+            ),
+            (
+                {"wall": {"axis": 0, "offset": 0.1, "stiffness": 1e3, "damping": -1.0}},
+                "/wall/damping: must be non-negative",
+            ),
         ],
     )
     def test_bad_value_exit_1(self, tmp_path, capsys, changes, error):

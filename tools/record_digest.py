@@ -16,7 +16,11 @@ outputs can be compared with ``diff``. Each output line is
 - ``circle_csv``: the same for every pool case, plus the exit status and the
   bytes of the CSV file and ``.meta.json`` sidecar that ``fic run`` writes;
 - ``calibrate``: every row of one ``calibrate_sweep`` over all ``x_B`` values
-  of the stored references (largest first), as the CI reference sweep runs it.
+  of the stored references (largest first), as the CI reference sweep runs it;
+- ``path``: the ``EpisodeRecord`` of each of a fixed set of scenarios that no
+  pool case reaches (an ``xb_schedule`` on both plants, wall contact, the
+  baseline controller, a 300 Hz tick rate, the semi-implicit integrator),
+  built from public ``Scenario`` fields only, so any checkout runs them.
 
 Floats are hashed by their exact bits, so any change in the last bit of a
 record changes its digest.
@@ -85,6 +89,40 @@ def digest(*objs) -> str:
     return h.hexdigest()
 
 
+def path_scenarios(fi) -> dict:
+    """Scenarios of the loop paths that the benchmark's pools do not reach."""
+    pulses = (
+        {"start": 0.3, "duration": 0.1, "wrench": (8.0, -3.0)},
+        {"start": 1.5, "duration": 0.2, "wrench": (-9.0, 5.0)},
+    )
+    pm = dict(duration=3.0, dt=1e-3, inertia=(1.0, 2.0), x0=(0.0, 0.0), damping=1.0, pulses=pulses)
+    arm = dict(
+        plant="arm",
+        duration=3.0,
+        dt=1e-3,
+        feedback_hz=500.0,
+        damping=5.0,
+        pulses=({"start": 0.3, "duration": 0.1, "wrench": (8.0, -5.0)},),
+    )
+    schedule = {"x_b_end": 0.02, "rate": 0.05, "interval": 0.25}
+    return {
+        "fic_schedule_point_mass": fi.Scenario(**pm, xb_schedule=schedule),
+        "fic_schedule_arm": fi.Scenario(**arm, xb_schedule=schedule),
+        "fic_wall": fi.Scenario(
+            duration=1.5,
+            dt=1e-4,
+            x0=(0.4,),
+            reference={"type": "static", "pose": (0.75,)},
+            damping=25.0,
+            wall={"axis": 0, "offset": 0.5, "stiffness": 1e4, "damping": 200.0},
+        ),
+        "baseline_point_mass": fi.Scenario(**pm, controller="baseline"),
+        "baseline_arm": fi.Scenario(**arm, controller="baseline"),
+        "fic_300hz": fi.Scenario(**pm, feedback_hz=300.0),
+        "fic_semi_implicit": fi.Scenario(**pm, integrator="semi_implicit"),
+    }
+
+
 def _import_checkout(root: Path):
     """The library and the benchmark's workloads of the checkout at ``root``."""
     sys.path[:0] = [str(root / "src"), str(root / "bench")]
@@ -118,6 +156,8 @@ def main(argv=None) -> int:
     grid = sorted(map(float, wl.load_references()["calibrate"]), reverse=True)
     for row in fi.calibrate_sweep(cal.base, cal.W_MAX_INIT, grid):
         print(f"calibrate x_b={row['x_b']:g} {digest(row)}", flush=True)
+    for name, sc in path_scenarios(fi).items():
+        print(f"path {name} {digest(fi.run_scenario(sc))}", flush=True)
     return 0
 
 
