@@ -41,8 +41,6 @@ from .energy_audit import (
     LyapunovTracker,
     MonitorReport,
     SwitchEvent,
-    energy_in,
-    energy_released,
     fic_work,
     ic_work_discrete,
     lyapunov_monitor,
@@ -120,8 +118,6 @@ __all__ = [
     "SwitchEvent",
     "MonitorReport",
     "LyapunovTracker",
-    "energy_in",
-    "energy_released",
     "fic_work",
     "ic_work_discrete",
     "lyapunov_monitor",

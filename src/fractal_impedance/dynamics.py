@@ -484,8 +484,9 @@ class Pulse:
     wrench: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        # The messages of both pulse classes start with the scenario field.
         if self.start < 0.0 or self.duration <= 0.0:
-            raise ValueError("pulse needs start >= 0 and duration > 0")
+            raise ValueError("pulses: need start >= 0 and duration > 0")
         object.__setattr__(self, "wrench", tuple(float(w) for w in self.wrench))
 
     @property
@@ -504,14 +505,14 @@ class PerturbationProfile:
         object.__setattr__(self, "pulses", tuple(self.pulses))
         for p in self.pulses:
             if len(p.wrench) != self.n_dof:
-                raise ValueError("pulse wrench length must match n_dof")
+                raise ValueError("pulses: wrench length must match n_dof")
         for dof in range(self.n_dof):
             spans = sorted(
                 (p.start, p.end) for p in self.pulses if p.wrench[dof] != 0.0
             )
             for (s0, e0), (s1, _) in zip(spans, spans[1:]):
                 if s1 < e0:
-                    raise ValueError(f"overlapping pulses on DoF {dof}")
+                    raise ValueError(f"pulses: overlapping pulses on DoF {dof}")
 
 
 def external_wrench(profile: PerturbationProfile, t: float) -> list:

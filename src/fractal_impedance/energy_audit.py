@@ -7,10 +7,12 @@ Riemann sum of its continuous power; the FIC work is an exact potential
 difference. The Lyapunov candidate is piecewise (one quadratic per phase)
 with a per-switch constant that keeps the monitored value continuous.
 
-An episode's audit runs after its loop: ``episode_energy`` computes E_in,
-the monitored potentials and the switch events from the recorded errors and
-phases plus the few ticks where a phase changed or a schedule swapped the
-parameters, with the bits of a per-sample audit.
+An episode's audit runs after its loop, from its record, with the bits of a
+per-sample audit: ``episode_energy`` computes E_in, the monitored potentials
+and the switch events from the recorded errors and phases and the ticks where
+a schedule swapped the parameters, rebuilding each switch's attractor state
+with ``fic_core``'s snapshot law; ``_contact_work`` integrates the recorded
+contact power. Released energy is the record's ``e_rel_cum``.
 """
 
 from __future__ import annotations
@@ -20,15 +22,13 @@ from itertools import repeat
 
 import numpy as np
 
-from .fic_core import _CONV, _DIV, AttractorState, StiffnessParams, spring_energy
+from .fic_core import _CONV, _DIV, AttractorState, StiffnessParams, _snapshot, spring_energy
 
 __all__ = [
     "EnergyLedger",
     "SwitchEvent",
     "MonitorReport",
     "LyapunovTracker",
-    "energy_in",
-    "energy_released",
     "episode_energy",
     "fic_work",
     "ic_work_discrete",
@@ -69,42 +69,6 @@ class EnergyLedger:
         return self.e_rel - self.e_in
 
 
-def energy_in(params: StiffnessParams, x_err_path: np.ndarray) -> float:
-    """Energy absorbed along one Divergence segment.
-
-    Evaluated as the spring-energy difference between the path endpoints, so
-    the result does not depend on how densely the segment was sampled.
-    """
-    path = np.asarray(x_err_path, dtype=float).ravel()
-    if path.size == 0:
-        return 0.0
-    return fic_work(params, path[0], path[-1])
-
-
-def energy_released(lam_trace, xdot_trace) -> float:
-    """Maximum kinetic energy 0.5 xdot^T Lam xdot over Convergence samples.
-
-    ``lam_trace`` may be a scalar, a per-sample scalar array, one constant
-    matrix, or a per-sample stack of matrices; ``xdot_trace`` one velocity
-    sample per row.
-    """
-    xdot = np.asarray(xdot_trace, dtype=float)
-    if xdot.size == 0:
-        return 0.0
-    if xdot.ndim == 1:
-        xdot = xdot[:, None]
-    lam = np.asarray(lam_trace, dtype=float)
-    if lam.ndim == 0:
-        ke = 0.5 * float(lam) * np.sum(xdot * xdot, axis=1)
-    elif lam.ndim == 1:
-        ke = 0.5 * lam * np.sum(xdot * xdot, axis=1)
-    elif lam.ndim == 2:
-        ke = 0.5 * np.einsum("ni,ij,nj->n", xdot, lam, xdot)
-    else:
-        ke = 0.5 * np.einsum("ni,nij,nj->n", xdot, lam, xdot)
-    return float(np.max(ke))
-
-
 def fic_work(params: StiffnessParams, x_a: float, x_b: float) -> float:
     """Work of the FIC spring from error x_a to x_b; exactly path-independent."""
     return float(spring_energy(params, x_b) - spring_energy(params, x_a))
@@ -114,28 +78,19 @@ def ic_work_discrete(
     k_inertia: float,
     k_damping: float,
     x: np.ndarray,
-    xdot: np.ndarray | None = None,
-    xddot: np.ndarray | None = None,
-    dt: float | None = None,
+    xdot: np.ndarray,
+    xddot: np.ndarray,
 ) -> float:
     """ZOH Riemann sum of the impedance-controller work along x(t).
 
     W = k_inertia sum(xddot_i dx_i) + k_damping sum(xdot_i dx_i) with
-    dx_i = x_{i+1} - x_i. Pass analytic ``xdot``/``xddot`` when available;
-    otherwise they are estimated by finite differences over ``dt``.
+    dx_i = x_{i+1} - x_i, from the path's samples and their derivatives.
     """
     x = np.asarray(x, dtype=float).ravel()
     if x.size < 2:
         return 0.0
-    if xdot is None or xddot is None:
-        if dt is None:
-            raise ValueError("dt required when derivative samples are omitted")
-        grad = np.gradient(x, dt)
-        xdot = grad if xdot is None else np.asarray(xdot, dtype=float).ravel()
-        xddot = np.gradient(grad, dt) if xddot is None else np.asarray(xddot, dtype=float).ravel()
-    else:
-        xdot = np.asarray(xdot, dtype=float).ravel()
-        xddot = np.asarray(xddot, dtype=float).ravel()
+    xdot = np.asarray(xdot, dtype=float).ravel()
+    xddot = np.asarray(xddot, dtype=float).ravel()
     dx = np.diff(x)
     return float(k_inertia * np.dot(xddot[:-1], dx) + k_damping * np.dot(xdot[:-1], dx))
 
@@ -204,20 +159,21 @@ class LyapunovTracker:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a blown-up record, as float arithmetic
-def episode_energy(x_err, phase_s, dt, params, states, switch_states, swaps):
+def episode_energy(x_err, phase_s, dt, params, swaps):
     """E_in after each sample, the summed phase potentials per sample and the
     ``SwitchEvent``s in (sample, DoF) order of one FIC episode, from its
     record's (n, d) ``x_err`` and ``phase_s`` columns.
 
-    ``params`` and ``states`` are each DoF's parameters and attractor state
-    before the first tick; ``switch_states`` maps each tick where a phase
-    changed to the states it produced, and ``swaps`` each tick where an
-    ``xb_schedule`` replaced the parameters to the new ones. The bits are
-    those of a per-sample audit (``fic_work`` over each step that starts in
-    Divergence, with that step's parameters, DoF after DoF; ``change_params``
-    then ``update`` at every sample). Between those ticks a DoF's state,
-    parameters and tracker offset are fixed, so the tracker runs only there
-    and each run's potentials are computed at once.
+    ``params`` are each DoF's parameters before the first tick, and ``swaps``
+    maps each tick where an ``xb_schedule`` replaced them to the new ones.
+    A DoF's attractor state changes only with its phase: a switch into
+    Convergence is the snapshot of that tick's error and parameters, and
+    Divergence is ``AttractorState()``. The bits are those of a per-sample
+    audit (``fic_work`` over each step that starts in Divergence, with that
+    step's parameters, DoF after DoF; ``change_params`` then ``update`` at
+    every sample). Between phase changes and swaps a DoF's state, parameters
+    and tracker offset are fixed, so the tracker runs only there and each
+    run's potentials are computed at once.
     """
     n, d = x_err.shape
     steps = np.zeros((n, d))  # E_in step into each sample, per DoF
@@ -228,13 +184,13 @@ def episode_energy(x_err, phase_s, dt, params, states, switch_states, swaps):
         changes = (np.flatnonzero(col[1:] != col[:-1]) + 1).tolist()
         bounds = sorted({0, *swaps, *changes}) if n else []
         tracker = LyapunovTracker(params=params[i])
-        state = states[i]
+        state = AttractorState()
         v = np.empty(n)
         for a, b in zip(bounds, bounds[1:] + [n]):
             if a in swaps:
                 tracker.change_params(swaps[a][i], state, x_err[a, i])
-            if a in switch_states:
-                state = switch_states[a][i]
+            if col[a] != (state.phase is _DIV):  # the tick at ``a`` switched the phase
+                state = AttractorState() if col[a] else _snapshot(tracker.params, float(x_err[a, i]))
             _, event = tracker.update(state, x_err[a, i], t=a * dt, dof=i)
             if event is not None:
                 events.append((a, i, event))
@@ -252,6 +208,19 @@ def episode_energy(x_err, phase_s, dt, params, states, switch_states, swaps):
     e_in_cum = np.add.accumulate(steps.ravel())[d - 1 :: d]
     events.sort(key=lambda e: e[:2])
     return e_in_cum, potential, [e for _, _, e in events]
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a blown-up record, as float arithmetic
+def _contact_work(contact_f, xdot, dt) -> float:
+    """Work of the contact force on the plant over a record: the trapezoid of
+    the power ``contact_f · xdot`` (summed from 0.0 in DoF order) over each
+    step, added from 0.0 in sample order."""
+    power = np.zeros(xdot.shape[0])
+    for i in range(xdot.shape[1]):
+        power += contact_f[:, i] * xdot[:, i]
+    work = np.zeros(xdot.shape[0])
+    work[1:] = 0.5 * (power[1:] + power[:-1]) * dt
+    return float(np.add.accumulate(work)[-1]) if work.size else 0.0
 
 
 @dataclass(frozen=True)

@@ -217,16 +217,22 @@ def update_attractor(
     if state.phase is _DIV and new_phase is _CONV:
         if abs(x_err) < displacement_tol:
             return state
-        e_in = spring_energy(p, x_err)
-        return AttractorState(
-            phase=_CONV,
-            x_tilde_max=x_err,
-            e_in=e_in,
-            k_prime_total=4.0 * e_in / (x_err * x_err),
-        )
+        return _snapshot(p, x_err)
     if state.phase is _CONV and new_phase is _DIV:
         return AttractorState(phase=_DIV)
     return state
+
+
+def _snapshot(p: StiffnessParams, x_err: float) -> AttractorState:
+    """The Convergence state of a switch at ``x_err``: the spring energy
+    stored there and the midpoint gain that releases exactly that energy."""
+    e_in = spring_energy(p, x_err)
+    return AttractorState(
+        phase=_CONV,
+        x_tilde_max=x_err,
+        e_in=e_in,
+        k_prime_total=4.0 * e_in / (x_err * x_err),
+    )
 
 
 def _midpoint_force(state: AttractorState, x_err: float) -> float:

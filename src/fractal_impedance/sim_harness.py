@@ -25,17 +25,19 @@ record's arrays are built from them once, after the loop.
 Elementwise float arithmetic in numpy's order gives numpy's bits, so a 1-DoF
 record is the one numpy expressions would give; a sum over several DoFs
 (kinetic energy, contact power) may differ from ``np.dot`` in the last bit.
-The loop does plant, controller and record work only. The bookkeeping runs
-the library's laws:
+The loop does plant, controller and record work only, and logs nothing for
+the energy audit but the ticks where a schedule swapped the parameters. The
+bookkeeping after the loop reads the record and runs the library's laws:
 
 - tick instants: ``_tick_starts``, which ``zoh_sample`` also uses;
 - absorbed energy E_in (``fic_work`` per DoF over each sample step that
   starts in Divergence), the ``LyapunovTracker`` phase potentials and the
-  switch events: ``energy_audit.episode_energy`` after the loop, from the
-  record and the ticks where a phase changed or the schedule swapped the
-  parameters;
-- released energy E_rel: the running maximum of the task kinetic energy over
-  samples where any DoF converges (``energy_released`` of those samples);
+  switch events: ``energy_audit.episode_energy``, which rebuilds each
+  switch's attractor state from the recorded phases and errors;
+- released energy E_rel: the record's ``e_rel_cum``, the running maximum of
+  the task kinetic energy over samples where any DoF converges;
+- contact work: ``energy_audit._contact_work``, the trapezoid of the recorded
+  contact power;
 - monitored V: the phase potentials (the baseline's spring potential) plus
   the task kinetic energy.
 """
@@ -70,7 +72,6 @@ from .dynamics import (
     SingularConfigurationError,
     _advance,
     _arm_accel,
-    _dot,
     _arm_task_state,
     _point_mass_accel,
     _point_mass_ke,
@@ -78,7 +79,7 @@ from .dynamics import (
     external_wrench,
     forward_kinematics,
 )
-from .energy_audit import EnergyLedger, episode_energy
+from .energy_audit import EnergyLedger, _contact_work, episode_energy
 from .energy_audit import LyapunovTracker  # noqa: F401 (bench hook)
 from .fic_core import _CONV, _DIV, StiffnessParams, spring_energy  # noqa: F401 (bench hook)
 
@@ -215,8 +216,6 @@ class Scenario:
                 raise ValueError("q0: expected 3 entries")
             if len(self.q0) != len(self.qdot0):
                 raise ValueError("qdot0: length must match q0")
-            if len(self.gravity) != 2:
-                raise ValueError("gravity: expected 2 entries")
             if self.posture_target is not None and len(self.posture_target) != len(self.q0):
                 raise ValueError("posture_target: length must match q0")
         if len(self.posture_gains) != 2 or any(g < 0 for g in self.posture_gains):
@@ -477,23 +476,17 @@ def run_scenario(sc: Scenario) -> EpisodeRecord:
     state_free = not is_arm and wall is None
     stage = None if state_free else lambda xx, vv: accel(plant, held_force, xx, vv, wall, w_pulse)
 
-    states0 = states = new_attractor_states(d)
+    states = new_attractor_states(d)
     x_b0 = tuple(p.x_b for p in fic.stiffness) if use_fic else None
     phase_row = [_DIV.value] * d  # the attractor phases' s flags, changed at ticks
-    # For the energy audit after the loop: the states of each tick where a
-    # phase changed (a DoF's state changes only with its phase) and the
-    # parameters of each tick where the schedule replaced them.
-    switch_states, swaps = {}, {}
+    swaps = {}  # for the energy audit: the parameters of each schedule swap
     ticks = _tick_starts(n, sc.feedback_hz, dt).tolist()
 
     # Record columns, d values per sample for the vector series.
     xd_c, x_c, xe_c, xv_c, wr_c, cf_c, ke_c = (array("d") for _ in range(7))
     ph_c = array("q")
     cf = [0.0] * d  # contact force; stays zero without a wall
-
-    c_work = 0.0
     error = None
-    prev_cpow = 0.0
 
     for k in range(n):
         t = k * dt
@@ -511,10 +504,6 @@ def run_scenario(sc: Scenario) -> EpisodeRecord:
 
         if wall is not None:
             cf = contact_force(wall, x_now, v_now)
-            cpow = _dot(cf, v_now)
-            if k > 0:
-                c_work += 0.5 * (cpow + prev_cpow) * dt
-            prev_cpow = cpow
 
         if ticks[k]:
             if use_fic and sc.xb_schedule is not None:
@@ -526,10 +515,7 @@ def run_scenario(sc: Scenario) -> EpisodeRecord:
             if use_fic:
                 rate = [r - v for r, v in zip(xd_rate, v_now)]
                 held_wrench, states, _ = fic_task_wrench(fic, states, x_err, rate, damping_rate)
-                row = [1 if s.phase is _DIV else 0 for s in states]  # Phase.value
-                if row != phase_row:
-                    switch_states[k] = states
-                    phase_row = row
+                phase_row = [1 if s.phase is _DIV else 0 for s in states]  # Phase.value
             else:
                 held_wrench = baseline_impedance_wrench(base, x_err, damping_rate)
             held_force = held_wrench
@@ -563,7 +549,7 @@ def run_scenario(sc: Scenario) -> EpisodeRecord:
 
     # The record arrays view the columns; nothing is copied.
     n_rec = len(ke_c)
-    xe_a = _rows(xe_c, d)
+    xe_a, xv_a, cf_a = _rows(xe_c, d), _rows(xv_c, d), _rows(cf_c, d)
     t_a = np.arange(n_rec) * dt
     ke = np.frombuffer(ke_c)
     phase_s = np.frombuffer(ph_c, dtype=np.int64).reshape(n_rec, d)
@@ -574,15 +560,13 @@ def run_scenario(sc: Scenario) -> EpisodeRecord:
     for p in profile.pulses:
         forced |= (p.start - dt <= t_a) & (t_a < p.end + dt)
     if use_fic:
-        e_in_cum, pot, events = episode_energy(
-            xe_a, phase_s, dt, ctrl.stiffness, states0, switch_states, swaps
-        )
+        e_in_cum, pot, events = episode_energy(xe_a, phase_s, dt, ctrl.stiffness, swaps)
     else:
         e_in_cum, pot, events = np.zeros(n_rec), _baseline_potential(base.k_d, xe_a), ()
     ledger = EnergyLedger(
         e_in=float(e_in_cum[-1]) if n_rec else 0.0,
         e_rel=float(e_rel_cum[-1]) if n_rec else 0.0,
-        contact_work=c_work,
+        contact_work=0.0 if wall is None else _contact_work(cf_a, xv_a, dt),
         switch_events=tuple(events),
     )
     recov, conv = _pulse_recoveries(t_a, xe_a, profile, dt)
@@ -592,10 +576,10 @@ def run_scenario(sc: Scenario) -> EpisodeRecord:
         x_d=_rows(xd_c, d),
         x=_rows(x_c, d),
         x_err=xe_a,
-        xdot=_rows(xv_c, d),
+        xdot=xv_a,
         phase_s=phase_s,
         wrench=_rows(wr_c, d),
-        contact_f=_rows(cf_c, d),
+        contact_f=cf_a,
         v=pot + ke,
         e_in_cum=e_in_cum,
         e_rel_cum=e_rel_cum,

@@ -1,13 +1,15 @@
 """Per-sample energy bookkeeping, as a test oracle for the episode audit.
 
-``run_scenario`` computes E_in, the monitored V and the switch events after
-its loop (``energy_audit.episode_energy``). This module keeps the form that
-ran inside the loop: at every sample, ``fic_work`` per DoF over each step
-that starts in Divergence, then at a tick ``change_params`` on a schedule
-swap, then ``LyapunovTracker.update`` per DoF. ``record_and_reference`` runs
-a scenario with the controller tick and the task state wrapped, so the
-oracle sees each tick's parameters and attractor states and each sample's
-kinetic energy, and replays that bookkeeping over the record.
+``run_scenario`` computes E_in, the monitored V, the switch events and the
+contact work after its loop (``energy_audit``). This module keeps the form
+that ran inside the loop: at every sample, ``fic_work`` per DoF over each
+step that starts in Divergence, then at a tick ``change_params`` on a
+schedule swap, then ``LyapunovTracker.update`` per DoF with the attractor
+states the tick produced; and with a wall, the trapezoid of the contact
+power added to a running float sum. ``record_and_reference`` runs a scenario
+with the controller tick and the task state wrapped, so the oracle sees each
+tick's parameters and attractor states and each sample's kinetic energy, and
+replays that bookkeeping over the record.
 """
 
 from dataclasses import dataclass
@@ -29,6 +31,7 @@ class Reference:
     e_in: float
     switch_events: tuple
     swap_samples: tuple  # samples where a schedule swapped the parameters
+    contact_work: float
 
 
 def record_and_reference(sc, monkeypatch):
@@ -59,17 +62,31 @@ def record_and_reference(sc, monkeypatch):
     return rec, reference_energy(rec, kes, ticks)
 
 
+def reference_contact_work(rec) -> float:
+    """The running trapezoid of ``contact_f · xdot`` in float arithmetic."""
+    c_work = prev_cpow = 0.0
+    if rec.scenario.wall is None:
+        return c_work
+    for k in range(rec.n_samples):
+        cpow = _dot(rec.contact_f[k].tolist(), rec.xdot[k].tolist())
+        if k > 0:
+            c_work += 0.5 * (cpow + prev_cpow) * rec.scenario.dt
+        prev_cpow = cpow
+    return c_work
+
+
 def reference_energy(rec, kes, ticks) -> Reference:
     sc = rec.scenario
     ctrl = sim_harness.build_controller(sc)
     n, d = rec.x_err.shape
     v, e_in_cum, events, swaps = [], [], [], []
+    c_work = reference_contact_work(rec)
     if sc.controller == "baseline":
         for k in range(n):
             x_err = rec.x_err[k].tolist()
             v.append(0.5 * _dot(map(mul, ctrl.k_d, x_err), x_err) + kes[k])
             e_in_cum.append(0.0)
-        return Reference(np.array(v), np.array(e_in_cum), 0.0, (), ())
+        return Reference(np.array(v), np.array(e_in_cum), 0.0, (), (), c_work)
     params, states = ctrl.stiffness, new_attractor_states(d)
     trackers = [LyapunovTracker(params=p) for p in params]
     e_in, prev_xe = 0.0, None
@@ -97,4 +114,4 @@ def reference_energy(rec, kes, ticks) -> Reference:
         v.append(pot + kes[k])
         e_in_cum.append(e_in)
         prev_xe = x_err
-    return Reference(np.array(v), np.array(e_in_cum), e_in, tuple(events), tuple(swaps))
+    return Reference(np.array(v), np.array(e_in_cum), e_in, tuple(events), tuple(swaps), c_work)

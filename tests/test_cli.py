@@ -262,6 +262,32 @@ class TestCliCommands:
                 {"wall": {"axis": 0, "offset": 0.1, "stiffness": 1e3, "damping": -1.0}},
                 "/wall/damping: must be non-negative",
             ),
+            (
+                {"pulses": [{"start": -0.3, "duration": 0.1, "wrench": [6.0]}]},
+                "/pulses: need start >= 0 and duration > 0",
+            ),
+            (
+                {"pulses": [{"start": 0.3, "duration": 0.0, "wrench": [6.0]}]},
+                "/pulses: need start >= 0 and duration > 0",
+            ),
+            (
+                {
+                    "pulses": [
+                        {"start": 0.1, "duration": 0.2, "wrench": [6.0]},
+                        {"start": 0.2, "duration": 0.1, "wrench": [-4.0]},
+                    ]
+                },
+                "/pulses: overlapping pulses on DoF 0",
+            ),
+            (
+                {
+                    "plant": "arm",
+                    "gravity": [0.0, -9.81, 0.0],
+                    "reference": {"type": "static"},
+                    "pulses": [],
+                },
+                "/gravity: expected 2 entries",
+            ),
         ],
     )
     def test_bad_value_exit_1(self, tmp_path, capsys, changes, error):

@@ -1,15 +1,21 @@
 """The episode energy audit after the loop against the per-sample oracle.
 
-``run_scenario`` computes E_in, the monitored V and the switch events from
-the record once the loop is done. ``energy_reference`` replays the per-sample
-bookkeeping that ran inside the loop before; both must agree bit for bit.
+``run_scenario`` computes E_in, the monitored V, the switch events (with
+each switch's attractor state rebuilt from the record) and the contact work
+from the record once the loop is done. ``energy_reference`` replays the
+per-sample bookkeeping that ran inside the loop before; both must agree bit
+for bit.
 """
+
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import fractal_impedance
 from energy_reference import record_and_reference
 from fractal_impedance import Scenario, energy_audit, run_scenario
 
@@ -33,6 +39,7 @@ def assert_same_audit(rec, ref):
     assert rec.e_in_cum.tobytes() == ref.e_in_cum.tobytes()
     assert rec.ledger.e_in.hex() == ref.e_in.hex()
     assert rec.ledger.switch_events == ref.switch_events
+    assert rec.ledger.contact_work.hex() == ref.contact_work.hex()
 
 
 def pm(**kw):
@@ -117,6 +124,43 @@ def test_truncated_record_matches_oracle(monkeypatch):
     rec, ref = record_and_reference(sc, monkeypatch)
     assert rec.error["type"] == "integration_blowup"
     assert 0 < rec.n_samples < 801 and len(ref.switch_events) > 0 and ref.swap_samples
+    assert_same_audit(rec, ref)
+
+
+def test_truncated_wall_record_matches_oracle(monkeypatch):
+    # pressed against the wall, the damping law is unstable at this dt: the
+    # contact work overflows to -inf before the record ends at the blowup
+    sc = pm(
+        duration=8.0,
+        dt=0.01,
+        feedback_hz=100.0,
+        x0=(0.45,),
+        reference={"type": "static", "pose": (0.75,)},
+        damping=350.0,
+        pulses=(),
+        wall={"axis": 0, "offset": 0.5, "stiffness": 1e3},
+    )
+    rec, ref = record_and_reference(sc, monkeypatch)
+    assert rec.error["type"] == "integration_blowup" and np.count_nonzero(rec.contact_f) > 0
+    assert rec.ledger.contact_work == -np.inf and len(ref.switch_events) > 0
+    assert_same_audit(rec, ref)
+
+
+def _digest_tool():
+    path = Path(__file__).resolve().parents[1] / "tools" / "record_digest.py"
+    spec = importlib.util.spec_from_file_location("record_digest", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", ["fic_wall", "fic_wall_arm", "baseline_wall_point_mass"])
+def test_digest_wall_paths_reach_contact(name, monkeypatch):
+    # the records check digests these; each must press on its wall
+    sc = _digest_tool().path_scenarios(fractal_impedance)[name]
+    rec, ref = record_and_reference(sc, monkeypatch)
+    assert rec.error is None and np.count_nonzero(rec.contact_f) > 0
+    assert rec.ledger.contact_work < 0.0
     assert_same_audit(rec, ref)
 
 

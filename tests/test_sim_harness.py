@@ -20,10 +20,9 @@ from fractal_impedance import (
     compute_metrics,
     contact_force,
     detect_oscillation,
-    energy_in,
-    energy_released,
     external_wrench,
     fic_task_wrench,
+    fic_work,
     forward_kinematics,
     random_pulse_profile,
     run_scenario,
@@ -341,8 +340,9 @@ class TestEpisodes:
         rec = run_scenario(sc)
         assert rec.error is None
         params = StiffnessParams(k_const=0.0, w_max=30.0, x_b=0.1)
-        # E_in: energy_in over each maximal Divergence run, taken with the
-        # sample that follows it (the step out of the run still absorbs).
+        # E_in: fic_work over each maximal Divergence run, from its first
+        # sample to the one that follows it (the step out of the run still
+        # absorbs).
         div = rec.phase_s[:, 0] == Phase.DIVERGENCE.value
         n = div.size
         e_in, k = 0.0, 0
@@ -353,12 +353,14 @@ class TestEpisodes:
             end = k
             while end + 1 < n and div[end + 1]:
                 end += 1
-            e_in += energy_in(params, rec.x_err[k : min(end + 2, n), 0])
+            e_in += fic_work(params, rec.x_err[k, 0], rec.x_err[min(end + 1, n - 1), 0])
             k = end + 1
         assert rec.ledger.e_in == pytest.approx(e_in, rel=1e-12)
+        # E_rel: the largest kinetic energy 0.5 m v^2 over converging samples
         converging = rec.phase_s[:, 0] == Phase.CONVERGENCE.value
         assert converging.any()
-        assert rec.ledger.e_rel == energy_released(sc.inertia[0], rec.xdot[converging])
+        v = rec.xdot[converging, 0]
+        assert rec.ledger.e_rel == np.max(0.5 * sc.inertia[0] * (v * v))
         assert np.array_equal(zoh_sample(rec.wrench, 300.0, 1e-3), rec.wrench)
 
     def test_wall_push_saturates_at_force_bound(self):

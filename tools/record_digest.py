@@ -18,8 +18,9 @@ outputs can be compared with ``diff``. Each output line is
 - ``calibrate``: every row of one ``calibrate_sweep`` over all ``x_B`` values
   of the stored references (largest first), as the CI reference sweep runs it;
 - ``path``: the ``EpisodeRecord`` of each of a fixed set of scenarios that no
-  pool case reaches (an ``xb_schedule`` on both plants, wall contact, the
-  baseline controller, a 300 Hz tick rate, the semi-implicit integrator),
+  pool case reaches (an ``xb_schedule`` on both plants, wall contact on both
+  plants and under both controllers, the baseline controller, a 300 Hz tick
+  rate, the semi-implicit integrator),
   built from public ``Scenario`` fields only, so any checkout runs them.
 
 Floats are hashed by their exact bits, so any change in the last bit of a
@@ -105,21 +106,29 @@ def path_scenarios(fi) -> dict:
         pulses=({"start": 0.3, "duration": 0.1, "wrench": (8.0, -5.0)},),
     )
     schedule = {"x_b_end": 0.02, "rate": 0.05, "interval": 0.25}
+    pm_wall = dict(
+        duration=1.5,
+        dt=1e-4,
+        x0=(0.4,),
+        reference={"type": "static", "pose": (0.75,)},
+        wall={"axis": 0, "offset": 0.5, "stiffness": 1e4, "damping": 200.0},
+    )
     return {
         "fic_schedule_point_mass": fi.Scenario(**pm, xb_schedule=schedule),
         "fic_schedule_arm": fi.Scenario(**arm, xb_schedule=schedule),
-        "fic_wall": fi.Scenario(
-            duration=1.5,
-            dt=1e-4,
-            x0=(0.4,),
-            reference={"type": "static", "pose": (0.75,)},
-            damping=25.0,
-            wall={"axis": 0, "offset": 0.5, "stiffness": 1e4, "damping": 200.0},
-        ),
+        "fic_wall": fi.Scenario(**pm_wall, damping=25.0),
         "baseline_point_mass": fi.Scenario(**pm, controller="baseline"),
         "baseline_arm": fi.Scenario(**arm, controller="baseline"),
         "fic_300hz": fi.Scenario(**pm, feedback_hz=300.0),
         "fic_semi_implicit": fi.Scenario(**pm, integrator="semi_implicit"),
+        # the arm's start pose puts its hand at x = 0.813; the target lies
+        # past the wall at x = 0.88
+        "fic_wall_arm": fi.Scenario(
+            **{**arm, "duration": 2.0},
+            reference={"type": "static", "pose": (0.95, 2.09)},
+            wall={"axis": 0, "offset": 0.88, "stiffness": 2e3, "damping": 50.0},
+        ),
+        "baseline_wall_point_mass": fi.Scenario(**pm_wall, controller="baseline"),
     }
 
 
