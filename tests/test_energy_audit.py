@@ -13,6 +13,7 @@ from fractal_impedance import (
     ic_work_discrete,
     lyapunov_monitor,
     spring_energy,
+    spring_force,
     update_attractor,
 )
 from fractal_impedance.energy_audit import _phase_form
@@ -53,6 +54,14 @@ class TestFicWork:
 
     def test_frozen_value(self):
         assert fic_work(P, 0.0, 0.05) == pytest.approx(E_AT_005, rel=1e-12)
+
+    def test_closed_form_endpoints(self):
+        # the endpoints' closed form matches a trapezoid integral of the force;
+        # the O(h^2) quadrature error is ~4e-8 relative on this grid
+        xs = np.linspace(0.0, 0.05, 20001)
+        f = np.array([spring_force(P, x) for x in xs])
+        quad = float(np.sum(0.5 * (f[1:] + f[:-1]) * np.diff(xs)))
+        assert fic_work(P, 0.0, 0.05) == pytest.approx(quad, rel=1e-6)
 
     def test_sampling_independent(self):
         # the step works of a densely sampled path add up to its endpoints'
