@@ -70,7 +70,7 @@ DEFAULT_CALIBRATION_GRID = (
 )
 
 
-_CSV_CHUNK_ROWS = 256  # rows formatted per write by emit_csv
+_CSV_CHUNK_ROWS = 256  # rows formatted per write by _write_table
 
 
 class ConfigError(Exception):
@@ -203,32 +203,36 @@ def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def emit_csv(records, path: str | Path) -> None:
-    """Fixed-schema CSV (9 significant digits, LF endings) plus meta sidecar."""
-    recs = [records] if isinstance(records, EpisodeRecord) else list(records)
-    if not recs:
-        raise ValueError("emit_csv needs at least one record")
-    d = recs[0].x.shape[1]
-    if any(r.x.shape[1] != d for r in recs):
-        raise ValueError("all records in one file must share the task dimension")
-    cols = _episode_columns(d)
-    data = np.vstack([_episode_matrix(r) for r in recs])
+def _write_table(path: Path, cols: list[str], rows, meta) -> None:
+    """The header ``cols``, then one line per row at 9 significant digits
+    (``%d`` for ``phase_s_*`` columns) with LF endings, then ``meta`` as the
+    ``<name>.meta.json`` sidecar."""
     row = ",".join("%d" if c.startswith("phase_s") else "%.9g" for c in cols) + "\n"
-    path = Path(path)
+    data = np.asarray(rows, dtype=float)
     with path.open("w", newline="\n") as fh:
         # np.savetxt's bytes, without its per-row numpy scalars; chunks keep
-        # the Python floats of a long record from being held all at once
+        # the Python floats of a long table from being held all at once
         fh.write(",".join(cols) + "\n")
         for i in range(0, len(data), _CSV_CHUNK_ROWS):
             fh.write("".join([row % tuple(r) for r in data[i : i + _CSV_CHUNK_ROWS].tolist()]))
-    _write_json(path.with_name(path.name + ".meta.json"), [_record_meta(r) for r in recs])
+    _write_json(path.with_name(path.name + ".meta.json"), meta)
 
 
-def emit_json(records, path: str | Path) -> None:
+def emit_csv(records: list, path: str | Path) -> None:
+    """Fixed-schema CSV (9 significant digits, LF endings) plus meta sidecar."""
+    if not records:
+        raise ValueError("emit_csv needs at least one record")
+    d = records[0].x.shape[1]
+    if any(r.x.shape[1] != d for r in records):
+        raise ValueError("all records in one file must share the task dimension")
+    data = np.vstack([_episode_matrix(r) for r in records])
+    _write_table(Path(path), _episode_columns(d), data, [_record_meta(r) for r in records])
+
+
+def emit_json(records: list, path: str | Path) -> None:
     """Full structured dump with embedded config hashes."""
-    recs = [records] if isinstance(records, EpisodeRecord) else list(records)
     payload = {"records": []}
-    for rec in recs:
+    for rec in records:
         data = _episode_matrix(rec)
         entry = _record_meta(rec)
         entry["series"] = {
@@ -318,10 +322,8 @@ def _cmd_run(args) -> int:
     log.info("running scenario '%s'", scenario.name)
     record = run_scenario(scenario)
     out = Path(args.out) if args.out else Path(f"{scenario.name}.{args.format}")
-    if args.format == "csv":
-        emit_csv([record], out)
-    else:
-        emit_json([record], out)
+    # a table built per call, so a rebound emit_csv or emit_json (a trace hook) runs
+    {"csv": emit_csv, "json": emit_json}[args.format]([record], out)
     digest = config_hash(scenario_to_dict(scenario))
     print(f"wrote {out} ({record.n_samples} samples, config {digest[:12]})")
     if record.error is not None:
@@ -338,7 +340,6 @@ def _cmd_sweep(args) -> int:
     rates = _parse_float_list(args.rates, "rates")
     base = _out_base(args.out, "sweep")
     summary = []
-    failed = False
     for rate in rates:
         try:
             sc = replace(scenario, feedback_hz=rate, name=f"{scenario.name}_fb{rate:g}")
@@ -346,27 +347,24 @@ def _cmd_sweep(args) -> int:
             raise ConfigError("/rates", str(exc)) from exc
         record = run_scenario(sc)
         out = base.with_name(f"{base.name}_{rate:g}hz.{args.format}")
-        if args.format == "csv":
-            emit_csv([record], out)
-        else:
-            emit_json([record], out)
+        {"csv": emit_csv, "json": emit_json}[args.format]([record], out)
         metrics = compute_metrics(record)
         entry = {
             "rate_hz": rate,
             "out": out.name,
             "config_hash": config_hash(scenario_to_dict(sc)),
             "recovery_mean": _jsonify(metrics["recovery_mean"]),
+            "max_abs_err": _jsonify(metrics["max_abs_err"]),
             "oscillation": detect_oscillation(record),
             "error": record.error,
         }
         summary.append(entry)
-        failed = failed or record.error is not None
         print(
-            f"rate {rate:g} Hz -> {out} "
-            f"(recovery_mean={metrics['recovery_mean']:.4g} s)"
+            f"rate {rate:g} Hz -> {out} (recovery_mean={metrics['recovery_mean']:.4g} s, "
+            f"max_abs_err={max(metrics['max_abs_err']):.4g} m, oscillation={entry['oscillation']})"
         )
     _write_json(base.with_name(f"{base.name}_summary.json"), summary)
-    return 2 if failed else 0
+    return 2 if any(e["error"] is not None for e in summary) else 0
 
 
 def _cmd_calibrate(args) -> int:
@@ -374,21 +372,14 @@ def _cmd_calibrate(args) -> int:
     grid = _parse_float_list(args.grid, "grid")
     rows = calibrate_sweep(scenario, args.wmax_init, grid)
     out = _out_base(args.out, "calibration").with_suffix(".csv")
-    lines = ["x_b,x_b_upper,w_max"]
-    for row in rows:
-        lines.append(
-            f"{row['x_b']:.9g},{row['x_b_range'][1]:.9g},{row['w_max']:.9g}"
-        )
-    Path(out).write_text("\n".join(lines) + "\n")
-    _write_json(
-        out.with_name(out.name + ".meta.json"),
-        {
-            "config_hash": config_hash(scenario_to_dict(scenario)),
-            "grid": grid,
-            "w_max_init": args.wmax_init,
-            "rows": _jsonify(rows),
-        },
-    )
+    table = [(row["x_b"], row["x_b_range"][1], row["w_max"]) for row in rows]
+    meta = {
+        "config_hash": config_hash(scenario_to_dict(scenario)),
+        "grid": grid,
+        "w_max_init": args.wmax_init,
+        "rows": _jsonify(rows),
+    }
+    _write_table(out, ["x_b", "x_b_upper", "w_max"], table, meta)
     for row in rows:
         print(f"x_b={row['x_b']:g} m -> w_max={row['w_max']:g} N")
     print(f"wrote {out}")
@@ -398,6 +389,8 @@ def _cmd_calibrate(args) -> int:
 def _cmd_energy_drift(args) -> int:
     rates = _parse_float_list(args.rates, "rates")
     params = StiffnessParams(k_const=0.0, w_max=30.0, x_b=0.1)
+    print(f"analytic IC work: {ANALYTIC_IC_WORK:.6f} J")
+    print(f"{'rate_hz':>10} {'delta_E_IC':>14} {'abs_drift':>12} {'delta_E_FIC':>14}")
     rows = []
     for rate in rates:
         n = int(round(rate))
@@ -407,33 +400,24 @@ def _cmd_energy_drift(args) -> int:
         xddot = 6.0 * t + 2.0
         w_ic = ic_work_discrete(1.0, 1.0, x, xdot, xddot)
         w_fic = fic_work(params, x[0], x[-1])
-        rows.append((rate, w_ic, abs(w_ic - ANALYTIC_IC_WORK), w_fic))
-    print(f"analytic IC work: {ANALYTIC_IC_WORK:.6f} J")
-    print(f"{'rate_hz':>10} {'delta_E_IC':>14} {'abs_drift':>12} {'delta_E_FIC':>14}")
-    for rate, w_ic, drift, w_fic in rows:
+        drift = abs(w_ic - ANALYTIC_IC_WORK)
+        rows.append((rate, w_ic, drift, w_fic))
         print(f"{rate:>10g} {w_ic:>14.6f} {drift:>12.6f} {w_fic:>14.6f}")
     if args.out:
-        out = Path(args.out)
-        lines = ["rate_hz,delta_e_ic,abs_drift,delta_e_fic"]
-        lines += [
-            f"{r:.9g},{w:.9g},{dr:.9g},{wf:.9g}" for r, w, dr, wf in rows
-        ]
-        out.write_text("\n".join(lines) + "\n")
-        _write_json(
-            out.with_name(out.name + ".meta.json"),
-            {
-                "config_hash": config_hash({"command": "energy-drift", "rates": rates}),
-                "analytic": ANALYTIC_IC_WORK,
-            },
-        )
-        print(f"wrote {out}")
+        cols = ["rate_hz", "delta_e_ic", "abs_drift", "delta_e_fic"]
+        meta = {
+            "config_hash": config_hash({"command": "energy-drift", "rates": rates}),
+            "analytic": ANALYTIC_IC_WORK,
+        }
+        _write_table(Path(args.out), cols, rows, meta)
+        print(f"wrote {args.out}")
     return 0
 
 
 def _cmd_phase_portrait(args) -> int:
     energies = _parse_float_list(args.energies, "energies")
     out = Path(args.out) if args.out else Path("phase_portrait.csv")
-    lines = ["energy,t,x_err,xdot"]
+    tables = []
     peaks = []
     for e0 in sorted(energies):
         v0 = math.sqrt(2.0 * e0)  # unit point mass
@@ -457,22 +441,14 @@ def _cmd_phase_portrait(args) -> int:
         if record.error is not None:
             print(f"runtime error at energy {e0:g} J", file=sys.stderr)
             return 2
-        for k in range(record.n_samples):
-            lines.append(
-                f"{e0:.9g},{record.t[k]:.9g},{record.x_err[k, 0]:.9g},"
-                f"{record.xdot[k, 0]:.9g}"
-            )
+        cols = (np.full(record.n_samples, e0), record.t, record.x_err[:, 0], record.xdot[:, 0])
+        tables.append(np.column_stack(cols))
         peaks.append((e0, float(np.max(np.abs(record.x_err[:, 0])))))
-    out.write_text("\n".join(lines) + "\n")
-    _write_json(
-        out.with_name(out.name + ".meta.json"),
-        {
-            "config_hash": config_hash(
-                {"command": "phase-portrait", "energies": sorted(energies)}
-            ),
-            "peak_error_by_energy": _jsonify(peaks),
-        },
-    )
+    meta = {
+        "config_hash": config_hash({"command": "phase-portrait", "energies": sorted(energies)}),
+        "peak_error_by_energy": _jsonify(peaks),
+    }
+    _write_table(out, ["energy", "t", "x_err", "xdot"], np.vstack(tables), meta)
     for e0, peak in peaks:
         print(f"energy {e0:g} J -> peak |x_err| {peak:.4g} m")
     print(f"wrote {out}")

@@ -57,18 +57,17 @@ def _per_dof(value, d: int | None, name: str) -> tuple:
     return vals
 
 
-def _check_posture_gains(kp, kd) -> None:
-    if not (0.0 <= kp < math.inf and 0.0 <= kd < math.inf):  # NaN fails too
-        raise ValueError("posture gains must be finite and non-negative")
+def _check_posture_gains(gains) -> None:
+    if len(gains) != 2 or not all(0.0 <= g < math.inf for g in gains):  # NaN fails too
+        raise ValueError("posture_gains: expected two finite and non-negative values")
 
 
 def _set_posture(config) -> None:
     """The posture target and gains as float tuples; the gains checked."""
     if config.posture_target is not None:
         object.__setattr__(config, "posture_target", tuple(map(float, config.posture_target)))
-    kp, kd = config.posture_gains
-    _check_posture_gains(kp, kd)
-    object.__setattr__(config, "posture_gains", (float(kp), float(kd)))
+    _check_posture_gains(config.posture_gains)
+    object.__setattr__(config, "posture_gains", tuple(map(float, config.posture_gains)))
 
 
 @dataclass(frozen=True)
@@ -84,7 +83,7 @@ class FicConfig:
         object.__setattr__(self, "stiffness", tuple(self.stiffness))
         damping = _per_dof(self.damping, len(self.stiffness), "damping")
         if not all(0.0 <= v < math.inf for v in damping):
-            raise ValueError("damping must be finite and non-negative")
+            raise ValueError("damping: must be finite and non-negative")
         object.__setattr__(self, "damping", damping)
         _set_posture(self)
 
@@ -105,8 +104,10 @@ class BaselineConfig:
     def __post_init__(self) -> None:
         k_d = _per_dof(self.k_d, None, "k_d")
         d_d = _per_dof(self.d_d, len(k_d), "d_d")
-        if not (all(0.0 < v < math.inf for v in k_d) and all(0.0 <= v < math.inf for v in d_d)):
-            raise ValueError("baseline needs finite k_d > 0 and d_d >= 0")
+        if not all(0.0 < v < math.inf for v in k_d):
+            raise ValueError("k_d: must be finite and positive")
+        if not all(0.0 <= v < math.inf for v in d_d):
+            raise ValueError("d_d: must be finite and non-negative")
         object.__setattr__(self, "k_d", k_d)
         object.__setattr__(self, "d_d", d_d)
         _set_posture(self)
@@ -173,8 +174,7 @@ def null_space_torque(q, qdot, posture_target, gains: tuple[float, float]) -> li
     """Joint-space PD toward a posture of the arm's 3 joints; projected by
     the caller."""
     if posture_target is not None:
-        kp, kd = gains
-        _check_posture_gains(kp, kd)
+        _check_posture_gains(gains)
     return _posture_torque(q, qdot, posture_target, gains)
 
 

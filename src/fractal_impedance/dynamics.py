@@ -102,7 +102,7 @@ class PointMassPlant:
     def __post_init__(self) -> None:
         self.inertia = tuple(map(float, self.inertia))
         if not self.inertia or not all(m > 0.0 for m in self.inertia):
-            raise ValueError("point-mass inertia must be positive per DoF")
+            raise ValueError("inertia: must be positive per DoF")
 
 
 @dataclass

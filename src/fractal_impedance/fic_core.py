@@ -72,21 +72,21 @@ def beta_squared(k_const: float, w_max: float, x_b: float) -> float:
             (``x_b^2`` underflows, ``w_max / x_b`` overflows).
     """
     if x_b <= 0.0:
-        raise ValueError(f"x_b must be positive, got {x_b}")
+        raise ValueError(f"x_b: must be positive, got {x_b}")
     if w_max <= 0.0:
-        raise ValueError(f"w_max must be positive, got {w_max}")
+        raise ValueError(f"w_max: must be positive, got {w_max}")
     if k_const < 0.0:
-        raise ValueError(f"k_const must be non-negative, got {k_const}")
+        raise ValueError(f"k_const: must be non-negative, got {k_const}")
     arg = w_max / x_b - k_const
     if arg <= 1.0:
         raise ValueError(
-            f"infeasible stiffness profile: w_max/x_b - k_const = {arg} <= 1"
+            f"x_b: infeasible stiffness profile: w_max/x_b - k_const = {arg} <= 1"
         )
     x_b_sq = x_b * x_b
     beta_sq = math.log(arg) / x_b_sq if x_b_sq > 0.0 else math.inf
     if not 0.0 < beta_sq < math.inf:
         raise ValueError(
-            f"infeasible stiffness profile: beta^2 = {beta_sq} is not finite and positive"
+            f"x_b: infeasible stiffness profile: beta^2 = {beta_sq} is not finite and positive"
         )
     return beta_sq
 
@@ -202,20 +202,19 @@ def update_attractor(
     x_err_rate: float,
     *,
     rate_tol: float = 0.0,
-    displacement_tol: float = ZERO_DISPLACEMENT_TOL,
 ) -> AttractorState:
     """Advance one DoF's attractor state with a fresh (x_err, x_err_rate) sample.
 
     On a divergence-to-convergence transition the current error becomes
     ``x_tilde_max`` and the convergence gain is frozen so that the energy the
     midpoint spring can deliver equals the energy absorbed while diverging.
-    A transition at |x_err| < displacement_tol is skipped (nothing was stored,
+    A transition at |x_err| < ZERO_DISPLACEMENT_TOL is skipped (nothing was stored,
     and the convergence spring would be degenerate). The reverse transition
     discards the snapshot. Returns a new state; inputs are not mutated.
     """
     new_phase = classify_phase(x_err, x_err_rate, rate_tol)
     if state.phase is _DIV and new_phase is _CONV:
-        if abs(x_err) < displacement_tol:
+        if abs(x_err) < ZERO_DISPLACEMENT_TOL:
             return state
         return _snapshot(p, x_err)
     if state.phase is _CONV and new_phase is _DIV:

@@ -98,6 +98,7 @@ PLANTS = ("point_mass", "arm")
 CONTROLLERS = ("fic", "baseline")
 RECOVERY_FRACTION = 0.05  # of the per-pulse peak error
 RECOVERY_DWELL = 0.2  # s below threshold before recovery is declared
+OSCILLATION_WINDOW = 2.0  # s of trailing record that detect_oscillation tests
 
 _REFERENCE_KEYS = {
     "static": {"type", "pose"},
@@ -205,8 +206,6 @@ class Scenario:
             raise ValueError(f"integrator: must be one of {INTEGRATORS}")
         d = self.n_task
         if self.plant == "point_mass":
-            if len(self.inertia) < 1 or any(m <= 0 for m in self.inertia):
-                raise ValueError("inertia: must be positive per DoF")
             for name in ("x0", "xdot0"):
                 val = getattr(self, name)
                 if val is not None and len(val) != d:
@@ -218,8 +217,6 @@ class Scenario:
                 raise ValueError("qdot0: length must match q0")
             if self.posture_target is not None and len(self.posture_target) != len(self.q0):
                 raise ValueError("posture_target: length must match q0")
-        if len(self.posture_gains) != 2 or any(g < 0 for g in self.posture_gains):
-            raise ValueError("posture_gains: expected two non-negative values")
         # The builders run once here, so bad gains fail at parse time.
         build_controller(self)
         if self.xb_schedule is not None:
@@ -233,7 +230,10 @@ class Scenario:
             )
             if end <= 0 or rate <= 0 or itv <= 0:
                 raise ValueError("xb_schedule: x_b_end, rate, interval must be positive")
-            build_controller(self, x_b=(end,) * d)
+            try:
+                build_controller(self, x_b=(end,) * d)
+            except ValueError as exc:
+                raise ValueError("xb_schedule.x_b_end: " + str(exc).removeprefix("x_b: ")) from None
         ref = self.reference
         if not isinstance(ref, dict) or "type" not in ref:
             raise ValueError("reference: missing key 'type'")
@@ -680,8 +680,8 @@ def compute_metrics(record: EpisodeRecord) -> dict:
     }
 
 
-def detect_oscillation(record: EpisodeRecord, window: float = 2.0) -> bool:
-    """Sustained oscillation test on the trailing window.
+def detect_oscillation(record: EpisodeRecord) -> bool:
+    """Sustained oscillation test on the trailing ``OSCILLATION_WINDOW`` s.
 
     True when, on any DoF, the error rate crosses zero more than 8 times and
     the error peak is non-decaying (last-half peak >= 90% of first-half peak).
@@ -689,7 +689,7 @@ def detect_oscillation(record: EpisodeRecord, window: float = 2.0) -> bool:
     t = record.t
     if t.shape[0] < 4:
         return False
-    mask = t >= t[-1] - window + 1e-12
+    mask = t >= t[-1] - OSCILLATION_WINDOW + 1e-12
     err = record.x_err[mask]
     n_w = err.shape[0]
     if n_w < 4:

@@ -334,9 +334,10 @@ def test_criterion_09_tracking_boundary_trend(criterion):
         assert rec.error is None
         rmse[x_b] = compute_metrics(rec)["rmse"]
     ok = all(rmse[0.01][i] < rmse[0.10][i] for i in range(2))
+    shown = {x_b: "(" + ", ".join(f"{v:.6g}" for v in r) + ")" for x_b, r in rmse.items()}
     assert criterion(
         9, "tracking boundary trend", ok,
-        f"circle RMSE per axis {rmse[0.01]} m at x_B=0.01 < {rmse[0.10]} m at x_B=0.10",
+        f"circle RMSE per axis {shown[0.01]} m at x_B=0.01 < {shown[0.10]} m at x_B=0.10",
     )
 
 

@@ -4,11 +4,20 @@ import io
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fractal_impedance import Scenario, run_scenario
+from fractal_impedance import (
+    Scenario,
+    StiffnessParams,
+    cli,
+    compute_metrics,
+    fic_work,
+    ic_work_discrete,
+    run_scenario,
+)
 from fractal_impedance.cli import (
     ConfigError,
     _episode_columns,
@@ -115,15 +124,31 @@ def record():
     return run_scenario(scenario_from_dict(BASE_CONFIG))
 
 
+def savetxt_table(cols, rows, fmt="%.9g") -> bytes:
+    """The CSV that ``np.savetxt`` writes for the rows under the header ``cols``."""
+    buf = io.StringIO()
+    np.savetxt(buf, rows, fmt=fmt, delimiter=",", newline="\n", header=",".join(cols), comments="")
+    return buf.getvalue().encode()
+
+
 def savetxt_bytes(recs) -> bytes:
     """The CSV that ``np.savetxt`` writes for the records, as emit_csv once
     called it."""
     cols = _episode_columns(recs[0].x.shape[1])
     fmt = ["%d" if c.startswith("phase_s") else "%.9g" for c in cols]
-    data = np.vstack([_episode_matrix(r) for r in recs])
-    buf = io.StringIO()
-    np.savetxt(buf, data, fmt=fmt, delimiter=",", newline="\n", header=",".join(cols), comments="")
-    return buf.getvalue().encode()
+    return savetxt_table(cols, np.vstack([_episode_matrix(r) for r in recs]), fmt)
+
+
+def capture_records(monkeypatch) -> list:
+    """The records of every episode that ``cli`` runs, in run order."""
+    records = []
+
+    def run(sc):
+        records.append(run_scenario(sc))
+        return records[-1]
+
+    monkeypatch.setattr(cli, "run_scenario", run)
+    return records
 
 
 def csv_records(kind, record):
@@ -288,6 +313,20 @@ class TestCliCommands:
                 },
                 "/gravity: expected 2 entries",
             ),
+            ({"controller": "baseline", "k_d": 0.0}, "/k_d: must be finite and positive"),
+            ({"controller": "baseline", "d_d": -1.0}, "/d_d: must be finite and non-negative"),
+            ({"damping": -1.0}, "/damping: must be finite and non-negative"),
+            ({"x_b": 0.0}, "/x_b: must be positive"),
+            ({"k_const": -1.0}, "/k_const: must be non-negative"),
+            ({"w_max": 0.0}, "/w_max: must be positive"),
+            ({"w_max": 0.05, "x_b": 0.1}, "/x_b: infeasible stiffness profile"),
+            (
+                {"xb_schedule": {"x_b_end": 1e-200, "rate": 0.01, "interval": 0.1}},
+                "/xb_schedule/x_b_end: infeasible stiffness profile",
+            ),
+            ({"posture_gains": [1.0]}, "/posture_gains: expected two finite and non-negative"),
+            ({"posture_gains": [-1.0, 0.0]}, "/posture_gains: expected two finite"),
+            ({"inertia": [0.0]}, "/inertia: must be positive per DoF"),
         ],
     )
     def test_bad_value_exit_1(self, tmp_path, capsys, changes, error):
@@ -327,8 +366,9 @@ class TestCliCommands:
         assert code == 2
         assert "integration_blowup" in capsys.readouterr().err
 
-    def test_sweep_writes_per_rate_files(self, tmp_path, monkeypatch):
+    def test_sweep_writes_per_rate_files(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
+        records = capture_records(monkeypatch)
         cfg = write_config(tmp_path, BASE_CONFIG)
         code = main(["sweep", "--config", cfg, "--rates", "500,250", "--out", "sw"])
         assert code == 0
@@ -337,6 +377,21 @@ class TestCliCommands:
         summary = json.loads((tmp_path / "sw_summary.json").read_text())
         assert [e["rate_hz"] for e in summary] == [500.0, 250.0]
         assert all(e["error"] is None for e in summary)
+        assert [e["max_abs_err"] for e in summary] == [
+            list(compute_metrics(r)["max_abs_err"]) for r in records
+        ]
+        printed = capsys.readouterr().out.splitlines()
+        assert all("max_abs_err=" in line and "oscillation=False" in line for line in printed)
+
+    def test_low_bandwidth_demo_config(self, tmp_path):
+        # the pulse recovery study at 1 kHz, 100 Hz and 20 Hz feedback
+        cfg = Path(__file__).resolve().parents[1] / "demos" / "low_bandwidth_recovery.json"
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "lbr")]) == 0
+        summary = json.loads((tmp_path / "lbr_summary.json").read_text())
+        assert [e["rate_hz"] for e in summary] == [1000.0, 100.0, 20.0]
+        assert [round(e["recovery_mean"], 3) for e in summary] == [0.427, 0.499, 0.788]
+        assert [round(e["max_abs_err"][0], 4) for e in summary] == [0.0496, 0.0513, 0.0600]
+        assert not any(e["oscillation"] or e["error"] for e in summary)
 
     def test_sweep_bad_rates_exit_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path, BASE_CONFIG)
@@ -361,6 +416,8 @@ class TestCliCommands:
         assert lines[1].startswith("0.1,0.1,")
         meta = json.loads((tmp_path / "cal.csv.meta.json").read_text())
         assert meta["rows"][0]["x_b"] == 0.1
+        rows = [(r["x_b"], r["x_b_range"][1], r["w_max"]) for r in meta["rows"]]
+        assert (tmp_path / "cal.csv").read_bytes() == savetxt_table(lines[0].split(","), rows)
 
     def test_energy_drift_table(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -373,9 +430,18 @@ class TestCliCommands:
         drift_20 = float(rows[1].split(",")[2])
         drift_100 = float(rows[2].split(",")[2])
         assert drift_20 > drift_100
+        table = []
+        for rate in (20.0, 100.0):
+            t = np.arange(int(rate) + 1) / rate
+            x = t**3 + t**2 + t
+            w_ic = ic_work_discrete(1.0, 1.0, x, 3.0 * t**2 + 2.0 * t + 1.0, 6.0 * t + 2.0)
+            w_fic = fic_work(StiffnessParams(0.0, 30.0, 0.1), x[0], x[-1])
+            table.append((rate, w_ic, abs(w_ic - cli.ANALYTIC_IC_WORK), w_fic))
+        assert (tmp_path / "drift.csv").read_bytes() == savetxt_table(rows[0].split(","), table)
 
     def test_phase_portrait_peaks_grow_with_energy(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
+        records = capture_records(monkeypatch)
         code = main(
             ["phase-portrait", "--energies", "0.25,1.0", "--dt", "1e-3",
              "--duration", "1.0", "--out", "pp.csv"]
@@ -384,6 +450,15 @@ class TestCliCommands:
         meta = json.loads((tmp_path / "pp.csv.meta.json").read_text())
         peaks = dict((e, p) for e, p in meta["peak_error_by_energy"])
         assert peaks[1.0] > peaks[0.25] > 0.0
+        table = np.vstack(
+            [
+                np.column_stack((np.full(r.n_samples, e0), r.t, r.x_err[:, 0], r.xdot[:, 0]))
+                for e0, r in zip((0.25, 1.0), records)
+            ]
+        )
+        assert len(table) > 256  # more than one write chunk
+        expected = savetxt_table(["energy", "t", "x_err", "xdot"], table)
+        assert (tmp_path / "pp.csv").read_bytes() == expected
 
     def test_log_env_smoke(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -21,7 +21,11 @@ outputs can be compared with ``diff``. Each output line is
   pool case reaches (an ``xb_schedule`` on both plants, wall contact on both
   plants and under both controllers, the baseline controller, a 300 Hz tick
   rate, the semi-implicit integrator),
-  built from public ``Scenario`` fields only, so any checkout runs them.
+  built from public ``Scenario`` fields only, so any checkout runs them;
+- ``cli``: the exit status and the bytes of every file that each ``fic``
+  command writes (``run --format json``, ``sweep``, ``calibrate``,
+  ``energy-drift``, ``phase-portrait``) on small fixed inputs; the sweep's
+  ``*_summary.json`` is left out.
 
 Floats are hashed by their exact bits, so any change in the last bit of a
 record changes its digest.
@@ -35,9 +39,13 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import contextlib  # noqa: E402
 import dataclasses  # noqa: E402
 import enum  # noqa: E402
 import hashlib  # noqa: E402
+import importlib  # noqa: E402
+import io  # noqa: E402
+import json  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -132,6 +140,48 @@ def path_scenarios(fi) -> dict:
     }
 
 
+# Each fic command's arguments; "{cfg}" is the pulse scenario below and "{out}"
+# an empty directory of its own.
+CLI_COMMANDS = {
+    "run": ["run", "--config", "{cfg}", "--out", "{out}/run.json", "--format", "json"],
+    "sweep": ["sweep", "--config", "{cfg}", "--rates", "1000,100,20", "--out", "{out}/sw"],
+    "calibrate": ["calibrate", "--config", "{cfg}", "--grid", "0.1,0.0052", "--out", "{out}/cal"],
+    "energy-drift": ["energy-drift", "--rates", "20,100,1000", "--out", "{out}/drift.csv"],
+    "phase-portrait": [
+        "phase-portrait", "--energies", "0.25,1.0", "--dt", "1e-3", "--duration", "1.0",
+        "--out", "{out}/pp.csv",
+    ],
+}
+CLI_SCENARIO = {
+    "name": "cli_pulse",
+    "duration": 3.0,
+    "dt": 1e-3,
+    "feedback_hz": 100.0,
+    "x0": [0.0],
+    "reference": {"type": "static", "pose": [0.0]},
+    "damping": 0.5,
+    "pulses": [{"start": 0.5, "duration": 0.15, "wrench": [10.0]}],
+}
+
+
+def cli_digests(tmp: Path):
+    """(command, digest of its exit status and of every file it wrote)."""
+    cli = importlib.import_module("fractal_impedance.cli")
+    cfg = tmp / "cli_pulse.json"
+    cfg.write_text(json.dumps(CLI_SCENARIO))
+    for name, argv in CLI_COMMANDS.items():
+        out = tmp / name
+        out.mkdir()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main([a.format(cfg=cfg, out=out) for a in argv])
+        files = [
+            (f.name, f.read_bytes())
+            for f in sorted(out.iterdir())
+            if not f.name.endswith("_summary.json")
+        ]
+        yield name, digest(code, files)
+
+
 def _import_checkout(root: Path):
     """The library and the benchmark's workloads of the checkout at ``root``."""
     sys.path[:0] = [str(root / "src"), str(root / "bench")]
@@ -167,6 +217,9 @@ def main(argv=None) -> int:
         print(f"calibrate x_b={row['x_b']:g} {digest(row)}", flush=True)
     for name, sc in path_scenarios(fi).items():
         print(f"path {name} {digest(fi.run_scenario(sc))}", flush=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, sha in cli_digests(Path(tmp)):
+            print(f"cli {name} {sha}", flush=True)
     return 0
 
 
