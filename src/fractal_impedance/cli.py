@@ -370,7 +370,11 @@ def _cmd_sweep(args) -> int:
 def _cmd_calibrate(args) -> int:
     scenario = parse_config(args.config)
     grid = _parse_float_list(args.grid, "grid")
-    rows = calibrate_sweep(scenario, args.wmax_init, grid)
+    try:
+        rows = calibrate_sweep(scenario, args.wmax_init, grid)
+    except ValueError as exc:
+        field, message = _pointer_from_message(str(exc))
+        raise ConfigError("/wmax-init" if field.startswith("/w_max") else "/grid", message) from exc
     out = _out_base(args.out, "calibration").with_suffix(".csv")
     table = [(row["x_b"], row["x_b_range"][1], row["w_max"]) for row in rows]
     meta = {

@@ -30,7 +30,8 @@ nor N is formed in the loop: the torque map folds N into its task term, and
 only ``task_space_quantities`` builds them. ``_advance`` is the one stepping
 path, and ``Scenario`` checks the integrator name against ``INTEGRATORS``;
 with ``accel=None``, for a plant whose acceleration does not depend on its
-state, RK4 is one pass over the components that gives the general path's bits.
+state, RK4 is one pass over the components that gives the general path's bits,
+and one call steps a held run of ``steps`` samples under that acceleration.
 
 Environment effects (unilateral wall, force pulses) are plain functions so the
 integrators can evaluate them at stage states.
@@ -40,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from math import cos, sin
+from math import cos, isfinite, sin
 from operator import add, mul
 from typing import NamedTuple
 
@@ -71,10 +72,12 @@ INTEGRATORS = ("rk4", "semi_implicit")
 
 
 class IntegrationBlowupError(RuntimeError):
-    """Raised when a plant state becomes non-finite; carries the time stamp."""
+    """Raised when a plant state becomes non-finite; carries the time stamp
+    and the finite states of a held run before it, as ``_advance`` returns."""
 
-    def __init__(self, time: float):
+    def __init__(self, time: float, pos=(), vel=()):
         self.time = float(time)
+        self.pos, self.vel = list(pos), list(vel)
         super().__init__(f"non-finite plant state at t = {time:.6g} s")
 
 
@@ -525,11 +528,12 @@ def external_wrench(profile: PerturbationProfile, t: float) -> list:
     return w
 
 
-def _point_mass_ke(plant: PointMassPlant, xdot: list) -> float:
-    """Kinetic energy 0.5 xdot' M xdot, summed from 0.0 in DoF order."""
+def _point_mass_ke(plant: PointMassPlant, xdot: np.ndarray) -> np.ndarray:
+    """Kinetic energy 0.5 xdot' M xdot of each row of ``xdot``, summed from
+    0.0 in DoF order, as float arithmetic does."""
     ke = 0.0
-    for m, v in zip(plant.inertia, xdot):
-        ke += m * v * v
+    for m, v in zip(plant.inertia, xdot.T):
+        ke = ke + m * v * v
     return 0.5 * ke
 
 
@@ -593,38 +597,56 @@ def _arm_accel(
     return [p0, p1 - p0, p2 - p1]
 
 
-def _advance(pos, vel, accel, dt: float, integrator: str, t: float, accel0=None):
-    """One fixed integration step of pos'' = accel(pos, vel) over lists of
+def _advance(pos, vel, accel, dt: float, integrator: str, t: float, accel0=None, steps=1):
+    """Fixed integration steps of pos'' = accel(pos, vel) over lists of
     floats; the one integrator of both plants.
 
     ``accel0`` is ``accel(pos, vel)`` when the caller has it already;
     ``accel=None`` means every stage's acceleration is ``accel0``: RK4 then
     reads no stage position and its second and third stage velocities are
-    equal, so it takes one pass per component. Each component is combined in
-    the order numpy's array expressions
-    ``vel + 0.5 * dt * acc`` and ``pos + dt / 6 * (k1 + 2 k2 + 2 k3 + k4)``
-    use, so the step gives their bits. Explicit loops, not comprehensions:
-    at one to three components a comprehension's own call costs more than
-    its arithmetic.
+    equal, so it takes one pass per component. Such a held run, or the
+    semi-implicit step (which reads no stage), takes ``steps`` steps, whose
+    increments ``h a``, ``dt a`` and ``dt/6 (a + 2a + 2a + a)`` are the same
+    floats; the new states come back as flat sample-major lists, ``len(pos)``
+    values per step, so one step returns the new state. Each component is
+    combined in the order numpy's array expressions ``vel + 0.5 * dt * acc``
+    and ``pos + dt / 6 * (k1 + 2 k2 + 2 k3 + k4)`` use, so the step gives
+    their bits. Explicit loops, not comprehensions: at one to three
+    components a comprehension's own call costs more than its arithmetic.
 
     Raises:
-        IntegrationBlowupError: when a component of the new state is not
-            finite; it carries the time ``t + dt``.
+        IntegrationBlowupError: when a new state is not finite (it stays
+            so under these updates, so only the last one is checked). With
+            ``t = k dt``, step ``j`` reports ``(k + j) dt + dt`` from the
+            sample index, as one step from ``(k + j) dt`` does, and carries
+            the ``j`` finite states before it.
     """
     if accel0 is None:
         accel0 = accel(pos, vel)
     new_pos, new_vel = [], []
-    if integrator == "semi_implicit":
-        for p, v, a in zip(pos, vel, accel0):
-            v = v + dt * a
-            new_pos.append(p + dt * v)
-            new_vel.append(v)
-    elif accel is None:
+    finite = True  # the last state's components
+    if accel is None or integrator == "semi_implicit":
         h, h6 = 0.5 * dt, dt / 6.0
         for p, v, a in zip(pos, vel, accel0):
-            b2 = v + h * a
-            new_pos.append(p + h6 * (v + 2.0 * b2 + 2.0 * b2 + (v + dt * a)))
-            new_vel.append(v + h6 * (a + 2.0 * a + 2.0 * a + a))
+            da = dt * a
+            if integrator == "semi_implicit":
+                for _ in range(steps):
+                    v = v + da
+                    p = p + dt * v
+                    new_pos.append(p)
+                    new_vel.append(v)
+            else:
+                ha, dv = h * a, h6 * (a + 2.0 * a + 2.0 * a + a)
+                for _ in range(steps):
+                    b2 = v + ha
+                    p = p + h6 * (v + 2.0 * b2 + 2.0 * b2 + (v + da))
+                    v = v + dv
+                    new_pos.append(p)
+                    new_vel.append(v)
+            finite = finite and isfinite(p) and isfinite(v)
+        if steps > 1 < len(pos):  # one run per component, to one state per step
+            new_pos = np.reshape(new_pos, (-1, steps)).T.ravel().tolist()
+            new_vel = np.reshape(new_vel, (-1, steps)).T.ravel().tolist()
     else:
         h = 0.5 * dt
         p2, v2 = [], []
@@ -646,7 +668,10 @@ def _advance(pos, vel, accel, dt: float, integrator: str, t: float, accel0=None)
         for p, v, b2, b3, b4, a1, c2, c3, c4 in zip(pos, vel, v2, v3, v4, accel0, a2, a3, a4):
             new_pos.append(p + h * (v + 2.0 * b2 + 2.0 * b3 + b4))
             new_vel.append(v + h * (a1 + 2.0 * c2 + 2.0 * c3 + c4))
-    for value in new_pos + new_vel:
-        if not math.isfinite(value):
-            raise IntegrationBlowupError(t + dt)
+        finite = all(map(isfinite, new_pos + new_vel))
+    if not finite:
+        d = len(pos)
+        j = [isfinite(p) and isfinite(v) for p, v in zip(new_pos, new_vel)].index(False) // d
+        time = t + dt if j == 0 else (round(t / dt) + j) * dt + dt
+        raise IntegrationBlowupError(time, new_pos[: j * d], new_vel[: j * d])
     return new_pos, new_vel

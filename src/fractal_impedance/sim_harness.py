@@ -6,22 +6,24 @@ alone. The loop advances physics at ``dt`` while the controller runs on a
 zero-order hold at ``feedback_hz``: the measurement taken at a tick is
 consumed once and the commanded force is held until the next tick.
 
-Each sample evaluates the plant once (the arm through
-``dynamics._arm_task_state``; the point mass is its own task state and adds
-only its kinetic energy, ``_point_mass_ke``), then one ``dynamics._advance``
-step follows. The arm, and a point mass against a wall, evaluate the
-acceleration at each stage. A wall-free point mass accelerates by (held force
-+ pulse) / m in any state, so the loop recomputes it only at a tick or at a
-pulse edge (the steps of one set of active pulses share one pulse row) and
-steps with ``accel=None``.
+The arm, and a point mass against a wall, evaluate the plant once per sample
+(the arm through ``dynamics._arm_task_state``; the point mass is its own task
+state) and their acceleration at each stage of one ``dynamics._advance`` step.
+A wall-free point mass accelerates by (held force + pulse) / m in any state,
+so the loop evaluates it only at a tick or a pulse edge (the steps of one set
+of active pulses share one pulse row), and one ``_advance(..., accel=None,
+steps=m)`` call steps to the next one. The samples in between (a held run,
+or its finite part before a blowup) are recorded in bulk: the returned
+states, the event's wrench, phases and contact force, and the reference.
 A tick is one block for both plants: the task law reads the errors from the
 sample, and for the arm ``controllers._arm_torques`` maps the wrench at that
 same sample. The plant object holds parameters only. The loop keeps the
 plant state (from the scenario's q0/qdot0 or x0/xdot0), the reference, the
 held wrench and the pulse wrench as lists of Python floats, because numpy's
 per-call dispatch on vectors of one to three entries costs more than their
-arithmetic. It writes each sample into compact ``array`` columns, and the
-record's arrays are built from them once, after the loop.
+arithmetic. It writes the samples into compact ``array`` columns, and the
+record's arrays are built from them once, after the loop, with ``x_err =
+x_d - x`` and a point mass's kinetic energy from its ``xdot`` column.
 Elementwise float arithmetic in numpy's order gives numpy's bits, so a 1-DoF
 record is the one numpy expressions would give; a sum over several DoFs
 (kinetic energy, contact power) may differ from ``np.dot`` in the last bit.
@@ -380,12 +382,13 @@ def _tick_starts(n: int, feedback_hz: float, dt: float) -> np.ndarray:
     return starts
 
 
-def _pulse_table(profile: PerturbationProfile, n_steps: int, dt: float) -> list | None:
+def _pulse_table(profile: PerturbationProfile, n_steps: int, dt: float) -> tuple:
     """The pulse wrench of each step k < n_steps (at t = k dt), or None
-    when no step reads one. ``external_wrench`` runs once per distinct set of
+    when no step reads one, and the steps where the set of active pulses
+    changes (its edges). ``external_wrench`` runs once per distinct set of
     active pulses, and the steps of one set share its row."""
     if not (profile.pulses and n_steps):
-        return None
+        return None, []
     t = np.arange(n_steps) * dt
     active = np.array([(p.start <= t) & (t < p.end) for p in profile.pulses]).T
     bounds = np.flatnonzero(np.any(active[1:] != active[:-1], axis=1)) + 1
@@ -395,7 +398,7 @@ def _pulse_table(profile: PerturbationProfile, n_steps: int, dt: float) -> list 
         if key not in rows:
             rows[key] = external_wrench(profile, a * dt)
         table += [rows[key]] * (b - a)
-    return table
+    return table, bounds
 
 
 def zoh_sample(signal: np.ndarray, feedback_hz: float, dt: float) -> np.ndarray:
@@ -470,25 +473,38 @@ def run_scenario(sc: Scenario) -> EpisodeRecord:
         x_start = pos
     sample = None  # the arm's sample; the point mass needs none
     ref_fn = _make_reference(sc, x_start)
-    pulse_rows = _pulse_table(profile, n_steps, dt)
-    w_pulse = accel0_pulse = None
-    # (held force + pulse row) / m: set at a tick or a pulse edge, not per stage
+    static_ref = sc.reference["type"] == "static"
+    tick_mask = _tick_starts(n, sc.feedback_hz, dt)
+    ticks = tick_mask.tolist()
+    pulse_rows, edges = _pulse_table(profile, n_steps, dt)
+    w_pulse = None
+    # (held force + pulse row) / m is set at a tick or a pulse edge, not per
+    # stage, and one visit steps from there to the next one (or the last
+    # sample); the other plants visit every sample
     state_free = not is_arm and wall is None
     stage = None if state_free else lambda xx, vv: accel(plant, held_force, xx, vv, wall, w_pulse)
+    stops = tick_mask | (not state_free)
+    stops[edges] = stops[-1] = True
+    runs = iter(np.diff(np.flatnonzero(stops), append=n).tolist())
 
     states = new_attractor_states(d)
     x_b0 = tuple(p.x_b for p in fic.stiffness) if use_fic else None
     phase_row = [_DIV.value] * d  # the attractor phases' s flags, changed at ticks
     swaps = {}  # for the energy audit: the parameters of each schedule swap
-    ticks = _tick_starts(n, sc.feedback_hz, dt).tolist()
 
-    # Record columns, d values per sample for the vector series.
-    xd_c, x_c, xe_c, xv_c, wr_c, cf_c, ke_c = (array("d") for _ in range(7))
+    # Record columns, d values per sample for the vector series; a point mass
+    # is its own task state, recorded from the states its steps return.
+    xd_c, wr_c, cf_c, ke_c = (array("d") for _ in range(4))
+    x_c, xv_c = array("d", [] if is_arm else pos), array("d", [] if is_arm else vel)
     ph_c = array("q")
     cf = [0.0] * d  # contact force; stays zero without a wall
+    nq = len(pos)
     error = None
+    visit = 0  # the next sample that a held run has not recorded
 
     for k in range(n):
+        if k < visit:
+            continue
         t = k * dt
         if is_arm:
             try:
@@ -496,11 +512,13 @@ def run_scenario(sc: Scenario) -> EpisodeRecord:
             except SingularConfigurationError as exc:
                 error = {"type": "singular_configuration", "time": t, "message": str(exc)}
                 break
-            x_now, v_now, ke = sample.x, sample.xdot, sample.ke
-        else:
-            x_now, v_now, ke = pos, vel, _point_mass_ke(plant, vel)
+            x_now, v_now = sample.x, sample.xdot
+            x_c.extend(x_now)
+            xv_c.extend(v_now)
+            ke_c.append(sample.ke)
+        else:  # its state, recorded by the run that reached it
+            x_now, v_now = pos, vel
         x_d, xd_rate = ref_fn(t)
-        x_err = [a - b for a, b in zip(x_d, x_now)]
 
         if wall is not None:
             cf = contact_force(wall, x_now, v_now)
@@ -511,6 +529,7 @@ def run_scenario(sc: Scenario) -> EpisodeRecord:
                 if new_xb != tuple(p.x_b for p in fic.stiffness):
                     fic = build_controller(sc, x_b=new_xb)
                     swaps[k] = fic.stiffness
+            x_err = [a - b for a, b in zip(x_d, x_now)]
             damping_rate = [-v for v in v_now]
             if use_fic:
                 rate = [r - v for r, v in zip(xd_rate, v_now)]
@@ -522,36 +541,41 @@ def run_scenario(sc: Scenario) -> EpisodeRecord:
             if is_arm:
                 held_force = _arm_torques(plant, sample, held_wrench, *posture)
 
-        xd_c.extend(x_d)
-        x_c.extend(x_now)
-        xe_c.extend(x_err)
-        xv_c.extend(v_now)
-        wr_c.extend(held_wrench)
-        cf_c.extend(cf)
-        ph_c.extend(phase_row)
-        ke_c.append(ke)
-
+        steps = next(runs)  # the samples this visit records: k and its held run
         if k < n_steps:
             if pulse_rows is not None:
                 w_pulse = pulse_rows[k]
-            if not state_free or ticks[k] or w_pulse is not accel0_pulse:
-                accel0 = accel(plant, held_force, pos, vel, wall, w_pulse, sample)
-                accel0_pulse = w_pulse
+            accel0 = accel(plant, held_force, pos, vel, wall, w_pulse, sample)
             try:
-                pos, vel = _advance(pos, vel, stage, dt, sc.integrator, t, accel0)
+                new_pos, new_vel = _advance(pos, vel, stage, dt, sc.integrator, t, accel0, steps)
             except IntegrationBlowupError as exc:
-                error = {
-                    "type": "integration_blowup",
-                    "time": exc.time,
-                    "message": str(exc),
-                }
-                break
+                error = {"type": "integration_blowup", "time": exc.time, "message": str(exc)}
+                new_pos, new_vel = exc.pos, exc.vel  # the finite states before it
+                steps = len(new_vel) // nq + 1
+            if not is_arm:  # a point mass is its own task state
+                x_c.extend(new_pos)
+                xv_c.extend(new_vel)
+            pos, vel = new_pos[-nq:], new_vel[-nq:]
+        wr_c.extend(held_wrench * steps)
+        cf_c.extend(cf * steps)
+        ph_c.extend(phase_row * steps)
+        if static_ref:
+            xd_c.extend(x_d * steps)
+        else:
+            xd_c.extend(x_d)
+            for i in range(k + 1, k + steps):
+                xd_c.extend(ref_fn(i * dt)[0])
+        if error is not None:
+            break
+        visit = k + steps
 
     # The record arrays view the columns; nothing is copied.
-    n_rec = len(ke_c)
-    xe_a, xv_a, cf_a = _rows(xe_c, d), _rows(xv_c, d), _rows(cf_c, d)
+    n_rec = len(ph_c) // d
+    xd_a, x_a, xv_a, cf_a = _rows(xd_c, d), _rows(x_c, d), _rows(xv_c, d), _rows(cf_c, d)
+    with np.errstate(over="ignore"):  # as float arithmetic on a blown-up record
+        xe_a = xd_a - x_a
+        ke = np.frombuffer(ke_c) if is_arm else _point_mass_ke(plant, xv_a)
     t_a = np.arange(n_rec) * dt
-    ke = np.frombuffer(ke_c)
     phase_s = np.frombuffer(ph_c, dtype=np.int64).reshape(n_rec, d)
     # E_rel: running maximum of the task KE over samples where any DoF converges.
     converging = np.any(phase_s == _CONV.value, axis=1)
@@ -573,8 +597,8 @@ def run_scenario(sc: Scenario) -> EpisodeRecord:
     return EpisodeRecord(
         scenario=sc,
         t=t_a,
-        x_d=_rows(xd_c, d),
-        x=_rows(x_c, d),
+        x_d=xd_a,
+        x=x_a,
         x_err=xe_a,
         xdot=xv_a,
         phase_s=phase_s,
@@ -723,31 +747,38 @@ def calibrate_sweep(
     """Largest stable w_max per boundary size, scanned top-down.
 
     For each x_B of the descending grid, run the base perturbation scenario
-    with candidate w_max values descending from ``w_max_init`` and keep the
-    first one whose episode completes without sustained oscillation. Rows are
-    {x_b, x_b_range, w_max} with NaN when every candidate oscillates.
+    with candidate w_max values descending from ``w_max_init`` in steps of
+    ``w_step`` down to ``w_min``, and keep the first one whose episode
+    completes without sustained oscillation. Rows are {x_b, x_b_range, w_max}
+    with NaN when every candidate oscillates.
+
+    Raises:
+        ValueError: before any episode, naming the argument: an empty,
+            ascending or sub-millimetre grid, a non-finite ``w_max_init`` or
+            one below ``w_min``, a non-positive ``w_step``.
     """
     grid = [float(x) for x in x_b_grid]
     if not grid:
-        raise ValueError("x_b grid must be non-empty")
+        raise ValueError("x_b_grid: must be non-empty")
     if any(grid[i] <= grid[i + 1] for i in range(len(grid) - 1)):
-        raise ValueError("x_b grid must be strictly descending")
+        raise ValueError("x_b_grid: must be strictly descending")
     if grid[-1] < 0.001 - 1e-12:
-        raise ValueError("x_b grid floor is 0.001 m")
-    candidates = []
-    w = float(w_max_init)
-    while w >= w_min - 1e-12:
-        candidates.append(w)
-        w -= w_step
+        raise ValueError("x_b_grid: floor is 0.001 m")
+    if not (math.isfinite(w_max_init) and w_max_init >= w_min - 1e-12):
+        raise ValueError(f"w_max_init: must be finite and at least w_min = {w_min:g}")
+    if not w_step > 0.0:
+        raise ValueError("w_step: must be positive")
     rows = []
     for i, xb in enumerate(grid):
         chosen = math.nan
-        for cand in candidates:
+        cand = float(w_max_init)
+        while cand >= w_min - 1e-12:
             sc = replace(base, controller="fic", x_b=xb, w_max=cand)
             rec = run_scenario(sc)
             if rec.error is None and not detect_oscillation(rec):
                 chosen = cand
                 break
+            cand -= w_step
         upper = grid[i - 1] if i > 0 else xb
         rows.append({"x_b": xb, "x_b_range": (xb, upper), "w_max": chosen})
     return rows

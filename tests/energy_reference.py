@@ -7,9 +7,11 @@ step that starts in Divergence, then at a tick ``change_params`` on a
 schedule swap, then ``LyapunovTracker.update`` per DoF with the attractor
 states the tick produced; and with a wall, the trapezoid of the contact
 power added to a running float sum. ``record_and_reference`` runs a scenario
-with the controller tick and the task state wrapped, so the oracle sees each
-tick's parameters and attractor states and each sample's kinetic energy, and
-replays that bookkeeping over the record.
+with the controller tick (and the arm's task state) wrapped, so the oracle
+sees each tick's parameters and attractor states, placed at the tick samples
+of ``_tick_starts``, and each arm sample's kinetic energy; a point mass's
+kinetic energy comes from the recorded ``xdot`` rows. It replays that
+bookkeeping over the record.
 """
 
 from dataclasses import dataclass
@@ -36,30 +38,41 @@ class Reference:
 
 def record_and_reference(sc, monkeypatch):
     """The record of ``sc`` and the per-sample bookkeeping of its samples."""
-    kes, ticks = [], {}
-    pm_ke, arm_state = sim_harness._point_mass_ke, sim_harness._arm_task_state
-    tick = sim_harness.fic_task_wrench
-
-    def point_mass_ke(plant, xdot):
-        kes.append(pm_ke(plant, xdot))
-        return kes[-1]
+    arm_kes, tick_results = [], []
+    arm_state, tick = sim_harness._arm_task_state, sim_harness.fic_task_wrench
 
     def arm_task_state(arm, q, qdot):
         sample = arm_state(arm, q, qdot)
-        kes.append(sample.ke)
+        arm_kes.append(sample.ke)
         return sample
 
     def fic_task_wrench(config, states, *args):
         result = tick(config, states, *args)
-        ticks[len(kes) - 1] = config.stiffness, result.states
+        tick_results.append((config.stiffness, result.states))
         return result
 
     with monkeypatch.context() as m:
-        m.setattr(sim_harness, "_point_mass_ke", point_mass_ke)
         m.setattr(sim_harness, "_arm_task_state", arm_task_state)
         m.setattr(sim_harness, "fic_task_wrench", fic_task_wrench)
         rec = sim_harness.run_scenario(sc)
+    # the i-th tick ran at the i-th tick sample of the schedule
+    n = int(round(sc.duration / sc.dt)) + 1
+    tick_samples = np.flatnonzero(sim_harness._tick_starts(n, sc.feedback_hz, sc.dt)).tolist()
+    ticks = dict(zip(tick_samples, tick_results))
+    if sc.plant == "arm":
+        kes = arm_kes
+    else:
+        kes = [point_mass_ke(sc.inertia, xdot) for xdot in rec.xdot.tolist()]
     return rec, reference_energy(rec, kes, ticks)
+
+
+def point_mass_ke(inertia, xdot) -> float:
+    """0.5 xdot' M xdot of one sample, summed from 0.0 in DoF order in float
+    arithmetic."""
+    ke = 0.0
+    for m, v in zip(inertia, xdot):
+        ke += m * v * v
+    return 0.5 * ke
 
 
 def reference_contact_work(rec) -> float:

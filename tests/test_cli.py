@@ -17,6 +17,7 @@ from fractal_impedance import (
     fic_work,
     ic_work_discrete,
     run_scenario,
+    sim_harness,
 )
 from fractal_impedance.cli import (
     ConfigError,
@@ -397,6 +398,28 @@ class TestCliCommands:
         cfg = write_config(tmp_path, BASE_CONFIG)
         assert main(["sweep", "--config", cfg, "--rates", "abc"]) == 1
         assert "/rates" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, pointer",
+        [
+            (["--grid", "0.01,0.1"], "/grid"),
+            (["--grid", "0.1,0.0005"], "/grid"),
+            (["--wmax-init", "nan"], "/wmax-init"),
+            (["--wmax-init", "inf"], "/wmax-init"),
+            (["--wmax-init", "1.5"], "/wmax-init"),
+        ],
+    )
+    def test_calibrate_bad_sweep_exit_1(self, tmp_path, capsys, monkeypatch, flags, pointer):
+        # rejected before the first episode, as a config error at the flag
+        def no_episode(sc):
+            raise AssertionError("calibrate ran an episode")
+
+        monkeypatch.setattr(sim_harness, "run_scenario", no_episode)
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, BASE_CONFIG)
+        assert main(["calibrate", "--config", cfg, *flags]) == 1
+        assert f"config error at {pointer}: " in capsys.readouterr().err
+        assert not list(tmp_path.glob("calibration*"))
 
     def test_calibrate_single_row(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

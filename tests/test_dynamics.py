@@ -353,17 +353,36 @@ extreme_accel = st.floats(-1e3, 1e3) | st.sampled_from(
     data=st.data(),
     n=st.integers(1, 3),
     dt=st.floats(1e-6, 0.1) | st.floats(0.1, 1e300),
+    k0=st.integers(0, 10**6),
+    steps=st.integers(1, 60),
     integrator=st.sampled_from(INTEGRATORS),
 )
-def test_state_free_advance_is_constant_field_bit_for_bit(data, n, dt, integrator):
-    # accel=None reuses accel0 at every stage, as a closure returning it would;
-    # both report the same blowup time or give the same bytes
+def test_state_free_advance_is_constant_field_bit_for_bit(data, n, dt, k0, steps, integrator):
+    # accel=None over ``steps`` steps from sample k0 is that many chained
+    # general-path steps with a closure returning accel0: the same bytes, or
+    # a blowup at the same step and time with the same finite prefix
     vec = st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)
     pos, vel = data.draw(vec), data.draw(vec)
     a0 = data.draw(st.lists(extreme_accel, min_size=n, max_size=n))
-    want = _step_outcome(_advance, pos, vel, lambda p, v: a0, dt, integrator, 0.0, given_first=True)
-    got = _step_outcome(_advance, pos, vel, None, dt, integrator, 0.0, given_first=False, accel0=a0)
-    assert got == want
+    want_pos, want_vel, want_time = [], [], None
+    p, v = pos, vel
+    for k in range(k0, k0 + steps):
+        try:
+            p, v = _advance(p, v, lambda pp, vv: a0, dt, integrator, k * dt)
+        except IntegrationBlowupError as exc:
+            assert (exc.pos, exc.vel) == ([], [])
+            want_time = exc.time
+            break
+        want_pos += p
+        want_vel += v
+    try:
+        got_pos, got_vel = _advance(pos, vel, None, dt, integrator, k0 * dt, a0, steps)
+        got_time = None
+    except IntegrationBlowupError as exc:
+        got_pos, got_vel, got_time = exc.pos, exc.vel, exc.time
+    assert got_time == want_time
+    assert np.array(got_pos).tobytes() == np.array(want_pos).tobytes()
+    assert np.array(got_vel).tobytes() == np.array(want_vel).tobytes()
 
 
 class TestContactWall:

@@ -567,7 +567,9 @@ class TestEpisodes:
             held.update(force=force, pulse=task_wrench)
             return numpy_point_mass_accel(plant, force, x, xdot, wall, task_wrench)
 
-        def reference_step(pos, vel, accel, dt, integrator, t, accel0=None):
+        def reference_step(pos, vel, accel, dt, integrator, t, accel0=None, steps=1):
+            assert steps == 1  # against a wall the loop steps one sample at a time
+
             def stage(p, v):
                 return numpy_point_mass_accel(plant, held["force"], p, v, wall, held["pulse"])
 
@@ -616,13 +618,20 @@ class TestEpisodes:
             held["force"] = res.wrench
             return res
 
-        def reference_step(pos, vel, accel, dt, integrator, t, accel0=None):
-            pulse = external_wrench(profile, t)
-            acc = numpy_point_mass_accel(plant, held["force"], pos, vel, None, pulse)
-            new_pos, new_vel = _advance_reference(
-                np.array(pos), np.array(vel), lambda p, v: acc, dt, integrator, t
-            )
-            return new_pos.tolist(), new_vel.tolist()
+        def reference_step(pos, vel, accel, dt, integrator, t, accel0=None, steps=1):
+            # one numpy step per sample of a held run, with the pulses active
+            # at that sample, so a run across a pulse edge would show
+            out_pos, out_vel = [], []
+            for k in range(round(t / dt), round(t / dt) + steps):
+                pulse = external_wrench(profile, k * dt)
+                acc = numpy_point_mass_accel(plant, held["force"], pos, vel, None, pulse)
+                new_pos, new_vel = _advance_reference(
+                    np.array(pos), np.array(vel), lambda p, v: acc, dt, integrator, k * dt
+                )
+                pos, vel = new_pos.tolist(), new_vel.tolist()
+                out_pos += pos
+                out_vel += vel
+            return out_pos, out_vel
 
         monkeypatch.setattr(sim_harness, "fic_task_wrench", spy_tick)
         monkeypatch.setattr(sim_harness, "_advance", reference_step)
@@ -647,6 +656,73 @@ class TestEpisodes:
         assert _schedule_x_b(sc, 1.0, (0.2,)) == (0.16,)
         assert _schedule_x_b(sc, 3.99, (0.2,)) == pytest.approx((0.08,))
         assert _schedule_x_b(sc, 50.0, (0.2,)) == (0.05,)
+
+
+# pulse edges between ticks at every rate below, and a moving reference
+HELD_RUN_EPISODE = dict(
+    duration=2.0,
+    dt=1e-3,
+    inertia=(1.0, 2.0),
+    x0=(0.0, 0.0),
+    damping=1.0,
+    reference={"type": "sinusoid", "axis": 1, "amplitude": 0.05, "period": 1.3},
+    pulses=(
+        {"start": 0.3125, "duration": 0.1037, "wrench": (8.0, -3.0)},
+        {"start": 1.5063, "duration": 0.2011, "wrench": (-9.0, 5.0)},
+    ),
+)
+
+
+def held_run_cases():
+    for feedback_hz in (20.0, 30.0, 100.0, 1000.0):
+        for integrator in ("rk4", "semi_implicit"):
+            for controller in ("fic", "baseline"):
+                yield pytest.param(
+                    dict(feedback_hz=feedback_hz, integrator=integrator, controller=controller),
+                    id=f"{controller}-{integrator}-{feedback_hz:g}Hz",
+                )
+    # x overflows inside the held run after the 20 Hz tick at sample 50; the
+    # wall then sits on the axis that stays near zero
+    blowup = dict(
+        controller="baseline",
+        feedback_hz=20.0,
+        x0=(1.797e308, 0.0),
+        xdot0=(1e306, 0.0),
+    )
+    for integrator in ("rk4", "semi_implicit"):
+        yield pytest.param(
+            dict(blowup, integrator=integrator), id=f"baseline-{integrator}-20Hz-blowup"
+        )
+
+
+@pytest.mark.parametrize("changes", held_run_cases())
+def test_held_runs_match_the_per_sample_path(monkeypatch, changes):
+    # a wall the plant never reaches makes the same episode step one sample
+    # at a time, evaluating the acceleration at every stage
+    sc = Scenario(**{**HELD_RUN_EPISODE, **changes})
+    axis = 1 if sc.x0[0] > 1e300 else 0
+    per_sample = replace(sc, wall={"axis": axis, "offset": 1e6, "stiffness": 1e3})
+    calls = count_calls(monkeypatch, "_advance", module=sim_harness)
+    rec = run_scenario(sc)
+    held_calls = len(calls)
+    ref = run_scenario(per_sample)
+    assert len(calls) - held_calls == ref.n_samples - (ref.error is None)
+    if sc.feedback_hz < 1000.0:
+        assert held_calls < ref.n_samples / 5
+    assert not np.any(ref.contact_f)
+    if "x0" in changes:
+        assert rec.error["type"] == "integration_blowup" and rec.n_samples % 50 > 1
+    else:
+        assert rec.error is None
+    assert rec.error == ref.error
+    for f in dataclasses.fields(rec):
+        got, want = getattr(rec, f.name), getattr(ref, f.name)
+        if isinstance(got, np.ndarray):
+            assert np.array_equal(got, want), f.name
+    for name in ("recovery_times", "convergence_times"):
+        assert np.array_equal(getattr(rec, name), getattr(ref, name), equal_nan=True), name
+    assert rec.ledger.switch_events == ref.ledger.switch_events
+    assert (rec.ledger.e_in, rec.ledger.e_rel) == (ref.ledger.e_in, ref.ledger.e_rel)
 
 
 def count_calls(monkeypatch, name, module=dynamics):
@@ -932,3 +1008,28 @@ class TestCalibrateSweep:
     def test_empty_grid(self):
         with pytest.raises(ValueError, match="non-empty"):
             calibrate_sweep(scenario(**self.BASE), 30.0, [])
+
+    @pytest.mark.parametrize(
+        "w_max_init, w_step, message",
+        [
+            (math.nan, 2.0, "w_max_init: must be finite"),
+            (math.inf, 2.0, "w_max_init: must be finite"),
+            (-math.inf, 2.0, "w_max_init: must be finite"),
+            (1.5, 2.0, "w_max_init: .* at least w_min = 2"),
+            (30.0, 0.0, "w_step: must be positive"),
+            (30.0, -2.0, "w_step: must be positive"),
+            (30.0, math.nan, "w_step: must be positive"),
+        ],
+    )
+    def test_bad_candidates_rejected_before_any_episode(
+        self, monkeypatch, w_max_init, w_step, message
+    ):
+        # an infinite w_max_init or a non-positive step would never leave the
+        # candidate scan; the sweep must not run a single episode
+        def no_episode(sc):
+            raise AssertionError("the sweep ran an episode")
+
+        monkeypatch.setattr(sim_harness, "run_scenario", no_episode)
+        base = scenario(**self.BASE)
+        with pytest.raises(ValueError, match=message):
+            calibrate_sweep(base, w_max_init, [0.1, 0.01], w_step=w_step, w_min=2.0)

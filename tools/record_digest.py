@@ -20,7 +20,9 @@ outputs can be compared with ``diff``. Each output line is
 - ``path``: the ``EpisodeRecord`` of each of a fixed set of scenarios that no
   pool case reaches (an ``xb_schedule`` on both plants, wall contact on both
   plants and under both controllers, the baseline controller, a 300 Hz tick
-  rate, the semi-implicit integrator),
+  rate, the semi-implicit integrator, and held runs of a wall-free point
+  mass with pulse edges and a moving reference between ticks at 20, 30 and
+  50 Hz),
   built from public ``Scenario`` fields only, so any checkout runs them;
 - ``cli``: the exit status and the bytes of every file that each ``fic``
   command writes (``run --format json``, ``sweep``, ``calibrate``,
@@ -121,6 +123,15 @@ def path_scenarios(fi) -> dict:
         reference={"type": "static", "pose": (0.75,)},
         wall={"axis": 0, "offset": 0.5, "stiffness": 1e4, "damping": 200.0},
     )
+    # pulse edges and a moving reference inside the held runs between ticks
+    held = dict(
+        pm,
+        pulses=(
+            {"start": 0.3125, "duration": 0.1037, "wrench": (8.0, -3.0)},
+            {"start": 1.5063, "duration": 0.2011, "wrench": (-9.0, 5.0)},
+        ),
+        reference={"type": "sinusoid", "axis": 1, "amplitude": 0.05, "period": 1.3},
+    )
     return {
         "fic_schedule_point_mass": fi.Scenario(**pm, xb_schedule=schedule),
         "fic_schedule_arm": fi.Scenario(**arm, xb_schedule=schedule),
@@ -137,6 +148,11 @@ def path_scenarios(fi) -> dict:
             wall={"axis": 0, "offset": 0.88, "stiffness": 2e3, "damping": 50.0},
         ),
         "baseline_wall_point_mass": fi.Scenario(**pm_wall, controller="baseline"),
+        "fic_held_30hz": fi.Scenario(**held, feedback_hz=30.0),
+        "baseline_held_20hz": fi.Scenario(**held, controller="baseline", feedback_hz=20.0),
+        "fic_held_semi_implicit_50hz": fi.Scenario(
+            **held, feedback_hz=50.0, integrator="semi_implicit"
+        ),
     }
 
 
