@@ -392,17 +392,19 @@ def _cmd_calibrate(args) -> int:
 
 def _cmd_energy_drift(args) -> int:
     rates = _parse_float_list(args.rates, "rates")
+    # whole rates sample the path's end, t = 1 s, which the analytic work spans
+    if not all(r >= 1.0 and r.is_integer() for r in rates):
+        raise ConfigError("/rates", "must be finite whole numbers of Hz, at least 1")
     params = StiffnessParams(k_const=0.0, w_max=30.0, x_b=0.1)
     print(f"analytic IC work: {ANALYTIC_IC_WORK:.6f} J")
     print(f"{'rate_hz':>10} {'delta_E_IC':>14} {'abs_drift':>12} {'delta_E_FIC':>14}")
     rows = []
     for rate in rates:
-        n = int(round(rate))
-        t = np.arange(n + 1) / rate
+        t = np.arange(int(rate) + 1) / rate
         x = t**3 + t**2 + t
         xdot = 3.0 * t**2 + 2.0 * t + 1.0
         xddot = 6.0 * t + 2.0
-        w_ic = ic_work_discrete(1.0, 1.0, x, xdot, xddot)
+        w_ic = ic_work_discrete(x, xdot, xddot)
         w_fic = fic_work(params, x[0], x[-1])
         drift = abs(w_ic - ANALYTIC_IC_WORK)
         rows.append((rate, w_ic, drift, w_fic))
@@ -420,6 +422,11 @@ def _cmd_energy_drift(args) -> int:
 
 def _cmd_phase_portrait(args) -> int:
     energies = _parse_float_list(args.energies, "energies")
+    if not all(0.0 <= 2.0 * e < math.inf for e in energies):  # a finite start speed
+        raise ConfigError("/energies", "must be finite and non-negative")
+    for flag in ("dt", "duration"):
+        if not 0.0 < getattr(args, flag) < math.inf:
+            raise ConfigError(f"/{flag}", "must be finite and positive")
     out = Path(args.out) if args.out else Path("phase_portrait.csv")
     tables = []
     peaks = []

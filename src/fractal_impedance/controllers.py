@@ -87,10 +87,6 @@ class FicConfig:
         object.__setattr__(self, "damping", damping)
         _set_posture(self)
 
-    @property
-    def n_task(self) -> int:
-        return len(self.stiffness)
-
 
 @dataclass(frozen=True)
 class BaselineConfig:
@@ -112,10 +108,6 @@ class BaselineConfig:
         object.__setattr__(self, "d_d", d_d)
         _set_posture(self)
 
-    @property
-    def n_task(self) -> int:
-        return len(self.k_d)
-
 
 class ControlResult(NamedTuple):
     """One controller tick: per-DoF task wrench, the attractor states after
@@ -131,27 +123,26 @@ def new_attractor_states(n_task: int) -> tuple[AttractorState, ...]:
 
 
 def fic_task_wrench(
-    config: FicConfig, states: tuple[AttractorState, ...], x_err, x_err_rate, damping_rate=None
+    config: FicConfig, states: tuple[AttractorState, ...], x_err, x_err_rate, damping_rate
 ) -> ControlResult:
     """Per-DoF FIC wrench (spring path + passive damping) for one tick.
 
     ``x_err_rate`` drives the divergence/convergence classification and is the
     full error rate xd_dot - xdot. Damping stays passive: it acts on
-    ``damping_rate`` (measured -xdot), defaulting to ``x_err_rate``, which is
-    the same thing whenever the reference is static. The lengths are checked
-    once; each DoF's two laws then take the inputs' values as they are.
+    ``damping_rate``, the measured -xdot, which differs from ``x_err_rate``
+    when the reference moves. The lengths are checked once; each DoF's two
+    laws then take the inputs' values as they are.
     """
     stiffness, damping = config.stiffness, config.damping
     d = len(stiffness)
-    d_rate = x_err_rate if damping_rate is None else damping_rate
-    if not len(states) == len(x_err) == len(x_err_rate) == len(d_rate) == d:
+    if not len(states) == len(x_err) == len(x_err_rate) == len(damping_rate) == d:
         raise ValueError("one attractor state, error, rate and damping rate per task DoF required")
     wrench, new_states = [], []
     for i in range(d):
         params, err = stiffness[i], x_err[i]
         state = update_attractor(states[i], params, err, x_err_rate[i], rate_tol=DEFAULT_RATE_TOL)
         new_states.append(state)
-        wrench.append(fic_wrench(state, params, err) + damping[i] * d_rate[i])
+        wrench.append(fic_wrench(state, params, err) + damping[i] * damping_rate[i])
     return ControlResult(wrench, tuple(new_states))
 
 

@@ -29,7 +29,6 @@ __all__ = [
     "SwitchEvent",
     "MonitorReport",
     "LyapunovTracker",
-    "episode_energy",
     "fic_work",
     "ic_work_discrete",
     "lyapunov_monitor",
@@ -74,17 +73,11 @@ def fic_work(params: StiffnessParams, x_a: float, x_b: float) -> float:
     return float(spring_energy(params, x_b) - spring_energy(params, x_a))
 
 
-def ic_work_discrete(
-    k_inertia: float,
-    k_damping: float,
-    x: np.ndarray,
-    xdot: np.ndarray,
-    xddot: np.ndarray,
-) -> float:
-    """ZOH Riemann sum of the impedance-controller work along x(t).
+def ic_work_discrete(x: np.ndarray, xdot: np.ndarray, xddot: np.ndarray) -> float:
+    """ZOH Riemann sum of the unit-gain impedance-controller work along x(t).
 
-    W = k_inertia sum(xddot_i dx_i) + k_damping sum(xdot_i dx_i) with
-    dx_i = x_{i+1} - x_i, from the path's samples and their derivatives.
+    W = sum(xddot_i dx_i) + sum(xdot_i dx_i) with dx_i = x_{i+1} - x_i, from
+    the path's samples and their derivatives.
     """
     x = np.asarray(x, dtype=float).ravel()
     if x.size < 2:
@@ -92,7 +85,7 @@ def ic_work_discrete(
     xdot = np.asarray(xdot, dtype=float).ravel()
     xddot = np.asarray(xddot, dtype=float).ravel()
     dx = np.diff(x)
-    return float(k_inertia * np.dot(xddot[:-1], dx) + k_damping * np.dot(xdot[:-1], dx))
+    return float(np.dot(xddot[:-1], dx) + np.dot(xdot[:-1], dx))
 
 
 def _phase_form(params: StiffnessParams, state: AttractorState, x_err: float) -> float:
@@ -107,7 +100,7 @@ def _phase_form(params: StiffnessParams, state: AttractorState, x_err: float) ->
 def _convergence_form(state: AttractorState, x_err):
     """The Convergence phase potential of a float or, elementwise with the
     same bits, of an array of errors."""
-    dx = x_err - 0.5 * state.x_tilde_max  # the bits of ``x_tilde_mid``
+    dx = x_err - 0.5 * state.x_tilde_max  # from the excursion's midpoint
     return 0.5 * state.k_prime_total * dx * dx + 0.5 * state.e_in
 
 
@@ -233,12 +226,10 @@ class MonitorReport:
 
 
 def lyapunov_monitor(
-    t: np.ndarray,
-    v: np.ndarray,
-    forced: np.ndarray | None = None,
-    tol: float = DESCENT_TOL,
+    t: np.ndarray, v: np.ndarray, forced: np.ndarray | None = None
 ) -> MonitorReport:
-    """Flag steps where V increases by more than ``tol`` outside forced spans.
+    """Flag steps where V increases by more than ``DESCENT_TOL`` outside
+    forced spans.
 
     A step k -> k+1 is exempt when either endpoint lies in an externally
     forced interval (``forced`` true).
@@ -254,7 +245,7 @@ def lyapunov_monitor(
     if forced is not None:
         forced = np.asarray(forced, dtype=bool)
         exempt = forced[:-1] | forced[1:]
-    bad = np.flatnonzero((dv > tol) & ~exempt)
+    bad = np.flatnonzero((dv > DESCENT_TOL) & ~exempt)
     free = dv[~exempt]
     max_rise = float(np.max(free)) if free.size else 0.0
     return MonitorReport(flagged_steps=bad, max_increase=max_rise, passed=bad.size == 0)

@@ -190,10 +190,6 @@ class AttractorState:
     e_in: float = 0.0
     k_prime_total: float = 0.0
 
-    @property
-    def x_tilde_mid(self) -> float:
-        return 0.5 * self.x_tilde_max
-
 
 def update_attractor(
     state: AttractorState,
@@ -240,12 +236,12 @@ def _midpoint_force(state: AttractorState, x_err: float) -> float:
 
 
 def convergence_force(state: AttractorState, x_err: float) -> float:
-    """Convergence-phase wrench k' (x_err - x_tilde_mid).
+    """Convergence-phase wrench k' (x_err - x_tilde_max / 2).
 
     A linear spring centered on the midpoint of the recorded excursion: it
     first accelerates the plant toward the target and then decelerates it so
     the error arrives at zero with zero velocity. The magnitude is bounded by
-    ``k_prime_total * |x_tilde_mid|`` on the valid domain.
+    ``k_prime_total * |x_tilde_max| / 2`` on the valid domain.
 
     Raises:
         ValueError: if the state is not in convergence, or ``x_err`` lies
@@ -275,7 +271,7 @@ def fic_wrench(state: AttractorState, p: StiffnessParams, x_err: float) -> float
     while the DoF still classifies as converging) and the magnitude is capped
     at ``w_max``, so the spring-path command never exceeds the allowed wrench
     in either phase. The midpoint-spring law is antisymmetric about
-    ``x_tilde_mid``, so capping preserves the equal-accelerate/decelerate
+    ``x_tilde_max / 2``, so capping preserves the equal-accelerate/decelerate
     split and the zero net work of a full convergence stroke. The clamped
     point lies in the domain, so the law is not checked again.
     """

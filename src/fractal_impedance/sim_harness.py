@@ -101,6 +101,8 @@ CONTROLLERS = ("fic", "baseline")
 RECOVERY_FRACTION = 0.05  # of the per-pulse peak error
 RECOVERY_DWELL = 0.2  # s below threshold before recovery is declared
 OSCILLATION_WINDOW = 2.0  # s of trailing record that detect_oscillation tests
+W_STEP = 2.0  # N between calibrate_sweep's w_max candidates
+W_MIN = 2.0  # N, its lowest candidate
 
 _REFERENCE_KEYS = {
     "static": {"type", "pose"},
@@ -699,7 +701,6 @@ def compute_metrics(record: EpisodeRecord) -> dict:
         "recovery_times": recov,
         "convergence_times": record.convergence_times,
         "recovery_mean": float(np.mean(finite)) if finite else math.nan,
-        "recovery_std": float(np.std(finite)) if finite else math.nan,
         "n_unrecovered": sum(1 for r in recov if math.isnan(r)),
     }
 
@@ -737,25 +738,19 @@ def detect_oscillation(record: EpisodeRecord) -> bool:
     return False
 
 
-def calibrate_sweep(
-    base: Scenario,
-    w_max_init: float,
-    x_b_grid,
-    w_step: float = 2.0,
-    w_min: float = 2.0,
-) -> list[dict]:
+def calibrate_sweep(base: Scenario, w_max_init: float, x_b_grid) -> list[dict]:
     """Largest stable w_max per boundary size, scanned top-down.
 
     For each x_B of the descending grid, run the base perturbation scenario
     with candidate w_max values descending from ``w_max_init`` in steps of
-    ``w_step`` down to ``w_min``, and keep the first one whose episode
+    ``W_STEP`` down to ``W_MIN``, and keep the first one whose episode
     completes without sustained oscillation. Rows are {x_b, x_b_range, w_max}
     with NaN when every candidate oscillates.
 
     Raises:
         ValueError: before any episode, naming the argument: an empty,
             ascending or sub-millimetre grid, a non-finite ``w_max_init`` or
-            one below ``w_min``, a non-positive ``w_step``.
+            one below ``W_MIN``.
     """
     grid = [float(x) for x in x_b_grid]
     if not grid:
@@ -764,21 +759,19 @@ def calibrate_sweep(
         raise ValueError("x_b_grid: must be strictly descending")
     if grid[-1] < 0.001 - 1e-12:
         raise ValueError("x_b_grid: floor is 0.001 m")
-    if not (math.isfinite(w_max_init) and w_max_init >= w_min - 1e-12):
-        raise ValueError(f"w_max_init: must be finite and at least w_min = {w_min:g}")
-    if not w_step > 0.0:
-        raise ValueError("w_step: must be positive")
+    if not (math.isfinite(w_max_init) and w_max_init >= W_MIN - 1e-12):
+        raise ValueError(f"w_max_init: must be finite and at least w_min = {W_MIN:g}")
     rows = []
     for i, xb in enumerate(grid):
         chosen = math.nan
         cand = float(w_max_init)
-        while cand >= w_min - 1e-12:
+        while cand >= W_MIN - 1e-12:
             sc = replace(base, controller="fic", x_b=xb, w_max=cand)
             rec = run_scenario(sc)
             if rec.error is None and not detect_oscillation(rec):
                 chosen = cand
                 break
-            cand -= w_step
+            cand -= W_STEP
         upper = grid[i - 1] if i > 0 else xb
         rows.append({"x_b": xb, "x_b_range": (xb, upper), "w_max": chosen})
     return rows

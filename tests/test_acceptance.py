@@ -133,7 +133,7 @@ def test_criterion_03_energy_drift(criterion):
     for rate in (20, 100, 1000, 10000):
         t = np.arange(rate + 1) / rate
         x = t**3 + t**2 + t
-        w_ic = ic_work_discrete(1.0, 1.0, x, 3 * t**2 + 2 * t + 1, 6 * t + 2)
+        w_ic = ic_work_discrete(x, 3 * t**2 + 2 * t + 1, 6 * t + 2)
         errs.append(abs(w_ic - analytic))
         fic_vals.append(fic_work(params, x[0], x[-1]))
     rel_10k = errs[3] / analytic

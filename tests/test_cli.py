@@ -421,6 +421,41 @@ class TestCliCommands:
         assert f"config error at {pointer}: " in capsys.readouterr().err
         assert not list(tmp_path.glob("calibration*"))
 
+    @pytest.mark.parametrize(
+        "flags, pointer",
+        [
+            (["energy-drift", "--rates", "0"], "/rates"),
+            (["energy-drift", "--rates", "0.4"], "/rates"),
+            (["energy-drift", "--rates", "100,20.4"], "/rates"),
+            (["energy-drift", "--rates", "-5"], "/rates"),
+            (["energy-drift", "--rates", "inf"], "/rates"),
+            (["energy-drift", "--rates", "nan"], "/rates"),
+            (["phase-portrait", "--energies", "0.5,-0.25"], "/energies"),
+            (["phase-portrait", "--energies", "inf"], "/energies"),
+            (["phase-portrait", "--energies", "nan"], "/energies"),
+            (["phase-portrait", "--dt", "0"], "/dt"),
+            (["phase-portrait", "--dt", "-0.001"], "/dt"),
+            (["phase-portrait", "--dt", "inf"], "/dt"),
+            (["phase-portrait", "--dt", "nan"], "/dt"),
+            (["phase-portrait", "--duration", "0"], "/duration"),
+            (["phase-portrait", "--duration", "-1"], "/duration"),
+            (["phase-portrait", "--duration", "inf"], "/duration"),
+            (["phase-portrait", "--duration", "nan"], "/duration"),
+        ],
+    )
+    def test_bad_drift_and_portrait_input_exit_1(
+        self, tmp_path, capsys, monkeypatch, flags, pointer
+    ):
+        # rejected before the first episode and before any output
+        def no_episode(sc):
+            raise AssertionError("the command ran an episode")
+
+        monkeypatch.setattr(cli, "run_scenario", no_episode)
+        monkeypatch.setattr(sim_harness, "run_scenario", no_episode)
+        assert main([*flags, "--out", str(tmp_path / "out.csv")]) == 1
+        assert f"config error at {pointer}: " in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_calibrate_single_row(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         doc = dict(
@@ -457,7 +492,7 @@ class TestCliCommands:
         for rate in (20.0, 100.0):
             t = np.arange(int(rate) + 1) / rate
             x = t**3 + t**2 + t
-            w_ic = ic_work_discrete(1.0, 1.0, x, 3.0 * t**2 + 2.0 * t + 1.0, 6.0 * t + 2.0)
+            w_ic = ic_work_discrete(x, 3.0 * t**2 + 2.0 * t + 1.0, 6.0 * t + 2.0)
             w_fic = fic_work(StiffnessParams(0.0, 30.0, 0.1), x[0], x[-1])
             table.append((rate, w_ic, abs(w_ic - cli.ANALYTIC_IC_WORK), w_fic))
         assert (tmp_path / "drift.csv").read_bytes() == savetxt_table(rows[0].split(","), table)

@@ -83,26 +83,23 @@ class TestConfigs:
         with pytest.raises(ValueError):
             config(**kwargs)
 
-    def test_n_task(self):
-        assert fic_config(n=2).n_task == 2
-        assert BaselineConfig(k_d=100.0, d_d=2.5).n_task == 1
-        assert BaselineConfig(k_d=(100.0, 50.0), d_d=2.5).n_task == 2
-
 
 class TestFicTaskWrench:
     def test_saturates_at_w_max(self):
         cfg = fic_config()
-        res = fic_task_wrench(cfg, new_attractor_states(1), np.array([0.5]), np.array([0.0]))
+        zero = np.zeros(1)
+        res = fic_task_wrench(cfg, new_attractor_states(1), np.array([0.5]), zero, zero)
         assert res.wrench[0] == pytest.approx(30.0, rel=1e-12)
 
     def test_zero_error_zero_wrench(self):
         cfg = fic_config()
-        res = fic_task_wrench(cfg, new_attractor_states(1), np.zeros(1), np.zeros(1))
+        res = fic_task_wrench(cfg, new_attractor_states(1), np.zeros(1), np.zeros(1), np.zeros(1))
         assert res.wrench[0] == 0.0
 
     def test_damping_is_additive(self):
         cfg = fic_config(damping=2.0)
-        res = fic_task_wrench(cfg, new_attractor_states(1), np.zeros(1), np.array([-0.3]))
+        rate = np.array([-0.3])
+        res = fic_task_wrench(cfg, new_attractor_states(1), np.zeros(1), rate, rate)
         assert res.wrench[0] == pytest.approx(-0.6, rel=1e-12)
 
     def test_damping_rate_split_keeps_damping_passive(self):
@@ -118,19 +115,19 @@ class TestFicTaskWrench:
         )
         assert res.states[0].phase is Phase.CONVERGENCE
         spring_only = fic_task_wrench(
-            cfg, states, np.array([0.05]), np.array([-0.2])
+            cfg, states, np.array([0.05]), np.array([-0.2]), np.array([-0.2])
         ).wrench[0] - 2.0 * (-0.2)
         assert res.wrench[0] == pytest.approx(spring_only, rel=1e-12)
 
     def test_state_count_checked(self):
         cfg = fic_config(n=2)
         with pytest.raises(ValueError):
-            fic_task_wrench(cfg, new_attractor_states(1), np.zeros(2), np.zeros(2))
+            fic_task_wrench(cfg, new_attractor_states(1), np.zeros(2), np.zeros(2), np.zeros(2))
 
     def test_error_count_checked(self):
         cfg = fic_config(n=2)
         with pytest.raises(ValueError):
-            fic_task_wrench(cfg, new_attractor_states(2), np.zeros(1), np.zeros(1))
+            fic_task_wrench(cfg, new_attractor_states(2), np.zeros(1), np.zeros(1), np.zeros(1))
 
     @pytest.mark.parametrize("short", ["x_err_rate", "damping_rate"])
     def test_rate_counts_checked(self, short):
@@ -148,14 +145,14 @@ class TestFicTaskWrench:
         for _ in range(500):
             x += RNG.uniform(-0.03, 0.03)
             rate = RNG.uniform(-1.0, 1.0)
-            res = fic_task_wrench(cfg, states, np.array([x]), np.array([rate]))
+            res = fic_task_wrench(cfg, states, np.array([x]), np.array([rate]), np.array([rate]))
             states = res.states
             assert abs(res.wrench[0]) <= 30.0 * (1 + 1e-12)
 
 
 @settings(max_examples=300, deadline=None)
-@given(data=st.data(), n=st.integers(1, 3), with_damping_rate=st.booleans())
-def test_fic_task_wrench_is_the_per_dof_composition(data, n, with_damping_rate):
+@given(data=st.data(), n=st.integers(1, 3))
+def test_fic_task_wrench_is_the_per_dof_composition(data, n):
     # random gains and attractor states (either phase), then one tick: the
     # wrench and states are update_attractor -> fic_wrench + damping * d_r
     # per DoF, bit for bit, from float lists and numpy arrays alike
@@ -168,18 +165,16 @@ def test_fic_task_wrench_is_the_per_dof_composition(data, n, with_damping_rate):
         update_attractor(AttractorState(), p, e, r, rate_tol=DEFAULT_RATE_TOL)
         for p, e, r in zip(cfg.stiffness, first_err, first_rate)
     )
-    d_rate = d_rate if with_damping_rate else None
     want_states = tuple(
         update_attractor(s, p, e, r, rate_tol=DEFAULT_RATE_TOL)
         for s, p, e, r in zip(states, cfg.stiffness, x_err, rate)
     )
     want_wrench = [
         fic_wrench(s, p, e) + d * r
-        for s, p, e, d, r in zip(want_states, cfg.stiffness, x_err, damping, d_rate or rate)
+        for s, p, e, d, r in zip(want_states, cfg.stiffness, x_err, damping, d_rate)
     ]
     for as_input in (list, np.array):
-        d_in = None if d_rate is None else as_input(d_rate)
-        res = fic_task_wrench(cfg, states, as_input(x_err), as_input(rate), d_in)
+        res = fic_task_wrench(cfg, states, as_input(x_err), as_input(rate), as_input(d_rate))
         assert np.array(res.wrench).tobytes() == np.array(want_wrench).tobytes()
         assert res.states == want_states
 

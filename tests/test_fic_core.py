@@ -186,7 +186,7 @@ class TestUpdateAttractor:
         assert s.x_tilde_max == pytest.approx(0.05, rel=1e-15)
         assert s.e_in == pytest.approx(ENERGY_0_30_005_AT_005, rel=1e-12)
         assert s.k_prime_total == pytest.approx(K_PRIME_AT_005, rel=1e-12)
-        assert s.x_tilde_mid == pytest.approx(0.025, rel=1e-15)
+        assert 0.5 * s.x_tilde_max == pytest.approx(0.025, rel=1e-15)
 
     def test_reentering_divergence_clears_anchor_role(self):
         p = params()
@@ -218,7 +218,7 @@ class TestConvergenceForce:
 
     def test_zero_at_midpoint(self):
         _, s = self.anchored()
-        assert convergence_force(s, s.x_tilde_mid) == 0.0
+        assert convergence_force(s, 0.5 * s.x_tilde_max) == 0.0
 
     def test_frozen_endpoint_values(self):
         _, s = self.anchored()
@@ -264,7 +264,7 @@ class TestFicWrench:
     def test_antisymmetric_about_midpoint(self):
         p = params()
         s = update_attractor(AttractorState(), p, 0.05, -0.1)
-        mid = s.x_tilde_mid
+        mid = 0.5 * s.x_tilde_max
         for dx in (0.005, 0.015, 0.025):
             assert fic_wrench(s, p, mid + dx) == pytest.approx(
                 -fic_wrench(s, p, mid - dx), rel=1e-12

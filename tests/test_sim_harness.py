@@ -984,7 +984,7 @@ class TestCalibrateSweep:
     )
 
     def test_stable_row_keeps_top_candidate(self):
-        rows = calibrate_sweep(scenario(**self.BASE), 30.0, [0.1], w_step=4.0, w_min=2.0)
+        rows = calibrate_sweep(scenario(**self.BASE), 30.0, [0.1])
         assert len(rows) == 1
         assert rows[0]["x_b"] == 0.1
         assert rows[0]["x_b_range"] == (0.1, 0.1)
@@ -992,10 +992,10 @@ class TestCalibrateSweep:
 
     def test_tiny_boundary_steps_down(self):
         # exact threshold needs long episodes; here only check the scan rejects
-        # the top candidates and lands on a lower one from the ladder
-        rows = calibrate_sweep(scenario(**self.BASE), 30.0, [0.001], w_step=4.0, w_min=2.0)
-        assert rows[0]["w_max"] <= 26.0
-        assert rows[0]["w_max"] in {30.0 - 4.0 * k for k in range(8)}
+        # the top candidates and lands on a lower one from the 2 N ladder
+        rows = calibrate_sweep(scenario(**self.BASE), 30.0, [0.001])
+        assert rows[0]["w_max"] <= 28.0
+        assert rows[0]["w_max"] in {30.0 - 2.0 * k for k in range(15)}
 
     def test_grid_must_descend(self):
         with pytest.raises(ValueError, match="descending"):
@@ -1010,26 +1010,25 @@ class TestCalibrateSweep:
             calibrate_sweep(scenario(**self.BASE), 30.0, [])
 
     @pytest.mark.parametrize(
-        "w_max_init, w_step, message",
+        "w_max_init, w_min, message",
         [
             (math.nan, 2.0, "w_max_init: must be finite"),
             (math.inf, 2.0, "w_max_init: must be finite"),
             (-math.inf, 2.0, "w_max_init: must be finite"),
             (1.5, 2.0, "w_max_init: .* at least w_min = 2"),
-            (30.0, 0.0, "w_step: must be positive"),
-            (30.0, -2.0, "w_step: must be positive"),
-            (30.0, math.nan, "w_step: must be positive"),
         ],
     )
     def test_bad_candidates_rejected_before_any_episode(
-        self, monkeypatch, w_max_init, w_step, message
+        self, monkeypatch, w_max_init, w_min, message
     ):
-        # an infinite w_max_init or a non-positive step would never leave the
-        # candidate scan; the sweep must not run a single episode
+        # an infinite w_max_init would never leave the candidate scan; the
+        # sweep must not run a single episode, and the error names the floor
+        # of the 2 N ladder
         def no_episode(sc):
             raise AssertionError("the sweep ran an episode")
 
         monkeypatch.setattr(sim_harness, "run_scenario", no_episode)
         base = scenario(**self.BASE)
-        with pytest.raises(ValueError, match=message):
-            calibrate_sweep(base, w_max_init, [0.1, 0.01], w_step=w_step, w_min=2.0)
+        with pytest.raises(ValueError, match=message) as exc:
+            calibrate_sweep(base, w_max_init, [0.1, 0.01])
+        assert f"at least w_min = {w_min:g}" in str(exc.value)
