@@ -427,6 +427,8 @@ def _cmd_phase_portrait(args) -> int:
     for flag in ("dt", "duration"):
         if not 0.0 < getattr(args, flag) < math.inf:
             raise ConfigError(f"/{flag}", "must be finite and positive")
+    if 1.0 / args.dt == math.inf:  # the tick rate feedback_hz = 1/dt
+        raise ConfigError("/dt", "too small: 1/dt overflows")
     out = Path(args.out) if args.out else Path("phase_portrait.csv")
     tables = []
     peaks = []

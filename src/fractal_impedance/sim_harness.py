@@ -27,9 +27,10 @@ x_d - x`` and a point mass's kinetic energy from its ``xdot`` column.
 Elementwise float arithmetic in numpy's order gives numpy's bits, so a 1-DoF
 record is the one numpy expressions would give; a sum over several DoFs
 (kinetic energy, contact power) may differ from ``np.dot`` in the last bit.
-The loop does plant, controller and record work only, and logs nothing for
-the energy audit but the ticks where a schedule swapped the parameters. The
-bookkeeping after the loop reads the record and runs the library's laws:
+The loop, ``_episode_loop``, does plant, controller and record work only,
+and logs nothing for the energy audit but the ticks where a schedule swapped
+the parameters; ``calibrate_sweep`` runs it alone. ``run_scenario`` runs it,
+then the bookkeeping, which reads its columns and runs the library's laws:
 
 - tick instants: ``_tick_starts``, which ``zoh_sample`` also uses;
 - absorbed energy E_in (``fic_work`` per DoF over each sample step that
@@ -50,6 +51,7 @@ import math
 import numbers
 from array import array
 from dataclasses import dataclass, field, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -449,8 +451,24 @@ def _schedule_x_b(sc: Scenario, t: float, x_b0: tuple) -> tuple:
     return tuple(max(sched["x_b_end"], xb - drop) for xb in x_b0)
 
 
-def run_scenario(sc: Scenario) -> EpisodeRecord:
-    """Execute one scenario; deterministic for identical scenario values."""
+class _LoopRun(NamedTuple):
+    """The loop's record columns, task kinetic energy, schedule swaps and error."""
+
+    t: np.ndarray
+    x_d: np.ndarray
+    x: np.ndarray
+    x_err: np.ndarray
+    xdot: np.ndarray
+    phase_s: np.ndarray
+    wrench: np.ndarray
+    contact_f: np.ndarray
+    ke: np.ndarray
+    swaps: dict
+    error: dict | None
+
+
+def _episode_loop(sc: Scenario) -> _LoopRun:
+    """Step one scenario: plant, controller and record work, no audit."""
     d = sc.n_task
     dt = sc.dt
     n_steps = int(round(sc.duration / dt))
@@ -573,47 +591,41 @@ def run_scenario(sc: Scenario) -> EpisodeRecord:
 
     # The record arrays view the columns; nothing is copied.
     n_rec = len(ph_c) // d
-    xd_a, x_a, xv_a, cf_a = _rows(xd_c, d), _rows(x_c, d), _rows(xv_c, d), _rows(cf_c, d)
+    xd_a, x_a, xv_a = _rows(xd_c, d), _rows(x_c, d), _rows(xv_c, d)
     with np.errstate(over="ignore"):  # as float arithmetic on a blown-up record
         xe_a = xd_a - x_a
         ke = np.frombuffer(ke_c) if is_arm else _point_mass_ke(plant, xv_a)
-    t_a = np.arange(n_rec) * dt
     phase_s = np.frombuffer(ph_c, dtype=np.int64).reshape(n_rec, d)
+    t_a, wr_a, cf_a = np.arange(n_rec) * dt, _rows(wr_c, d), _rows(cf_c, d)
+    return _LoopRun(t_a, xd_a, x_a, xe_a, xv_a, phase_s, wr_a, cf_a, ke, swaps, error)
+
+
+def run_scenario(sc: Scenario) -> EpisodeRecord:
+    """Execute one scenario; deterministic for identical scenario values."""
+    run = _episode_loop(sc)
+    t_a, xe_a, xv_a, phase_s, dt = run.t, run.x_err, run.xdot, run.phase_s, sc.dt
+    ctrl, (_, profile, _) = build_controller(sc), build_environment(sc)
+    n_rec = t_a.shape[0]
     # E_rel: running maximum of the task KE over samples where any DoF converges.
     converging = np.any(phase_s == _CONV.value, axis=1)
-    e_rel_cum = np.maximum.accumulate(np.where(converging, ke, 0.0))
+    e_rel_cum = np.maximum.accumulate(np.where(converging, run.ke, 0.0))
     forced = np.zeros(n_rec, dtype=bool)
     for p in profile.pulses:
         forced |= (p.start - dt <= t_a) & (t_a < p.end + dt)
-    if use_fic:
-        e_in_cum, pot, events = episode_energy(xe_a, phase_s, dt, ctrl.stiffness, swaps)
+    if sc.controller == "fic":
+        e_in_cum, pot, events = episode_energy(xe_a, phase_s, dt, ctrl.stiffness, run.swaps)
     else:
-        e_in_cum, pot, events = np.zeros(n_rec), _baseline_potential(base.k_d, xe_a), ()
+        e_in_cum, pot, events = np.zeros(n_rec), _baseline_potential(ctrl.k_d, xe_a), ()
     ledger = EnergyLedger(
         e_in=float(e_in_cum[-1]) if n_rec else 0.0,
         e_rel=float(e_rel_cum[-1]) if n_rec else 0.0,
-        contact_work=0.0 if wall is None else _contact_work(cf_a, xv_a, dt),
+        contact_work=0.0 if sc.wall is None else _contact_work(run.contact_f, xv_a, dt),
         switch_events=tuple(events),
     )
     recov, conv = _pulse_recoveries(t_a, xe_a, profile, dt)
+    # the loop's columns t to contact_f are the record's, in its field order
     return EpisodeRecord(
-        scenario=sc,
-        t=t_a,
-        x_d=xd_a,
-        x=x_a,
-        x_err=xe_a,
-        xdot=xv_a,
-        phase_s=phase_s,
-        wrench=_rows(wr_c, d),
-        contact_f=cf_a,
-        v=pot + ke,
-        e_in_cum=e_in_cum,
-        e_rel_cum=e_rel_cum,
-        forced=forced,
-        ledger=ledger,
-        recovery_times=recov,
-        convergence_times=conv,
-        error=error,
+        sc, *run[:8], pot + run.ke, e_in_cum, e_rel_cum, forced, ledger, recov, conv, run.error
     )
 
 
@@ -705,11 +717,12 @@ def compute_metrics(record: EpisodeRecord) -> dict:
     }
 
 
-def detect_oscillation(record: EpisodeRecord) -> bool:
+def detect_oscillation(record: EpisodeRecord | _LoopRun) -> bool:
     """Sustained oscillation test on the trailing ``OSCILLATION_WINDOW`` s.
 
     True when, on any DoF, the error rate crosses zero more than 8 times and
     the error peak is non-decaying (last-half peak >= 90% of first-half peak).
+    Only ``t`` and ``x_err`` are read, so a record and a loop result agree.
     """
     t = record.t
     if t.shape[0] < 4:
@@ -745,7 +758,8 @@ def calibrate_sweep(base: Scenario, w_max_init: float, x_b_grid) -> list[dict]:
     with candidate w_max values descending from ``w_max_init`` in steps of
     ``W_STEP`` down to ``W_MIN``, and keep the first one whose episode
     completes without sustained oscillation. Rows are {x_b, x_b_range, w_max}
-    with NaN when every candidate oscillates.
+    with NaN when every candidate oscillates. A candidate runs the episode
+    loop only, never the energy audit and pulse recoveries of ``run_scenario``.
 
     Raises:
         ValueError: before any episode, naming the argument: an empty,
@@ -766,9 +780,8 @@ def calibrate_sweep(base: Scenario, w_max_init: float, x_b_grid) -> list[dict]:
         chosen = math.nan
         cand = float(w_max_init)
         while cand >= W_MIN - 1e-12:
-            sc = replace(base, controller="fic", x_b=xb, w_max=cand)
-            rec = run_scenario(sc)
-            if rec.error is None and not detect_oscillation(rec):
+            run = _episode_loop(replace(base, controller="fic", x_b=xb, w_max=cand))
+            if run.error is None and not detect_oscillation(run):
                 chosen = cand
                 break
             cand -= W_STEP

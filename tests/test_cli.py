@@ -414,7 +414,7 @@ class TestCliCommands:
         def no_episode(sc):
             raise AssertionError("calibrate ran an episode")
 
-        monkeypatch.setattr(sim_harness, "run_scenario", no_episode)
+        monkeypatch.setattr(sim_harness, "_episode_loop", no_episode)
         monkeypatch.chdir(tmp_path)
         cfg = write_config(tmp_path, BASE_CONFIG)
         assert main(["calibrate", "--config", cfg, *flags]) == 1
@@ -441,6 +441,7 @@ class TestCliCommands:
             (["phase-portrait", "--duration", "-1"], "/duration"),
             (["phase-portrait", "--duration", "inf"], "/duration"),
             (["phase-portrait", "--duration", "nan"], "/duration"),
+            (["phase-portrait", "--dt", "1e-320"], "/dt"),  # 1/dt overflows
         ],
     )
     def test_bad_drift_and_portrait_input_exit_1(

@@ -973,6 +973,32 @@ class TestOscillationDetector:
     def test_tiny_boundary_rings(self):
         assert detect_oscillation(self.episode(30.0, 0.001))
 
+    @pytest.mark.parametrize(
+        "kw, rings",
+        [
+            pytest.param(dict(w_max=30.0, x_b=0.001), True, id="ringing"),
+            pytest.param(dict(w_max=30.0, x_b=0.1), False, id="clean"),
+            pytest.param(dict(controller="baseline", k_d=1e6), False, id="blowup"),
+        ],
+    )
+    def test_loop_result_reads_as_its_record(self, kw, rings):
+        # calibrate_sweep tests the loop's columns, run_scenario's record
+        # carries the same ones; a blown-up run is truncated in both
+        sc = scenario(
+            duration=6.0,
+            dt=1e-3,
+            feedback_hz=100.0,
+            damping=0.5,
+            pulses=({"start": 0.5, "duration": 0.15, "wrench": (10.0,)},),
+            **kw,
+        )
+        run, rec = sim_harness._episode_loop(sc), run_scenario(sc)
+        for name in ("t", "x_d", "x", "x_err", "xdot", "phase_s", "wrench", "contact_f"):
+            assert np.array_equal(getattr(run, name), getattr(rec, name)), name
+        assert run.error == rec.error
+        assert (run.error is not None) == (kw.get("controller") == "baseline")
+        assert detect_oscillation(run) == detect_oscillation(rec) == rings
+
 
 class TestCalibrateSweep:
     BASE = dict(
@@ -996,6 +1022,30 @@ class TestCalibrateSweep:
         rows = calibrate_sweep(scenario(**self.BASE), 30.0, [0.001])
         assert rows[0]["w_max"] <= 28.0
         assert rows[0]["w_max"] in {30.0 - 2.0 * k for k in range(15)}
+
+    def test_rows_match_a_scan_of_records(self):
+        # the oracle scans the same 2 N ladder on full records
+        base, grid = scenario(**self.BASE), [0.1, 0.001]
+        expected = []
+        for i, xb in enumerate(grid):
+            chosen = math.nan
+            for cand in (30.0 - 2.0 * k for k in range(15)):
+                rec = run_scenario(replace(base, x_b=xb, w_max=cand))
+                if rec.error is None and not detect_oscillation(rec):
+                    chosen = cand
+                    break
+            expected.append((xb, (xb, grid[i - 1] if i else xb), chosen))
+        rows = calibrate_sweep(base, 30.0, grid)
+        assert [(r["x_b"], r["x_b_range"], r["w_max"]) for r in rows] == expected
+        assert not math.isnan(expected[-1][2])
+
+    def test_sweep_runs_no_audit(self, monkeypatch):
+        def no_audit(*args):
+            raise AssertionError("the sweep ran the energy audit")
+
+        monkeypatch.setattr(sim_harness, "episode_energy", no_audit)
+        rows = calibrate_sweep(scenario(**self.BASE), 30.0, [0.1, 0.001])
+        assert rows[0]["w_max"] == 30.0 and rows[1]["w_max"] <= 28.0
 
     def test_grid_must_descend(self):
         with pytest.raises(ValueError, match="descending"):
@@ -1027,7 +1077,7 @@ class TestCalibrateSweep:
         def no_episode(sc):
             raise AssertionError("the sweep ran an episode")
 
-        monkeypatch.setattr(sim_harness, "run_scenario", no_episode)
+        monkeypatch.setattr(sim_harness, "_episode_loop", no_episode)
         base = scenario(**self.BASE)
         with pytest.raises(ValueError, match=message) as exc:
             calibrate_sweep(base, w_max_init, [0.1, 0.01])
