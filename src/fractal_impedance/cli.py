@@ -56,18 +56,7 @@ log = logging.getLogger("fractal_impedance.cli")
 ANALYTIC_IC_WORK = 17.5 + 167.0 / 15.0
 
 DEFAULT_DRIFT_RATES = (20.0, 100.0, 1000.0, 10000.0)
-DEFAULT_CALIBRATION_GRID = (
-    0.2,
-    0.15,
-    0.1,
-    0.075,
-    0.05,
-    0.025,
-    0.01,
-    0.005,
-    0.0025,
-    0.001,
-)
+DEFAULT_CALIBRATION_GRID = (0.2, 0.15, 0.1, 0.075, 0.05, 0.025, 0.01, 0.005, 0.0025, 0.001)
 
 
 _CSV_CHUNK_ROWS = 256  # rows formatted per write by _write_table
@@ -253,6 +242,13 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
     return vals
 
 
+def _writable(path: Path) -> Path:
+    """``path``, or a config error at /out if it is a directory or its directory is missing."""
+    if path.is_dir() or not path.parent.is_dir():
+        raise ConfigError("/out", f"cannot write {path}: not a file in an existing directory")
+    return path
+
+
 def _out_base(out: str | None, default: str) -> Path:
     base = Path(out) if out else Path(default)
     if base.suffix in (".csv", ".json"):
@@ -297,12 +293,8 @@ def _build_parser() -> argparse.ArgumentParser:
     cal_p.add_argument("--out", default=None)
     cal_p.set_defaults(func=_cmd_calibrate)
 
-    drift_p = sub.add_parser(
-        "energy-drift", help="discrete impedance work drift vs feedback rate"
-    )
-    drift_p.add_argument(
-        "--rates", default=",".join(f"{r:g}" for r in DEFAULT_DRIFT_RATES)
-    )
+    drift_p = sub.add_parser("energy-drift", help="discrete impedance work drift vs feedback rate")
+    drift_p.add_argument("--rates", default=",".join(f"{r:g}" for r in DEFAULT_DRIFT_RATES))
     drift_p.add_argument("--out", default=None)
     drift_p.set_defaults(func=_cmd_energy_drift)
 
@@ -319,9 +311,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     scenario = parse_config(args.config)
+    out = _writable(Path(args.out) if args.out else Path(f"{scenario.name}.{args.format}"))
     log.info("running scenario '%s'", scenario.name)
     record = run_scenario(scenario)
-    out = Path(args.out) if args.out else Path(f"{scenario.name}.{args.format}")
     # a table built per call, so a rebound emit_csv or emit_json (a trace hook) runs
     {"csv": emit_csv, "json": emit_json}[args.format]([record], out)
     digest = config_hash(scenario_to_dict(scenario))
@@ -339,14 +331,15 @@ def _cmd_sweep(args) -> int:
     scenario = parse_config(args.config)
     rates = _parse_float_list(args.rates, "rates")
     base = _out_base(args.out, "sweep")
+    outs = [_writable(base.with_name(f"{base.name}_{r:g}hz.{args.format}")) for r in rates]
+    summary_out = _writable(base.with_name(f"{base.name}_summary.json"))
     summary = []
-    for rate in rates:
+    for rate, out in zip(rates, outs):
         try:
             sc = replace(scenario, feedback_hz=rate, name=f"{scenario.name}_fb{rate:g}")
         except ValueError as exc:
             raise ConfigError("/rates", str(exc)) from exc
         record = run_scenario(sc)
-        out = base.with_name(f"{base.name}_{rate:g}hz.{args.format}")
         {"csv": emit_csv, "json": emit_json}[args.format]([record], out)
         metrics = compute_metrics(record)
         entry = {
@@ -363,19 +356,19 @@ def _cmd_sweep(args) -> int:
             f"rate {rate:g} Hz -> {out} (recovery_mean={metrics['recovery_mean']:.4g} s, "
             f"max_abs_err={max(metrics['max_abs_err']):.4g} m, oscillation={entry['oscillation']})"
         )
-    _write_json(base.with_name(f"{base.name}_summary.json"), summary)
+    _write_json(summary_out, summary)
     return 2 if any(e["error"] is not None for e in summary) else 0
 
 
 def _cmd_calibrate(args) -> int:
     scenario = parse_config(args.config)
     grid = _parse_float_list(args.grid, "grid")
+    out = _writable(_out_base(args.out, "calibration").with_suffix(".csv"))
     try:
         rows = calibrate_sweep(scenario, args.wmax_init, grid)
     except ValueError as exc:
         field, message = _pointer_from_message(str(exc))
         raise ConfigError("/wmax-init" if field.startswith("/w_max") else "/grid", message) from exc
-    out = _out_base(args.out, "calibration").with_suffix(".csv")
     table = [(row["x_b"], row["x_b_range"][1], row["w_max"]) for row in rows]
     meta = {
         "config_hash": config_hash(scenario_to_dict(scenario)),
@@ -395,6 +388,7 @@ def _cmd_energy_drift(args) -> int:
     # whole rates sample the path's end, t = 1 s, which the analytic work spans
     if not all(r >= 1.0 and r.is_integer() for r in rates):
         raise ConfigError("/rates", "must be finite whole numbers of Hz, at least 1")
+    out = _writable(Path(args.out)) if args.out else None
     params = StiffnessParams(k_const=0.0, w_max=30.0, x_b=0.1)
     print(f"analytic IC work: {ANALYTIC_IC_WORK:.6f} J")
     print(f"{'rate_hz':>10} {'delta_E_IC':>14} {'abs_drift':>12} {'delta_E_FIC':>14}")
@@ -409,13 +403,13 @@ def _cmd_energy_drift(args) -> int:
         drift = abs(w_ic - ANALYTIC_IC_WORK)
         rows.append((rate, w_ic, drift, w_fic))
         print(f"{rate:>10g} {w_ic:>14.6f} {drift:>12.6f} {w_fic:>14.6f}")
-    if args.out:
+    if out:
         cols = ["rate_hz", "delta_e_ic", "abs_drift", "delta_e_fic"]
         meta = {
             "config_hash": config_hash({"command": "energy-drift", "rates": rates}),
             "analytic": ANALYTIC_IC_WORK,
         }
-        _write_table(Path(args.out), cols, rows, meta)
+        _write_table(out, cols, rows, meta)
         print(f"wrote {args.out}")
     return 0
 
@@ -429,7 +423,7 @@ def _cmd_phase_portrait(args) -> int:
             raise ConfigError(f"/{flag}", "must be finite and positive")
     if 1.0 / args.dt == math.inf:  # the tick rate feedback_hz = 1/dt
         raise ConfigError("/dt", "too small: 1/dt overflows")
-    out = Path(args.out) if args.out else Path("phase_portrait.csv")
+    out = _writable(Path(args.out) if args.out else Path("phase_portrait.csv"))
     tables = []
     peaks = []
     for e0 in sorted(energies):
@@ -470,12 +464,7 @@ def _cmd_phase_portrait(args) -> int:
 
 def _setup_logging() -> None:
     level_name = os.environ.get("FIC_LOG", "").strip().lower()
-    levels = {
-        "debug": logging.DEBUG,
-        "info": logging.INFO,
-        "warning": logging.WARNING,
-        "error": logging.ERROR,
-    }
+    levels = {n: getattr(logging, n.upper()) for n in ("debug", "info", "warning", "error")}
     logging.basicConfig(level=levels.get(level_name, logging.WARNING))
 
 

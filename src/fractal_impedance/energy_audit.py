@@ -7,12 +7,12 @@ Riemann sum of its continuous power; the FIC work is an exact potential
 difference. The Lyapunov candidate is piecewise (one quadratic per phase)
 with a per-switch constant that keeps the monitored value continuous.
 
-An episode's audit runs after its loop, from its record, with the bits of a
-per-sample audit: ``episode_energy`` computes E_in, the monitored potentials
-and the switch events from the recorded errors and phases and the ticks where
-a schedule swapped the parameters, rebuilding each switch's attractor state
-with ``fic_core``'s snapshot law; ``_contact_work`` integrates the recorded
-contact power. Released energy is the record's ``e_rel_cum``.
+An episode's audit runs after its loop, from its record and scenario alone,
+with the bits of a per-sample audit: ``episode_energy`` computes E_in, the
+monitored potentials and the switch events from the recorded errors and
+phases and the scenario's schedule swaps, rebuilding each switch's attractor
+state with ``fic_core``'s snapshot law; ``_contact_work`` integrates the
+recorded contact power. Released energy is the record's ``e_rel_cum``.
 """
 
 from __future__ import annotations
@@ -158,7 +158,8 @@ def episode_energy(x_err, phase_s, dt, params, swaps):
     record's (n, d) ``x_err`` and ``phase_s`` columns.
 
     ``params`` are each DoF's parameters before the first tick, and ``swaps``
-    maps each tick where an ``xb_schedule`` replaced them to the new ones.
+    maps each of the record's ticks where an ``xb_schedule`` replaced them to
+    the new ones (``sim_harness._schedule_swaps``, from the scenario).
     A DoF's attractor state changes only with its phase: a switch into
     Convergence is the snapshot of that tick's error and parameters, and
     Divergence is ``AttractorState()``. The bits are those of a per-sample

@@ -10,11 +10,11 @@ The arm, and a point mass against a wall, evaluate the plant once per sample
 (the arm through ``dynamics._arm_task_state``; the point mass is its own task
 state) and their acceleration at each stage of one ``dynamics._advance`` step.
 A wall-free point mass accelerates by (held force + pulse) / m in any state,
-so the loop evaluates it only at a tick or a pulse edge (the steps of one set
-of active pulses share one pulse row), and one ``_advance(..., accel=None,
-steps=m)`` call steps to the next one. The samples in between (a held run,
-or its finite part before a blowup) are recorded in bulk: the returned
-states, the event's wrench, phases and contact force, and the reference.
+so the loop evaluates it only at a tick or a pulse edge, and one
+``_advance(..., accel=None, steps=m)`` call steps to the next one. The
+samples in between (a held run, or its finite part before a blowup) are
+recorded in bulk: the returned states, the event's wrench, phases and contact
+force, and the reference.
 A tick is one block for both plants: the task law reads the errors from the
 sample, and for the arm ``controllers._arm_torques`` maps the wrench at that
 same sample. The plant object holds parameters only. The loop keeps the
@@ -27,12 +27,14 @@ x_d - x`` and a point mass's kinetic energy from its ``xdot`` column.
 Elementwise float arithmetic in numpy's order gives numpy's bits, so a 1-DoF
 record is the one numpy expressions would give; a sum over several DoFs
 (kinetic energy, contact power) may differ from ``np.dot`` in the last bit.
-The loop, ``_episode_loop``, does plant, controller and record work only,
-and logs nothing for the energy audit but the ticks where a schedule swapped
-the parameters; ``calibrate_sweep`` runs it alone. ``run_scenario`` runs it,
-then the bookkeeping, which reads its columns and runs the library's laws:
+The loop, ``_episode_loop``, first plans what the scenario's clock decides
+(its visits, the pulse rows of ``_pulse_table`` and the x_B swaps of
+``_schedule_swaps``), then does plant, controller and record work only;
+``calibrate_sweep`` runs it alone. ``run_scenario`` runs it, then the
+bookkeeping, which reads its columns and the scenario and runs the laws:
 
-- tick instants: ``_tick_starts``, which ``zoh_sample`` also uses;
+- tick instants: ``_tick_starts``, which ``zoh_sample`` also uses, and the
+  x_B swaps at the record's ticks (``_schedule_swaps``);
 - absorbed energy E_in (``fic_work`` per DoF over each sample step that
   starts in Divergence), the ``LyapunovTracker`` phase potentials and the
   switch events: ``energy_audit.episode_energy``, which rebuilds each
@@ -229,11 +231,7 @@ class Scenario:
             if self.controller != "fic":
                 raise ValueError("xb_schedule: only valid with the fic controller")
             _check_keys("xb_schedule", self.xb_schedule, _SCHEDULE_KEYS, _SCHEDULE_KEYS)
-            end, rate, itv = (
-                self.xb_schedule["x_b_end"],
-                self.xb_schedule["rate"],
-                self.xb_schedule["interval"],
-            )
+            end, rate, itv = (self.xb_schedule[key] for key in ("x_b_end", "rate", "interval"))
             if end <= 0 or rate <= 0 or itv <= 0:
                 raise ValueError("xb_schedule: x_b_end, rate, interval must be positive")
             try:
@@ -386,23 +384,17 @@ def _tick_starts(n: int, feedback_hz: float, dt: float) -> np.ndarray:
     return starts
 
 
-def _pulse_table(profile: PerturbationProfile, n_steps: int, dt: float) -> tuple:
-    """The pulse wrench of each step k < n_steps (at t = k dt), or None
-    when no step reads one, and the steps where the set of active pulses
-    changes (its edges). ``external_wrench`` runs once per distinct set of
-    active pulses, and the steps of one set share its row."""
+def _pulse_table(profile: PerturbationProfile, n_steps: int, dt: float) -> dict:
+    """The pulse wrench ``external_wrench`` from step 0 and from each step
+    k < n_steps (at t = k dt) where the set of active pulses changes (its
+    edges), as {step: row}; each row holds until the next key. Empty when
+    no step reads one."""
     if not (profile.pulses and n_steps):
-        return None, []
+        return {}
     t = np.arange(n_steps) * dt
     active = np.array([(p.start <= t) & (t < p.end) for p in profile.pulses]).T
-    bounds = np.flatnonzero(np.any(active[1:] != active[:-1], axis=1)) + 1
-    rows, table = {}, []
-    for a, b in zip([0, *bounds.tolist()], [*bounds.tolist(), n_steps]):
-        key = active[a].tobytes()
-        if key not in rows:
-            rows[key] = external_wrench(profile, a * dt)
-        table += [rows[key]] * (b - a)
-    return table, bounds
+    edges = np.flatnonzero(np.any(active[1:] != active[:-1], axis=1)) + 1
+    return {k: external_wrench(profile, k * dt) for k in [0, *edges.tolist()]}
 
 
 def zoh_sample(signal: np.ndarray, feedback_hz: float, dt: float) -> np.ndarray:
@@ -451,8 +443,21 @@ def _schedule_x_b(sc: Scenario, t: float, x_b0: tuple) -> tuple:
     return tuple(max(sched["x_b_end"], xb - drop) for xb in x_b0)
 
 
+def _schedule_swaps(sc: Scenario, n: int) -> dict:
+    """The FIC config at each tick of samples 0..n-1 where the scenario's
+    ``xb_schedule`` moves x_B, by sample; empty without a schedule."""
+    if sc.xb_schedule is None:
+        return {}
+    swaps = {}
+    x_b = x_b0 = tuple(p.x_b for p in build_controller(sc).stiffness)
+    for k in np.flatnonzero(_tick_starts(n, sc.feedback_hz, sc.dt)).tolist():
+        if (new_xb := _schedule_x_b(sc, k * sc.dt, x_b0)) != x_b:
+            x_b, swaps[k] = new_xb, build_controller(sc, x_b=new_xb)
+    return swaps
+
+
 class _LoopRun(NamedTuple):
-    """The loop's record columns, task kinetic energy, schedule swaps and error."""
+    """The loop's record columns, task kinetic energy and error."""
 
     t: np.ndarray
     x_d: np.ndarray
@@ -463,7 +468,6 @@ class _LoopRun(NamedTuple):
     wrench: np.ndarray
     contact_f: np.ndarray
     ke: np.ndarray
-    swaps: dict
     error: dict | None
 
 
@@ -477,9 +481,7 @@ def _episode_loop(sc: Scenario) -> _LoopRun:
     is_arm = sc.plant == "arm"
 
     plant, profile, wall = build_environment(sc)
-    ctrl = build_controller(sc)
-    fic = ctrl if use_fic else None
-    base = None if use_fic else ctrl
+    ctrl = build_controller(sc)  # replaced at each swap of ``_schedule_swaps``
     posture = ctrl.posture_target, ctrl.posture_gains  # the arm's null-space task
 
     if is_arm:
@@ -495,22 +497,22 @@ def _episode_loop(sc: Scenario) -> _LoopRun:
     ref_fn = _make_reference(sc, x_start)
     static_ref = sc.reference["type"] == "static"
     tick_mask = _tick_starts(n, sc.feedback_hz, dt)
-    ticks = tick_mask.tolist()
-    pulse_rows, edges = _pulse_table(profile, n_steps, dt)
+    swaps = _schedule_swaps(sc, n)
+    pulse_rows = _pulse_table(profile, n_steps, dt)
     w_pulse = None
     # (held force + pulse row) / m is set at a tick or a pulse edge, not per
     # stage, and one visit steps from there to the next one (or the last
-    # sample); the other plants visit every sample
+    # sample); the other plants visit every sample. A visit is its sample,
+    # the samples it records (it and its held run) and whether it ticks.
     state_free = not is_arm and wall is None
     stage = None if state_free else lambda xx, vv: accel(plant, held_force, xx, vv, wall, w_pulse)
     stops = tick_mask | (not state_free)
-    stops[edges] = stops[-1] = True
-    runs = iter(np.diff(np.flatnonzero(stops), append=n).tolist())
+    stops[list(pulse_rows)] = stops[-1] = True
+    visits = np.flatnonzero(stops)
+    plan = zip(visits.tolist(), np.diff(visits, append=n).tolist(), tick_mask[visits].tolist())
 
     states = new_attractor_states(d)
-    x_b0 = tuple(p.x_b for p in fic.stiffness) if use_fic else None
     phase_row = [_DIV.value] * d  # the attractor phases' s flags, changed at ticks
-    swaps = {}  # for the energy audit: the parameters of each schedule swap
 
     # Record columns, d values per sample for the vector series; a point mass
     # is its own task state, recorded from the states its steps return.
@@ -520,11 +522,8 @@ def _episode_loop(sc: Scenario) -> _LoopRun:
     cf = [0.0] * d  # contact force; stays zero without a wall
     nq = len(pos)
     error = None
-    visit = 0  # the next sample that a held run has not recorded
 
-    for k in range(n):
-        if k < visit:
-            continue
+    for k, steps, tick in plan:
         t = k * dt
         if is_arm:
             try:
@@ -543,28 +542,22 @@ def _episode_loop(sc: Scenario) -> _LoopRun:
         if wall is not None:
             cf = contact_force(wall, x_now, v_now)
 
-        if ticks[k]:
-            if use_fic and sc.xb_schedule is not None:
-                new_xb = _schedule_x_b(sc, t, x_b0)
-                if new_xb != tuple(p.x_b for p in fic.stiffness):
-                    fic = build_controller(sc, x_b=new_xb)
-                    swaps[k] = fic.stiffness
+        if tick:
+            ctrl = swaps.get(k, ctrl)
             x_err = [a - b for a, b in zip(x_d, x_now)]
             damping_rate = [-v for v in v_now]
             if use_fic:
                 rate = [r - v for r, v in zip(xd_rate, v_now)]
-                held_wrench, states, _ = fic_task_wrench(fic, states, x_err, rate, damping_rate)
+                held_wrench, states, _ = fic_task_wrench(ctrl, states, x_err, rate, damping_rate)
                 phase_row = [1 if s.phase is _DIV else 0 for s in states]  # Phase.value
             else:
-                held_wrench = baseline_impedance_wrench(base, x_err, damping_rate)
+                held_wrench = baseline_impedance_wrench(ctrl, x_err, damping_rate)
             held_force = held_wrench
             if is_arm:
                 held_force = _arm_torques(plant, sample, held_wrench, *posture)
 
-        steps = next(runs)  # the samples this visit records: k and its held run
         if k < n_steps:
-            if pulse_rows is not None:
-                w_pulse = pulse_rows[k]
+            w_pulse = pulse_rows.get(k, w_pulse)
             accel0 = accel(plant, held_force, pos, vel, wall, w_pulse, sample)
             try:
                 new_pos, new_vel = _advance(pos, vel, stage, dt, sc.integrator, t, accel0, steps)
@@ -587,7 +580,6 @@ def _episode_loop(sc: Scenario) -> _LoopRun:
                 xd_c.extend(ref_fn(i * dt)[0])
         if error is not None:
             break
-        visit = k + steps
 
     # The record arrays view the columns; nothing is copied.
     n_rec = len(ph_c) // d
@@ -597,7 +589,7 @@ def _episode_loop(sc: Scenario) -> _LoopRun:
         ke = np.frombuffer(ke_c) if is_arm else _point_mass_ke(plant, xv_a)
     phase_s = np.frombuffer(ph_c, dtype=np.int64).reshape(n_rec, d)
     t_a, wr_a, cf_a = np.arange(n_rec) * dt, _rows(wr_c, d), _rows(cf_c, d)
-    return _LoopRun(t_a, xd_a, x_a, xe_a, xv_a, phase_s, wr_a, cf_a, ke, swaps, error)
+    return _LoopRun(t_a, xd_a, x_a, xe_a, xv_a, phase_s, wr_a, cf_a, ke, error)
 
 
 def run_scenario(sc: Scenario) -> EpisodeRecord:
@@ -612,8 +604,9 @@ def run_scenario(sc: Scenario) -> EpisodeRecord:
     forced = np.zeros(n_rec, dtype=bool)
     for p in profile.pulses:
         forced |= (p.start - dt <= t_a) & (t_a < p.end + dt)
-    if sc.controller == "fic":
-        e_in_cum, pot, events = episode_energy(xe_a, phase_s, dt, ctrl.stiffness, run.swaps)
+    if sc.controller == "fic":  # the swaps of the ticks that the record reached
+        swaps = {k: config.stiffness for k, config in _schedule_swaps(sc, n_rec).items()}
+        e_in_cum, pot, events = episode_energy(xe_a, phase_s, dt, ctrl.stiffness, swaps)
     else:
         e_in_cum, pot, events = np.zeros(n_rec), _baseline_potential(ctrl.k_d, xe_a), ()
     ledger = EnergyLedger(

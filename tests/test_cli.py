@@ -422,6 +422,44 @@ class TestCliCommands:
         assert not list(tmp_path.glob("calibration*"))
 
     @pytest.mark.parametrize(
+        "argv, taken",
+        [
+            (["run", "--config", "{cfg}", "--out", "{tmp}/missing/run.csv"], None),
+            (["run", "--config", "{cfg}", "--format", "json", "--out", "{tmp}/taken"], "taken"),
+            (["sweep", "--config", "{cfg}", "--out", "{tmp}/missing/sw"], None),
+            (["sweep", "--config", "{cfg}", "--out", "{tmp}/sw"], "sw_100hz.csv"),
+            (["calibrate", "--config", "{cfg}", "--out", "{tmp}/missing/cal"], None),
+            (["calibrate", "--config", "{cfg}", "--out", "{tmp}/cal"], "cal.csv"),
+            (["energy-drift", "--out", "{tmp}/missing/drift.csv"], None),
+            (["energy-drift", "--out", "{tmp}/taken"], "taken"),
+            (["phase-portrait", "--duration", "0.1", "--out", "{tmp}/missing/pp.csv"], None),
+            (["phase-portrait", "--duration", "0.1", "--out", "{tmp}/taken"], "taken"),
+        ],
+        ids=[
+            f"{cmd}-{kind}"
+            for cmd in ("run", "sweep", "calibrate", "energy-drift", "phase-portrait")
+            for kind in ("missing_dir", "is_dir")
+        ],
+    )
+    def test_unwritable_out_exit_1_before_any_episode(
+        self, tmp_path, capsys, monkeypatch, argv, taken
+    ):
+        # an --out in a missing directory, or a file to write that is a
+        # directory, is a config error before the first episode
+        def no_episode(sc):
+            raise AssertionError("an episode ran")
+
+        monkeypatch.setattr(sim_harness, "_episode_loop", no_episode)
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, BASE_CONFIG)
+        if taken:
+            (tmp_path / taken).mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        assert main([a.format(cfg=cfg, tmp=tmp_path) for a in argv]) == 1
+        assert "config error at /out: " in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize(
         "flags, pointer",
         [
             (["energy-drift", "--rates", "0"], "/rates"),

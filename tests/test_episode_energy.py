@@ -8,6 +8,7 @@ for bit.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 import fractal_impedance
 from energy_reference import record_and_reference
-from fractal_impedance import Scenario, energy_audit, run_scenario
+from fractal_impedance import Scenario, cli, energy_audit, run_scenario, sim_harness
 
 SCHEDULE = {"x_b_end": 0.02, "rate": 0.05, "interval": 0.25}
 PULSES_1 = (
@@ -52,27 +53,41 @@ def swap_on_divergence(rec, ref) -> bool:
     return any((rec.phase_s[k - 1] == 1).any() for k in ref.swap_samples if k > 0)
 
 
-@pytest.mark.parametrize(
-    "sc",
-    [
-        pm(xb_schedule=SCHEDULE),
-        pm(inertia=(1.0, 2.0), x0=(0.0, 0.0), pulses=PULSES_2, xb_schedule=SCHEDULE),
-        Scenario(
-            plant="arm",
-            duration=2.0,
-            dt=1e-3,
-            feedback_hz=500.0,
-            damping=5.0,
-            pulses=ARM_PULSES,
-            xb_schedule={"x_b_end": 0.03, "rate": 0.05, "interval": 0.2},
-        ),
-    ],
-    ids=["point_mass", "point_mass_2dof", "arm"],
+def planned_swaps(sc, n_samples) -> dict:
+    """The schedule swaps that the plan gives the ticks of ``n_samples``."""
+    return {k: config.stiffness for k, config in sim_harness._schedule_swaps(sc, n_samples).items()}
+
+
+SCHEDULE_EPISODES = {
+    "point_mass": pm(xb_schedule=SCHEDULE),
+    "point_mass_2dof": pm(
+        inertia=(1.0, 2.0), x0=(0.0, 0.0), pulses=PULSES_2, xb_schedule=SCHEDULE
+    ),
+    "arm": Scenario(
+        plant="arm",
+        duration=2.0,
+        dt=1e-3,
+        feedback_hz=500.0,
+        damping=5.0,
+        pulses=ARM_PULSES,
+        xb_schedule={"x_b_end": 0.03, "rate": 0.05, "interval": 0.2},
+    ),
+}
+ARM_CIRCLE = Scenario(
+    plant="arm",
+    duration=1.5,
+    dt=1e-3,
+    damping=5.0,
+    reference={"type": "circle", "radius": 0.05, "period": 1.0},
 )
+
+
+@pytest.mark.parametrize("sc", SCHEDULE_EPISODES.values(), ids=SCHEDULE_EPISODES.keys())
 def test_schedule_swaps_match_oracle(sc, monkeypatch):
     rec, ref = record_and_reference(sc, monkeypatch)
     assert rec.error is None and len(ref.switch_events) > 0
     assert len(ref.swap_samples) >= 3 and swap_on_divergence(rec, ref)
+    assert list(planned_swaps(sc, rec.n_samples)) == list(ref.swap_samples)
     assert_same_audit(rec, ref)
 
 
@@ -93,13 +108,7 @@ def test_schedule_swaps_match_oracle(sc, monkeypatch):
             pulses=(),
             wall={"axis": 0, "offset": 0.5, "stiffness": 1e4, "damping": 200.0},
         ),
-        Scenario(
-            plant="arm",
-            duration=1.5,
-            dt=1e-3,
-            damping=5.0,
-            reference={"type": "circle", "radius": 0.05, "period": 1.0},
-        ),
+        ARM_CIRCLE,
         pm(controller="baseline", inertia=(1.0, 2.0), x0=(0.0, 0.0), pulses=PULSES_2),
         Scenario(plant="arm", controller="baseline", duration=1.0, dt=1e-3, pulses=ARM_PULSES),
     ],
@@ -124,7 +133,61 @@ def test_truncated_record_matches_oracle(monkeypatch):
     rec, ref = record_and_reference(sc, monkeypatch)
     assert rec.error["type"] == "integration_blowup"
     assert 0 < rec.n_samples < 801 and len(ref.switch_events) > 0 and ref.swap_samples
+    assert list(planned_swaps(sc, rec.n_samples)) == list(ref.swap_samples)
     assert_same_audit(rec, ref)
+
+
+def test_truncated_record_audits_only_the_swaps_it_reached(monkeypatch):
+    # the schedule moves x_B every 0.1 s up to the end; the blowup cuts it
+    sc = pm(
+        duration=8.0,
+        dt=0.01,
+        feedback_hz=100.0,
+        damping=350.0,
+        pulses=({"start": 0.1, "duration": 0.05, "wrench": (5.0,)},),
+        xb_schedule={"x_b_end": 0.02, "rate": 0.001, "interval": 0.1},
+    )
+    rec, ref = record_and_reference(sc, monkeypatch)
+    assert rec.error["type"] == "integration_blowup" and rec.n_samples < 801
+    assert list(planned_swaps(sc, rec.n_samples)) == list(ref.swap_samples)
+    assert len(ref.swap_samples) < len(planned_swaps(sc, 801)) == 80
+    assert_same_audit(rec, ref)
+
+
+@pytest.mark.parametrize(
+    "sc",
+    [SCHEDULE_EPISODES["point_mass_2dof"], SCHEDULE_EPISODES["arm"], ARM_CIRCLE],
+    ids=["point_mass_schedule", "arm_schedule", "arm_circle"],
+)
+def test_saved_json_record_audits_itself(sc, tmp_path, monkeypatch):
+    # ``fic run --format json`` keeps every float by repr, and the schedule's
+    # swaps follow from the scenario: the audit of the record read back from
+    # disk has the bits of the in-process audit
+    audits, audit = [], sim_harness.episode_energy
+
+    def spy(*args):
+        audits.append(audit(*args))
+        return audits[-1]
+
+    monkeypatch.setattr(sim_harness, "episode_energy", spy)
+    cfg, out = tmp_path / "scenario.json", tmp_path / "record.json"
+    cfg.write_text(json.dumps(cli.scenario_to_dict(sc)))
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out), "--format", "json"]) == 0
+    (_, potential, _), rec = audits[0], run_scenario(sc)
+
+    (entry,) = json.loads(out.read_text())["records"]
+    saved = cli.scenario_from_dict(entry["scenario"])
+    series, d = entry["series"], saved.n_task
+    x_err = np.array([series[f"x_err_{i}"] for i in range(d)]).T
+    phase_s = np.array([series[f"phase_s_{i}"] for i in range(d)]).T
+    params = sim_harness.build_controller(saved).stiffness
+    swaps = planned_swaps(saved, len(series["t"]))
+    e_in_cum, pot, events = energy_audit.episode_energy(x_err, phase_s, saved.dt, params, swaps)
+    assert saved == sc and len(swaps) >= (3 if sc.xb_schedule else 0)
+    assert x_err.tobytes() == rec.x_err.tobytes() and np.array_equal(phase_s, rec.phase_s)
+    assert e_in_cum.tobytes() == rec.e_in_cum.tobytes()
+    assert pot.tobytes() == potential.tobytes()
+    assert tuple(events) == rec.ledger.switch_events and len(events) > 0
 
 
 def test_truncated_wall_record_matches_oracle(monkeypatch):
@@ -161,6 +224,29 @@ def test_digest_wall_paths_reach_contact(name, monkeypatch):
     rec, ref = record_and_reference(sc, monkeypatch)
     assert rec.error is None and np.count_nonzero(rec.contact_f) > 0
     assert rec.ledger.contact_work < 0.0
+    assert_same_audit(rec, ref)
+
+
+def test_digest_plan_paths_reach_their_edges(monkeypatch):
+    # the records check digests these; each must reach its edge of the plan
+    paths = _digest_tool().path_scenarios(fractal_impedance)
+    sc = paths["fic_schedule_swap_at_start"]
+    rec, ref = record_and_reference(sc, monkeypatch)
+    assert rec.error is None and ref.swap_samples == (0,) and sc.feedback_hz < 1.0 / sc.dt
+    assert_same_audit(rec, ref)
+
+    sc = paths["fic_held_pulse_from_start_30hz"]
+    _, profile, _ = sim_harness.build_environment(sc)
+    rows = sim_harness._pulse_table(profile, int(round(sc.duration / sc.dt)), sc.dt)
+    assert any(rows[0]) and sc.wall is None and sc.feedback_hz < 1.0 / sc.dt
+    rec, ref = record_and_reference(sc, monkeypatch)
+    assert rec.error is None
+    assert_same_audit(rec, ref)
+
+    sc = paths["fic_schedule_blowup"]
+    rec, ref = record_and_reference(sc, monkeypatch)
+    assert rec.error["type"] == "integration_blowup" and len(ref.swap_samples) > 0
+    assert list(planned_swaps(sc, rec.n_samples)) == list(ref.swap_samples)
     assert_same_audit(rec, ref)
 
 

@@ -673,6 +673,39 @@ HELD_RUN_EPISODE = dict(
 )
 
 
+@pytest.mark.parametrize(
+    "pulses, n_edges",
+    [
+        (HELD_RUN_EPISODE["pulses"], 4),
+        # active from step 0, then one pulse ending where the next starts
+        (
+            (
+                {"start": 0.0, "duration": 0.1, "wrench": (3.0, 1.0)},
+                {"start": 0.1, "duration": 0.2, "wrench": (-2.0, 0.5)},
+            ),
+            2,
+        ),
+        ((), 0),
+    ],
+    ids=["between_ticks", "from_step_0", "none"],
+)
+def test_pulse_rows_start_at_step_0_and_each_edge(pulses, n_edges):
+    sc = Scenario(**{**HELD_RUN_EPISODE, "pulses": pulses})
+    _, profile, _ = sim_harness.build_environment(sc)
+    n_steps = int(round(sc.duration / sc.dt))
+    rows = sim_harness._pulse_table(profile, n_steps, sc.dt)
+    active = [tuple(p.start <= k * sc.dt < p.end for p in profile.pulses) for k in range(n_steps)]
+    edges = [k for k in range(1, n_steps) if active[k] != active[k - 1]]
+    assert len(edges) == n_edges
+    assert list(rows) == ([0, *edges] if pulses else [])
+    for k, row in rows.items():
+        assert row == external_wrench(profile, k * sc.dt)
+    held = None  # each row holds until the next key
+    for k in range(n_steps if pulses else 0):
+        held = rows.get(k, held)
+        assert held == external_wrench(profile, k * sc.dt), k
+
+
 def held_run_cases():
     for feedback_hz in (20.0, 30.0, 100.0, 1000.0):
         for integrator in ("rk4", "semi_implicit"):

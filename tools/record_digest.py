@@ -20,10 +20,11 @@ outputs can be compared with ``diff``. Each output line is
 - ``path``: the ``EpisodeRecord`` of each of a fixed set of scenarios that no
   pool case reaches (an ``xb_schedule`` on both plants, wall contact on both
   plants and under both controllers, the baseline controller, a 300 Hz tick
-  rate, the semi-implicit integrator, and held runs of a wall-free point
-  mass with pulse edges and a moving reference between ticks at 20, 30 and
-  50 Hz),
-  built from public ``Scenario`` fields only, so any checkout runs them;
+  rate, the semi-implicit integrator, held runs of a wall-free point mass
+  with pulse edges and a moving reference between ticks at 20, 30 and 50 Hz,
+  and the edges of the loop's clock: a schedule swap at the first tick, a
+  pulse active from t = 0 over held runs, and a schedule episode that blows
+  up), built from public ``Scenario`` fields only, so any checkout runs them;
 - ``cli``: the exit status and the bytes of every file that each ``fic``
   command writes (``run --format json``, ``sweep``, ``calibrate``,
   ``energy-drift``, ``phase-portrait``) on small fixed inputs; the sweep's
@@ -152,6 +153,28 @@ def path_scenarios(fi) -> dict:
         "baseline_held_20hz": fi.Scenario(**held, controller="baseline", feedback_hz=20.0),
         "fic_held_semi_implicit_50hz": fi.Scenario(
             **held, feedback_hz=50.0, integrator="semi_implicit"
+        ),
+        # x_b_end above x_b: the schedule swaps x_B at the first tick
+        "fic_schedule_swap_at_start": fi.Scenario(
+            **pm,
+            feedback_hz=100.0,
+            x_b=0.05,
+            xb_schedule={"x_b_end": 0.08, "rate": 0.05, "interval": 0.25},
+        ),
+        "fic_held_pulse_from_start_30hz": fi.Scenario(
+            **{**held, "pulses": ({**held["pulses"][0], "start": 0.0}, held["pulses"][1])},
+            feedback_hz=30.0,
+        ),
+        # the damping law is unstable at this dt: the record ends at a blowup
+        # after the schedule's last swap
+        "fic_schedule_blowup": fi.Scenario(
+            duration=8.0,
+            dt=0.01,
+            feedback_hz=100.0,
+            x0=(0.0,),
+            damping=350.0,
+            pulses=({"start": 0.1, "duration": 0.05, "wrench": (5.0,)},),
+            xb_schedule={"x_b_end": 0.02, "rate": 0.02, "interval": 0.5},
         ),
     }
 
