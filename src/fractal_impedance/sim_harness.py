@@ -29,9 +29,16 @@ record is the one numpy expressions would give; a sum over several DoFs
 (kinetic energy, contact power) may differ from ``np.dot`` in the last bit.
 The loop, ``_episode_loop``, first plans what the scenario's clock decides
 (its visits, the pulse rows of ``_pulse_table`` and the x_B swaps of
-``_schedule_swaps``), then does plant, controller and record work only;
-``calibrate_sweep`` runs it alone. ``run_scenario`` runs it, then the
-bookkeeping, which reads its columns and the scenario and runs the laws:
+``_schedule_swaps``; their keys and the last sample are its events), then
+does plant, controller and record work only. Under a static reference, a
+tick whose visit returns the plant state it started from bit for bit and
+leaves the attractor states the same objects (``_fixed_point``) is a fixed
+point: the next tick and step read only that state, the attractor states,
+the config, the pulse row and the reference, all unchanged until the next
+event, so the loop records the visit's row for each sample up to that event
+in bulk and resumes its plan there. ``calibrate_sweep`` runs the loop alone.
+``run_scenario`` runs it, then the bookkeeping, which reads its columns and
+the scenario and runs the laws:
 
 - tick instants: ``_tick_starts``, which ``zoh_sample`` also uses, and the
   x_B swaps at the record's ticks (``_schedule_swaps``);
@@ -52,7 +59,10 @@ from __future__ import annotations
 import math
 import numbers
 from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, fields, replace
+from itertools import islice
+from operator import is_
 from typing import NamedTuple
 
 import numpy as np
@@ -450,10 +460,26 @@ def _schedule_swaps(sc: Scenario, n: int) -> dict:
         return {}
     swaps = {}
     x_b = x_b0 = tuple(p.x_b for p in build_controller(sc).stiffness)
-    for k in np.flatnonzero(_tick_starts(n, sc.feedback_hz, sc.dt)).tolist():
+    # the law reads t only through its floor(t / interval + 1e-9), so only the
+    # first tick and the ticks where that floor moves can change x_B
+    ticks = np.flatnonzero(_tick_starts(n, sc.feedback_hz, sc.dt))
+    floors = np.floor(ticks * sc.dt / sc.xb_schedule["interval"] + 1e-9)
+    moves = ticks[np.flatnonzero(floors[1:] != floors[:-1]) + 1]
+    for k in [*ticks[:1].tolist(), *moves.tolist()]:
         if (new_xb := _schedule_x_b(sc, k * sc.dt, x_b0)) != x_b:
             x_b, swaps[k] = new_xb, build_controller(sc, x_b=new_xb)
     return swaps
+
+
+def _fixed_point(pos, vel, new_pos, new_vel, states, new_states) -> bool:
+    """Whether a tick's visit left the plant state and the attractor states
+    as it found them: the same state objects (no switch), and every state
+    that its steps returned equal to the start bit for bit (``array`` bytes,
+    so 0.0 and -0.0 differ)."""
+    steps = len(new_vel) // len(vel)
+    return all(map(is_, states, new_states)) and (
+        array("d", new_pos + new_vel).tobytes() == array("d", pos * steps + vel * steps).tobytes()
+    )
 
 
 class _LoopRun(NamedTuple):
@@ -509,7 +535,9 @@ def _episode_loop(sc: Scenario) -> _LoopRun:
     stops = tick_mask | (not state_free)
     stops[list(pulse_rows)] = stops[-1] = True
     visits = np.flatnonzero(stops)
-    plan = zip(visits.tolist(), np.diff(visits, append=n).tolist(), tick_mask[visits].tolist())
+    visit_k = visits.tolist()
+    plan = zip(visit_k, np.diff(visits, append=n).tolist(), tick_mask[visits].tolist())
+    events = sorted({*pulse_rows, *swaps, n - 1})  # each one is a visit
 
     states = new_attractor_states(d)
     phase_row = [_DIV.value] * d  # the attractor phases' s flags, changed at ticks
@@ -544,6 +572,7 @@ def _episode_loop(sc: Scenario) -> _LoopRun:
 
         if tick:
             ctrl = swaps.get(k, ctrl)
+            states0 = states
             x_err = [a - b for a, b in zip(x_d, x_now)]
             damping_rate = [-v for v in v_now]
             if use_fic:
@@ -568,7 +597,26 @@ def _episode_loop(sc: Scenario) -> _LoopRun:
             if not is_arm:  # a point mass is its own task state
                 x_c.extend(new_pos)
                 xv_c.extend(new_vel)
-            pos, vel = new_pos[-nq:], new_vel[-nq:]
+            pos0, vel0, pos, vel = pos, vel, new_pos[-nq:], new_vel[-nq:]
+            if (
+                tick
+                and static_ref
+                and vel == vel0
+                and error is None
+                and _fixed_point(pos0, vel0, new_pos, new_vel, states0, states)
+            ):  # a fixed point: each sample up to the next event repeats it
+                event = events[bisect_right(events, k)]  # the plan resumes there
+                skip = bisect_left(visit_k, event) - bisect_right(visit_k, k)
+                next(islice(plan, skip, skip), None)
+                rest = event - k - steps
+                if is_arm:
+                    x_c.extend(sample.x * rest)
+                    xv_c.extend(sample.xdot * rest)
+                    ke_c.extend([sample.ke] * rest)
+                else:
+                    x_c.extend(pos * rest)
+                    xv_c.extend(vel * rest)
+                steps += rest
         wr_c.extend(held_wrench * steps)
         cf_c.extend(cf * steps)
         ph_c.extend(phase_row * steps)

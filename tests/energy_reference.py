@@ -7,9 +7,10 @@ step that starts in Divergence, then at a tick ``change_params`` on a
 schedule swap, then ``LyapunovTracker.update`` per DoF with the attractor
 states the tick produced; and with a wall, the trapezoid of the contact
 power added to a running float sum. ``record_and_reference`` runs a scenario
-with the controller tick (and the arm's task state) wrapped, so the oracle
-sees each tick's parameters and attractor states, placed at the tick samples
-of ``_tick_starts``, and each arm sample's kinetic energy; a point mass's
+on the loop's per-sample path (no fixed point is fast-forwarded) with the
+controller tick (and the arm's task state) wrapped, so the oracle sees each
+tick's parameters and attractor states, placed at the tick samples of
+``_tick_starts``, and each arm sample's kinetic energy; a point mass's
 kinetic energy comes from the recorded ``xdot`` rows. It replays that
 bookkeeping over the record.
 """
@@ -52,6 +53,7 @@ def record_and_reference(sc, monkeypatch):
         return result
 
     with monkeypatch.context() as m:
+        m.setattr(sim_harness, "_fixed_point", lambda *args: False)
         m.setattr(sim_harness, "_arm_task_state", arm_task_state)
         m.setattr(sim_harness, "fic_task_wrench", fic_task_wrench)
         rec = sim_harness.run_scenario(sc)

@@ -82,6 +82,39 @@ ARM_CIRCLE = Scenario(
 )
 
 
+def scanned_swaps(sc, n) -> dict:
+    """x_B at every tick of samples 0..n-1 from ``_schedule_x_b``, kept
+    where it moves, by sample."""
+    swaps = {}
+    x_b = x_b0 = tuple(p.x_b for p in sim_harness.build_controller(sc).stiffness)
+    for k in np.flatnonzero(sim_harness._tick_starts(n, sc.feedback_hz, sc.dt)).tolist():
+        if (new_xb := sim_harness._schedule_x_b(sc, k * sc.dt, x_b0)) != x_b:
+            x_b = swaps[k] = new_xb
+    return swaps
+
+
+SWAP_PLANS = {
+    **SCHEDULE_EPISODES,
+    "swap_at_start": pm(
+        duration=1.0, x_b=0.05, xb_schedule={"x_b_end": 0.08, "rate": 0.05, "interval": 0.25}
+    ),
+    # 7.5 ticks per interval at 30 Hz, 3.3 at 0.11 s intervals and 33 Hz
+    "30Hz": pm(feedback_hz=30.0, xb_schedule=SCHEDULE),
+    "33Hz": pm(feedback_hz=33.0, xb_schedule={**SCHEDULE, "rate": 0.02, "interval": 0.11}),
+}
+
+
+@pytest.mark.parametrize("sc", SWAP_PLANS.values(), ids=SWAP_PLANS.keys())
+def test_swap_plan_matches_a_per_tick_scan(sc):
+    n = int(round(sc.duration / sc.dt)) + 1
+    want = scanned_swaps(sc, n)
+    got = sim_harness._schedule_swaps(sc, n)
+    assert want and list(got) == list(want)
+    for k, config in got.items():
+        assert [p.x_b.hex() for p in config.stiffness] == [x.hex() for x in want[k]]
+        assert config == sim_harness.build_controller(sc, x_b=want[k])
+
+
 @pytest.mark.parametrize("sc", SCHEDULE_EPISODES.values(), ids=SCHEDULE_EPISODES.keys())
 def test_schedule_swaps_match_oracle(sc, monkeypatch):
     rec, ref = record_and_reference(sc, monkeypatch)

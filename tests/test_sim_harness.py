@@ -482,7 +482,9 @@ class TestEpisodes:
     def test_point_mass_accel_per_held_force_or_stage(self, monkeypatch, with_wall):
         # without a wall the acceleration is (held force + pulse) / m, so the
         # loop evaluates it only at a tick or a pulse edge (none falls on a
-        # tick here); against a wall, at every RK4 stage
+        # tick here); against a wall, at every RK4 stage. The plant rests
+        # until the first pulse edge: the loop steps sample 0 and records
+        # the rest of that prefix in bulk
         calls = count_calls(monkeypatch, "_point_mass_accel", module=sim_harness)
         sc = scenario(
             duration=2.0,
@@ -496,18 +498,26 @@ class TestEpisodes:
         )
         rec = run_scenario(sc)
         assert rec.error is None and rec.n_samples == 2001
-        ticks = int(np.count_nonzero(sim_harness._tick_starts(2000, sc.feedback_hz, sc.dt)))
+        tick_mask = sim_harness._tick_starts(2000, sc.feedback_hz, sc.dt)
+        ticks = int(np.count_nonzero(tick_mask))
         assert ticks == 200
-        assert len(calls) == (4 * 2000 if with_wall else ticks + 4)
+        edge = rest_prefix(rec) - 1  # the first pulse edge, where stepping resumes
+        assert edge == 505
+        skipped_ticks = int(np.count_nonzero(tick_mask[1:edge]))
+        assert len(calls) == (4 * (2000 - (edge - 1)) if with_wall else ticks - skipped_ticks + 4)
 
     @pytest.mark.parametrize("integrator, per_step", [("rk4", 4), ("semi_implicit", 1)])
     def test_one_arm_kernel_per_sample_and_stage(self, monkeypatch, integrator, per_step):
         # the sample's kernel serves the task state, the tick and the first
-        # stage; one more kernel gives forward_kinematics the start pose
+        # stage; one more kernel gives forward_kinematics the start pose. The
+        # arm rests until the pulse edge: the loop steps sample 0 and records
+        # the rest of that prefix in bulk
         calls = count_calls(monkeypatch, "_arm_kernel")
         rec = run_scenario(kernel_episode(integrator))
         assert rec.error is None and rec.n_samples == 101
-        assert len(calls) == per_step * 100 + 2
+        edge = rest_prefix(rec) - 1
+        assert edge == 20
+        assert len(calls) == per_step * (100 - (edge - 1)) + 2
 
     @pytest.mark.parametrize("integrator", ["rk4", "semi_implicit"])
     def test_one_mass_factor_per_kernel(self, monkeypatch, integrator):
@@ -756,6 +766,14 @@ def test_held_runs_match_the_per_sample_path(monkeypatch, changes):
         assert np.array_equal(getattr(rec, name), getattr(ref, name), equal_nan=True), name
     assert rec.ledger.switch_events == ref.ledger.switch_events
     assert (rec.ledger.e_in, rec.ledger.e_rel) == (ref.ledger.e_in, ref.ledger.e_rel)
+
+
+def rest_prefix(rec) -> int:
+    """The number of leading samples whose x and xdot rows equal sample 0's
+    bit for bit."""
+    rows = np.concatenate([rec.x, rec.xdot], axis=1)
+    same = [row.tobytes() == rows[0].tobytes() for row in rows]
+    return same.index(False) if False in same else len(same)
 
 
 def count_calls(monkeypatch, name, module=dynamics):

@@ -24,7 +24,10 @@ outputs can be compared with ``diff``. Each output line is
   with pulse edges and a moving reference between ticks at 20, 30 and 50 Hz,
   and the edges of the loop's clock: a schedule swap at the first tick, a
   pulse active from t = 0 over held runs, and a schedule episode that blows
-  up), built from public ``Scenario`` fields only, so any checkout runs them;
+  up; and rests that the loop fast-forwards: acceptance criterion 01's wall
+  push, an arm whose pulse edge falls between ticks, the baseline controller,
+  schedule swaps inside a rest, and a -0.0 start velocity), built from public
+  ``Scenario`` fields only, so any checkout runs them;
 - ``cli``: the exit status and the bytes of every file that each ``fic``
   command writes (``run --format json``, ``sweep``, ``calibrate``,
   ``energy-drift``, ``phase-portrait``) on small fixed inputs; the sweep's
@@ -133,6 +136,13 @@ def path_scenarios(fi) -> dict:
         ),
         reference={"type": "sinusoid", "axis": 1, "amplitude": 0.05, "period": 1.3},
     )
+    rest = dict(
+        duration=2.0,
+        dt=1e-3,
+        x0=(0.0,),
+        damping=1.0,
+        pulses=({"start": 1.0, "duration": 0.1, "wrench": (8.0,)},),
+    )
     return {
         "fic_schedule_point_mass": fi.Scenario(**pm, xb_schedule=schedule),
         "fic_schedule_arm": fi.Scenario(**arm, xb_schedule=schedule),
@@ -176,6 +186,17 @@ def path_scenarios(fi) -> dict:
             pulses=({"start": 0.1, "duration": 0.05, "wrench": (5.0,)},),
             xb_schedule={"x_b_end": 0.02, "rate": 0.02, "interval": 0.5},
         ),
+        # bit-exact rests: acceptance criterion 01's push settles at the
+        # force ceiling; the others rest until their first pulse
+        "fic_wall_push": fi.Scenario(**{**pm_wall, "duration": 6.0}, damping=25.0),
+        "fic_arm_rest_odd_edge": fi.Scenario(  # the edge at sample 301 is no 500 Hz tick
+            **{**arm, "pulses": ({"start": 0.301, "duration": 0.1, "wrench": (8.0, -5.0)},)}
+        ),
+        "baseline_rest": fi.Scenario(**rest, controller="baseline", feedback_hz=100.0),
+        "fic_schedule_rest": fi.Scenario(  # x_B moves at 0.25, 0.5 and 0.75 s
+            **rest, xb_schedule={"x_b_end": 0.02, "rate": 0.05, "interval": 0.25}
+        ),
+        "fic_negative_zero_velocity": fi.Scenario(**rest, xdot0=(-0.0,)),
     }
 
 
