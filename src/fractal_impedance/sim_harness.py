@@ -447,9 +447,15 @@ class EpisodeRecord:
         return self.t.shape[0]
 
 
+def _schedule_intervals(sc: Scenario, t):
+    """The whole ``xb_schedule`` intervals elapsed at time t (a float or an
+    array of them): the only way the schedule's law reads t."""
+    return np.floor(t / sc.xb_schedule["interval"] + 1e-9)
+
+
 def _schedule_x_b(sc: Scenario, t: float, x_b0: tuple) -> tuple:
     sched = sc.xb_schedule
-    drop = sched["rate"] * sched["interval"] * math.floor(t / sched["interval"] + 1e-9)
+    drop = sched["rate"] * sched["interval"] * float(_schedule_intervals(sc, t))
     return tuple(max(sched["x_b_end"], xb - drop) for xb in x_b0)
 
 
@@ -460,11 +466,10 @@ def _schedule_swaps(sc: Scenario, n: int) -> dict:
         return {}
     swaps = {}
     x_b = x_b0 = tuple(p.x_b for p in build_controller(sc).stiffness)
-    # the law reads t only through its floor(t / interval + 1e-9), so only the
-    # first tick and the ticks where that floor moves can change x_B
+    # x_B can change only at the first tick and where the count of intervals moves
     ticks = np.flatnonzero(_tick_starts(n, sc.feedback_hz, sc.dt))
-    floors = np.floor(ticks * sc.dt / sc.xb_schedule["interval"] + 1e-9)
-    moves = ticks[np.flatnonzero(floors[1:] != floors[:-1]) + 1]
+    intervals = _schedule_intervals(sc, ticks * sc.dt)
+    moves = ticks[np.flatnonzero(intervals[1:] != intervals[:-1]) + 1]
     for k in [*ticks[:1].tolist(), *moves.tolist()]:
         if (new_xb := _schedule_x_b(sc, k * sc.dt, x_b0)) != x_b:
             x_b, swaps[k] = new_xb, build_controller(sc, x_b=new_xb)

@@ -12,9 +12,11 @@ controller tick (and the arm's task state) wrapped, so the oracle sees each
 tick's parameters and attractor states, placed at the tick samples of
 ``_tick_starts``, and each arm sample's kinetic energy; a point mass's
 kinetic energy comes from the recorded ``xdot`` rows. It replays that
-bookkeeping over the record.
+bookkeeping over the record. ``assert_same_record`` compares two records bit
+for bit, the fast-forwarded one against the per-sample one.
 """
 
+import dataclasses
 from dataclasses import dataclass
 from operator import mul
 
@@ -66,6 +68,27 @@ def record_and_reference(sc, monkeypatch):
     else:
         kes = [point_mass_ke(sc.inertia, xdot) for xdot in rec.xdot.tolist()]
     return rec, reference_energy(rec, kes, ticks)
+
+
+def bits(obj):
+    """``obj`` with every float replaced by its hex form, recursively."""
+    if isinstance(obj, float):
+        return obj.hex()
+    if dataclasses.is_dataclass(obj):
+        return tuple(bits(getattr(obj, f.name)) for f in dataclasses.fields(obj))
+    if isinstance(obj, (tuple, list)):
+        return tuple(map(bits, obj))
+    return obj
+
+
+def assert_same_record(rec, ref):
+    for f in dataclasses.fields(rec):
+        got, want = getattr(rec, f.name), getattr(ref, f.name)
+        if isinstance(got, np.ndarray):
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), f.name
+            assert got.tobytes() == want.tobytes(), f.name
+        elif f.name != "scenario":  # the ledger with its switch events, times, error
+            assert bits(got) == bits(want), f.name
 
 
 def point_mass_ke(inertia, xdot) -> float:

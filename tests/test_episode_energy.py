@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import fractal_impedance
-from energy_reference import record_and_reference
+from energy_reference import assert_same_record, record_and_reference
 from fractal_impedance import Scenario, cli, energy_audit, run_scenario, sim_harness
 
 SCHEDULE = {"x_b_end": 0.02, "rate": 0.05, "interval": 0.25}
@@ -357,6 +357,9 @@ def test_audit_matches_oracle_for_random_episodes(
     )
     rec, ref = record_and_reference(sc, monkeypatch)
     assert_same_audit(rec, ref)
+    # each episode starts at rest, so the loop fast-forwards; the oracle's
+    # record took the per-sample path
+    assert_same_record(run_scenario(sc), rec)
 
 
 def test_loop_runs_no_per_sample_audit(monkeypatch):

@@ -8,12 +8,11 @@ schedule swap or the last sample in bulk and resumes there. With
 both records must agree bit for bit.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 
 import fractal_impedance
+from energy_reference import assert_same_record
 from fractal_impedance import Scenario, random_pulse_profile, run_scenario, sim_harness
 from fractal_impedance.controllers import new_attractor_states
 from test_episode_energy import _digest_tool
@@ -66,27 +65,6 @@ EPISODES = {
     # the first step turns the velocity's -0.0 into 0.0
     "negative_zero_velocity": Scenario(**PM_PULSE, xdot0=(-0.0,)),
 }
-
-
-def bits(obj):
-    """``obj`` with every float replaced by its hex form, recursively."""
-    if isinstance(obj, float):
-        return obj.hex()
-    if dataclasses.is_dataclass(obj):
-        return tuple(bits(getattr(obj, f.name)) for f in dataclasses.fields(obj))
-    if isinstance(obj, (tuple, list)):
-        return tuple(map(bits, obj))
-    return obj
-
-
-def assert_same_record(rec, ref):
-    for f in dataclasses.fields(rec):
-        got, want = getattr(rec, f.name), getattr(ref, f.name)
-        if isinstance(got, np.ndarray):
-            assert (got.dtype, got.shape) == (want.dtype, want.shape), f.name
-            assert got.tobytes() == want.tobytes(), f.name
-        elif f.name != "scenario":  # the ledger with its switch events, times, error
-            assert bits(got) == bits(want), f.name
 
 
 def loop_records(sc, monkeypatch):
