@@ -56,6 +56,7 @@ log = logging.getLogger("fractal_impedance.cli")
 ANALYTIC_IC_WORK = 17.5 + 167.0 / 15.0
 
 DEFAULT_DRIFT_RATES = (20.0, 100.0, 1000.0, 10000.0)
+MAX_DRIFT_RATE = 1e6  # Hz; energy-drift holds a few arrays of rate + 1 samples
 DEFAULT_CALIBRATION_GRID = (0.2, 0.15, 0.1, 0.075, 0.05, 0.025, 0.01, 0.005, 0.0025, 0.001)
 
 
@@ -386,8 +387,8 @@ def _cmd_calibrate(args) -> int:
 def _cmd_energy_drift(args) -> int:
     rates = _parse_float_list(args.rates, "rates")
     # whole rates sample the path's end, t = 1 s, which the analytic work spans
-    if not all(r >= 1.0 and r.is_integer() for r in rates):
-        raise ConfigError("/rates", "must be finite whole numbers of Hz, at least 1")
+    if not all(1.0 <= r <= MAX_DRIFT_RATE and r.is_integer() for r in rates):
+        raise ConfigError("/rates", f"must be whole numbers of Hz from 1 to {MAX_DRIFT_RATE:g}")
     out = _writable(Path(args.out)) if args.out else None
     params = StiffnessParams(k_const=0.0, w_max=30.0, x_b=0.1)
     print(f"analytic IC work: {ANALYTIC_IC_WORK:.6f} J")

@@ -11,10 +11,10 @@ The arm, and a point mass against a wall, evaluate the plant once per sample
 state) and their acceleration at each stage of one ``dynamics._advance`` step.
 A wall-free point mass accelerates by (held force + pulse) / m in any state,
 so the loop evaluates it only at a tick or a pulse edge, and one
-``_advance(..., accel=None, steps=m)`` call steps to the next one. The
-samples in between (a held run, or its finite part before a blowup) are
-recorded in bulk: the returned states, the event's wrench, phases and contact
-force, and the reference.
+``_advance(..., accel=None, steps=m)`` call steps to the next one. A visit
+records its start state (the arm's sample, the point mass's own) and, in
+bulk, a held run's interior (its finite part before a blowup): the states
+the run returned, the visit's wrench, phases, contact force and reference.
 A tick is one block for both plants: the task law reads the errors from the
 sample, and for the arm ``controllers._arm_torques`` maps the wrench at that
 same sample. The plant object holds parameters only. The loop keeps the
@@ -36,9 +36,9 @@ leaves the attractor states the same objects (``_fixed_point``) is a fixed
 point: the next tick and step read only that state, the attractor states,
 the config, the pulse row and the reference, all unchanged until the next
 event, so the loop records the visit's row for each sample up to that event
-in bulk and resumes its plan there. ``calibrate_sweep`` runs the loop alone.
-``run_scenario`` runs it, then the bookkeeping, which reads its columns and
-the scenario and runs the laws:
+in bulk and skips the plan's visits before it. ``calibrate_sweep`` runs the
+loop alone; ``run_scenario`` runs it, then the bookkeeping, which reads its
+columns and the scenario and runs the laws:
 
 - tick instants: ``_tick_starts``, which ``zoh_sample`` also uses, and the
   x_B swaps at the record's ticks (``_schedule_swaps``);
@@ -59,9 +59,8 @@ from __future__ import annotations
 import math
 import numbers
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field, fields, replace
-from itertools import islice
 from operator import is_
 from typing import NamedTuple
 
@@ -540,23 +539,25 @@ def _episode_loop(sc: Scenario) -> _LoopRun:
     stops = tick_mask | (not state_free)
     stops[list(pulse_rows)] = stops[-1] = True
     visits = np.flatnonzero(stops)
-    visit_k = visits.tolist()
-    plan = zip(visit_k, np.diff(visits, append=n).tolist(), tick_mask[visits].tolist())
+    plan = zip(visits.tolist(), np.diff(visits, append=n).tolist(), tick_mask[visits].tolist())
     events = sorted({*pulse_rows, *swaps, n - 1})  # each one is a visit
+    resume = 0  # the sample where a fast-forwarded rest ends
 
     states = new_attractor_states(d)
     phase_row = [_DIV.value] * d  # the attractor phases' s flags, changed at ticks
 
-    # Record columns, d values per sample for the vector series; a point mass
-    # is its own task state, recorded from the states its steps return.
-    xd_c, wr_c, cf_c, ke_c = (array("d") for _ in range(4))
-    x_c, xv_c = array("d", [] if is_arm else pos), array("d", [] if is_arm else vel)
+    # Record columns, d values per sample for the vector series, grown by
+    # ``fromlist`` (one copy of a list; ``extend`` iterates it); a visit records
+    # its start state, a held run its interior, and the next visit its end.
+    xd_c, x_c, xv_c, wr_c, cf_c, ke_c = (array("d") for _ in range(6))
     ph_c = array("q")
     cf = [0.0] * d  # contact force; stays zero without a wall
     nq = len(pos)
     error = None
 
     for k, steps, tick in plan:
+        if k < resume:
+            continue
         t = k * dt
         if is_arm:
             try:
@@ -565,11 +566,11 @@ def _episode_loop(sc: Scenario) -> _LoopRun:
                 error = {"type": "singular_configuration", "time": t, "message": str(exc)}
                 break
             x_now, v_now = sample.x, sample.xdot
-            x_c.extend(x_now)
-            xv_c.extend(v_now)
             ke_c.append(sample.ke)
-        else:  # its state, recorded by the run that reached it
+        else:
             x_now, v_now = pos, vel
+        x_c.fromlist(x_now)
+        xv_c.fromlist(v_now)
         x_d, xd_rate = ref_fn(t)
 
         if wall is not None:
@@ -599,9 +600,9 @@ def _episode_loop(sc: Scenario) -> _LoopRun:
                 error = {"type": "integration_blowup", "time": exc.time, "message": str(exc)}
                 new_pos, new_vel = exc.pos, exc.vel  # the finite states before it
                 steps = len(new_vel) // nq + 1
-            if not is_arm:  # a point mass is its own task state
-                x_c.extend(new_pos)
-                xv_c.extend(new_vel)
+            if steps > 1:  # a held run's interior states (all of them before a blowup)
+                x_c.fromlist(new_pos[: (steps - 1) * nq])
+                xv_c.fromlist(new_vel[: (steps - 1) * nq])
             pos0, vel0, pos, vel = pos, vel, new_pos[-nq:], new_vel[-nq:]
             if (
                 tick
@@ -610,27 +611,22 @@ def _episode_loop(sc: Scenario) -> _LoopRun:
                 and error is None
                 and _fixed_point(pos0, vel0, new_pos, new_vel, states0, states)
             ):  # a fixed point: each sample up to the next event repeats it
-                event = events[bisect_right(events, k)]  # the plan resumes there
-                skip = bisect_left(visit_k, event) - bisect_right(visit_k, k)
-                next(islice(plan, skip, skip), None)
-                rest = event - k - steps
+                resume = events[bisect_right(events, k)]  # the plan resumes there
+                rest = resume - k - steps
+                x_c.fromlist(x_now * rest)
+                xv_c.fromlist(v_now * rest)
                 if is_arm:
-                    x_c.extend(sample.x * rest)
-                    xv_c.extend(sample.xdot * rest)
-                    ke_c.extend([sample.ke] * rest)
-                else:
-                    x_c.extend(pos * rest)
-                    xv_c.extend(vel * rest)
+                    ke_c.fromlist([sample.ke] * rest)
                 steps += rest
-        wr_c.extend(held_wrench * steps)
-        cf_c.extend(cf * steps)
-        ph_c.extend(phase_row * steps)
+        wr_c.fromlist(held_wrench * steps)
+        cf_c.fromlist(cf * steps)
+        ph_c.fromlist(phase_row * steps)
         if static_ref:
-            xd_c.extend(x_d * steps)
+            xd_c.fromlist(x_d * steps)
         else:
-            xd_c.extend(x_d)
+            xd_c.fromlist(x_d)
             for i in range(k + 1, k + steps):
-                xd_c.extend(ref_fn(i * dt)[0])
+                xd_c.fromlist(ref_fn(i * dt)[0])
         if error is not None:
             break
 
@@ -809,12 +805,14 @@ def calibrate_sweep(base: Scenario, w_max_init: float, x_b_grid) -> list[dict]:
 
     Raises:
         ValueError: before any episode, naming the argument: an empty,
-            ascending or sub-millimetre grid, a non-finite ``w_max_init`` or
-            one below ``W_MIN``.
+            non-finite, ascending or sub-millimetre grid, a non-finite
+            ``w_max_init`` or one below ``W_MIN``.
     """
     grid = [float(x) for x in x_b_grid]
     if not grid:
         raise ValueError("x_b_grid: must be non-empty")
+    if not all(map(math.isfinite, grid)):
+        raise ValueError("x_b_grid: must be finite")
     if any(grid[i] <= grid[i + 1] for i in range(len(grid) - 1)):
         raise ValueError("x_b_grid: must be strictly descending")
     if grid[-1] < 0.001 - 1e-12:

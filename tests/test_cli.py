@@ -407,6 +407,8 @@ class TestCliCommands:
             (["--wmax-init", "nan"], "/wmax-init"),
             (["--wmax-init", "inf"], "/wmax-init"),
             (["--wmax-init", "1.5"], "/wmax-init"),
+            (["--grid", "0.1,nan"], "/grid"),
+            (["--grid", "inf,0.1"], "/grid"),
         ],
     )
     def test_calibrate_bad_sweep_exit_1(self, tmp_path, capsys, monkeypatch, flags, pointer):
@@ -480,6 +482,8 @@ class TestCliCommands:
             (["phase-portrait", "--duration", "inf"], "/duration"),
             (["phase-portrait", "--duration", "nan"], "/duration"),
             (["phase-portrait", "--dt", "1e-320"], "/dt"),  # 1/dt overflows
+            (["energy-drift", "--rates", "1e300"], "/rates"),  # no array of that size
+            (["energy-drift", "--rates", "2e6"], "/rates"),
         ],
     )
     def test_bad_drift_and_portrait_input_exit_1(

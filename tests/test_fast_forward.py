@@ -64,6 +64,16 @@ EPISODES = {
     ),
     # the first step turns the velocity's -0.0 into 0.0
     "negative_zero_velocity": Scenario(**PM_PULSE, xdot0=(-0.0,)),
+    # 50 Hz ticks at dt 1e-3: the rest passes over held-run visits
+    "held_runs": Scenario(
+        duration=2.0,
+        dt=1e-3,
+        feedback_hz=50.0,
+        inertia=(1.0, 2.0),
+        x0=(0.0, 0.0),
+        damping=1.0,
+        pulses=({"start": 0.5, "duration": 0.1, "wrench": (8.0, -3.0)},),
+    ),
 }
 
 

@@ -23,11 +23,11 @@ outputs can be compared with ``diff``. Each output line is
   rate, the semi-implicit integrator, held runs of a wall-free point mass
   with pulse edges and a moving reference between ticks at 20, 30 and 50 Hz,
   and the edges of the loop's clock: a schedule swap at the first tick, a
-  pulse active from t = 0 over held runs, and a schedule episode that blows
-  up; and rests that the loop fast-forwards: acceptance criterion 01's wall
-  push, an arm whose pulse edge falls between ticks, the baseline controller,
-  schedule swaps inside a rest, and a -0.0 start velocity), built from public
-  ``Scenario`` fields only, so any checkout runs them;
+  pulse active from t = 0 over held runs, a held run and a schedule episode
+  that blow up; and rests that the loop fast-forwards: acceptance criterion
+  01's wall push, an arm whose pulse edge falls between ticks, the baseline
+  controller, schedule swaps inside a rest, and a -0.0 start velocity), built
+  from public ``Scenario`` fields only, so any checkout runs them;
 - ``cli``: the exit status and the bytes of every file that each ``fic``
   command writes (``run --format json``, ``sweep``, ``calibrate``,
   ``energy-drift``, ``phase-portrait``) on small fixed inputs; the sweep's
@@ -174,6 +174,14 @@ def path_scenarios(fi) -> dict:
         "fic_held_pulse_from_start_30hz": fi.Scenario(
             **{**held, "pulses": ({**held["pulses"][0], "start": 0.0}, held["pulses"][1])},
             feedback_hz=30.0,
+        ),
+        # x overflows inside the held run after the tick at sample 50: the
+        # record ends at the run's last finite state
+        "baseline_held_blowup_20hz": fi.Scenario(
+            **{**held, "duration": 2.0, "x0": (1.797e308, 0.0)},
+            xdot0=(1e306, 0.0),
+            controller="baseline",
+            feedback_hz=20.0,
         ),
         # the damping law is unstable at this dt: the record ends at a blowup
         # after the schedule's last swap
