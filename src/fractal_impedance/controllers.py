@@ -37,7 +37,6 @@ __all__ = [
     "fic_control_torques",
     "baseline_impedance_wrench",
     "baseline_control_torques",
-    "null_space_torque",
 ]
 
 
@@ -57,17 +56,14 @@ def _per_dof(value, d: int | None, name: str) -> tuple:
     return vals
 
 
-def _check_posture_gains(gains) -> None:
-    if len(gains) != 2 or not all(0.0 <= g < math.inf for g in gains):  # NaN fails too
-        raise ValueError("posture_gains: expected two finite and non-negative values")
-
-
 def _set_posture(config) -> None:
     """The posture target and gains as float tuples; the gains checked."""
     if config.posture_target is not None:
         object.__setattr__(config, "posture_target", tuple(map(float, config.posture_target)))
-    _check_posture_gains(config.posture_gains)
-    object.__setattr__(config, "posture_gains", tuple(map(float, config.posture_gains)))
+    gains = config.posture_gains
+    if len(gains) != 2 or not all(0.0 <= g < math.inf for g in gains):  # NaN fails too
+        raise ValueError("posture_gains: expected two finite and non-negative values")
+    object.__setattr__(config, "posture_gains", tuple(map(float, gains)))
 
 
 @dataclass(frozen=True)
@@ -152,21 +148,14 @@ def baseline_impedance_wrench(config: BaselineConfig, x_err, x_err_rate) -> list
 
 
 def _posture_torque(q, qdot, posture_target, gains) -> list:
-    """The posture PD law for the arm's 3 joints, unchecked: the configs
-    checked their gains."""
+    """The null-space posture law: joint-space PD toward a posture of the
+    arm's 3 joints, projected by the caller. Unchecked: the configs checked
+    their gains."""
     if posture_target is None:
         return [0.0] * len(q)
     kp, kd = gains
     (p0, p1, p2), (a0, a1, a2), (v0, v1, v2) = posture_target, q, qdot
     return [kp * (p0 - a0) - kd * v0, kp * (p1 - a1) - kd * v1, kp * (p2 - a2) - kd * v2]
-
-
-def null_space_torque(q, qdot, posture_target, gains: tuple[float, float]) -> list:
-    """Joint-space PD toward a posture of the arm's 3 joints; projected by
-    the caller."""
-    if posture_target is not None:
-        _check_posture_gains(gains)
-    return _posture_torque(q, qdot, posture_target, gains)
 
 
 def _arm_torques(arm: PlanarArm, sample: ArmSample, wrench, posture_target, posture_gains) -> list:

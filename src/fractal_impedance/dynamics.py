@@ -42,7 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from math import cos, isfinite, sin
-from operator import add, mul
+from operator import add
 from typing import NamedTuple
 
 import numpy as np
@@ -59,9 +59,6 @@ __all__ = [
     "PerturbationProfile",
     "arm_dynamics",
     "forward_kinematics",
-    "joint_positions",
-    "potential_energy",
-    "kinetic_energy",
     "task_space_quantities",
     "contact_force",
     "external_wrench",
@@ -163,10 +160,6 @@ class ArmDynamics:
     gravity: np.ndarray
     jacobian: np.ndarray
     jacobian_dot: np.ndarray
-
-
-def _dot(u, v) -> float:
-    return sum(map(mul, u, v))
 
 
 def _suffix(v) -> list:
@@ -315,25 +308,6 @@ def forward_kinematics(arm: PlanarArm, q: np.ndarray) -> np.ndarray:
     _, _, _, _, jphi, *_ = _arm_kernel(arm, q)
     jx, jy = _jacobian_rows(jphi)
     return np.array([jy[0], -jx[0]])
-
-
-def joint_positions(arm: PlanarArm, q: np.ndarray) -> np.ndarray:
-    """Base and joint/tip positions, shape (links + 1, 2)."""
-    c, s, *_ = _arm_kernel(arm, q)
-    xs = np.concatenate(([0.0], np.cumsum(np.multiply(arm.lengths, c))))
-    ys = np.concatenate(([0.0], np.cumsum(np.multiply(arm.lengths, s))))
-    return np.column_stack((xs, ys))
-
-
-def potential_energy(arm: PlanarArm, q: np.ndarray) -> float:
-    c, s, *_ = _arm_kernel(arm, q)
-    gx, gy = arm.gravity
-    return -_dot(arm._first_moments, [gx * ca + gy * sa for ca, sa in zip(c, s)])
-
-
-def kinetic_energy(arm: PlanarArm, q: np.ndarray, qdot: np.ndarray) -> float:
-    qdot = np.asarray(qdot, dtype=float)
-    return 0.5 * float(qdot @ arm_dynamics(arm, q, qdot).mass_matrix @ qdot)
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,6 @@ __all__ = [
     "spring_energy",
     "classify_phase",
     "update_attractor",
-    "convergence_force",
     "fic_wrench",
 ]
 
@@ -230,53 +229,24 @@ def _snapshot(p: StiffnessParams, x_err: float) -> AttractorState:
     )
 
 
-def _midpoint_force(state: AttractorState, x_err: float) -> float:
-    """The midpoint law k' (x_err - x_tilde_max / 2), unchecked."""
-    return state.k_prime_total * (x_err - 0.5 * state.x_tilde_max)
-
-
-def convergence_force(state: AttractorState, x_err: float) -> float:
-    """Convergence-phase wrench k' (x_err - x_tilde_max / 2).
-
-    A linear spring centered on the midpoint of the recorded excursion: it
-    first accelerates the plant toward the target and then decelerates it so
-    the error arrives at zero with zero velocity. The magnitude is bounded by
-    ``k_prime_total * |x_tilde_max| / 2`` on the valid domain.
-
-    Raises:
-        ValueError: if the state is not in convergence, or ``x_err`` lies
-            outside [0, x_tilde_max] (same sign); the caller must have
-            re-classified the phase before asking for a convergence wrench.
-    """
-    if state.phase is not _CONV:
-        raise ValueError("convergence_force requires a Convergence-phase state")
-    xm = state.x_tilde_max
-    # Domain check with a small relative slack for switch-sample roundoff.
-    lo, hi = min(0.0, xm), max(0.0, xm)
-    slack = 1e-9 * abs(xm)
-    if not (lo - slack <= x_err <= hi + slack):
-        raise ValueError(
-            f"convergence error {x_err} outside recorded excursion [0, {xm}]"
-        )
-    return _midpoint_force(state, x_err)
-
-
 def fic_wrench(state: AttractorState, p: StiffnessParams, x_err: float) -> float:
     """Spring-path wrench of one DoF: saturating spring while diverging,
     midpoint spring while converging. Damping is added by the controller.
 
-    Unlike the strict ``convergence_force``, the commanded path is made safe
-    for sampled loops: the evaluation point is clamped to the recorded
-    excursion (external pushes can move a held sample slightly outside it
-    while the DoF still classifies as converging) and the magnitude is capped
-    at ``w_max``, so the spring-path command never exceeds the allowed wrench
-    in either phase. The midpoint-spring law is antisymmetric about
-    ``x_tilde_max / 2``, so capping preserves the equal-accelerate/decelerate
-    split and the zero net work of a full convergence stroke. The clamped
-    point lies in the domain, so the law is not checked again.
+    The convergence law is ``k' (x_err - x_tilde_max / 2)``: a linear spring
+    centered on the midpoint of the recorded excursion, which first
+    accelerates the plant toward the target and then decelerates it so the
+    error arrives at zero with zero velocity. For sampled loops the
+    evaluation point is clamped to the recorded excursion (external pushes
+    can move a held sample slightly outside it while the DoF still
+    classifies as converging) and the magnitude is capped at ``w_max``, so
+    the spring-path command never exceeds the allowed wrench in either
+    phase. The law is antisymmetric about ``x_tilde_max / 2``, so capping
+    preserves the equal-accelerate/decelerate split and the zero net work
+    of a full convergence stroke.
     """
     if state.phase is _DIV:
         return spring_force(p, float(x_err))
     xm = state.x_tilde_max
     x_eval = min(max(float(x_err), min(0.0, xm)), max(0.0, xm))
-    return min(max(_midpoint_force(state, x_eval), -p.w_max), p.w_max)
+    return min(max(state.k_prime_total * (x_eval - 0.5 * xm), -p.w_max), p.w_max)

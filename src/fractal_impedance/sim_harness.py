@@ -40,8 +40,8 @@ in bulk and skips the plan's visits before it. ``calibrate_sweep`` runs the
 loop alone; ``run_scenario`` runs it, then the bookkeeping, which reads its
 columns and the scenario and runs the laws:
 
-- tick instants: ``_tick_starts``, which ``zoh_sample`` also uses, and the
-  x_B swaps at the record's ticks (``_schedule_swaps``);
+- tick instants: ``_tick_starts``, and the x_B swaps at the record's ticks
+  (``_schedule_swaps``);
 - absorbed energy E_in (``fic_work`` per DoF over each sample step that
   starts in Divergence), the ``LyapunovTracker`` phase potentials and the
   switch events: ``energy_audit.episode_energy``, which rebuilds each
@@ -101,7 +101,6 @@ from .fic_core import _CONV, _DIV, StiffnessParams, spring_energy  # noqa: F401 
 __all__ = [
     "Scenario",
     "EpisodeRecord",
-    "zoh_sample",
     "run_scenario",
     "compute_metrics",
     "detect_oscillation",
@@ -117,14 +116,16 @@ OSCILLATION_WINDOW = 2.0  # s of trailing record that detect_oscillation tests
 W_STEP = 2.0  # N between calibrate_sweep's w_max candidates
 W_MIN = 2.0  # N, its lowest candidate
 
+# Required keys in the order they are checked (so a missing key is reported
+# the same way on every run), then optional keys.
 _REFERENCE_KEYS = {
-    "static": {"type", "pose"},
-    "sinusoid": {"type", "axis", "amplitude", "period", "center"},
-    "circle": {"type", "radius", "period", "center"},
+    "static": (("type",), ("pose",)),
+    "sinusoid": (("type", "axis", "amplitude", "period"), ("center",)),
+    "circle": (("type", "radius", "period"), ("center",)),
 }
-_PULSE_KEYS = {"start", "duration", "wrench"}
-_WALL_KEYS = {"axis", "offset", "stiffness", "damping", "direction"}
-_SCHEDULE_KEYS = {"x_b_end", "rate", "interval"}
+_PULSE_KEYS = ("start", "duration", "wrench")
+_WALL_KEYS = (("axis", "offset", "stiffness"), ("damping", "direction"))
+_SCHEDULE_KEYS = ("x_b_end", "rate", "interval")
 
 
 def _coerce(obj, name: str):
@@ -148,13 +149,25 @@ def _integral(value, name: str) -> int:
     raise ValueError(f"{name}: must be an integer, got {value!r}")
 
 
-def _check_keys(name: str, d: dict, allowed: set, required: set) -> None:
+def _check_keys(name: str, d: dict, required: tuple, optional: tuple = ()) -> None:
     for key in d:
-        if key not in allowed:
+        if key not in required and key not in optional:
             raise ValueError(f"{name}: unknown key '{key}'")
     for key in required:
         if key not in d:
             raise ValueError(f"{name}: missing key '{key}'")
+
+
+def _number(value, name: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name}: must be a number, got {value!r}")
+
+
+def _vector(value, d: int, name: str) -> None:
+    if not hasattr(value, "__len__") or len(value) != d:
+        raise ValueError(f"{name}: expected {d} entries")
+    for v in value:
+        _number(v, name)
 
 
 @dataclass(frozen=True)
@@ -224,23 +237,22 @@ class Scenario:
         d = self.n_task
         if self.plant == "point_mass":
             for name in ("x0", "xdot0"):
-                val = getattr(self, name)
-                if val is not None and len(val) != d:
-                    raise ValueError(f"{name}: expected {d} entries")
+                if getattr(self, name) is not None:
+                    _vector(getattr(self, name), d, name)
         else:
-            if len(self.q0) != 3:  # the links of PlanarArm.default
-                raise ValueError("q0: expected 3 entries")
-            if len(self.q0) != len(self.qdot0):
-                raise ValueError("qdot0: length must match q0")
-            if self.posture_target is not None and len(self.posture_target) != len(self.q0):
-                raise ValueError("posture_target: length must match q0")
+            _vector(self.q0, 3, "q0")  # the links of PlanarArm.default
+            _vector(self.qdot0, 3, "qdot0")
+            if self.posture_target is not None:
+                _vector(self.posture_target, 3, "posture_target")
         # The builders run once here, so bad gains fail at parse time.
         build_controller(self)
         if self.xb_schedule is not None:
             if self.controller != "fic":
                 raise ValueError("xb_schedule: only valid with the fic controller")
-            _check_keys("xb_schedule", self.xb_schedule, _SCHEDULE_KEYS, _SCHEDULE_KEYS)
-            end, rate, itv = (self.xb_schedule[key] for key in ("x_b_end", "rate", "interval"))
+            _check_keys("xb_schedule", self.xb_schedule, _SCHEDULE_KEYS)
+            for key in _SCHEDULE_KEYS:
+                _number(self.xb_schedule[key], f"xb_schedule.{key}")
+            end, rate, itv = (self.xb_schedule[key] for key in _SCHEDULE_KEYS)
             if end <= 0 or rate <= 0 or itv <= 0:
                 raise ValueError("xb_schedule: x_b_end, rate, interval must be positive")
             try:
@@ -252,38 +264,33 @@ class Scenario:
             raise ValueError("reference: missing key 'type'")
         if ref["type"] not in _REFERENCE_KEYS:
             raise ValueError(f"reference.type: unknown type '{ref['type']}'")
-        _check_keys("reference", ref, _REFERENCE_KEYS[ref["type"]], {"type"})
-        if ref["type"] == "static":
-            if ref.get("pose") is not None and len(ref["pose"]) != d:
-                raise ValueError(f"reference.pose: expected {d} entries")
-        elif ref["type"] == "sinusoid":
-            for key in ("axis", "amplitude", "period"):
-                if key not in ref:
-                    raise ValueError(f"reference: missing key '{key}'")
+        _check_keys("reference", ref, *_REFERENCE_KEYS[ref["type"]])
+        for key in ("amplitude", "period", "radius"):
+            _number(ref.get(key, 0.0), f"reference.{key}")
+        if ref["type"] == "sinusoid":
             if not 0 <= _integral(ref["axis"], "reference.axis") < d:
                 raise ValueError("reference.axis: out of range")
             if ref["period"] <= 0:
                 raise ValueError("reference.period: must be positive")
-            if ref.get("center") is not None and len(ref["center"]) != d:
-                raise ValueError(f"reference.center: expected {d} entries")
-        else:
-            for key in ("radius", "period"):
-                if key not in ref:
-                    raise ValueError(f"reference: missing key '{key}'")
+        elif ref["type"] == "circle":
             if d != 2:
                 raise ValueError("reference.type: circle requires a 2-D task")
             if ref["radius"] <= 0 or ref["period"] <= 0:
                 raise ValueError("reference: radius and period must be positive")
-            if ref.get("center") is not None and len(ref["center"]) != 2:
-                raise ValueError("reference.center: expected 2 entries")
+        for key in ("pose", "center"):  # None: the start pose
+            if ref.get(key) is not None:
+                _vector(ref[key], d, f"reference.{key}")
         for idx, p in enumerate(self.pulses):
             if not isinstance(p, dict):
                 raise ValueError(f"pulses[{idx}]: expected an object")
-            _check_keys(f"pulses[{idx}]", p, _PULSE_KEYS, _PULSE_KEYS)
-            if len(p["wrench"]) != d:
-                raise ValueError(f"pulses[{idx}].wrench: expected {d} entries")
+            _check_keys(f"pulses[{idx}]", p, _PULSE_KEYS)
+            for key in ("start", "duration"):
+                _number(p[key], f"pulses[{idx}].{key}")
+            _vector(p["wrench"], d, f"pulses[{idx}].wrench")
         if self.wall is not None:
-            _check_keys("wall", self.wall, _WALL_KEYS, {"axis", "offset", "stiffness"})
+            _check_keys("wall", self.wall, *_WALL_KEYS)
+            for key in ("offset", "stiffness", "damping"):
+                _number(self.wall.get(key, 0.0), f"wall.{key}")
             if not 0 <= _integral(self.wall["axis"], "wall.axis") < d:
                 raise ValueError("wall.axis: out of range")
             _integral(self.wall.get("direction", 1), "wall.direction")
@@ -404,14 +411,6 @@ def _pulse_table(profile: PerturbationProfile, n_steps: int, dt: float) -> dict:
     active = np.array([(p.start <= t) & (t < p.end) for p in profile.pulses]).T
     edges = np.flatnonzero(np.any(active[1:] != active[:-1], axis=1)) + 1
     return {k: external_wrench(profile, k * dt) for k in [0, *edges.tolist()]}
-
-
-def zoh_sample(signal: np.ndarray, feedback_hz: float, dt: float) -> np.ndarray:
-    """Hold a dt-sampled signal at the feedback rate, from the loop's ticks."""
-    sig = np.asarray(signal, dtype=float)
-    n = sig.shape[0]
-    starts = _tick_starts(n, feedback_hz, dt)
-    return sig[np.maximum.accumulate(np.where(starts, np.arange(n), 0))]
 
 
 @dataclass

@@ -24,9 +24,9 @@ import numpy as np
 
 from fractal_impedance import sim_harness
 from fractal_impedance.controllers import new_attractor_states
-from fractal_impedance.dynamics import _dot
 from fractal_impedance.energy_audit import LyapunovTracker, fic_work
 from fractal_impedance.fic_core import Phase
+from arm_reference import _dot
 
 
 @dataclass

@@ -39,16 +39,13 @@ from fractal_impedance import (
     fic_control_torques,
     fic_task_wrench,
     forward_kinematics,
-    joint_positions,
-    kinetic_energy,
     new_attractor_states,
-    null_space_torque,
-    potential_energy,
     task_space_quantities,
 )
 from fractal_impedance import dynamics
-from fractal_impedance.controllers import _arm_torques
+from fractal_impedance.controllers import _arm_torques, _posture_torque
 from fractal_impedance.dynamics import _arm_accel, _arm_kernel, _arm_task_state
+from arm_reference import joint_positions, kinetic_energy, potential_energy
 
 ARM = PlanarArm.default()
 WALL = ContactWall(axis=0, offset=0.5, stiffness=2000.0, damping=5.0)
@@ -144,7 +141,7 @@ def composed_tick(q, qdot, x_target, config, law, target_rate):
     damping_rate = -(dyn.jacobian @ qdot)
     x_err_rate = damping_rate if target_rate is None else damping_rate + target_rate
     wrench, states = law(x_err, x_err_rate, damping_rate)
-    tau_null = null_space_torque(q, qdot, config.posture_target, config.posture_gains)
+    tau_null = _posture_torque(q, qdot, config.posture_target, config.posture_gains)
     ts = task_space_quantities(ARM, q, dyn)
     comp = ts.lam @ (
         dyn.jacobian @ np.linalg.solve(dyn.mass_matrix, dyn.bias)
@@ -386,7 +383,7 @@ def test_torque_map_matches_reference_composition(state, w, posture_gains, data)
     posture = data.draw(st.none() | vec(len(q), math.pi))
     dyn = arm_dynamics(arm, q, qdot)
     nullspace = np.eye(len(q)) - jac.T @ lam @ minv_jt.T
-    tau_null = null_space_torque(q, qdot, posture, posture_gains)
+    tau_null = _posture_torque(q, qdot, posture, posture_gains)
     comp = lam @ (minv_jt.T @ dyn.bias - dyn.jacobian_dot @ qdot)
     want = jac.T @ (w + comp) + ref["gravity"][0] + nullspace @ tau_null
     assert_close(_arm_torques(arm, sample, w.tolist(), posture, posture_gains), want)

@@ -328,6 +328,77 @@ class TestCliCommands:
             ({"posture_gains": [1.0]}, "/posture_gains: expected two finite and non-negative"),
             ({"posture_gains": [-1.0, 0.0]}, "/posture_gains: expected two finite"),
             ({"inertia": [0.0]}, "/inertia: must be positive per DoF"),
+            # values of the wrong type: explicit ids, so that a case added
+            # later beside its field's neighbours renames no other test
+            pytest.param({"x0": ["a"]}, "/x0: must be a number", id="x0-str"),
+            pytest.param(
+                {"plant": "arm", "qdot0": [None, 0, 0], "reference": {"type": "static"}, "pulses": []},
+                "/qdot0: must be a number",
+                id="qdot0-null",
+            ),
+            pytest.param(
+                {"reference": {"type": "static", "pose": ["a"]}},
+                "/reference/pose: must be a number",
+                id="reference.pose-str",
+            ),
+            pytest.param(
+                {"reference": {"type": "sinusoid", "axis": 0, "amplitude": "big", "period": 1}},
+                "/reference/amplitude: must be a number",
+                id="reference.amplitude-str",
+            ),
+            pytest.param(
+                {"reference": {"type": "sinusoid", "axis": 0, "amplitude": [1], "period": 1}},
+                "/reference/amplitude: must be a number",
+                id="reference.amplitude-list",
+            ),
+            pytest.param(
+                {"reference": {"type": "sinusoid", "axis": 0, "amplitude": 0.1, "period": "a"}},
+                "/reference/period: must be a number",
+                id="reference.period-str",
+            ),
+            pytest.param(
+                {
+                    "reference": {
+                        "type": "sinusoid", "axis": 0, "amplitude": 0.1, "period": 1, "center": [None]
+                    }
+                },
+                "/reference/center: must be a number",
+                id="reference.center-null",
+            ),
+            pytest.param(
+                {
+                    "plant": "arm",
+                    "reference": {"type": "circle", "radius": 0.1, "period": 1, "center": ["a", 0]},
+                    "pulses": [],
+                },
+                "/reference/center: must be a number",
+                id="reference.center-str",
+            ),
+            pytest.param(
+                {"plant": "arm", "reference": {"type": "circle", "radius": "a", "period": 1}, "pulses": []},
+                "/reference/radius: must be a number",
+                id="reference.radius-str",
+            ),
+            pytest.param(
+                {"pulses": [{"start": "a", "duration": 0.05, "wrench": [4.0]}]},
+                "/pulses/0/start: must be a number",
+                id="pulses.start-str",
+            ),
+            pytest.param(
+                {"pulses": [{"start": 0.1, "duration": 0.05, "wrench": ["a"]}]},
+                "/pulses/0/wrench: must be a number",
+                id="pulses.wrench-str",
+            ),
+            pytest.param(
+                {"wall": {"axis": 0, "offset": "a", "stiffness": 1e3}},
+                "/wall/offset: must be a number",
+                id="wall.offset-str",
+            ),
+            pytest.param(
+                {"xb_schedule": {"x_b_end": "a", "rate": 0.01, "interval": 0.1}},
+                "/xb_schedule/x_b_end: must be a number",
+                id="xb_schedule.x_b_end-str",
+            ),
         ],
     )
     def test_bad_value_exit_1(self, tmp_path, capsys, changes, error):

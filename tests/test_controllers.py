@@ -21,10 +21,10 @@ from fractal_impedance import (
     fic_wrench,
     forward_kinematics,
     new_attractor_states,
-    null_space_torque,
     task_space_quantities,
     update_attractor,
 )
+from fractal_impedance.controllers import _posture_torque
 from fractal_impedance.dynamics import _arm_task_state
 from fractal_impedance.fic_core import DEFAULT_RATE_TOL
 
@@ -197,32 +197,37 @@ class TestBaselineWrench:
 
 
 class TestNullSpaceTorque:
+    """The posture law the arm tick projects into the null space."""
+
     def test_zero_at_target_rest(self):
         q = np.array([0.3, 0.9, 0.9])
-        tau = null_space_torque(q, np.zeros(3), q, (5.0, 1.0))
+        tau = _posture_torque(q, np.zeros(3), q, (5.0, 1.0))
         assert np.allclose(tau, 0.0)
 
     def test_proportional_pull(self):
         target = np.zeros(3)
         q = np.array([0.0, 0.1, 0.0])
-        tau = null_space_torque(q, np.zeros(3), target, (4.0, 0.0))
+        tau = _posture_torque(q, np.zeros(3), target, (4.0, 0.0))
         assert tau[1] == pytest.approx(-0.4, rel=1e-12)
         assert tau[0] == tau[2] == 0.0
 
     def test_zero_gains(self):
-        tau = null_space_torque(np.ones(3), np.ones(3), np.zeros(3), (0.0, 0.0))
+        tau = _posture_torque(np.ones(3), np.ones(3), np.zeros(3), (0.0, 0.0))
         assert np.allclose(tau, 0.0)
 
     def test_no_target_means_no_torque(self):
-        tau = null_space_torque(np.ones(3), np.zeros(3), None, (4.0, 0.0))
+        tau = _posture_torque(np.ones(3), np.zeros(3), None, (4.0, 0.0))
         assert np.allclose(tau, 0.0)
 
     @pytest.mark.parametrize("bad", [NAN, INF, -1.0])
     @pytest.mark.parametrize("which", ["kp", "kd"])
     def test_rejects_non_finite_or_negative_gains(self, which, bad):
+        # the law runs unchecked; both configs reject its gains
         gains = (bad, 0.0) if which == "kp" else (0.0, bad)
         with pytest.raises(ValueError, match="finite and non-negative"):
-            null_space_torque(np.ones(3), np.zeros(3), np.zeros(3), gains)
+            fic_config(posture_target=(0.0, 0.0, 0.0), posture_gains=gains)
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            BaselineConfig(k_d=1.0, d_d=0.0, posture_target=(0.0, 0.0, 0.0), posture_gains=gains)
 
 
 ARM = PlanarArm.default()

@@ -19,12 +19,10 @@ from fractal_impedance import (
     contact_force,
     external_wrench,
     forward_kinematics,
-    joint_positions,
-    kinetic_energy,
-    potential_energy,
     task_space_quantities,
 )
 from fractal_impedance.dynamics import INTEGRATORS, _advance, _arm_accel, _point_mass_accel
+from arm_reference import joint_positions, kinetic_energy, potential_energy
 
 RNG = np.random.default_rng(7)
 

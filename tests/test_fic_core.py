@@ -15,7 +15,6 @@ from fractal_impedance import (
     StiffnessParams,
     beta_squared,
     classify_phase,
-    convergence_force,
     fic_wrench,
     fic_work,
     spring_energy,
@@ -211,30 +210,23 @@ class TestUpdateAttractor:
 
 
 class TestConvergenceForce:
+    """The midpoint law inside the excursion, where its 4.68 N peak is under
+    w_max and no cap applies."""
+
     def anchored(self, x_max=0.05):
         p = params()
         s = update_attractor(AttractorState(), p, x_max, -0.1)
         return p, s
 
     def test_zero_at_midpoint(self):
-        _, s = self.anchored()
-        assert convergence_force(s, 0.5 * s.x_tilde_max) == 0.0
+        p, s = self.anchored()
+        assert fic_wrench(s, p, 0.5 * s.x_tilde_max) == 0.0
 
     def test_frozen_endpoint_values(self):
-        _, s = self.anchored()
-        assert convergence_force(s, 0.05) == pytest.approx(CONV_FORCE_AT_EXCURSION, rel=1e-12)
-        assert convergence_force(s, 0.0) == pytest.approx(-CONV_FORCE_AT_EXCURSION, rel=1e-12)
-
-    def test_domain_is_the_recorded_excursion(self):
-        _, s = self.anchored()
-        with pytest.raises(ValueError):
-            convergence_force(s, 0.06)
-        with pytest.raises(ValueError):
-            convergence_force(s, -0.01)
-
-    def test_requires_convergence_phase(self):
-        with pytest.raises(ValueError):
-            convergence_force(AttractorState(), 0.01)
+        p, s = self.anchored()
+        assert CONV_FORCE_AT_EXCURSION < p.w_max
+        assert fic_wrench(s, p, 0.05) == pytest.approx(CONV_FORCE_AT_EXCURSION, rel=1e-12)
+        assert fic_wrench(s, p, 0.0) == pytest.approx(-CONV_FORCE_AT_EXCURSION, rel=1e-12)
 
 
 class TestFicWrench:
@@ -333,13 +325,14 @@ def test_beta_squared_is_finite_positive_or_rejected(k_const, w_max, x_b):
     frac=st.floats(-2.0, 3.0) | st.sampled_from([0.0, 0.5, 1.0, -0.0]),
 )
 def test_fic_wrench_is_the_capped_strict_law_at_the_clamped_point(p, x_max, frac):
-    # one convergence law: the sampled-loop command is the strict law at the
-    # point clamped to the excursion, capped at w_max, bit for bit
+    # the sampled-loop command is the midpoint law k' (x - x_tilde_max / 2)
+    # at the point clamped to the excursion, capped at w_max, bit for bit
     assert classify_phase(x_max, -x_max) is Phase.CONVERGENCE
     state = update_attractor(AttractorState(), p, x_max, -x_max)
     assert state.phase is Phase.CONVERGENCE
     assert update_attractor(state, p, x_max, x_max).phase is Phase.DIVERGENCE
     x = frac * x_max
     clamped = min(max(x, min(0.0, x_max)), max(0.0, x_max))
-    want = min(max(convergence_force(state, clamped), -p.w_max), p.w_max)
+    law = state.k_prime_total * (clamped - 0.5 * state.x_tilde_max)
+    want = min(max(law, -p.w_max), p.w_max)
     assert struct.pack("<d", fic_wrench(state, p, x)) == struct.pack("<d", want)

@@ -2,13 +2,18 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import types
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fractal_impedance
 from fractal_impedance import (
     PerturbationProfile,
     Phase,
@@ -26,7 +31,6 @@ from fractal_impedance import (
     forward_kinematics,
     random_pulse_profile,
     run_scenario,
-    zoh_sample,
 )
 from fractal_impedance import controllers, dynamics, energy_audit, fic_core, sim_harness
 from fractal_impedance.sim_harness import (
@@ -35,6 +39,7 @@ from fractal_impedance.sim_harness import (
     _make_reference,
     _pulse_recoveries,
     _schedule_x_b,
+    _tick_starts,
 )
 from test_dynamics import _advance_reference
 
@@ -63,32 +68,25 @@ def scenario(**kw):
     return Scenario(**base)
 
 
+def ticks(n, feedback_hz, dt=1e-3):
+    """The samples where the loop's zero-order hold ticks."""
+    return np.flatnonzero(_tick_starts(n, feedback_hz, dt)).tolist()
+
+
 class TestZohSample:
     def test_identity_at_full_rate(self):
-        sig = np.sin(np.linspace(0, 1, 50))
-        assert np.array_equal(zoh_sample(sig, 1000.0, 1e-3), sig)
+        assert ticks(50, 1000.0) == list(range(50))
 
     def test_staircase_holds(self):
-        sig = np.arange(30.0)
-        out = zoh_sample(sig, 100.0, 1e-3)
-        want = np.concatenate([np.full(10, sig[0]), np.full(10, sig[10]), np.full(10, sig[20])])
-        assert np.array_equal(out, want)
+        assert ticks(30, 100.0) == [0, 10, 20]
+        assert ticks(10, 500.0) == [0, 2, 4, 6, 8]
 
     def test_non_divisor_rate_uses_floor_ticks(self):
-        sig = np.arange(12.0)
-        out = zoh_sample(sig, 300.0, 1e-3)
         # floor(0.3 n) increments at n = 4, 7, 10
-        want = np.array([0, 0, 0, 0, 4, 4, 4, 7, 7, 7, 10, 10], dtype=float)
-        assert np.array_equal(out, want)
-
-    def test_vector_signal(self):
-        sig = np.arange(20.0).reshape(10, 2)
-        out = zoh_sample(sig, 500.0, 1e-3)
-        assert np.array_equal(out[1], out[0])
-        assert np.array_equal(out[2], sig[2])
+        assert ticks(12, 300.0) == [0, 4, 7, 10]
 
     def test_empty(self):
-        assert zoh_sample(np.zeros(0), 100.0, 1e-3).size == 0
+        assert ticks(0, 100.0) == []
 
 
 class TestScenarioValidation:
@@ -169,6 +167,22 @@ class TestScenarioValidation:
     def test_wall_required_keys(self):
         with pytest.raises(ValueError, match="wall"):
             scenario(wall={"axis": 0, "offset": 0.5})
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ("wall={'axis': 0}", "wall: missing key 'offset'"),
+            ("xb_schedule={'rate': 1.0}", "xb_schedule: missing key 'x_b_end'"),
+        ],
+    )
+    def test_missing_key_reported_alike_under_any_hash_seed(self, kwargs, message):
+        # required keys are checked in a fixed order, not in a set's hash order
+        code = f"import fractal_impedance as fi\ntry: fi.Scenario({kwargs})\nexcept ValueError as e: print(e)"
+        src = str(Path(fractal_impedance.__file__).parents[1])
+        for seed in ("1", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+            assert (run.returncode, run.stdout.strip()) == (0, message)
 
     def test_schedule_only_with_fic(self):
         with pytest.raises(ValueError, match="xb_schedule"):
@@ -361,7 +375,10 @@ class TestEpisodes:
         assert converging.any()
         v = rec.xdot[converging, 0]
         assert rec.ledger.e_rel == np.max(0.5 * sc.inertia[0] * (v * v))
-        assert np.array_equal(zoh_sample(rec.wrench, 300.0, 1e-3), rec.wrench)
+        # the wrench is held from each tick to the next
+        n = len(rec.t)
+        held = np.maximum.accumulate(np.where(_tick_starts(n, 300.0, 1e-3), np.arange(n), 0))
+        assert np.array_equal(rec.wrench[held], rec.wrench)
 
     def test_wall_push_saturates_at_force_bound(self):
         # deep command past the wall: both phase branches clamp at w_max
