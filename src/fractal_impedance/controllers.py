@@ -1,14 +1,17 @@
 """Controller assembly: per-DoF FIC wrenches into joint torques, plus the
 constant-gain impedance baseline.
 
-Conventions shared by both controllers: the reference is a pose only, so the
-error rate is the negative measured velocity and damping acts against it
-(passive damping). For the arm, gravity is compensated in joint space after
+A task law reads the reference pose x_d and the measured task state x, xdot,
+and forms the error x_d - x in its one pass per DoF. The FIC classifies each
+DoF on the full error rate xd_rate - xdot; in both controllers damping acts
+on the measured -xdot alone (passive damping), and the baseline law has zero
+desired velocity. For the arm, gravity is compensated in joint space after
 the Jacobian-transpose map, and the operational-space velocity-product
 compensation Lam (J M^-1 C qd - Jd qd) is added to the task wrench.
 
 The laws take sequences and return lists of Python floats, the episode loop's
-own types. An arm tick reads its state and every arm term from one
+own types; the FIC law returns the plain tuple (wrench, attractor states,
+phase s flags). An arm tick reads its state and every arm term from one
 ``dynamics.ArmSample``, never from the plant.
 """
 
@@ -21,6 +24,7 @@ from typing import NamedTuple
 from .dynamics import ArmSample, PlanarArm, _arm_drift
 from .dynamics import arm_dynamics, forward_kinematics, task_space_quantities  # noqa: F401 (bench hook)
 from .fic_core import (
+    _DIV,
     DEFAULT_RATE_TOL,
     AttractorState,
     StiffnessParams,
@@ -49,7 +53,7 @@ def _per_dof(value, d: int | None, name: str) -> tuple:
         vals = (value,) * (1 if d is None else d)
     try:
         vals = tuple(map(float, vals))
-    except TypeError:  # a nested entry
+    except (TypeError, ValueError):  # a nested or non-numeric entry
         vals = None
     if vals is None or (d is not None and len(vals) != d):
         raise ValueError(f"{name}: expected scalar or {'per-DoF' if d is None else d} entries")
@@ -60,10 +64,13 @@ def _set_posture(config) -> None:
     """The posture target and gains as float tuples; the gains checked."""
     if config.posture_target is not None:
         object.__setattr__(config, "posture_target", tuple(map(float, config.posture_target)))
-    gains = config.posture_gains
+    try:
+        gains = tuple(map(float, config.posture_gains))
+    except (TypeError, ValueError):  # a scalar, a nested or non-numeric entry
+        gains = ()
     if len(gains) != 2 or not all(0.0 <= g < math.inf for g in gains):  # NaN fails too
         raise ValueError("posture_gains: expected two finite and non-negative values")
-    object.__setattr__(config, "posture_gains", tuple(map(float, gains)))
+    object.__setattr__(config, "posture_gains", gains)
 
 
 @dataclass(frozen=True)
@@ -106,12 +113,12 @@ class BaselineConfig:
 
 
 class ControlResult(NamedTuple):
-    """One controller tick: per-DoF task wrench, the attractor states after
-    the tick and joint torques (arm only), as floats."""
+    """One arm tick: per-DoF task wrench, the attractor states after the
+    tick (none for the baseline) and joint torques, as floats."""
 
     wrench: list
     states: tuple[AttractorState, ...]
-    torques: list | None = None
+    torques: list
 
 
 def new_attractor_states(n_task: int) -> tuple[AttractorState, ...]:
@@ -119,32 +126,38 @@ def new_attractor_states(n_task: int) -> tuple[AttractorState, ...]:
 
 
 def fic_task_wrench(
-    config: FicConfig, states: tuple[AttractorState, ...], x_err, x_err_rate, damping_rate
-) -> ControlResult:
-    """Per-DoF FIC wrench (spring path + passive damping) for one tick.
+    config: FicConfig, states: tuple[AttractorState, ...], x_d, xd_rate, x, xdot
+) -> tuple[list, tuple[AttractorState, ...], list]:
+    """Per-DoF FIC wrench (spring path + passive damping) for one tick, read
+    from the reference pose ``x_d`` and rate ``xd_rate`` and the measured
+    task state ``x``, ``xdot``.
 
-    ``x_err_rate`` drives the divergence/convergence classification and is the
-    full error rate xd_dot - xdot. Damping stays passive: it acts on
-    ``damping_rate``, the measured -xdot, which differs from ``x_err_rate``
-    when the reference moves. The lengths are checked once; each DoF's two
-    laws then take the inputs' values as they are.
+    The error is x_d - x. Its full rate xd_rate - xdot drives the
+    divergence/convergence classification; damping stays passive and acts on
+    the measured -xdot alone, which differs from that rate when the reference
+    moves. The lengths are checked once; one pass per DoF then runs its two
+    laws on the inputs' values as they are. Returns the wrench, the attractor
+    states after the tick and their phases' s flags (``Phase.value``).
     """
     stiffness, damping = config.stiffness, config.damping
     d = len(stiffness)
-    if not len(states) == len(x_err) == len(x_err_rate) == len(damping_rate) == d:
-        raise ValueError("one attractor state, error, rate and damping rate per task DoF required")
-    wrench, new_states = [], []
+    if not len(states) == len(x_d) == len(xd_rate) == len(x) == len(xdot) == d:
+        raise ValueError("one attractor state, reference, rate and state per task DoF required")
+    wrench, new_states, flags = [], [], []
     for i in range(d):
-        params, err = stiffness[i], x_err[i]
-        state = update_attractor(states[i], params, err, x_err_rate[i], rate_tol=DEFAULT_RATE_TOL)
+        params, err, v = stiffness[i], x_d[i] - x[i], xdot[i]
+        state = update_attractor(states[i], params, err, xd_rate[i] - v, rate_tol=DEFAULT_RATE_TOL)
         new_states.append(state)
-        wrench.append(fic_wrench(state, params, err) + damping[i] * damping_rate[i])
-    return ControlResult(wrench, tuple(new_states))
+        wrench.append(fic_wrench(state, params, err) + damping[i] * -v)
+        flags.append(1 if state.phase is _DIV else 0)
+    return wrench, tuple(new_states), flags
 
 
-def baseline_impedance_wrench(config: BaselineConfig, x_err, x_err_rate) -> list:
-    terms = zip(config.k_d, config.d_d, x_err, x_err_rate, strict=True)
-    return [k * e + d * r for k, d, e, r in terms]
+def baseline_impedance_wrench(config: BaselineConfig, x_d, x, xdot) -> list:
+    """K (x_d - x) + D (-xdot) per DoF: the baseline law has zero desired
+    velocity."""
+    terms = zip(config.k_d, config.d_d, x_d, x, xdot, strict=True)
+    return [k * (a - b) + dd * -v for k, dd, a, b, v in terms]
 
 
 def _posture_torque(q, qdot, posture_target, gains) -> list:
@@ -187,15 +200,6 @@ def _arm_torques(arm: PlanarArm, sample: ArmSample, wrench, posture_target, post
     return [t0 + n0, t1 + n1, t2 + n2]
 
 
-def _task_errors(sample: ArmSample, x_target, target_rate=None):
-    """The pose error, the full error rate and the measured damping rate."""
-    x_err = [a - b for a, b in zip(x_target, sample.x)]
-    damping_rate = [-v for v in sample.xdot]
-    if target_rate is None:
-        return x_err, damping_rate, damping_rate
-    return x_err, [r - v for r, v in zip(target_rate, sample.xdot)], damping_rate
-
-
 def fic_control_torques(
     arm: PlanarArm,
     x_target,
@@ -212,8 +216,8 @@ def fic_control_torques(
     from the sample. ``target_rate`` is the reference velocity; omitting it
     for a moving reference misclassifies a growing error as converging.
     """
-    x_err, x_err_rate, damping_rate = _task_errors(sample, x_target, target_rate)
-    wrench, states, _ = fic_task_wrench(config, states, x_err, x_err_rate, damping_rate)
+    rate = [0.0] * len(sample.xdot) if target_rate is None else target_rate
+    wrench, states, _ = fic_task_wrench(config, states, x_target, rate, sample.x, sample.xdot)
     torques = _arm_torques(arm, sample, wrench, config.posture_target, config.posture_gains)
     return ControlResult(wrench, states, torques)
 
@@ -226,7 +230,6 @@ def baseline_control_torques(
     The error rate is measured-velocity only: the baseline law is defined
     with zero desired velocity. ``sample`` is as for ``fic_control_torques``.
     """
-    x_err, x_err_rate, _ = _task_errors(sample, x_target)
-    wrench = baseline_impedance_wrench(config, x_err, x_err_rate)
+    wrench = baseline_impedance_wrench(config, x_target, sample.x, sample.xdot)
     torques = _arm_torques(arm, sample, wrench, config.posture_target, config.posture_gains)
     return ControlResult(wrench, (), torques)

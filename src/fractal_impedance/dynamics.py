@@ -100,7 +100,10 @@ class PointMassPlant:
     inertia: tuple
 
     def __post_init__(self) -> None:
-        self.inertia = tuple(map(float, self.inertia))
+        try:
+            self.inertia = tuple(map(float, self.inertia))
+        except (TypeError, ValueError):  # a scalar, a nested or non-numeric entry
+            raise ValueError(f"inertia: expected a number per DoF, got {self.inertia!r}") from None
         if not self.inertia or not all(m > 0.0 for m in self.inertia):
             raise ValueError("inertia: must be positive per DoF")
 
@@ -130,7 +133,10 @@ class PlanarArm:
     def __post_init__(self) -> None:
         sizes = {"lengths": 3, "masses": 3, "com_offsets": 3, "inertias": 3, "gravity": 2}
         for name, size in sizes.items():
-            value = tuple(map(float, getattr(self, name)))
+            try:
+                value = tuple(map(float, getattr(self, name)))
+            except (TypeError, ValueError):  # a scalar, a nested or non-numeric entry
+                raise ValueError(f"{name}: expected {size} numbers") from None
             if len(value) != size:
                 raise ValueError(f"{name}: expected {size} entries")
             setattr(self, name, value)

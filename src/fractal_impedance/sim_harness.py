@@ -15,8 +15,9 @@ so the loop evaluates it only at a tick or a pulse edge, and one
 records its start state (the arm's sample, the point mass's own) and, in
 bulk, a held run's interior (its finite part before a blowup): the states
 the run returned, the visit's wrench, phases, contact force and reference.
-A tick is one block for both plants: the task law reads the errors from the
-sample, and for the arm ``controllers._arm_torques`` maps the wrench at that
+A tick is one block for both plants: the task law reads the reference and
+the sample's task state and forms the errors and the recorded phase flags
+itself, and for the arm ``controllers._arm_torques`` maps the wrench at that
 same sample. The plant object holds parameters only. The loop keeps the
 plant state (from the scenario's q0/qdot0 or x0/xdot0), the reference, the
 held wrench and the pulse wrench as lists of Python floats, because numpy's
@@ -105,7 +106,6 @@ __all__ = [
     "compute_metrics",
     "detect_oscillation",
     "calibrate_sweep",
-    "random_pulse_profile",
 ]
 
 PLANTS = ("point_mass", "arm")
@@ -224,6 +224,8 @@ class Scenario:
             raise ValueError(f"plant: must be one of {PLANTS}, got '{self.plant}'")
         if self.controller not in CONTROLLERS:
             raise ValueError(f"controller: must be one of {CONTROLLERS}")
+        for key in ("duration", "dt", "feedback_hz"):
+            _number(getattr(self, key), key)
         if not self.duration > 0.0:
             raise ValueError("duration: must be positive")
         if not self.dt > 0.0:
@@ -234,16 +236,17 @@ class Scenario:
             )
         if self.integrator not in INTEGRATORS:
             raise ValueError(f"integrator: must be one of {INTEGRATORS}")
-        d = self.n_task
         if self.plant == "point_mass":
+            PointMassPlant(self.inertia)  # a bad inertia is named before n_task reads it
             for name in ("x0", "xdot0"):
                 if getattr(self, name) is not None:
-                    _vector(getattr(self, name), d, name)
+                    _vector(getattr(self, name), self.n_task, name)
         else:
             _vector(self.q0, 3, "q0")  # the links of PlanarArm.default
             _vector(self.qdot0, 3, "qdot0")
             if self.posture_target is not None:
                 _vector(self.posture_target, 3, "posture_target")
+        d = self.n_task
         # The builders run once here, so bad gains fail at parse time.
         build_controller(self)
         if self.xb_schedule is not None:
@@ -578,14 +581,12 @@ def _episode_loop(sc: Scenario) -> _LoopRun:
         if tick:
             ctrl = swaps.get(k, ctrl)
             states0 = states
-            x_err = [a - b for a, b in zip(x_d, x_now)]
-            damping_rate = [-v for v in v_now]
             if use_fic:
-                rate = [r - v for r, v in zip(xd_rate, v_now)]
-                held_wrench, states, _ = fic_task_wrench(ctrl, states, x_err, rate, damping_rate)
-                phase_row = [1 if s.phase is _DIV else 0 for s in states]  # Phase.value
+                held_wrench, states, phase_row = fic_task_wrench(
+                    ctrl, states, x_d, xd_rate, x_now, v_now
+                )
             else:
-                held_wrench = baseline_impedance_wrench(ctrl, x_err, damping_rate)
+                held_wrench = baseline_impedance_wrench(ctrl, x_d, x_now, v_now)
             held_force = held_wrench
             if is_arm:
                 held_force = _arm_torques(plant, sample, held_wrench, *posture)
@@ -831,28 +832,3 @@ def calibrate_sweep(base: Scenario, w_max_init: float, x_b_grid) -> list[dict]:
         upper = grid[i - 1] if i > 0 else xb
         rows.append({"x_b": xb, "x_b_range": (xb, upper), "w_max": chosen})
     return rows
-
-
-def random_pulse_profile(
-    n_dof: int,
-    seed: int,
-    n_pulses: int = 3,
-    t_first: float = 0.5,
-    gap: tuple = (1.2, 2.0),
-    magnitude: tuple = (2.0, 12.0),
-    length: tuple = (0.08, 0.25),
-    axis: int | None = None,
-) -> tuple:
-    """Reproducible pulse dicts for randomized perturbation episodes."""
-    rng = np.random.default_rng(seed)
-    pulses = []
-    t = float(t_first)
-    for _ in range(n_pulses):
-        dur = float(rng.uniform(*length))
-        wrench = [0.0] * n_dof
-        ax = int(rng.integers(n_dof)) if axis is None else axis
-        sign = 1.0 if rng.random() < 0.5 else -1.0
-        wrench[ax] = sign * float(rng.uniform(*magnitude))
-        pulses.append({"start": t, "duration": dur, "wrench": tuple(wrench)})
-        t += dur + float(rng.uniform(*gap))
-    return tuple(pulses)

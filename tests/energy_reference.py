@@ -51,7 +51,7 @@ def record_and_reference(sc, monkeypatch):
 
     def fic_task_wrench(config, states, *args):
         result = tick(config, states, *args)
-        tick_results.append((config.stiffness, result.states))
+        tick_results.append((config.stiffness, result[1]))
         return result
 
     with monkeypatch.context() as m:

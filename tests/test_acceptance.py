@@ -25,13 +25,13 @@ from fractal_impedance import (
     fic_work,
     ic_work_discrete,
     lyapunov_monitor,
-    random_pulse_profile,
     run_scenario,
     spring_energy,
     spring_force,
     task_space_quantities,
 )
 from fractal_impedance.cli import DEFAULT_CALIBRATION_GRID, main
+from pulse_reference import random_pulse_profile
 
 
 def pulse_episode(seed, **kw):

@@ -137,10 +137,8 @@ def composed_tick(q, qdot, x_target, config, law, target_rate):
     """The arm tick composed from the public closed forms, one solve each."""
     x = forward_kinematics(ARM, q)
     dyn = arm_dynamics(ARM, q, qdot)
-    x_err = x_target - x
-    damping_rate = -(dyn.jacobian @ qdot)
-    x_err_rate = damping_rate if target_rate is None else damping_rate + target_rate
-    wrench, states = law(x_err, x_err_rate, damping_rate)
+    xdot = dyn.jacobian @ qdot
+    wrench, states = law(x_target, np.zeros(2) if target_rate is None else target_rate, x, xdot)
     tau_null = _posture_torque(q, qdot, config.posture_target, config.posture_gains)
     ts = task_space_quantities(ARM, q, dyn)
     comp = ts.lam @ (
@@ -184,9 +182,9 @@ def test_fic_tick_on_sample_matches_composition(
     states = new_attractor_states(2)
     config = replace(FIC, posture_target=posture, posture_gains=posture_gains)
 
-    def law(x_err, x_err_rate, damping_rate):
-        res = fic_task_wrench(config, states, x_err, x_err_rate, damping_rate=damping_rate)
-        return res.wrench, res.states
+    def law(x_d, xd_rate, x, xdot):
+        wrench, new_states, _ = fic_task_wrench(config, states, x_d, xd_rate, x, xdot)
+        return wrench, new_states
 
     want_tau, want_w, want_states = composed_tick(q, qdot, x_target, config, law, target_rate)
     got = fic_control_torques(ARM, x_target, states, config, target_rate, sample=sample)
@@ -208,8 +206,8 @@ def test_baseline_tick_on_sample_matches_composition(q, qdot, offset, posture, p
     x_target = sample.x + offset
     config = replace(BASE, posture_target=posture, posture_gains=posture_gains)
 
-    def law(x_err, x_err_rate, _damping_rate):
-        return baseline_impedance_wrench(config, x_err, x_err_rate), ()
+    def law(x_d, _xd_rate, x, xdot):
+        return baseline_impedance_wrench(config, x_d, x, xdot), ()
 
     want_tau, want_w, _ = composed_tick(q, qdot, x_target, config, law, None)
     got = baseline_control_torques(ARM, x_target, config, sample=sample)

@@ -406,6 +406,36 @@ class TestCliCommands:
         assert main(["run", "--config", cfg]) == 1
         assert f"config error at {error}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "changes, pointer",
+        [
+            pytest.param({"duration": "a"}, "/duration", id="duration-str"),
+            pytest.param({"dt": "a"}, "/dt", id="dt-str"),
+            pytest.param({"feedback_hz": "a"}, "/feedback_hz", id="feedback_hz-str"),
+            pytest.param({"damping": "a"}, "/damping", id="damping-str"),
+            pytest.param({"k_const": "a"}, "/k_const", id="k_const-str"),
+            pytest.param({"w_max": "a"}, "/w_max", id="w_max-str"),
+            pytest.param({"x_b": "a"}, "/x_b", id="x_b-str"),
+            pytest.param({"controller": "baseline", "k_d": "a"}, "/k_d", id="k_d-str"),
+            pytest.param({"inertia": ["a"]}, "/inertia", id="inertia-str"),
+            pytest.param({"inertia": 2.0}, "/inertia", id="inertia-scalar"),
+            pytest.param(
+                {"plant": "arm", "gravity": ["a", 0], "reference": {"type": "static"}, "pulses": []},
+                "/gravity",
+                id="gravity-str",
+            ),
+            pytest.param(
+                {"plant": "arm", "posture_gains": ["a", 0], "reference": {"type": "static"}, "pulses": []},
+                "/posture_gains",
+                id="posture_gains-str",
+            ),
+        ],
+    )
+    def test_wrong_typed_number_names_its_field(self, tmp_path, capsys, changes, pointer):
+        cfg = write_config(tmp_path, dict(BASE_CONFIG, **changes))
+        assert main(["run", "--config", cfg]) == 1
+        assert f"config error at {pointer}: " in capsys.readouterr().err
+
     @pytest.mark.parametrize("gains", [{"x_b": 1e-200}, {"w_max": 1e300, "x_b": 1e-10}])
     def test_degenerate_spring_exit_1(self, tmp_path, capsys, gains):
         # x_b^2 underflows, or w_max / x_b overflows: beta^2 is not finite

@@ -88,111 +88,124 @@ class TestFicTaskWrench:
     def test_saturates_at_w_max(self):
         cfg = fic_config()
         zero = np.zeros(1)
-        res = fic_task_wrench(cfg, new_attractor_states(1), np.array([0.5]), zero, zero)
-        assert res.wrench[0] == pytest.approx(30.0, rel=1e-12)
+        res = fic_task_wrench(cfg, new_attractor_states(1), np.array([0.5]), zero, zero, zero)
+        assert res[0][0] == pytest.approx(30.0, rel=1e-12)
 
     def test_zero_error_zero_wrench(self):
         cfg = fic_config()
-        res = fic_task_wrench(cfg, new_attractor_states(1), np.zeros(1), np.zeros(1), np.zeros(1))
-        assert res.wrench[0] == 0.0
+        zero = np.zeros(1)
+        res = fic_task_wrench(cfg, new_attractor_states(1), zero, zero, zero, zero)
+        assert res[0][0] == 0.0
 
     def test_damping_is_additive(self):
         cfg = fic_config(damping=2.0)
-        rate = np.array([-0.3])
-        res = fic_task_wrench(cfg, new_attractor_states(1), np.zeros(1), rate, rate)
-        assert res.wrench[0] == pytest.approx(-0.6, rel=1e-12)
+        zero, xdot = np.zeros(1), np.array([0.3])
+        res = fic_task_wrench(cfg, new_attractor_states(1), zero, zero, zero, xdot)
+        assert res[0][0] == pytest.approx(-0.6, rel=1e-12)
 
     def test_damping_rate_split_keeps_damping_passive(self):
         # classification sees the full error rate, damping only the measured part
         cfg = fic_config(damping=2.0)
         states = new_attractor_states(1)
-        res = fic_task_wrench(
-            cfg,
-            states,
-            np.array([0.05]),
-            np.array([-0.2]),
-            damping_rate=np.array([0.0]),
-        )
-        assert res.states[0].phase is Phase.CONVERGENCE
+        zero, x_d = np.zeros(1), np.array([0.05])
+        # a reference receding at -0.2 from a plant at rest
+        wrench, new_states, flags = fic_task_wrench(cfg, states, x_d, np.array([-0.2]), zero, zero)
+        assert new_states[0].phase is Phase.CONVERGENCE and flags == [0]
         spring_only = fic_task_wrench(
-            cfg, states, np.array([0.05]), np.array([-0.2]), np.array([-0.2])
-        ).wrench[0] - 2.0 * (-0.2)
-        assert res.wrench[0] == pytest.approx(spring_only, rel=1e-12)
+            cfg, states, x_d, zero, zero, np.array([0.2])
+        )[0][0] - 2.0 * (-0.2)
+        assert wrench[0] == pytest.approx(spring_only, rel=1e-12)
 
     def test_state_count_checked(self):
         cfg = fic_config(n=2)
+        zero = np.zeros(2)
         with pytest.raises(ValueError):
-            fic_task_wrench(cfg, new_attractor_states(1), np.zeros(2), np.zeros(2), np.zeros(2))
+            fic_task_wrench(cfg, new_attractor_states(1), zero, zero, zero, zero)
 
     def test_error_count_checked(self):
         cfg = fic_config(n=2)
+        zero = np.zeros(1)
         with pytest.raises(ValueError):
-            fic_task_wrench(cfg, new_attractor_states(2), np.zeros(1), np.zeros(1), np.zeros(1))
+            fic_task_wrench(cfg, new_attractor_states(2), zero, zero, zero, zero)
 
-    @pytest.mark.parametrize("short", ["x_err_rate", "damping_rate"])
+    # the ids name the per-DoF rate that the short input leaves short: the
+    # reference rate enters the error rate only, xdot the damping rate too
+    @pytest.mark.parametrize("short", ["xd_rate", "xdot"], ids=["x_err_rate", "damping_rate"])
     def test_rate_counts_checked(self, short):
         cfg = fic_config(n=2)
-        rates = {"x_err_rate": np.zeros(2), "damping_rate": np.zeros(2)}
-        rates[short] = np.zeros(1)
+        inputs = {name: np.zeros(2) for name in ("x_d", "xd_rate", "x", "xdot")}
+        inputs[short] = np.zeros(1)
         with pytest.raises(ValueError):
-            fic_task_wrench(cfg, new_attractor_states(2), np.zeros(2), **rates)
+            fic_task_wrench(cfg, new_attractor_states(2), **inputs)
 
     def test_spring_path_bounded_in_closed_loop_sweep(self):
         # random walks through both phases never exceed the wrench bound
         cfg = fic_config(x_b=0.05)
         states = new_attractor_states(1)
         x = 0.0
+        zero = np.zeros(1)
         for _ in range(500):
             x += RNG.uniform(-0.03, 0.03)
-            rate = RNG.uniform(-1.0, 1.0)
-            res = fic_task_wrench(cfg, states, np.array([x]), np.array([rate]), np.array([rate]))
-            states = res.states
-            assert abs(res.wrench[0]) <= 30.0 * (1 + 1e-12)
+            xdot = np.array([RNG.uniform(-1.0, 1.0)])
+            wrench, states, _ = fic_task_wrench(cfg, states, zero, zero, np.array([x]), xdot)
+            assert abs(wrench[0]) <= 30.0 * (1 + 1e-12)
 
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), n=st.integers(1, 3))
 def test_fic_task_wrench_is_the_per_dof_composition(data, n):
-    # random gains and attractor states (either phase), then one tick: the
-    # wrench and states are update_attractor -> fic_wrench + damping * d_r
-    # per DoF, bit for bit, from float lists and numpy arrays alike
+    # random gains and attractor states (either phase), then one tick on a
+    # reference (x_d, xd_rate) and a measured state (x, xdot): per DoF, the
+    # wrench is fic_wrench(update_attractor(...)) + damping * -xdot bit for
+    # bit, the flags are the new states' s flags, and the baseline on the
+    # same inputs is k (x_d - x) + d (-xdot); from float lists and numpy
+    # arrays alike
     vec = st.lists(st.floats(-0.3, 0.3), min_size=n, max_size=n)
     gains = st.lists(st.floats(0.0, 50.0), min_size=n, max_size=n)
     k_const, damping = data.draw(gains), data.draw(gains)
     cfg = FicConfig(tuple(StiffnessParams(k, 30.0, 0.1) for k in k_const), tuple(damping))
-    first_err, first_rate, x_err, rate, d_rate = (data.draw(vec) for _ in range(5))
+    first_err, first_rate, x_d, xd_rate, x, xdot = (data.draw(vec) for _ in range(6))
     states = tuple(
         update_attractor(AttractorState(), p, e, r, rate_tol=DEFAULT_RATE_TOL)
         for p, e, r in zip(cfg.stiffness, first_err, first_rate)
     )
+    err = [a - b for a, b in zip(x_d, x)]
     want_states = tuple(
-        update_attractor(s, p, e, r, rate_tol=DEFAULT_RATE_TOL)
-        for s, p, e, r in zip(states, cfg.stiffness, x_err, rate)
+        update_attractor(s, p, e, r - v, rate_tol=DEFAULT_RATE_TOL)
+        for s, p, e, r, v in zip(states, cfg.stiffness, err, xd_rate, xdot)
     )
     want_wrench = [
-        fic_wrench(s, p, e) + d * r
-        for s, p, e, d, r in zip(want_states, cfg.stiffness, x_err, damping, d_rate)
+        fic_wrench(s, p, e) + d * -v
+        for s, p, e, d, v in zip(want_states, cfg.stiffness, err, damping, xdot)
     ]
+    k_d = [k + 1.0 for k in k_const]  # the baseline needs positive stiffness
+    base = BaselineConfig(tuple(k_d), tuple(damping))
+    want_base = [k * e + d * -v for k, d, e, v in zip(k_d, damping, err, xdot)]
     for as_input in (list, np.array):
-        res = fic_task_wrench(cfg, states, as_input(x_err), as_input(rate), as_input(d_rate))
-        assert np.array(res.wrench).tobytes() == np.array(want_wrench).tobytes()
-        assert res.states == want_states
+        inputs = [as_input(u) for u in (x_d, xd_rate, x, xdot)]
+        wrench, new_states, flags = fic_task_wrench(cfg, states, *inputs)
+        assert np.array(wrench).tobytes() == np.array(want_wrench).tobytes()
+        assert new_states == want_states
+        assert flags == [s.phase.value for s in new_states]
+        got_base = baseline_impedance_wrench(base, inputs[0], inputs[2], inputs[3])
+        assert np.array(got_base).tobytes() == np.array(want_base).tobytes()
 
 
 class TestBaselineWrench:
     def test_pure_stiffness(self):
         cfg = BaselineConfig(k_d=(100.0,), d_d=0.0)
-        w = baseline_impedance_wrench(cfg, np.array([0.1]), np.array([0.0]))
+        zero = np.zeros(1)
+        w = baseline_impedance_wrench(cfg, np.array([0.1]), zero, zero)
         assert w[0] == pytest.approx(10.0, rel=1e-12)
 
     def test_zero_state(self):
         cfg = BaselineConfig(k_d=(100.0,), d_d=2.5)
-        w = baseline_impedance_wrench(cfg, np.zeros(1), np.zeros(1))
+        w = baseline_impedance_wrench(cfg, np.zeros(1), np.zeros(1), np.zeros(1))
         assert w[0] == 0.0
 
     def test_stiffness_plus_damping(self):
         cfg = BaselineConfig(k_d=(150.0,), d_d=2.5)
-        w = baseline_impedance_wrench(cfg, np.array([0.02]), np.array([-0.1]))
+        w = baseline_impedance_wrench(cfg, np.array([0.02]), np.zeros(1), np.array([0.1]))
         assert w[0] == pytest.approx(2.75, rel=1e-12)
 
 
@@ -305,5 +318,5 @@ class TestDegenerateEquivalence:
         for x in (0.001, 0.003, -0.002):
             for rate in (0.0, 0.05, -0.1):
                 w_fic = fic_wrench(AttractorState(), params, x) + damping * rate
-                w_base = baseline_impedance_wrench(base, [x], [rate])[0]
+                w_base = baseline_impedance_wrench(base, [x], [0.0], [-rate])[0]
                 assert w_fic == pytest.approx(w_base, rel=0.01)

@@ -13,8 +13,9 @@ import pytest
 
 import fractal_impedance
 from energy_reference import assert_same_record
-from fractal_impedance import Scenario, random_pulse_profile, run_scenario, sim_harness
+from fractal_impedance import Scenario, run_scenario, sim_harness
 from fractal_impedance.controllers import new_attractor_states
+from pulse_reference import random_pulse_profile
 from test_episode_energy import _digest_tool
 from test_sim_harness import count_calls, rest_prefix
 

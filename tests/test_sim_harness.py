@@ -29,7 +29,6 @@ from fractal_impedance import (
     fic_task_wrench,
     fic_work,
     forward_kinematics,
-    random_pulse_profile,
     run_scenario,
 )
 from fractal_impedance import controllers, dynamics, energy_audit, fic_core, sim_harness
@@ -41,6 +40,7 @@ from fractal_impedance.sim_harness import (
     _schedule_x_b,
     _tick_starts,
 )
+from pulse_reference import random_pulse_profile
 from test_dynamics import _advance_reference
 
 
@@ -642,7 +642,7 @@ class TestEpisodes:
 
         def spy_tick(*args):
             res = fic_task_wrench(*args)
-            held["force"] = res.wrench
+            held["force"] = res[0]
             return res
 
         def reference_step(pos, vel, accel, dt, integrator, t, accel0=None, steps=1):
