@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .dynamics import ArmSample, PlanarArm, _arm_drift
+from .dynamics import ArmSample, PlanarArm, _arm_drift, _floats
 from .dynamics import arm_dynamics, forward_kinematics, task_space_quantities  # noqa: F401 (bench hook)
 from .fic_core import (
     _DIV,
@@ -45,29 +45,18 @@ __all__ = [
 
 
 def _per_dof(value, d: int | None, name: str) -> tuple:
-    """A scalar (broadcast) or one value per DoF, as a tuple of d floats;
-    with ``d=None`` a scalar is one DoF and a sequence gives any number."""
-    try:
-        vals = tuple(value)
-    except TypeError:  # a scalar
-        vals = (value,) * (1 if d is None else d)
-    try:
-        vals = tuple(map(float, vals))
-    except (TypeError, ValueError):  # a nested or non-numeric entry
-        vals = None
-    if vals is None or (d is not None and len(vals) != d):
-        raise ValueError(f"{name}: expected scalar or {'per-DoF' if d is None else d} entries")
-    return vals
+    """A scalar (broadcast; one DoF if d is None) or d values (any if None) as floats."""
+    if not hasattr(value, "__len__"):  # a scalar
+        value = (value,) * (1 if d is None else d)
+    return _floats(value, name, d)
 
 
 def _set_posture(config) -> None:
     """The posture target and gains as float tuples; the gains checked."""
-    if config.posture_target is not None:
-        object.__setattr__(config, "posture_target", tuple(map(float, config.posture_target)))
-    try:
-        gains = tuple(map(float, config.posture_gains))
-    except (TypeError, ValueError):  # a scalar, a nested or non-numeric entry
-        gains = ()
+    if config.posture_target is not None:  # an angle per joint of the 3-link arm
+        target = _floats(config.posture_target, "posture_target", 3)
+        object.__setattr__(config, "posture_target", target)
+    gains = _floats(config.posture_gains, "posture_gains")
     if len(gains) != 2 or not all(0.0 <= g < math.inf for g in gains):  # NaN fails too
         raise ValueError("posture_gains: expected two finite and non-negative values")
     object.__setattr__(config, "posture_gains", gains)

@@ -40,6 +40,7 @@ integrators can evaluate them at stage states.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from math import cos, isfinite, sin
 from operator import add
@@ -92,6 +93,26 @@ class SingularConfigurationError(RuntimeError):
         )
 
 
+def _float(value, name: str) -> float:
+    """A config number as a float: a real that is not a bool (a str is not real)."""
+    if type(value) is float:  # the common case, before the ABC check
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name}: must be a number, got {value!r}")
+    return float(value)
+
+
+def _floats(values, name: str, size: int | None = None) -> tuple:
+    """A config vector as a tuple of ``_float``s, of ``size`` entries when given."""
+    if isinstance(values, str):
+        raise ValueError(f"{name}: must be a number, got {values!r}")
+    if not hasattr(values, "__len__"):
+        raise ValueError(f"{name}: expected a list of numbers, got {values!r}")
+    if size is not None and len(values) != size:
+        raise ValueError(f"{name}: expected {size} entries")
+    return tuple(v if type(v) is float else _float(v, name) for v in values)
+
+
 @dataclass
 class PointMassPlant:
     """Point mass per task DoF, inertia[i] * xdd[i] = applied force[i]; the
@@ -100,10 +121,7 @@ class PointMassPlant:
     inertia: tuple
 
     def __post_init__(self) -> None:
-        try:
-            self.inertia = tuple(map(float, self.inertia))
-        except (TypeError, ValueError):  # a scalar, a nested or non-numeric entry
-            raise ValueError(f"inertia: expected a number per DoF, got {self.inertia!r}") from None
+        self.inertia = _floats(self.inertia, "inertia")
         if not self.inertia or not all(m > 0.0 for m in self.inertia):
             raise ValueError("inertia: must be positive per DoF")
 
@@ -133,13 +151,7 @@ class PlanarArm:
     def __post_init__(self) -> None:
         sizes = {"lengths": 3, "masses": 3, "com_offsets": 3, "inertias": 3, "gravity": 2}
         for name, size in sizes.items():
-            try:
-                value = tuple(map(float, getattr(self, name)))
-            except (TypeError, ValueError):  # a scalar, a nested or non-numeric entry
-                raise ValueError(f"{name}: expected {size} numbers") from None
-            if len(value) != size:
-                raise ValueError(f"{name}: expected {size} entries")
-            setattr(self, name, value)
+            setattr(self, name, _floats(getattr(self, name), name, size))
         if not all(v > 0.0 for v in self.lengths + self.masses):
             raise ValueError("link lengths and masses must be positive")
         # cmat[a, i]: coefficient of the unit vector of absolute angle a in the
@@ -438,6 +450,8 @@ class ContactWall:
 
     def __post_init__(self) -> None:
         # Each message starts with the scenario field it names.
+        for name in ("offset", "stiffness", "damping"):
+            object.__setattr__(self, name, _float(getattr(self, name), f"wall.{name}"))
         if self.stiffness <= 0.0:
             raise ValueError("wall.stiffness: must be positive")
         if self.damping < 0.0:
@@ -468,9 +482,11 @@ class Pulse:
 
     def __post_init__(self) -> None:
         # The messages of both pulse classes start with the scenario field.
+        object.__setattr__(self, "start", _float(self.start, "pulses"))
+        object.__setattr__(self, "duration", _float(self.duration, "pulses"))
         if self.start < 0.0 or self.duration <= 0.0:
             raise ValueError("pulses: need start >= 0 and duration > 0")
-        object.__setattr__(self, "wrench", tuple(float(w) for w in self.wrench))
+        object.__setattr__(self, "wrench", _floats(self.wrench, "pulses"))
 
     @property
     def end(self) -> float:

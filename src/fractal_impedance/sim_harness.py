@@ -89,6 +89,8 @@ from .dynamics import (
     _advance,
     _arm_accel,
     _arm_task_state,
+    _float,
+    _floats,
     _point_mass_accel,
     _point_mass_ke,
     contact_force,
@@ -158,18 +160,6 @@ def _check_keys(name: str, d: dict, required: tuple, optional: tuple = ()) -> No
             raise ValueError(f"{name}: missing key '{key}'")
 
 
-def _number(value, name: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name}: must be a number, got {value!r}")
-
-
-def _vector(value, d: int, name: str) -> None:
-    if not hasattr(value, "__len__") or len(value) != d:
-        raise ValueError(f"{name}: expected {d} entries")
-    for v in value:
-        _number(v, name)
-
-
 @dataclass(frozen=True)
 class Scenario:
     """One closed-loop experiment, expressed with serializable values only.
@@ -220,42 +210,38 @@ class Scenario:
         return 2 if self.plant == "arm" else len(self.inertia)
 
     def _validate(self) -> None:
+        if not isinstance(self.name, str) or not self.name:
+            raise ValueError(f"name: must be a non-empty string, got {self.name!r}")
         if self.plant not in PLANTS:
             raise ValueError(f"plant: must be one of {PLANTS}, got '{self.plant}'")
         if self.controller not in CONTROLLERS:
             raise ValueError(f"controller: must be one of {CONTROLLERS}")
-        for key in ("duration", "dt", "feedback_hz"):
-            _number(getattr(self, key), key)
-        if not self.duration > 0.0:
+        duration, dt, hz = (_float(getattr(self, k), k) for k in ("duration", "dt", "feedback_hz"))
+        if not duration > 0.0:
             raise ValueError("duration: must be positive")
-        if not self.dt > 0.0:
+        if not dt > 0.0:
             raise ValueError("dt: must be positive")
-        if not 0.0 < self.feedback_hz <= (1.0 / self.dt) * (1.0 + 1e-9):
-            raise ValueError(
-                f"feedback_hz: must satisfy 0 < feedback_hz <= 1/dt = {1.0 / self.dt:.6g}"
-            )
+        if not 0.0 < hz <= (1.0 / dt) * (1.0 + 1e-9):
+            raise ValueError(f"feedback_hz: must satisfy 0 < feedback_hz <= 1/dt = {1.0 / dt:.6g}")
         if self.integrator not in INTEGRATORS:
             raise ValueError(f"integrator: must be one of {INTEGRATORS}")
         if self.plant == "point_mass":
             PointMassPlant(self.inertia)  # a bad inertia is named before n_task reads it
             for name in ("x0", "xdot0"):
                 if getattr(self, name) is not None:
-                    _vector(getattr(self, name), self.n_task, name)
+                    _floats(getattr(self, name), name, self.n_task)
         else:
-            _vector(self.q0, 3, "q0")  # the links of PlanarArm.default
-            _vector(self.qdot0, 3, "qdot0")
-            if self.posture_target is not None:
-                _vector(self.posture_target, 3, "posture_target")
+            _floats(self.q0, "q0", 3)  # the links of PlanarArm.default
+            _floats(self.qdot0, "qdot0", 3)
         d = self.n_task
         # The builders run once here, so bad gains fail at parse time.
         build_controller(self)
-        if self.xb_schedule is not None:
+        sched = self.xb_schedule
+        if sched is not None:
             if self.controller != "fic":
                 raise ValueError("xb_schedule: only valid with the fic controller")
-            _check_keys("xb_schedule", self.xb_schedule, _SCHEDULE_KEYS)
-            for key in _SCHEDULE_KEYS:
-                _number(self.xb_schedule[key], f"xb_schedule.{key}")
-            end, rate, itv = (self.xb_schedule[key] for key in _SCHEDULE_KEYS)
+            _check_keys("xb_schedule", sched, _SCHEDULE_KEYS)
+            end, rate, itv = (_float(sched[k], f"xb_schedule.{k}") for k in _SCHEDULE_KEYS)
             if end <= 0 or rate <= 0 or itv <= 0:
                 raise ValueError("xb_schedule: x_b_end, rate, interval must be positive")
             try:
@@ -269,7 +255,7 @@ class Scenario:
             raise ValueError(f"reference.type: unknown type '{ref['type']}'")
         _check_keys("reference", ref, *_REFERENCE_KEYS[ref["type"]])
         for key in ("amplitude", "period", "radius"):
-            _number(ref.get(key, 0.0), f"reference.{key}")
+            _float(ref.get(key, 0.0), f"reference.{key}")
         if ref["type"] == "sinusoid":
             if not 0 <= _integral(ref["axis"], "reference.axis") < d:
                 raise ValueError("reference.axis: out of range")
@@ -282,18 +268,16 @@ class Scenario:
                 raise ValueError("reference: radius and period must be positive")
         for key in ("pose", "center"):  # None: the start pose
             if ref.get(key) is not None:
-                _vector(ref[key], d, f"reference.{key}")
+                _floats(ref[key], f"reference.{key}", d)
         for idx, p in enumerate(self.pulses):
             if not isinstance(p, dict):
                 raise ValueError(f"pulses[{idx}]: expected an object")
             _check_keys(f"pulses[{idx}]", p, _PULSE_KEYS)
             for key in ("start", "duration"):
-                _number(p[key], f"pulses[{idx}].{key}")
-            _vector(p["wrench"], d, f"pulses[{idx}].wrench")
+                _float(p[key], f"pulses[{idx}].{key}")
+            _floats(p["wrench"], f"pulses[{idx}].wrench", d)
         if self.wall is not None:
             _check_keys("wall", self.wall, *_WALL_KEYS)
-            for key in ("offset", "stiffness", "damping"):
-                _number(self.wall.get(key, 0.0), f"wall.{key}")
             if not 0 <= _integral(self.wall["axis"], "wall.axis") < d:
                 raise ValueError("wall.axis: out of range")
             _integral(self.wall.get("direction", 1), "wall.direction")
@@ -332,20 +316,12 @@ def build_environment(sc: Scenario) -> tuple:
         plant = PlanarArm.default(gravity=sc.gravity)
     else:
         plant = PointMassPlant(sc.inertia)
-    pulses = tuple(
-        Pulse(start=float(p["start"]), duration=float(p["duration"]), wrench=p["wrench"])
-        for p in sc.pulses
-    )
+    pulses = tuple(Pulse(p["start"], p["duration"], p["wrench"]) for p in sc.pulses)
     wall = None
-    if sc.wall is not None:
+    if sc.wall is not None:  # the wall and the pulses convert their own numbers
         w = sc.wall
-        wall = ContactWall(
-            axis=int(w["axis"]),
-            offset=float(w["offset"]),
-            stiffness=float(w["stiffness"]),
-            damping=float(w.get("damping", 0.0)),
-            direction=int(w.get("direction", 1)),
-        )
+        axis, direction = int(w["axis"]), int(w.get("direction", 1))
+        wall = ContactWall(axis, w["offset"], w["stiffness"], w.get("damping", 0.0), direction)
     return plant, PerturbationProfile(n_dof=sc.n_task, pulses=pulses), wall
 
 

@@ -24,13 +24,13 @@ from fractal_impedance import (
     detect_oscillation,
     fic_work,
     ic_work_discrete,
-    lyapunov_monitor,
     run_scenario,
     spring_energy,
     spring_force,
     task_space_quantities,
 )
 from fractal_impedance.cli import DEFAULT_CALIBRATION_GRID, main
+from monitor_reference import lyapunov_monitor
 from pulse_reference import random_pulse_profile
 
 

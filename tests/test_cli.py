@@ -47,6 +47,15 @@ BASE_CONFIG = {
     "pulses": [{"start": 0.1, "duration": 0.05, "wrench": [4.0]}],
 }
 
+# BASE_CONFIG's changes for an arm: no point-mass reference pose or pulse
+ARM_STATIC = {"plant": "arm", "reference": {"type": "static"}, "pulses": []}
+
+
+def kept_id(stem: str, n: int, *values):
+    """A case under the id pytest once gave it by position, ``<stem><n>-<last
+    value>``, spelled out so that a case inserted before it renames nothing."""
+    return pytest.param(*values, id=f"{stem}{n}-{values[-1]}")
+
 
 def write_config(tmp_path, doc, name="scenario.json"):
     path = tmp_path / name
@@ -257,46 +266,74 @@ class TestCliCommands:
     @pytest.mark.parametrize(
         "changes, error",
         [
-            ({"plant": "arm", "q0": [0.3, 0.9], "qdot0": [0, 0]}, "/q0: expected 3 entries"),
+            kept_id(
+                "changes",
+                0,
+                {"plant": "arm", "q0": [0.3, 0.9], "qdot0": [0, 0]},
+                "/q0: expected 3 entries",
+            ),
             # json.loads accepts NaN and Infinity
-            ({"damping": math.nan}, "/damping: must be finite"),
-            ({"inertia": [math.nan]}, "/inertia: must be finite"),
-            ({"x0": [math.nan]}, "/x0: must be finite"),
-            ({"controller": "baseline", "k_d": math.inf}, "/k_d: must be finite"),
-            (
+            kept_id("changes", 1, {"damping": math.nan}, "/damping: must be finite"),
+            kept_id("changes", 2, {"inertia": [math.nan]}, "/inertia: must be finite"),
+            kept_id("changes", 3, {"x0": [math.nan]}, "/x0: must be finite"),
+            kept_id(
+                "changes",
+                4,
+                {"controller": "baseline", "k_d": math.inf},
+                "/k_d: must be finite",
+            ),
+            kept_id(
+                "changes",
+                5,
                 {"pulses": [{"start": math.nan, "duration": 0.05, "wrench": [4.0]}]},
                 "/pulses: must be finite",
             ),
-            ({"duration": math.inf}, "/duration: must be finite"),
-            (
+            kept_id("changes", 6, {"duration": math.inf}, "/duration: must be finite"),
+            kept_id(
+                "changes",
+                7,
                 {"wall": {"axis": 0.5, "offset": 0.1, "stiffness": 1e3}},
                 "/wall/axis: must be an integer",
             ),
-            (
+            kept_id(
+                "changes",
+                8,
                 {"reference": {"type": "sinusoid", "axis": 0.9, "amplitude": 0.1, "period": 1}},
                 "/reference/axis: must be an integer",
             ),
-            (
+            kept_id(
+                "changes",
+                9,
                 {"wall": {"axis": 0, "offset": 0.1, "stiffness": 1e3, "direction": 2}},
                 "/wall/direction: must be +1 or -1",
             ),
-            (
+            kept_id(
+                "changes",
+                10,
                 {"wall": {"axis": 0, "offset": 0.1, "stiffness": -1e3}},
                 "/wall/stiffness: must be positive",
             ),
-            (
+            kept_id(
+                "changes",
+                11,
                 {"wall": {"axis": 0, "offset": 0.1, "stiffness": 1e3, "damping": -1.0}},
                 "/wall/damping: must be non-negative",
             ),
-            (
+            kept_id(
+                "changes",
+                12,
                 {"pulses": [{"start": -0.3, "duration": 0.1, "wrench": [6.0]}]},
                 "/pulses: need start >= 0 and duration > 0",
             ),
-            (
+            kept_id(
+                "changes",
+                13,
                 {"pulses": [{"start": 0.3, "duration": 0.0, "wrench": [6.0]}]},
                 "/pulses: need start >= 0 and duration > 0",
             ),
-            (
+            kept_id(
+                "changes",
+                14,
                 {
                     "pulses": [
                         {"start": 0.1, "duration": 0.2, "wrench": [6.0]},
@@ -305,7 +342,9 @@ class TestCliCommands:
                 },
                 "/pulses: overlapping pulses on DoF 0",
             ),
-            (
+            kept_id(
+                "changes",
+                15,
                 {
                     "plant": "arm",
                     "gravity": [0.0, -9.81, 0.0],
@@ -314,20 +353,47 @@ class TestCliCommands:
                 },
                 "/gravity: expected 2 entries",
             ),
-            ({"controller": "baseline", "k_d": 0.0}, "/k_d: must be finite and positive"),
-            ({"controller": "baseline", "d_d": -1.0}, "/d_d: must be finite and non-negative"),
-            ({"damping": -1.0}, "/damping: must be finite and non-negative"),
-            ({"x_b": 0.0}, "/x_b: must be positive"),
-            ({"k_const": -1.0}, "/k_const: must be non-negative"),
-            ({"w_max": 0.0}, "/w_max: must be positive"),
-            ({"w_max": 0.05, "x_b": 0.1}, "/x_b: infeasible stiffness profile"),
-            (
+            kept_id(
+                "changes",
+                16,
+                {"controller": "baseline", "k_d": 0.0},
+                "/k_d: must be finite and positive",
+            ),
+            kept_id(
+                "changes",
+                17,
+                {"controller": "baseline", "d_d": -1.0},
+                "/d_d: must be finite and non-negative",
+            ),
+            kept_id("changes", 18, {"damping": -1.0}, "/damping: must be finite and non-negative"),
+            kept_id("changes", 19, {"x_b": 0.0}, "/x_b: must be positive"),
+            kept_id("changes", 20, {"k_const": -1.0}, "/k_const: must be non-negative"),
+            kept_id("changes", 21, {"w_max": 0.0}, "/w_max: must be positive"),
+            kept_id(
+                "changes",
+                22,
+                {"w_max": 0.05, "x_b": 0.1},
+                "/x_b: infeasible stiffness profile",
+            ),
+            kept_id(
+                "changes",
+                23,
                 {"xb_schedule": {"x_b_end": 1e-200, "rate": 0.01, "interval": 0.1}},
                 "/xb_schedule/x_b_end: infeasible stiffness profile",
             ),
-            ({"posture_gains": [1.0]}, "/posture_gains: expected two finite and non-negative"),
-            ({"posture_gains": [-1.0, 0.0]}, "/posture_gains: expected two finite"),
-            ({"inertia": [0.0]}, "/inertia: must be positive per DoF"),
+            kept_id(
+                "changes",
+                24,
+                {"posture_gains": [1.0]},
+                "/posture_gains: expected two finite and non-negative",
+            ),
+            kept_id(
+                "changes",
+                25,
+                {"posture_gains": [-1.0, 0.0]},
+                "/posture_gains: expected two finite",
+            ),
+            kept_id("changes", 26, {"inertia": [0.0]}, "/inertia: must be positive per DoF"),
             # values of the wrong type: explicit ids, so that a case added
             # later beside its field's neighbours renames no other test
             pytest.param({"x0": ["a"]}, "/x0: must be a number", id="x0-str"),
@@ -436,7 +502,57 @@ class TestCliCommands:
         assert main(["run", "--config", cfg]) == 1
         assert f"config error at {pointer}: " in capsys.readouterr().err
 
-    @pytest.mark.parametrize("gains", [{"x_b": 1e-200}, {"w_max": 1e300, "x_b": 1e-10}])
+    @pytest.mark.parametrize(
+        "changes, error",
+        [
+            # a string or a bool is not a number, in any field and at any depth
+            ({"damping": "5"}, "/damping: must be a number, got '5'"),
+            ({"damping": "12"}, "/damping: must be a number, got '12'"),
+            ({"damping": True}, "/damping: must be a number, got True"),
+            ({"w_max": "30"}, "/w_max: must be a number, got '30'"),
+            ({"duration": "5"}, "/duration: must be a number, got '5'"),
+            ({"inertia": ["2"]}, "/inertia: must be a number, got '2'"),
+            ({"inertia": [True]}, "/inertia: must be a number, got True"),
+            ({"x0": ["0.1"]}, "/x0: must be a number, got '0.1'"),
+            (dict(ARM_STATIC, gravity=["0", "-9.81"]), "/gravity: must be a number, got '0'"),
+            (dict(ARM_STATIC, posture_gains=["1", "0"]), "/posture_gains: must be a number"),
+            # the name becomes the output file name
+            ({"name": 5}, "/name: must be a non-empty string"),
+            ({"name": None}, "/name: must be a non-empty string"),
+            ({"name": ["a"]}, "/name: must be a non-empty string"),
+            ({"name": ""}, "/name: must be a non-empty string"),
+        ],
+        ids=[
+            "damping-numeric_str",
+            "damping-two_digit_str",
+            "damping-bool",
+            "w_max-numeric_str",
+            "duration-numeric_str",
+            "inertia-numeric_str",
+            "inertia-bool",
+            "x0-numeric_str",
+            "gravity-numeric_str",
+            "posture_gains-numeric_str",
+            "name-int",
+            "name-null",
+            "name-list",
+            "name-empty",
+        ],
+    )
+    def test_non_number_or_bad_name_exit_1(self, tmp_path, capsys, monkeypatch, changes, error):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, dict(BASE_CONFIG, **changes))
+        assert main(["run", "--config", cfg]) == 1
+        assert f"config error at {error}" in capsys.readouterr().err
+        assert [f.name for f in tmp_path.iterdir()] == ["scenario.json"]
+
+    @pytest.mark.parametrize(
+        "gains",
+        [
+            pytest.param({"x_b": 1e-200}, id="gains0"),
+            pytest.param({"w_max": 1e300, "x_b": 1e-10}, id="gains1"),
+        ],
+    )
     def test_degenerate_spring_exit_1(self, tmp_path, capsys, gains):
         # x_b^2 underflows, or w_max / x_b overflows: beta^2 is not finite
         cfg = write_config(tmp_path, dict(BASE_CONFIG, **gains))
@@ -503,13 +619,13 @@ class TestCliCommands:
     @pytest.mark.parametrize(
         "flags, pointer",
         [
-            (["--grid", "0.01,0.1"], "/grid"),
-            (["--grid", "0.1,0.0005"], "/grid"),
-            (["--wmax-init", "nan"], "/wmax-init"),
-            (["--wmax-init", "inf"], "/wmax-init"),
-            (["--wmax-init", "1.5"], "/wmax-init"),
-            (["--grid", "0.1,nan"], "/grid"),
-            (["--grid", "inf,0.1"], "/grid"),
+            kept_id("flags", 0, ["--grid", "0.01,0.1"], "/grid"),
+            kept_id("flags", 1, ["--grid", "0.1,0.0005"], "/grid"),
+            kept_id("flags", 2, ["--wmax-init", "nan"], "/wmax-init"),
+            kept_id("flags", 3, ["--wmax-init", "inf"], "/wmax-init"),
+            kept_id("flags", 4, ["--wmax-init", "1.5"], "/wmax-init"),
+            kept_id("flags", 5, ["--grid", "0.1,nan"], "/grid"),
+            kept_id("flags", 6, ["--grid", "inf,0.1"], "/grid"),
         ],
     )
     def test_calibrate_bad_sweep_exit_1(self, tmp_path, capsys, monkeypatch, flags, pointer):
@@ -565,26 +681,27 @@ class TestCliCommands:
     @pytest.mark.parametrize(
         "flags, pointer",
         [
-            (["energy-drift", "--rates", "0"], "/rates"),
-            (["energy-drift", "--rates", "0.4"], "/rates"),
-            (["energy-drift", "--rates", "100,20.4"], "/rates"),
-            (["energy-drift", "--rates", "-5"], "/rates"),
-            (["energy-drift", "--rates", "inf"], "/rates"),
-            (["energy-drift", "--rates", "nan"], "/rates"),
-            (["phase-portrait", "--energies", "0.5,-0.25"], "/energies"),
-            (["phase-portrait", "--energies", "inf"], "/energies"),
-            (["phase-portrait", "--energies", "nan"], "/energies"),
-            (["phase-portrait", "--dt", "0"], "/dt"),
-            (["phase-portrait", "--dt", "-0.001"], "/dt"),
-            (["phase-portrait", "--dt", "inf"], "/dt"),
-            (["phase-portrait", "--dt", "nan"], "/dt"),
-            (["phase-portrait", "--duration", "0"], "/duration"),
-            (["phase-portrait", "--duration", "-1"], "/duration"),
-            (["phase-portrait", "--duration", "inf"], "/duration"),
-            (["phase-portrait", "--duration", "nan"], "/duration"),
-            (["phase-portrait", "--dt", "1e-320"], "/dt"),  # 1/dt overflows
-            (["energy-drift", "--rates", "1e300"], "/rates"),  # no array of that size
-            (["energy-drift", "--rates", "2e6"], "/rates"),
+            kept_id("flags", 0, ["energy-drift", "--rates", "0"], "/rates"),
+            kept_id("flags", 1, ["energy-drift", "--rates", "0.4"], "/rates"),
+            kept_id("flags", 2, ["energy-drift", "--rates", "100,20.4"], "/rates"),
+            kept_id("flags", 3, ["energy-drift", "--rates", "-5"], "/rates"),
+            kept_id("flags", 4, ["energy-drift", "--rates", "inf"], "/rates"),
+            kept_id("flags", 5, ["energy-drift", "--rates", "nan"], "/rates"),
+            kept_id("flags", 6, ["phase-portrait", "--energies", "0.5,-0.25"], "/energies"),
+            kept_id("flags", 7, ["phase-portrait", "--energies", "inf"], "/energies"),
+            kept_id("flags", 8, ["phase-portrait", "--energies", "nan"], "/energies"),
+            kept_id("flags", 9, ["phase-portrait", "--dt", "0"], "/dt"),
+            kept_id("flags", 10, ["phase-portrait", "--dt", "-0.001"], "/dt"),
+            kept_id("flags", 11, ["phase-portrait", "--dt", "inf"], "/dt"),
+            kept_id("flags", 12, ["phase-portrait", "--dt", "nan"], "/dt"),
+            kept_id("flags", 13, ["phase-portrait", "--duration", "0"], "/duration"),
+            kept_id("flags", 14, ["phase-portrait", "--duration", "-1"], "/duration"),
+            kept_id("flags", 15, ["phase-portrait", "--duration", "inf"], "/duration"),
+            kept_id("flags", 16, ["phase-portrait", "--duration", "nan"], "/duration"),
+            kept_id("flags", 17, ["phase-portrait", "--dt", "1e-320"], "/dt"),  # 1/dt overflows
+            # no array of that size
+            kept_id("flags", 18, ["energy-drift", "--rates", "1e300"], "/rates"),
+            kept_id("flags", 19, ["energy-drift", "--rates", "2e6"], "/rates"),
         ],
     )
     def test_bad_drift_and_portrait_input_exit_1(

@@ -83,6 +83,20 @@ class TestConfigs:
         with pytest.raises(ValueError):
             config(**kwargs)
 
+    @pytest.mark.parametrize(
+        "config, kwargs, field",
+        [
+            pytest.param(fic_config, {"damping": "5"}, "damping", id="fic-damping-str"),
+            pytest.param(BaselineConfig, {"k_d": (True,), "d_d": 1.0}, "k_d", id="base-k_d-bool"),
+            pytest.param(
+                fic_config, {"posture_gains": ("1", "0")}, "posture_gains", id="fic-posture-str"
+            ),
+        ],
+    )
+    def test_non_number_named(self, config, kwargs, field):
+        with pytest.raises(ValueError, match=f"^{field}: must be a number, got "):
+            config(**kwargs)
+
 
 class TestFicTaskWrench:
     def test_saturates_at_w_max(self):

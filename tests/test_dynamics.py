@@ -458,6 +458,28 @@ class TestPlantValidation:
         with pytest.raises(ValueError):
             PointMassPlant(inertia=(0.0,))
 
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            pytest.param(lambda: PointMassPlant(("1",)), "inertia", id="inertia-str"),
+            pytest.param(lambda: PointMassPlant((True,)), "inertia", id="inertia-bool"),
+            pytest.param(
+                lambda: PlanarArm.default(gravity=("0", "-9.81")), "gravity", id="gravity-str"
+            ),
+            pytest.param(lambda: Pulse(0.1, 0.1, ("a",)), "pulses", id="pulse.wrench-str"),
+            pytest.param(lambda: Pulse("0.1", 0.1, (1.0,)), "pulses", id="pulse.start-str"),
+            pytest.param(
+                lambda: ContactWall(axis=0, offset="0.5", stiffness=1e3),
+                "wall.offset",
+                id="wall.offset-str",
+            ),
+        ],
+    )
+    def test_non_number_named(self, build, field):
+        # a string or a bool is a named error, never converted by float()
+        with pytest.raises(ValueError, match=f"^{field}: must be a number, got "):
+            build()
+
     @pytest.mark.parametrize("n", [2, 4])
     def test_arm_requires_three_links(self, n):
         with pytest.raises(ValueError, match="expected 3 entries"):

@@ -11,12 +11,12 @@ from fractal_impedance import (
     StiffnessParams,
     fic_work,
     ic_work_discrete,
-    lyapunov_monitor,
     spring_energy,
     spring_force,
     update_attractor,
 )
-from fractal_impedance.energy_audit import DESCENT_TOL, _phase_form
+from fractal_impedance.energy_audit import _phase_form
+from monitor_reference import DESCENT_TOL, lyapunov_monitor
 
 P = StiffnessParams(k_const=0.0, w_max=30.0, x_b=0.05)
 E_AT_005 = 0.11704834043148468
