@@ -12,9 +12,11 @@ from the same factor of B. Only the public joint-space functions form
 
 Plant objects hold their parameters only, as tuples of floats; the state is
 the caller's. The episode loop's state, the integrator step ``_advance``, both
-plants' accelerations, the arm's kernel and task inertia, and the contact and
-pulse wrenches work on Python floats, not numpy arrays: each vector holds a
-few flops, and numpy's per-call dispatch costs more than the arithmetic.
+plants' accelerations, the arm's constants, kernel, tip pose, ``J qdot`` and
+task inertia, and the contact and pulse wrenches work on Python floats, not
+numpy arrays: each vector holds a few flops, and numpy's per-call dispatch
+costs more than the arithmetic. Float code also fixes the bits: numpy sends a
+product to its BLAS, whose kernel, and so whose rounding, depends on the CPU.
 
 The arm has exactly 3 links, the one arm the harness builds, so its terms are
 straight-line float code on unpacked locals, with no loop over links.
@@ -23,15 +25,16 @@ directions, B and its factor, J_phi, G_phi, the velocity load) in one body,
 and the joint-space functions read theirs from it, so each formula is written
 once. Each sum keeps a fixed order of association, ``0.0 +`` starts included:
 reordering a float sum changes its last bits, and so the records. An
-integrator stage is one kernel and one solve and builds no array; an arm
-sample builds one, the Jacobian that ``J qdot`` is computed with, and its
-kernel serves its task inertia, the tick and the first stage. Neither J^T-bar
-nor N is formed in the loop: the torque map folds N into its task term, and
-only ``task_space_quantities`` builds them. ``_advance`` is the one stepping
-path, and ``Scenario`` checks the integrator name against ``INTEGRATORS``;
-with ``accel=None``, for a plant whose acceleration does not depend on its
-state, RK4 is one pass over the components that gives the general path's bits,
-and one call steps a held run of ``steps`` samples under that acceleration.
+integrator stage is one kernel and one solve; an arm sample is one kernel,
+whose terms serve its tip pose and ``J qdot`` (``_tip``, which the wall stage
+calls too), its task inertia, the tick and the first stage. Neither builds an
+array, and the loop forms neither J^T-bar nor N: the torque map folds N into
+its task term, and only ``task_space_quantities`` builds them. ``_advance``
+is the one stepping path, and ``Scenario`` checks the integrator name against
+``INTEGRATORS``; with ``accel=None``, for a plant whose acceleration does not
+depend on its state, RK4 is one pass over the components that gives the
+general path's bits, and one call steps a held run of ``steps`` samples under
+that acceleration.
 
 Environment effects (unilateral wall, force pulses) are plain functions so the
 integrators can evaluate them at stage states.
@@ -154,12 +157,17 @@ class PlanarArm:
             setattr(self, name, _floats(getattr(self, name), name, size))
         if not all(v > 0.0 for v in self.lengths + self.masses):
             raise ValueError("link lengths and masses must be positive")
-        # cmat[a, i]: coefficient of the unit vector of absolute angle a in the
-        # position of COM i (full upstream links, partial own link).
+        # cmat[a][i]: coefficient of the unit vector of absolute angle a in the
+        # position of COM i (full upstream links, partial own link). Coupling
+        # cmat diag(m) cmat^T and first moments cmat m sum from 0.0 over i.
         (l0, l1, _), (o0, o1, o2) = self.lengths, self.com_offsets
-        cmat = np.array(((o0, l0, l0), (0.0, o1, l1), (0.0, 0.0, o2)))
-        self._coupling = tuple(map(tuple, (cmat @ np.diag(self.masses) @ cmat.T).tolist()))
-        self._first_moments = tuple((cmat @ self.masses).tolist())
+        m0, m1, m2 = self.masses
+        cmat = ((o0, l0, l0), (0.0, o1, l1), (0.0, 0.0, o2))
+        self._coupling = tuple(
+            tuple(0.0 + c0 * m0 * d0 + c1 * m1 * d1 + c2 * m2 * d2 for d0, d1, d2 in cmat)
+            for c0, c1, c2 in cmat
+        )
+        self._first_moments = tuple(0.0 + c0 * m0 + c1 * m1 + c2 * m2 for c0, c1, c2 in cmat)
 
     @classmethod
     def default(cls, gravity=(0.0, -9.81)) -> "PlanarArm":
@@ -193,9 +201,19 @@ def _suffix_2d(b) -> list:
 
 
 def _jacobian_rows(jphi) -> tuple[list, list]:
-    """Rows ``(jx, jy)`` of the joint-space Jacobian ``J = J_phi S``. Their
-    first entries are the tip pose ``(jy[0], -jx[0])``."""
+    """Rows ``(jx, jy)`` of the joint-space Jacobian ``J = J_phi S``."""
     return _suffix(jphi[0]), _suffix(jphi[1])
+
+
+def _tip(jphi, qdot=(0.0, 0.0, 0.0)) -> tuple[list, list]:
+    """The tip pose ``(jy[0], -jx[0])`` and task velocity ``J qdot``, each
+    entry summed from 0.0 in joint order, as lists of floats from the rows
+    ``(jx, jy)`` of ``J = J_phi S``: the one definition of both, which the
+    sample and the wall stage share."""
+    (x0, x1, x2), (y0, y1, y2) = _jacobian_rows(jphi)
+    qd0, qd1, qd2 = qdot
+    xdot = [0.0 + x0 * qd0 + x1 * qd1 + x2 * qd2, 0.0 + y0 * qd0 + y1 * qd1 + y2 * qd2]
+    return [y0, -x0], xdot
 
 
 def _cholesky3(b) -> tuple:
@@ -324,8 +342,7 @@ def _arm_drift(arm: PlanarArm, sample) -> tuple[float, float]:
 
 def forward_kinematics(arm: PlanarArm, q: np.ndarray) -> np.ndarray:
     _, _, _, _, jphi, *_ = _arm_kernel(arm, q)
-    jx, jy = _jacobian_rows(jphi)
-    return np.array([jy[0], -jx[0]])
+    return np.array(_tip(jphi)[0])
 
 
 @dataclass(frozen=True)
@@ -412,11 +429,11 @@ class ArmSample(NamedTuple):
 
 
 def _arm_task_state(arm: PlanarArm, q, qdot) -> ArmSample:
-    """Evaluate the arm at a sample.
+    """Evaluate the arm at a sample, on floats only.
 
-    ``xdot`` is numpy's ``J @ qdot``, so it equals the closed-form
-    ``arm_dynamics(...).jacobian @ qdot`` bit for bit; a float sum rounds
-    differently where the matrix-vector product fuses multiply and add.
+    ``x`` and ``xdot`` come from ``_tip``, as the wall stage of ``_arm_accel``
+    forms them, so the contact force the loop records at a sample is the one
+    its first stage computes.
 
     Raises:
         SingularConfigurationError: from the task-space test, before any
@@ -425,12 +442,11 @@ def _arm_task_state(arm: PlanarArm, q, qdot) -> ArmSample:
     kernel = _arm_kernel(arm, q, qdot)
     _, _, _, low, jphi, _, _, _ = kernel
     cols, lam = _task_inertia(low, jphi)
-    jx, jy = jac = _jacobian_rows(jphi)
-    xdot = (np.array(jac) @ qdot).tolist()
+    x, xdot = _tip(jphi, qdot)
     v0, v1 = xdot
     (l00, l01), (l10, l11) = lam
     ke = 0.5 * ((v0 * l00 + v1 * l10) * v0 + (v0 * l01 + v1 * l11) * v1)
-    return ArmSample(q, qdot, kernel, [jy[0], -jx[0]], xdot, cols, lam, ke)
+    return ArmSample(q, qdot, kernel, x, xdot, cols, lam, ke)
 
 
 @dataclass(frozen=True)
@@ -579,11 +595,8 @@ def _arm_accel(
     _, _, _, low, jphi, (g0, g1, g2), _, (ld0, ld1, ld2) = kernel
     (jx0, jx1, jx2), (jy0, jy1, jy2) = jphi
     w0, w1 = (0.0, 0.0) if task_wrench is None else task_wrench
-    if wall is not None:  # the tip and J qdot, from the rows of J = J_phi S
-        (x0, x1, x2), (y0, y1, y2) = _jacobian_rows(jphi)
-        qd0, qd1, qd2 = qdot
-        xdot = 0.0 + x0 * qd0 + x1 * qd1 + x2 * qd2, 0.0 + y0 * qd0 + y1 * qd1 + y2 * qd2
-        f0, f1 = contact_force(wall, (y0, -x0), xdot)
+    if wall is not None:
+        f0, f1 = contact_force(wall, *_tip(jphi, qdot))
         w0, w1 = w0 + f0, w1 + f1
     t0, t1, t2 = tau
     r0 = t0 - t1 + (jx0 * w0 + jy0 * w1) - (ld0 + g0)

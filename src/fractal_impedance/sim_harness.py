@@ -780,11 +780,13 @@ def calibrate_sweep(base: Scenario, w_max_init: float, x_b_grid) -> list[dict]:
     loop only, never the energy audit and pulse recoveries of ``run_scenario``.
 
     Raises:
-        ValueError: before any episode, naming the argument: an empty,
-            non-finite, ascending or sub-millimetre grid, a non-finite
-            ``w_max_init`` or one below ``W_MIN``.
+        ValueError: before any episode, naming the argument: a value that is
+            not a number (a str or bool included), an empty, non-finite,
+            ascending or sub-millimetre grid, a non-finite ``w_max_init`` or
+            one below ``W_MIN``.
     """
-    grid = [float(x) for x in x_b_grid]
+    grid = _floats(x_b_grid, "x_b_grid")
+    w_max_init = _float(w_max_init, "w_max_init")
     if not grid:
         raise ValueError("x_b_grid: must be non-empty")
     if not all(map(math.isfinite, grid)):
@@ -798,7 +800,7 @@ def calibrate_sweep(base: Scenario, w_max_init: float, x_b_grid) -> list[dict]:
     rows = []
     for i, xb in enumerate(grid):
         chosen = math.nan
-        cand = float(w_max_init)
+        cand = w_max_init
         while cand >= W_MIN - 1e-12:
             run = _episode_loop(replace(base, controller="fic", x_b=xb, w_max=cand))
             if run.error is None and not detect_oscillation(run):

@@ -70,6 +70,16 @@ def vec(n, bound):
     ).map(np.array)
 
 
+def task_velocity(jac, qdot):
+    """``J qdot`` as the arm defines it: each row's products summed from 0.0
+    in joint order, on floats, whatever BLAS kernel numpy's ``@`` would use."""
+    return np.array([0.0 + r[0] * qdot[0] + r[1] * qdot[1] + r[2] * qdot[2] for r in jac])
+
+
+def bits(values):
+    return [float(v).hex() for v in values]
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     q=vec(3, math.pi),
@@ -109,8 +119,11 @@ def test_task_state_matches_operational_space(q, qdot):
     dyn = arm_dynamics(ARM, q, qdot)
     sample = _arm_task_state(ARM, q, qdot)
     x, xdot, ke = sample.x, sample.xdot, sample.ke
-    assert np.array_equal(x, forward_kinematics(ARM, q))
-    assert np.array_equal(xdot, dyn.jacobian @ qdot)
+    assert bits(x) == bits(forward_kinematics(ARM, q))
+    assert bits(xdot) == bits(task_velocity(dyn.jacobian, qdot))
+    scale = max(1.0, float(np.max(np.abs(dyn.jacobian) @ np.abs(qdot))))
+    assert np.allclose(xdot, dyn.jacobian @ qdot, rtol=0.0, atol=1e-14 * scale)
+    xdot = np.array(xdot)
     want = 0.5 * float(xdot @ ts.lam @ xdot)
     assert ke == pytest.approx(want, rel=1e-12 * cond, abs=1e-12)
 
@@ -137,7 +150,7 @@ def composed_tick(q, qdot, x_target, config, law, target_rate):
     """The arm tick composed from the public closed forms, one solve each."""
     x = forward_kinematics(ARM, q)
     dyn = arm_dynamics(ARM, q, qdot)
-    xdot = dyn.jacobian @ qdot
+    xdot = task_velocity(dyn.jacobian, qdot)
     wrench, states = law(x_target, np.zeros(2) if target_rate is None else target_rate, x, xdot)
     tau_null = _posture_torque(q, qdot, config.posture_target, config.posture_gains)
     ts = task_space_quantities(ARM, q, dyn)
@@ -288,6 +301,42 @@ def arm_states(draw):
         gravity=draw(vec(2, 20.0)),
     )
     return arm, draw(vec(3, math.pi)), draw(vec(3, 5.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(state=arm_states())
+def test_link_constants_are_fixed_order_float_sums(state):
+    # coupling cmat diag(m) cmat^T and first moments cmat m, each entry summed
+    # from 0.0 in link order on floats (numpy's product would round as the
+    # CPU's BLAS kernel does); numpy is the cross-check
+    arm = state[0]
+    (l0, l1, _), (o0, o1, o2), m = arm.lengths, arm.com_offsets, arm.masses
+    cmat = ((o0, l0, l0), (0.0, o1, l1), (0.0, 0.0, o2))
+    coupling, first = [], []
+    for ra in cmat:
+        row = []
+        for rb in cmat:
+            acc = 0.0
+            for i in range(3):
+                acc = acc + ra[i] * m[i] * rb[i]
+            row.append(acc)
+        coupling.append(row)
+        acc = 0.0
+        for i in range(3):
+            acc = acc + ra[i] * m[i]
+        first.append(acc)
+    assert [bits(row) for row in arm._coupling] == [bits(row) for row in coupling]
+    assert bits(arm._first_moments) == bits(first)
+    c = np.array(cmat)
+    assert np.allclose(arm._coupling, c @ np.diag(m) @ c.T, rtol=1e-14, atol=0.0)
+    assert np.allclose(arm._first_moments, c @ m, rtol=1e-14, atol=0.0)
+
+
+def test_default_link_constants_are_exact():
+    # every product and sum of the default arm's constants is exact, so any
+    # order of summation, numpy's included, gives these values
+    assert ARM._coupling == ((2.25, 1.5, 0.5), (1.5, 1.25, 0.5), (0.5, 0.5, 0.25))
+    assert ARM._first_moments == (2.5, 1.5, 0.5)
 
 
 @settings(max_examples=300, deadline=None)

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import os
+import platform
 import subprocess
 import sys
 import tracemalloc
@@ -71,6 +72,31 @@ def scenario(**kw):
 def ticks(n, feedback_hz, dt=1e-3):
     """The samples where the loop's zero-order hold ticks."""
     return np.flatnonzero(_tick_starts(n, feedback_hz, dt)).tolist()
+
+
+def openblas_on_x86() -> bool:
+    """Whether numpy runs its products on OpenBLAS on an x86-64 CPU."""
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        return False
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # a numpy without the dict form
+        return False
+    return "openblas" in str(blas.get("name", "")).lower()
+
+
+# A pulse drives the default arm into a wall at x = 1.2 m.
+ARM_WALL = dict(
+    plant="arm",
+    duration=1.5,
+    dt=1e-3,
+    feedback_hz=500.0,
+    reference={"type": "static", "pose": (1.6, 1.9)},
+    k_const=100.0,
+    damping=5.0,
+    wall={"axis": 0, "offset": 1.2, "stiffness": 3000.0, "damping": 5.0},
+    pulses=({"start": 0.3, "duration": 0.1, "wrench": (8.0, -5.0)},),
+)
 
 
 class TestZohSample:
@@ -551,18 +577,7 @@ class TestEpisodes:
     def test_arm_wall_episode_matches_numpy_joint_space_solve(self, monkeypatch, integrator):
         # a pulse drives the arm into a wall; every stage of the float solve in
         # absolute angles, wall force included, against numpy on M and J
-        sc = Scenario(
-            plant="arm",
-            duration=1.5,
-            dt=1e-3,
-            feedback_hz=500.0,
-            integrator=integrator,
-            reference={"type": "static", "pose": (1.6, 1.9)},
-            k_const=100.0,
-            damping=5.0,
-            wall={"axis": 0, "offset": 1.2, "stiffness": 3000.0, "damping": 5.0},
-            pulses=({"start": 0.3, "duration": 0.1, "wrench": (8.0, -5.0)},),
-        )
+        sc = Scenario(**ARM_WALL, integrator=integrator)
         rec = run_scenario(sc)
         monkeypatch.setattr(sim_harness, "_arm_accel", numpy_arm_accel)
         ref = run_scenario(sc)
@@ -571,6 +586,57 @@ class TestEpisodes:
         assert np.array_equal(rec.phase_s, ref.phase_s)
         for name in ("x", "xdot", "wrench", "contact_f", "v", "e_in_cum"):
             assert np.allclose(getattr(rec, name), getattr(ref, name), rtol=0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("integrator", ["rk4", "semi_implicit"])
+    def test_arm_contact_force_recorded_is_the_first_stage_force(self, monkeypatch, integrator):
+        # the loop records the contact force at the sample's tip pose and
+        # J qdot, and the step's first stage forms its own from the same
+        # sample: one definition of both, so the same bits at every sample
+        sc = Scenario(**ARM_WALL, integrator=integrator)
+        accel, force = dynamics._arm_accel, dynamics.contact_force
+        first_stage, in_first_stage = [], [False]
+
+        def spy_accel(*args):
+            in_first_stage[0] = len(args) == 7  # only the first stage gets the sample
+            return accel(*args)
+
+        def spy_force(wall, x, xdot):
+            f = force(wall, x, xdot)
+            if in_first_stage[0]:
+                first_stage.append(f)
+            return f
+
+        monkeypatch.setattr(sim_harness, "_arm_accel", spy_accel)
+        monkeypatch.setattr(dynamics, "contact_force", spy_force)
+        run = sim_harness._episode_loop(sc)
+        assert run.error is None and len(first_stage) == 1500
+        recorded = run.contact_f[:1500]
+        assert np.count_nonzero(recorded[:, 0]) > 1000
+        assert recorded.tobytes() == np.array(first_stage).tobytes()
+
+    @pytest.mark.skipif(not openblas_on_x86(), reason="numpy's BLAS is not OpenBLAS on x86-64")
+    def test_arm_wall_record_is_the_same_under_any_blas_kernel(self):
+        # OPENBLAS_CORETYPE picks the kernel numpy's products run on; Prescott
+        # has no fused multiply-add, the default kernel of a recent CPU has
+        code = (
+            "import hashlib, numpy as np, fractal_impedance as fi\n"
+            f"rec = fi.run_scenario(fi.Scenario(**{ARM_WALL!r}))\n"
+            "h = hashlib.sha256()\n"
+            "for v in vars(rec).values():\n"
+            "    if isinstance(v, np.ndarray): h.update(v.tobytes())\n"
+            "print(rec.error, h.hexdigest())"
+        )
+        src = str(Path(fractal_impedance.__file__).parents[1])
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        env.update(PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+        out = []
+        for kernel in ({}, {"OPENBLAS_CORETYPE": "Prescott"}):
+            run = subprocess.run(
+                [sys.executable, "-c", code], env={**env, **kernel}, capture_output=True, text=True
+            )
+            assert run.returncode == 0, run.stderr
+            out.append(run.stdout)
+        assert out[0].startswith("None ") and out[0] == out[1]
 
     @pytest.mark.parametrize("integrator", ["rk4", "semi_implicit"])
     def test_point_mass_wall_episode_matches_numpy_stage_by_stage(self, monkeypatch, integrator):
@@ -846,6 +912,27 @@ def test_per_sample_path_reads_no_enum_attribute_and_holds_no_closure():
         assert "Phase" not in _names(fn.__code__), fn.__qualname__
     for fn in (controllers.fic_task_wrench, dynamics._advance):
         assert fn.__code__.co_cellvars == (), fn.__qualname__
+
+
+def test_arm_sample_and_stage_call_no_numpy():
+    # the arm's per-sample path runs on floats: numpy's dispatch costs more
+    # than its arithmetic, and numpy's BLAS kernel would set its bits
+    # (``_cholesky3`` names numpy only for the error it raises)
+    per_sample = (
+        dynamics._arm_task_state,
+        dynamics._arm_accel,
+        dynamics._arm_kernel,
+        dynamics._tip,
+        dynamics._jacobian_rows,
+        dynamics._suffix,
+        dynamics._task_inertia,
+        dynamics._cho_solve3,
+        dynamics.contact_force,
+        controllers._arm_torques,
+        controllers._posture_torque,
+    )
+    for fn in per_sample:
+        assert "np" not in _names(fn.__code__), fn.__qualname__
 
 
 def numpy_arm_accel(arm, tau, q, qdot, wall, task_wrench, sample=None):
@@ -1150,3 +1237,36 @@ class TestCalibrateSweep:
         with pytest.raises(ValueError, match=message) as exc:
             calibrate_sweep(base, w_max_init, [0.1, 0.01])
         assert f"at least w_min = {w_min:g}" in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "w_max_init, grid, message",
+        [
+            ("30", [0.1], "w_max_init: must be a number, got '30'"),
+            (True, [0.1], "w_max_init: must be a number, got True"),
+            ([30.0], [0.1], "w_max_init: must be a number, got [30.0]"),
+            (30.0, ["0.1"], "x_b_grid: must be a number, got '0.1'"),
+            (30.0, [0.1, False], "x_b_grid: must be a number, got False"),
+            (30.0, [[0.1]], "x_b_grid: must be a number, got [0.1]"),
+            (30.0, "0.1", "x_b_grid: must be a number, got '0.1'"),
+            (30.0, 0.1, "x_b_grid: expected a list of numbers, got 0.1"),
+        ],
+        ids=[
+            "w-str", "w-bool", "w-list",
+            "grid-str", "grid-bool", "grid-list", "grid-is-str", "grid-scalar",
+        ],
+    )
+    def test_non_numbers_rejected_before_any_episode(self, monkeypatch, w_max_init, grid, message):
+        # the arguments follow the config's number rule: a str or bool is not
+        # a number, and the error names the argument
+        def no_episode(sc):
+            raise AssertionError("the sweep ran an episode")
+
+        monkeypatch.setattr(sim_harness, "_episode_loop", no_episode)
+        with pytest.raises(ValueError) as exc:
+            calibrate_sweep(scenario(**self.BASE), w_max_init, grid)
+        assert str(exc.value) == message
+
+    def test_numpy_numbers_accepted(self):
+        rows = calibrate_sweep(scenario(**self.BASE), np.float64(30.0), np.array([0.1]))
+        assert rows == [{"x_b": 0.1, "x_b_range": (0.1, 0.1), "w_max": 30.0}]
+        assert type(rows[0]["x_b"]) is float and type(rows[0]["w_max"]) is float
