@@ -46,7 +46,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from math import cos, isfinite, sin
-from operator import add
+from operator import add, truediv
 from typing import NamedTuple
 
 import numpy as np
@@ -561,14 +561,15 @@ def _point_mass_accel(
     """Task accelerations (force + task wrench + contact force) / m as floats,
     summed in that order; same signature as ``_arm_accel`` (the point mass
     has no terms to share, so ``sample`` is ignored). Without a wall this is
-    one pass over the DoFs."""
+    one ``map`` over the DoFs: the same float operations in the same order
+    as a comprehension, without its frame."""
     if wall is not None:
         if task_wrench is not None:
-            force = [f + w for f, w in zip(force, task_wrench)]
+            force = list(map(add, force, task_wrench))
         task_wrench = contact_force(wall, x, xdot)
     if task_wrench is None:
-        return [f / m for f, m in zip(force, plant.inertia)]
-    return [(f + w) / m for f, w, m in zip(force, task_wrench, plant.inertia)]
+        return list(map(truediv, force, plant.inertia))
+    return list(map(truediv, map(add, force, task_wrench), plant.inertia))
 
 
 def _arm_accel(

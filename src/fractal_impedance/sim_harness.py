@@ -14,7 +14,10 @@ so the loop evaluates it only at a tick or a pulse edge, and one
 ``_advance(..., accel=None, steps=m)`` call steps to the next one. A visit
 records its start state (the arm's sample, the point mass's own) and, in
 bulk, a held run's interior (its finite part before a blowup): the states
-the run returned, the visit's wrench, phases, contact force and reference.
+the run returned, a wall's contact force and a moving reference. The held
+wrench and phase flags are written once per tick and repeated up to the
+next tick after the loop, which also forms a static pose's rows and a
+wall-free record's zero contact force.
 A tick is one block for both plants: the task law reads the reference and
 the sample's task state and forms the errors and the recorded phase flags
 itself, and for the arm ``controllers._arm_torques`` maps the wrench at that
@@ -527,9 +530,9 @@ def _episode_loop(sc: Scenario) -> _LoopRun:
     # Record columns, d values per sample for the vector series, grown by
     # ``fromlist`` (one copy of a list; ``extend`` iterates it); a visit records
     # its start state, a held run its interior, and the next visit its end.
+    # ``wr_c`` and ``ph_c`` get one row per tick, at the samples in ``tk_c``.
     xd_c, x_c, xv_c, wr_c, cf_c, ke_c = (array("d") for _ in range(6))
-    ph_c = array("q")
-    cf = [0.0] * d  # contact force; stays zero without a wall
+    ph_c, tk_c = array("q"), array("q")
     nq = len(pos)
     error = None
 
@@ -563,6 +566,9 @@ def _episode_loop(sc: Scenario) -> _LoopRun:
                 )
             else:
                 held_wrench = baseline_impedance_wrench(ctrl, x_d, x_now, v_now)
+            wr_c.fromlist(held_wrench)
+            ph_c.fromlist(phase_row)
+            tk_c.append(k)
             held_force = held_wrench
             if is_arm:
                 held_force = _arm_torques(plant, sample, held_wrench, *posture)
@@ -594,27 +600,27 @@ def _episode_loop(sc: Scenario) -> _LoopRun:
                 if is_arm:
                     ke_c.fromlist([sample.ke] * rest)
                 steps += rest
-        wr_c.fromlist(held_wrench * steps)
-        cf_c.fromlist(cf * steps)
-        ph_c.fromlist(phase_row * steps)
-        if static_ref:
-            xd_c.fromlist(x_d * steps)
-        else:
+        if wall is not None:
+            cf_c.fromlist(cf * steps)
+        if not static_ref:
             xd_c.fromlist(x_d)
             for i in range(k + 1, k + steps):
                 xd_c.fromlist(ref_fn(i * dt)[0])
         if error is not None:
             break
 
-    # The record arrays view the columns; nothing is copied.
-    n_rec = len(ph_c) // d
-    xd_a, x_a, xv_a = _rows(xd_c, d), _rows(x_c, d), _rows(xv_c, d)
+    n_rec = len(x_c) // d
+    x_a, xv_a = _rows(x_c, d), _rows(xv_c, d)
+    # a tick's row holds from its sample to the next tick's (or the record's end)
+    runs = np.diff(np.frombuffer(tk_c, dtype=np.int64), append=n_rec)
+    wr_a = np.repeat(_rows(wr_c, d), runs, axis=0)
+    phase_s = np.repeat(np.frombuffer(ph_c, dtype=np.int64).reshape(-1, d), runs, axis=0)
+    cf_a = _rows(cf_c, d) if wall is not None else np.zeros((n_rec, d))
+    xd_a = np.repeat([ref_fn(0.0)[0]], n_rec, axis=0) if static_ref else _rows(xd_c, d)
     with np.errstate(over="ignore"):  # as float arithmetic on a blown-up record
         xe_a = xd_a - x_a
         ke = np.frombuffer(ke_c) if is_arm else _point_mass_ke(plant, xv_a)
-    phase_s = np.frombuffer(ph_c, dtype=np.int64).reshape(n_rec, d)
-    t_a, wr_a, cf_a = np.arange(n_rec) * dt, _rows(wr_c, d), _rows(cf_c, d)
-    return _LoopRun(t_a, xd_a, x_a, xe_a, xv_a, phase_s, wr_a, cf_a, ke, error)
+    return _LoopRun(np.arange(n_rec) * dt, xd_a, x_a, xe_a, xv_a, phase_s, wr_a, cf_a, ke, error)
 
 
 def run_scenario(sc: Scenario) -> EpisodeRecord:
@@ -659,7 +665,7 @@ def _baseline_potential(k_d, x_err: np.ndarray) -> np.ndarray:
 
 
 def _rows(col: array, d: int) -> np.ndarray:
-    """A float column of d values per sample as an (n, d) array view."""
+    """A float column of d values per row as an (n, d) array view."""
     return np.frombuffer(col).reshape(-1, d)
 
 
