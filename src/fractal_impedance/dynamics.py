@@ -97,12 +97,16 @@ class SingularConfigurationError(RuntimeError):
 
 
 def _float(value, name: str) -> float:
-    """A config number as a float: a real that is not a bool (a str is not real)."""
+    """A config number as a float: a real that is not a bool (a str is not
+    real); an integer too large for a float is not finite."""
     if type(value) is float:  # the common case, before the ABC check
         return value
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name}: must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name}: must be finite") from None
 
 
 def _floats(values, name: str, size: int | None = None) -> tuple:
@@ -538,15 +542,6 @@ def external_wrench(profile: PerturbationProfile, t: float) -> list:
         if p.start <= t < p.end:
             w = list(map(add, w, p.wrench))
     return w
-
-
-def _point_mass_ke(plant: PointMassPlant, xdot: np.ndarray) -> np.ndarray:
-    """Kinetic energy 0.5 xdot' M xdot of each row of ``xdot``, summed from
-    0.0 in DoF order, as float arithmetic does."""
-    ke = 0.0
-    for m, v in zip(plant.inertia, xdot.T):
-        ke = ke + m * v * v
-    return 0.5 * ke
 
 
 def _point_mass_accel(

@@ -13,12 +13,18 @@ monitored potentials and the switch events from the recorded errors and
 phases and the scenario's schedule swaps, rebuilding each switch's attractor
 state with ``fic_core``'s snapshot law; ``_contact_work`` integrates the
 recorded contact power. Released energy is the record's ``e_rel_cum``.
+
+``_dof_sum`` is the one per-DoF sum order of every energy a record holds (a
+point mass's kinetic energy, the potentials, the contact power): from 0.0 in
+DoF order, which fixes the records' last bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import repeat
+from operator import add, mul
 
 import numpy as np
 
@@ -167,7 +173,7 @@ def episode_energy(x_err, phase_s, dt, params, swaps):
     """
     n, d = x_err.shape
     steps = np.zeros((n, d))  # E_in step into each sample, per DoF
-    potential = np.zeros(n)
+    potentials = np.empty((n, d))
     events = []
     for i in range(d):
         col = phase_s[:, i]
@@ -175,7 +181,7 @@ def episode_energy(x_err, phase_s, dt, params, swaps):
         bounds = sorted({0, *swaps, *changes}) if n else []
         tracker = LyapunovTracker(params=params[i])
         state = AttractorState()
-        v = np.empty(n)
+        v = potentials[:, i]
         for a, b in zip(bounds, bounds[1:] + [n]):
             if a in swaps:
                 tracker.change_params(swaps[a][i], state, x_err[a, i])
@@ -193,21 +199,26 @@ def episode_energy(x_err, phase_s, dt, params, swaps):
                 steps[a + 1 : a + len(seg), i] = energy[1:] - energy[:-1]
             else:
                 v[a:b] = _convergence_form(state, x_err[a:b, i]) + tracker.offset
-        potential += v  # as ``pot = 0.0; pot += v_i`` over the DoFs
     # A sequential sum in (sample, DoF) order; adding 0.0 leaves it unchanged.
     e_in_cum = np.add.accumulate(steps.ravel())[d - 1 :: d]
     events.sort(key=lambda e: e[:2])
-    return e_in_cum, potential, [e for _, _, e in events]
+    return e_in_cum, _dof_sum(potentials), [e for _, _, e in events]
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a blown-up record, as float arithmetic
+def _dof_sum(*factors) -> np.ndarray:
+    """Each row of the product of ``factors`` (per-DoF weights and (n, d)
+    columns, multiplied left to right), summed from 0.0 in DoF order."""
+    terms = reduce(mul, factors)
+    return reduce(add, terms.T, np.zeros(len(terms)))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a blown-up record, as float arithmetic
 def _contact_work(contact_f, xdot, dt) -> float:
     """Work of the contact force on the plant over a record: the trapezoid of
-    the power ``contact_f · xdot`` (summed from 0.0 in DoF order) over each
-    step, added from 0.0 in sample order."""
-    power = np.zeros(xdot.shape[0])
-    for i in range(xdot.shape[1]):
-        power += contact_f[:, i] * xdot[:, i]
+    the power ``_dof_sum(contact_f, xdot)`` over each step, added from 0.0 in
+    sample order."""
+    power = _dof_sum(contact_f, xdot)
     work = np.zeros(xdot.shape[0])
     work[1:] = 0.5 * (power[1:] + power[:-1]) * dt
     return float(np.add.accumulate(work)[-1]) if work.size else 0.0

@@ -55,7 +55,8 @@ columns and the scenario and runs the laws:
 - contact work: ``energy_audit._contact_work``, the trapezoid of the recorded
   contact power;
 - monitored V: the phase potentials (the baseline's spring potential) plus
-  the task kinetic energy.
+  the task kinetic energy. Each of these sums over DoFs (kinetic energy,
+  potentials, contact power) is ``energy_audit._dof_sum``'s.
 """
 
 from __future__ import annotations
@@ -95,12 +96,11 @@ from .dynamics import (
     _float,
     _floats,
     _point_mass_accel,
-    _point_mass_ke,
     contact_force,
     external_wrench,
     forward_kinematics,
 )
-from .energy_audit import EnergyLedger, _contact_work, episode_energy
+from .energy_audit import EnergyLedger, _contact_work, _dof_sum, episode_energy
 from .energy_audit import LyapunovTracker  # noqa: F401 (bench hook)
 from .fic_core import _CONV, _DIV, StiffnessParams, spring_energy  # noqa: F401 (bench hook)
 
@@ -619,7 +619,7 @@ def _episode_loop(sc: Scenario) -> _LoopRun:
     xd_a = np.repeat([ref_fn(0.0)[0]], n_rec, axis=0) if static_ref else _rows(xd_c, d)
     with np.errstate(over="ignore"):  # as float arithmetic on a blown-up record
         xe_a = xd_a - x_a
-        ke = np.frombuffer(ke_c) if is_arm else _point_mass_ke(plant, xv_a)
+        ke = np.frombuffer(ke_c) if is_arm else 0.5 * _dof_sum(plant.inertia, xv_a, xv_a)
     return _LoopRun(np.arange(n_rec) * dt, xd_a, x_a, xe_a, xv_a, phase_s, wr_a, cf_a, ke, error)
 
 
@@ -639,7 +639,7 @@ def run_scenario(sc: Scenario) -> EpisodeRecord:
         swaps = {k: config.stiffness for k, config in _schedule_swaps(sc, n_rec).items()}
         e_in_cum, pot, events = episode_energy(xe_a, phase_s, dt, ctrl.stiffness, swaps)
     else:
-        e_in_cum, pot, events = np.zeros(n_rec), _baseline_potential(ctrl.k_d, xe_a), ()
+        e_in_cum, pot, events = np.zeros(n_rec), 0.5 * _dof_sum(ctrl.k_d, xe_a, xe_a), ()
     ledger = EnergyLedger(
         e_in=float(e_in_cum[-1]) if n_rec else 0.0,
         e_rel=float(e_rel_cum[-1]) if n_rec else 0.0,
@@ -651,17 +651,6 @@ def run_scenario(sc: Scenario) -> EpisodeRecord:
     return EpisodeRecord(
         sc, *run[:8], pot + run.ke, e_in_cum, e_rel_cum, forced, ledger, recov, conv, run.error
     )
-
-
-@np.errstate(over="ignore")
-def _baseline_potential(k_d, x_err: np.ndarray) -> np.ndarray:
-    """0.5 sum_i k_i e_i^2 per sample, summed from 0.0 in DoF order; on a
-    blown-up record it overflows to inf as float arithmetic does."""
-    terms = np.array(k_d) * x_err * x_err
-    pot = np.zeros(x_err.shape[0])
-    for i in range(x_err.shape[1]):
-        pot += terms[:, i]
-    return 0.5 * pot
 
 
 def _rows(col: array, d: int) -> np.ndarray:

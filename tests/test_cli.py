@@ -465,6 +465,15 @@ class TestCliCommands:
                 "/xb_schedule/x_b_end: must be a number",
                 id="xb_schedule.x_b_end-str",
             ),
+            # an integer too large for a float: JSON allows any number of digits
+            pytest.param({"duration": 10**400}, "/duration: must be finite", id="duration-huge_int"),
+            pytest.param({"damping": 10**400}, "/damping: must be finite", id="damping-huge_int"),
+            pytest.param({"x0": [10**400]}, "/x0: must be finite", id="x0-huge_int"),
+            pytest.param(
+                {"pulses": [{"start": 10**400, "duration": 0.05, "wrench": [4.0]}]},
+                "/pulses/0/start: must be finite",
+                id="pulses.start-huge_int",
+            ),
         ],
     )
     def test_bad_value_exit_1(self, tmp_path, capsys, changes, error):

@@ -480,6 +480,24 @@ class TestPlantValidation:
         with pytest.raises(ValueError, match=f"^{field}: must be a number, got "):
             build()
 
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            pytest.param(lambda: Pulse(10**400, 0.1, (1.0,)), "pulses", id="pulse.start-huge_int"),
+            pytest.param(lambda: Pulse(0.1, 0.1, (10**400,)), "pulses", id="pulse.wrench-huge_int"),
+            pytest.param(lambda: PointMassPlant((10**400,)), "inertia", id="inertia-huge_int"),
+            pytest.param(
+                lambda: ContactWall(axis=0, offset=0.5, stiffness=10**400),
+                "wall.stiffness",
+                id="wall.stiffness-huge_int",
+            ),
+        ],
+    )
+    def test_huge_integer_is_not_finite(self, build, field):
+        # an int too large for a float is a named error, not an OverflowError
+        with pytest.raises(ValueError, match=f"^{field}: must be finite$"):
+            build()
+
     @pytest.mark.parametrize("n", [2, 4])
     def test_arm_requires_three_links(self, n):
         with pytest.raises(ValueError, match="expected 3 entries"):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fractal_impedance import (
     AttractorState,
@@ -16,7 +18,9 @@ from fractal_impedance import (
     update_attractor,
 )
 from fractal_impedance.energy_audit import _phase_form
+from fractal_impedance.fic_core import ZERO_DISPLACEMENT_TOL
 from monitor_reference import DESCENT_TOL, lyapunov_monitor
+from test_fic_core import feasible_params
 
 P = StiffnessParams(k_const=0.0, w_max=30.0, x_b=0.05)
 E_AT_005 = 0.11704834043148468
@@ -153,6 +157,25 @@ class TestLyapunovValue:
     def test_lam_must_be_positive(self):
         with pytest.raises(ValueError):
             lyapunov_value(P, AttractorState(), 0.0, 0.01, 0.0)
+
+
+excursions = st.floats(ZERO_DISPLACEMENT_TOL, 10.0) | st.floats(-10.0, -ZERO_DISPLACEMENT_TOL)
+
+
+@settings(max_examples=500, deadline=None)
+@given(p=feasible_params(), x_max=excursions)
+def test_convergence_potential_releases_the_snapshot_energy(p, x_max):
+    # the midpoint potential of a switch at x_max starts at the stored e_in,
+    # which equals the Divergence potential there, bottoms out at e_in / 2
+    # halfway and is back to e_in at rest; the floor covers a subnormal e_in
+    state = update_attractor(AttractorState(), p, x_max, -x_max)
+    assert state.phase is Phase.CONVERGENCE
+    e_in, divergence = state.e_in, _phase_form(p, AttractorState(), x_max)
+    close = {"rel": 1e-12, "abs": 1e-300}
+    assert _phase_form(p, state, x_max) == pytest.approx(e_in, **close)
+    assert _phase_form(p, state, x_max) == pytest.approx(divergence, **close)
+    assert _phase_form(p, state, 0.5 * x_max) == pytest.approx(0.5 * e_in, **close)
+    assert _phase_form(p, state, 0.0) == pytest.approx(e_in, **close)
 
 
 class TestLyapunovTracker:

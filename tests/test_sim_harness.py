@@ -1249,15 +1249,19 @@ class TestCalibrateSweep:
             (30.0, [[0.1]], "x_b_grid: must be a number, got [0.1]"),
             (30.0, "0.1", "x_b_grid: must be a number, got '0.1'"),
             (30.0, 0.1, "x_b_grid: expected a list of numbers, got 0.1"),
+            (10**400, [0.1], "w_max_init: must be finite"),
+            (30.0, [10**400, 0.1], "x_b_grid: must be finite"),
         ],
         ids=[
             "w-str", "w-bool", "w-list",
             "grid-str", "grid-bool", "grid-list", "grid-is-str", "grid-scalar",
+            "w-huge_int", "grid-huge_int",
         ],
     )
     def test_non_numbers_rejected_before_any_episode(self, monkeypatch, w_max_init, grid, message):
         # the arguments follow the config's number rule: a str or bool is not
-        # a number, and the error names the argument
+        # a number, an int too large for a float is not finite, and the error
+        # names the argument
         def no_episode(sc):
             raise AssertionError("the sweep ran an episode")
 
