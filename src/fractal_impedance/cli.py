@@ -140,30 +140,14 @@ def config_hash(doc: dict) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _episode_columns(d: int) -> list[str]:
-    cols = ["t"]
+def _episode_series(rec: EpisodeRecord) -> dict:
+    """Each CSV/JSON column name of the record with its 1-D column, in file order."""
+    series = {"t": rec.t}
     for group in ("x_d", "x", "x_err", "xdot", "phase_s", "wrench", "contact_f"):
-        cols.extend(f"{group}_{i}" for i in range(d))
-    cols.extend(("V", "E_in_cum", "E_rel_cum"))
-    return cols
-
-
-def _episode_matrix(rec: EpisodeRecord) -> np.ndarray:
-    return np.column_stack(
-        (
-            rec.t,
-            rec.x_d,
-            rec.x,
-            rec.x_err,
-            rec.xdot,
-            rec.phase_s.astype(float),
-            rec.wrench,
-            rec.contact_f,
-            rec.v,
-            rec.e_in_cum,
-            rec.e_rel_cum,
-        )
-    )
+        cols = getattr(rec, group)
+        series.update((f"{group}_{i}", cols[:, i]) for i in range(cols.shape[1]))
+    series.update(V=rec.v, E_in_cum=rec.e_in_cum, E_rel_cum=rec.e_rel_cum)
+    return series
 
 
 def _ledger_dict(rec: EpisodeRecord) -> dict:
@@ -215,21 +199,17 @@ def emit_csv(records: list, path: str | Path) -> None:
     d = records[0].x.shape[1]
     if any(r.x.shape[1] != d for r in records):
         raise ValueError("all records in one file must share the task dimension")
-    data = np.vstack([_episode_matrix(r) for r in records])
-    _write_table(Path(path), _episode_columns(d), data, [_record_meta(r) for r in records])
+    series = [_episode_series(r) for r in records]
+    data = np.vstack([np.column_stack(list(s.values())) for s in series])
+    _write_table(Path(path), list(series[0]), data, [_record_meta(r) for r in records])
 
 
 def emit_json(records: list, path: str | Path) -> None:
     """Full structured dump with embedded config hashes."""
     payload = {"records": []}
     for rec in records:
-        data = _episode_matrix(rec)
-        entry = _record_meta(rec)
-        entry["series"] = {
-            col: (data[:, j].astype(int) if col.startswith("phase_s") else data[:, j]).tolist()
-            for j, col in enumerate(_episode_columns(rec.x.shape[1]))
-        }
-        payload["records"].append(entry)
+        series = {col: c.tolist() for col, c in _episode_series(rec).items()}
+        payload["records"].append({**_record_meta(rec), "series": series})
     _write_json(Path(path), payload)
 
 

@@ -53,10 +53,10 @@ class SwitchEvent:
 
 @dataclass
 class EnergyLedger:
-    """Per-episode energy audit summary.
+    """Per-episode energy audit summary, ``EpisodeRecord.ledger``.
 
-    The monitored V and the running E_in/E_rel series live on the episode
-    record (``EpisodeRecord.v``, ``e_in_cum``, ``e_rel_cum``).
+    ``run_scenario`` sets it beside the monitored V and the running E_in/E_rel
+    series (``v``, ``e_in_cum``, ``e_rel_cum``); the loop's record has none.
     """
 
     e_in: float = 0.0

@@ -41,8 +41,8 @@ point: the next tick and step read only that state, the attractor states,
 the config, the pulse row and the reference, all unchanged until the next
 event, so the loop records the visit's row for each sample up to that event
 in bulk and skips the plan's visits before it. ``calibrate_sweep`` runs the
-loop alone; ``run_scenario`` runs it, then the bookkeeping, which reads its
-columns and the scenario and runs the laws:
+loop alone; ``run_scenario`` adds the audit to the same ``EpisodeRecord``,
+reading its columns and the scenario and running the laws:
 
 - tick instants: ``_tick_starts``, and the x_B swaps at the record's ticks
   (``_schedule_swaps``);
@@ -67,7 +67,6 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field, fields, replace
 from operator import is_
-from typing import NamedTuple
 
 import numpy as np
 
@@ -401,7 +400,8 @@ class EpisodeRecord:
 
     ``error`` is None for clean runs; on integration blowup or a singular
     configuration it holds {type, time, message} and the series are truncated
-    at the last valid sample.
+    at the last valid sample. ``run_scenario`` fills the audit fields ``v`` to
+    ``convergence_times``; the loop's own record keeps their defaults.
     """
 
     scenario: Scenario
@@ -413,13 +413,13 @@ class EpisodeRecord:
     phase_s: np.ndarray
     wrench: np.ndarray
     contact_f: np.ndarray
-    v: np.ndarray
-    e_in_cum: np.ndarray
-    e_rel_cum: np.ndarray
-    forced: np.ndarray
-    ledger: EnergyLedger
-    recovery_times: tuple
-    convergence_times: tuple
+    v: np.ndarray | None = None
+    e_in_cum: np.ndarray | None = None
+    e_rel_cum: np.ndarray | None = None
+    forced: np.ndarray | None = None
+    ledger: EnergyLedger | None = None
+    recovery_times: tuple = ()
+    convergence_times: tuple = ()
     error: dict | None = None
 
     @property
@@ -467,23 +467,9 @@ def _fixed_point(pos, vel, new_pos, new_vel, states, new_states) -> bool:
     )
 
 
-class _LoopRun(NamedTuple):
-    """The loop's record columns, task kinetic energy and error."""
-
-    t: np.ndarray
-    x_d: np.ndarray
-    x: np.ndarray
-    x_err: np.ndarray
-    xdot: np.ndarray
-    phase_s: np.ndarray
-    wrench: np.ndarray
-    contact_f: np.ndarray
-    ke: np.ndarray
-    error: dict | None
-
-
-def _episode_loop(sc: Scenario) -> _LoopRun:
-    """Step one scenario: plant, controller and record work, no audit."""
+def _episode_loop(sc: Scenario) -> tuple[EpisodeRecord, np.ndarray]:
+    """Step one scenario: plant, controller and record work, no audit. Returns
+    the record (its series and error) and the task kinetic energy per sample."""
     d = sc.n_task
     dt = sc.dt
     n_steps = int(round(sc.duration / dt))
@@ -620,18 +606,20 @@ def _episode_loop(sc: Scenario) -> _LoopRun:
     with np.errstate(over="ignore"):  # as float arithmetic on a blown-up record
         xe_a = xd_a - x_a
         ke = np.frombuffer(ke_c) if is_arm else 0.5 * _dof_sum(plant.inertia, xv_a, xv_a)
-    return _LoopRun(np.arange(n_rec) * dt, xd_a, x_a, xe_a, xv_a, phase_s, wr_a, cf_a, ke, error)
+    t_a = np.arange(n_rec) * dt
+    return EpisodeRecord(sc, t_a, xd_a, x_a, xe_a, xv_a, phase_s, wr_a, cf_a, error=error), ke
 
 
 def run_scenario(sc: Scenario) -> EpisodeRecord:
-    """Execute one scenario; deterministic for identical scenario values."""
-    run = _episode_loop(sc)
+    """Execute one scenario: the loop's record with its audit fields filled;
+    deterministic for identical scenario values."""
+    run, ke = _episode_loop(sc)
     t_a, xe_a, xv_a, phase_s, dt = run.t, run.x_err, run.xdot, run.phase_s, sc.dt
     ctrl, (_, profile, _) = build_controller(sc), build_environment(sc)
     n_rec = t_a.shape[0]
     # E_rel: running maximum of the task KE over samples where any DoF converges.
     converging = np.any(phase_s == _CONV.value, axis=1)
-    e_rel_cum = np.maximum.accumulate(np.where(converging, run.ke, 0.0))
+    e_rel_cum = np.maximum.accumulate(np.where(converging, ke, 0.0))
     forced = np.zeros(n_rec, dtype=bool)
     for p in profile.pulses:
         forced |= (p.start - dt <= t_a) & (t_a < p.end + dt)
@@ -640,16 +628,21 @@ def run_scenario(sc: Scenario) -> EpisodeRecord:
         e_in_cum, pot, events = episode_energy(xe_a, phase_s, dt, ctrl.stiffness, swaps)
     else:
         e_in_cum, pot, events = np.zeros(n_rec), 0.5 * _dof_sum(ctrl.k_d, xe_a, xe_a), ()
-    ledger = EnergyLedger(
-        e_in=float(e_in_cum[-1]) if n_rec else 0.0,
-        e_rel=float(e_rel_cum[-1]) if n_rec else 0.0,
-        contact_work=0.0 if sc.wall is None else _contact_work(run.contact_f, xv_a, dt),
-        switch_events=tuple(events),
-    )
     recov, conv = _pulse_recoveries(t_a, xe_a, profile, dt)
-    # the loop's columns t to contact_f are the record's, in its field order
-    return EpisodeRecord(
-        sc, *run[:8], pot + run.ke, e_in_cum, e_rel_cum, forced, ledger, recov, conv, run.error
+    return replace(
+        run,
+        v=pot + ke,
+        e_in_cum=e_in_cum,
+        e_rel_cum=e_rel_cum,
+        forced=forced,
+        ledger=EnergyLedger(
+            e_in=float(e_in_cum[-1]) if n_rec else 0.0,
+            e_rel=float(e_rel_cum[-1]) if n_rec else 0.0,
+            contact_work=0.0 if sc.wall is None else _contact_work(run.contact_f, xv_a, dt),
+            switch_events=tuple(events),
+        ),
+        recovery_times=recov,
+        convergence_times=conv,
     )
 
 
@@ -709,13 +702,13 @@ def compute_metrics(record: EpisodeRecord) -> dict:
     squared or summed: that is exact, so a finite record gets numpy's values
     bit for bit, and a blown-up record does not overflow."""
     err = record.x_err
-    d = err.shape[1] if err.size else 0
-    max_abs = tuple(float(np.max(np.abs(err[:, i]))) if err.size else 0.0 for i in range(d))
+    n, d = err.shape  # a record without a sample gets NaN per DoF
+    max_abs = tuple(float(np.max(np.abs(err[:, i]))) if n else math.nan for i in range(d))
     ks = [math.ldexp(1.0, math.frexp(p)[1] - 1) if 0.0 < p < math.inf else 1.0 for p in max_abs]
     cols = [(k, err[:, i] / k) for i, k in enumerate(ks)]
-    rmse = tuple(float(k * np.sqrt(np.mean(u**2))) for k, u in cols)
-    mean_err = tuple(float(k * np.mean(u)) for k, u in cols)
-    std_err = tuple(float(k * np.std(u)) for k, u in cols)
+    rmse = tuple(float(k * np.sqrt(np.mean(u**2))) if n else math.nan for k, u in cols)
+    mean_err = tuple(float(k * np.mean(u)) if n else math.nan for k, u in cols)
+    std_err = tuple(float(k * np.std(u)) if n else math.nan for k, u in cols)
     recov = record.recovery_times
     finite = [r for r in recov if not math.isnan(r)]
     return {
@@ -730,12 +723,13 @@ def compute_metrics(record: EpisodeRecord) -> dict:
     }
 
 
-def detect_oscillation(record: EpisodeRecord | _LoopRun) -> bool:
+def detect_oscillation(record: EpisodeRecord) -> bool:
     """Sustained oscillation test on the trailing ``OSCILLATION_WINDOW`` s.
 
     True when, on any DoF, the error rate crosses zero more than 8 times and
     the error peak is non-decaying (last-half peak >= 90% of first-half peak).
-    Only ``t`` and ``x_err`` are read, so a record and a loop result agree.
+    Only ``t`` and ``x_err`` are read, so the loop's record (as
+    ``calibrate_sweep`` tests it) and ``run_scenario``'s agree.
     """
     t = record.t
     if t.shape[0] < 4:
@@ -797,7 +791,7 @@ def calibrate_sweep(base: Scenario, w_max_init: float, x_b_grid) -> list[dict]:
         chosen = math.nan
         cand = w_max_init
         while cand >= W_MIN - 1e-12:
-            run = _episode_loop(replace(base, controller="fic", x_b=xb, w_max=cand))
+            run, _ = _episode_loop(replace(base, controller="fic", x_b=xb, w_max=cand))
             if run.error is None and not detect_oscillation(run):
                 chosen = cand
                 break

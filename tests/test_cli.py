@@ -21,8 +21,6 @@ from fractal_impedance import (
 )
 from fractal_impedance.cli import (
     ConfigError,
-    _episode_columns,
-    _episode_matrix,
     config_hash,
     emit_csv,
     emit_json,
@@ -141,12 +139,22 @@ def savetxt_table(cols, rows, fmt="%.9g") -> bytes:
     return buf.getvalue().encode()
 
 
+def record_columns(rec) -> dict:
+    """The record's file columns, name to 1-D array, in the CSV schema's order."""
+    cols = {"t": rec.t}
+    for group in ("x_d", "x", "x_err", "xdot", "phase_s", "wrench", "contact_f"):
+        for i in range(rec.x.shape[1]):
+            cols[f"{group}_{i}"] = getattr(rec, group)[:, i]
+    return {**cols, "V": rec.v, "E_in_cum": rec.e_in_cum, "E_rel_cum": rec.e_rel_cum}
+
+
 def savetxt_bytes(recs) -> bytes:
     """The CSV that ``np.savetxt`` writes for the records, as emit_csv once
     called it."""
-    cols = _episode_columns(recs[0].x.shape[1])
+    cols = list(record_columns(recs[0]))
     fmt = ["%d" if c.startswith("phase_s") else "%.9g" for c in cols]
-    return savetxt_table(cols, np.vstack([_episode_matrix(r) for r in recs]), fmt)
+    rows = np.vstack([np.column_stack(list(record_columns(r).values())) for r in recs])
+    return savetxt_table(cols, rows, fmt)
 
 
 def capture_records(monkeypatch) -> list:
@@ -228,13 +236,36 @@ class TestCsvOutput:
         assert entry["ledger"]["margin"] <= 1e-9
         assert entry["error"] is None
 
-    def test_emit_json_structure(self, tmp_path, record):
-        out = tmp_path / "ep.json"
-        emit_json([record], out)
-        payload = json.loads(out.read_text())
-        series = payload["records"][0]["series"]
-        assert len(series["t"]) == record.n_samples
-        assert set(series) >= {"x_0", "x_err_0", "phase_s_0", "V", "E_in_cum"}
+    def test_emit_json_structure(self, tmp_path):
+        # on a 2-DoF point mass and an arm: the JSON series are the CSV's
+        # columns (the file sorts its keys), phase flags as integers and
+        # floats exactly as the record holds them
+        point_mass = Scenario(
+            inertia=(1.0, 2.0), duration=0.3, dt=1e-3, damping=1.0,
+            pulses=({"start": 0.05, "duration": 0.05, "wrench": (20.0, -10.0)},),
+        )
+        arm = Scenario(
+            plant="arm", duration=0.3, dt=1e-3, feedback_hz=500.0, k_const=100.0,
+            reference={"type": "circle", "radius": 0.1, "period": 2.0},
+        )
+        for sc in (point_mass, arm):
+            rec = run_scenario(sc)
+            emit_json([rec], tmp_path / "ep.json")
+            emit_csv([rec], tmp_path / "ep.csv")
+            series = json.loads((tmp_path / "ep.json").read_text())["records"][0]["series"]
+            header = (tmp_path / "ep.csv").read_text().splitlines()[0].split(",")
+            want = record_columns(rec)
+            assert header == list(want)
+            assert sorted(series) == sorted(header)
+            phases = {v for name in header if name.startswith("phase_s") for v in series[name]}
+            assert phases == {0, 1}
+            for name, col in want.items():
+                if name.startswith("phase_s"):
+                    assert all(type(v) is int for v in series[name]), name
+                    assert series[name] == col.tolist(), name
+                else:
+                    assert all(type(v) is float for v in series[name]), name
+                    assert np.array(series[name]).tobytes() == col.tobytes(), name
 
     def test_empty_record_list_rejected(self, tmp_path):
         with pytest.raises(ValueError):
@@ -609,6 +640,18 @@ class TestCliCommands:
         ]
         printed = capsys.readouterr().out.splitlines()
         assert all("max_abs_err=" in line and "oscillation=False" in line for line in printed)
+
+    def test_sweep_of_a_record_without_a_sample_exit_2(self, tmp_path, monkeypatch, capsys):
+        # a fully stretched arm fails at t = 0: each rate's record is empty,
+        # its per-DoF metrics are NaN, and the sweep writes its summary
+        monkeypatch.chdir(tmp_path)
+        doc = {"name": "straight", "plant": "arm", "q0": [0, 0, 0], "duration": 0.1, "dt": 0.001}
+        assert main(["sweep", "--config", write_config(tmp_path, doc), "--out", "sw"]) == 2
+        summary = json.loads((tmp_path / "sw_summary.json").read_text())
+        assert [e["rate_hz"] for e in summary] == [1000.0, 100.0, 20.0]
+        assert all(e["error"]["type"] == "singular_configuration" for e in summary)
+        assert all(e["max_abs_err"] == [None, None] for e in summary)
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_low_bandwidth_demo_config(self, tmp_path):
         # the pulse recovery study at 1 kHz, 100 Hz and 20 Hz feedback
