@@ -113,7 +113,7 @@ def _floats(values, name: str, size: int | None = None) -> tuple:
     """A config vector as a tuple of ``_float``s, of ``size`` entries when given."""
     if isinstance(values, str):
         raise ValueError(f"{name}: must be a number, got {values!r}")
-    if not hasattr(values, "__len__"):
+    if not hasattr(values, "__len__") or isinstance(values, dict):
         raise ValueError(f"{name}: expected a list of numbers, got {values!r}")
     if size is not None and len(values) != size:
         raise ValueError(f"{name}: expected {size} entries")

@@ -154,6 +154,8 @@ def _integral(value, name: str) -> int:
 
 
 def _check_keys(name: str, d: dict, required: tuple, optional: tuple = ()) -> None:
+    if not isinstance(d, dict):
+        raise ValueError(f"{name}: expected an object")
     for key in d:
         if key not in required and key not in optional:
             raise ValueError(f"{name}: unknown key '{key}'")
@@ -227,63 +229,25 @@ class Scenario:
             raise ValueError(f"feedback_hz: must satisfy 0 < feedback_hz <= 1/dt = {1.0 / dt:.6g}")
         if self.integrator not in INTEGRATORS:
             raise ValueError(f"integrator: must be one of {INTEGRATORS}")
-        if self.plant == "point_mass":
+        pm = self.plant == "point_mass"
+        if pm:
             PointMassPlant(self.inertia)  # a bad inertia is named before n_task reads it
-            for name in ("x0", "xdot0"):
-                if getattr(self, name) is not None:
-                    _floats(getattr(self, name), name, self.n_task)
-        else:
-            _floats(self.q0, "q0", 3)  # the links of PlanarArm.default
-            _floats(self.qdot0, "qdot0", 3)
-        d = self.n_task
-        # The builders run once here, so bad gains fail at parse time.
+        # Every numeric field holds numbers, whichever plant and controller read it;
+        # only x0, xdot0 and posture_target may be null. The start state that the
+        # loop converts is sized here, the other fields by their readers below.
+        start = dict.fromkeys(("x0", "xdot0"), self.n_task) if pm else {"q0": 3, "qdot0": 3}
+        for name in ("inertia", "q0", "qdot0", "gravity", "posture_gains"):
+            _floats(getattr(self, name), name, start.get(name))
+        for name in ("x0", "xdot0", "posture_target"):
+            if getattr(self, name) is not None:
+                _floats(getattr(self, name), name, start.get(name))
+        for name in ("k_const", "w_max", "x_b", "damping", "k_d", "d_d"):
+            _per_dof(getattr(self, name), None, name)
+        # The builders and readers run once here, so a bad config fails at parse time.
         build_controller(self)
-        sched = self.xb_schedule
-        if sched is not None:
-            if self.controller != "fic":
-                raise ValueError("xb_schedule: only valid with the fic controller")
-            _check_keys("xb_schedule", sched, _SCHEDULE_KEYS)
-            end, rate, itv = (_float(sched[k], f"xb_schedule.{k}") for k in _SCHEDULE_KEYS)
-            if end <= 0 or rate <= 0 or itv <= 0:
-                raise ValueError("xb_schedule: x_b_end, rate, interval must be positive")
-            try:
-                build_controller(self, x_b=(end,) * d)
-            except ValueError as exc:
-                raise ValueError("xb_schedule.x_b_end: " + str(exc).removeprefix("x_b: ")) from None
-        ref = self.reference
-        if not isinstance(ref, dict) or "type" not in ref:
-            raise ValueError("reference: missing key 'type'")
-        if ref["type"] not in _REFERENCE_KEYS:
-            raise ValueError(f"reference.type: unknown type '{ref['type']}'")
-        _check_keys("reference", ref, *_REFERENCE_KEYS[ref["type"]])
-        for key in ("amplitude", "period", "radius"):
-            _float(ref.get(key, 0.0), f"reference.{key}")
-        if ref["type"] == "sinusoid":
-            if not 0 <= _integral(ref["axis"], "reference.axis") < d:
-                raise ValueError("reference.axis: out of range")
-            if ref["period"] <= 0:
-                raise ValueError("reference.period: must be positive")
-        elif ref["type"] == "circle":
-            if d != 2:
-                raise ValueError("reference.type: circle requires a 2-D task")
-            if ref["radius"] <= 0 or ref["period"] <= 0:
-                raise ValueError("reference: radius and period must be positive")
-        for key in ("pose", "center"):  # None: the start pose
-            if ref.get(key) is not None:
-                _floats(ref[key], f"reference.{key}", d)
-        for idx, p in enumerate(self.pulses):
-            if not isinstance(p, dict):
-                raise ValueError(f"pulses[{idx}]: expected an object")
-            _check_keys(f"pulses[{idx}]", p, _PULSE_KEYS)
-            for key in ("start", "duration"):
-                _float(p[key], f"pulses[{idx}].{key}")
-            _floats(p["wrench"], f"pulses[{idx}].wrench", d)
-        if self.wall is not None:
-            _check_keys("wall", self.wall, *_WALL_KEYS)
-            if not 0 <= _integral(self.wall["axis"], "wall.axis") < d:
-                raise ValueError("wall.axis: out of range")
-            _integral(self.wall.get("direction", 1), "wall.direction")
-        build_environment(self)  # checks pulse overlap, pulse and wall values
+        _schedule_swaps(self, 0)
+        _make_reference(self, [0.0] * self.n_task)
+        build_environment(self)
 
 
 def build_controller(sc: Scenario, x_b: tuple | None = None) -> FicConfig | BaselineConfig:
@@ -313,53 +277,78 @@ def build_controller(sc: Scenario, x_b: tuple | None = None) -> FicConfig | Base
 
 def build_environment(sc: Scenario) -> tuple:
     """The scenario's plant (a ``PointMassPlant`` or a ``PlanarArm``), its
-    ``PerturbationProfile`` and its ``ContactWall``, None without one."""
-    if sc.plant == "arm":
-        plant = PlanarArm.default(gravity=sc.gravity)
-    else:
-        plant = PointMassPlant(sc.inertia)
-    pulses = tuple(Pulse(p["start"], p["duration"], p["wrench"]) for p in sc.pulses)
-    wall = None
-    if sc.wall is not None:  # the wall and the pulses convert their own numbers
-        w = sc.wall
-        axis, direction = int(w["axis"]), int(w.get("direction", 1))
+    ``PerturbationProfile`` and its ``ContactWall``, None without one. The one
+    reader of ``pulses`` and ``wall``: it checks their keys and values as it
+    converts them, and the pulses and the wall check their own ranges."""
+    d = sc.n_task
+    plant = PlanarArm.default(sc.gravity) if sc.plant == "arm" else PointMassPlant(sc.inertia)
+    if not isinstance(sc.pulses, tuple):
+        raise ValueError("pulses: expected a list of objects")
+    pulses = []
+    for i, p in enumerate(sc.pulses):
+        _check_keys(f"pulses[{i}]", p, _PULSE_KEYS)
+        start, duration = (_float(p[key], f"pulses[{i}].{key}") for key in ("start", "duration"))
+        pulses.append(Pulse(start, duration, _floats(p["wrench"], f"pulses[{i}].wrench", d)))
+    w, wall = sc.wall, None
+    if w is not None:
+        _check_keys("wall", w, *_WALL_KEYS)
+        axis = _integral(w["axis"], "wall.axis")
+        if not 0 <= axis < d:
+            raise ValueError("wall.axis: out of range")
+        direction = _integral(w.get("direction", 1), "wall.direction")
         wall = ContactWall(axis, w["offset"], w["stiffness"], w.get("damping", 0.0), direction)
-    return plant, PerturbationProfile(n_dof=sc.n_task, pulses=pulses), wall
+    return plant, PerturbationProfile(n_dof=d, pulses=tuple(pulses)), wall
 
 
 def _make_reference(sc: Scenario, x_start):
     """Reference pose and rate as lists of floats, as a function of time,
     resolved against the start pose. A static reference returns one constant
-    pair, which callers must not modify.
+    pair, which callers must not modify. The one reader of ``reference``: it
+    checks each key and value as it converts it, so ``Scenario._validate``
+    calls it with a zero start pose to check the field.
 
     The rate goes into the divergence/convergence classification: with a moving
     reference the error rate is xd_dot - xdot, and dropping the feedforward term
     would tag a growing error as converging.
     """
     ref = sc.reference
-    zero = [0.0] * len(x_start)
-    if ref["type"] == "static":
-        pose = [float(v) for v in (x_start if ref.get("pose") is None else ref["pose"])]
-        pair = (pose, zero)
+    _check_keys("reference", ref, ("type",), ref)  # an object with a type; the type's keys next
+    kind = ref["type"]
+    if not isinstance(kind, str) or kind not in _REFERENCE_KEYS:
+        raise ValueError(f"reference.type: unknown type {kind!r}")
+    _check_keys("reference", ref, *_REFERENCE_KEYS[kind])
+    d = len(x_start)
+    if kind == "circle" and d != 2:
+        raise ValueError("reference.type: circle requires a 2-D task")
+    numbers = ("amplitude", "period", "radius")
+    num = {k: _float(ref[k], f"reference.{k}") for k in numbers if k in ref}
+    for key in ("period", "radius"):
+        if num.get(key, 1.0) <= 0.0:
+            raise ValueError(f"reference.{key}: must be positive")
+    key = "pose" if kind == "static" else "center"  # the start pose without one
+    anchor = list(x_start if ref.get(key) is None else _floats(ref[key], f"reference.{key}", d))
+    zero = [0.0] * d
+    if kind == "static":
+        pair = (anchor, zero)
         return lambda t: pair
-    if ref["type"] == "sinusoid":
-        center = [float(v) for v in (x_start if ref.get("center") is None else ref["center"])]
-        axis = int(ref["axis"])
-        amp, omega = float(ref["amplitude"]), 2.0 * math.pi / float(ref["period"])
+    if kind == "sinusoid":
+        axis = _integral(ref["axis"], "reference.axis")
+        if not 0 <= axis < d:
+            raise ValueError("reference.axis: out of range")
+        amp, omega = num["amplitude"], 2.0 * math.pi / num["period"]
 
         def sinusoid(t):
-            pose = list(center)
+            pose = list(anchor)
             pose[axis] += amp * math.sin(omega * t)
             rate = list(zero)
             rate[axis] = amp * omega * math.cos(omega * t)
             return pose, rate
 
         return sinusoid
-    radius, omega = float(ref["radius"]), 2.0 * math.pi / float(ref["period"])
+    radius, omega = num["radius"], 2.0 * math.pi / num["period"]
+    cx, cy = anchor
     if ref.get("center") is None:
-        cx, cy = float(x_start[0]) - radius, float(x_start[1])  # start on the circle
-    else:
-        cx, cy = (float(v) for v in ref["center"])
+        cx -= radius  # start on the circle
     speed = radius * omega
 
     def circle(t):
@@ -427,32 +416,35 @@ class EpisodeRecord:
         return self.t.shape[0]
 
 
-def _schedule_intervals(sc: Scenario, t):
-    """The whole ``xb_schedule`` intervals elapsed at time t (a float or an
-    array of them): the only way the schedule's law reads t."""
-    return np.floor(t / sc.xb_schedule["interval"] + 1e-9)
-
-
-def _schedule_x_b(sc: Scenario, t: float, x_b0: tuple) -> tuple:
-    sched = sc.xb_schedule
-    drop = sched["rate"] * sched["interval"] * float(_schedule_intervals(sc, t))
-    return tuple(max(sched["x_b_end"], xb - drop) for xb in x_b0)
-
-
 def _schedule_swaps(sc: Scenario, n: int) -> dict:
     """The FIC config at each tick of samples 0..n-1 where the scenario's
-    ``xb_schedule`` moves x_B, by sample; empty without a schedule."""
-    if sc.xb_schedule is None:
+    ``xb_schedule`` moves x_B, by sample; empty without a schedule. The one
+    statement of the schedule's law: after c whole intervals x_B is its start
+    value less c * rate * interval, and no less than ``x_b_end``. It is also
+    the one reader of ``xb_schedule`` and checks it (fic only, its keys,
+    positive values, a feasible end config), so ``Scenario._validate`` calls
+    it with n = 0."""
+    if (sched := sc.xb_schedule) is None:
         return {}
-    swaps = {}
+    if sc.controller != "fic":
+        raise ValueError("xb_schedule: only valid with the fic controller")
+    _check_keys("xb_schedule", sched, _SCHEDULE_KEYS)
+    end, rate, itv = (_float(sched[k], f"xb_schedule.{k}") for k in _SCHEDULE_KEYS)
+    if end <= 0 or rate <= 0 or itv <= 0:
+        raise ValueError("xb_schedule: x_b_end, rate, interval must be positive")
     x_b = x_b0 = tuple(p.x_b for p in build_controller(sc).stiffness)
-    # x_B can change only at the first tick and where the count of intervals moves
+    try:
+        build_controller(sc, x_b=(end,) * len(x_b0))
+    except ValueError as exc:
+        raise ValueError("xb_schedule.x_b_end: " + str(exc).removeprefix("x_b: ")) from None
     ticks = np.flatnonzero(_tick_starts(n, sc.feedback_hz, sc.dt))
-    intervals = _schedule_intervals(sc, ticks * sc.dt)
-    moves = ticks[np.flatnonzero(intervals[1:] != intervals[:-1]) + 1]
-    for k in [*ticks[:1].tolist(), *moves.tolist()]:
-        if (new_xb := _schedule_x_b(sc, k * sc.dt, x_b0)) != x_b:
-            x_b, swaps[k] = new_xb, build_controller(sc, x_b=new_xb)
+    count = np.floor(ticks * sc.dt / itv + 1e-9)  # whole intervals elapsed at each tick
+    # x_B can change only at the first tick and where the count moves
+    swaps = {}
+    for i in [0, *(np.flatnonzero(count[1:] != count[:-1]) + 1).tolist()] if n else []:
+        drop = rate * itv * float(count[i])
+        if (new_xb := tuple(max(end, xb - drop) for xb in x_b0)) != x_b:
+            x_b, swaps[int(ticks[i])] = new_xb, build_controller(sc, x_b=new_xb)
     return swaps
 
 

@@ -3,11 +3,13 @@
 import io
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fractal_impedance import (
     Scenario,
@@ -496,6 +498,20 @@ class TestCliCommands:
                 "/xb_schedule/x_b_end: must be a number",
                 id="xb_schedule.x_b_end-str",
             ),
+            # a container field of the wrong JSON type is named at its field
+            pytest.param({"pulses": None}, "/pulses: expected a list of objects", id="pulses-null"),
+            pytest.param({"pulses": "abc"}, "/pulses: expected a list of objects", id="pulses-str"),
+            pytest.param(
+                {"pulses": {"start": 0}}, "/pulses: expected a list of objects", id="pulses-object"
+            ),
+            pytest.param({"wall": 5}, "/wall: expected an object", id="wall-number"),
+            pytest.param({"wall": [1, 2]}, "/wall: expected an object", id="wall-list"),
+            pytest.param({"xb_schedule": True}, "/xb_schedule: expected an object", id="xb_schedule-bool"),
+            pytest.param({"xb_schedule": "x"}, "/xb_schedule: expected an object", id="xb_schedule-str"),
+            pytest.param({"reference": None}, "/reference: expected an object", id="reference-null"),
+            pytest.param(
+                {"reference": {"type": {}}}, "/reference/type: unknown type {}", id="reference.type-object"
+            ),
             # an integer too large for a float: JSON allows any number of digits
             pytest.param({"duration": 10**400}, "/duration: must be finite", id="duration-huge_int"),
             pytest.param({"damping": 10**400}, "/damping: must be finite", id="damping-huge_int"),
@@ -556,6 +572,8 @@ class TestCliCommands:
             ({"x0": ["0.1"]}, "/x0: must be a number, got '0.1'"),
             (dict(ARM_STATIC, gravity=["0", "-9.81"]), "/gravity: must be a number, got '0'"),
             (dict(ARM_STATIC, posture_gains=["1", "0"]), "/posture_gains: must be a number"),
+            # a field that the plant reads keeps its reader's message
+            (dict(ARM_STATIC, q0=None), "/q0: expected a list of numbers, got None"),
             # the name becomes the output file name
             ({"name": 5}, "/name: must be a non-empty string"),
             ({"name": None}, "/name: must be a non-empty string"),
@@ -573,6 +591,7 @@ class TestCliCommands:
             "x0-numeric_str",
             "gravity-numeric_str",
             "posture_gains-numeric_str",
+            "q0-null",
             "name-int",
             "name-null",
             "name-list",
@@ -585,6 +604,65 @@ class TestCliCommands:
         assert main(["run", "--config", cfg]) == 1
         assert f"config error at {error}" in capsys.readouterr().err
         assert [f.name for f in tmp_path.iterdir()] == ["scenario.json"]
+
+    @pytest.mark.parametrize(
+        "changes, error",
+        [
+            pytest.param({"k_d": "5"}, "/k_d: must be a number, got '5'", id="fic-k_d"),
+            pytest.param(
+                {"controller": "baseline", "x_b": "a"}, "/x_b: must be a number, got 'a'", id="baseline-x_b"
+            ),
+            pytest.param(
+                {"controller": "baseline", "x_b": {}},
+                "/x_b: expected a list of numbers, got {}",
+                id="baseline-x_b_object",
+            ),
+            pytest.param(
+                {"controller": "baseline", "damping": True},
+                "/damping: must be a number, got True",
+                id="baseline-damping",
+            ),
+            pytest.param({"gravity": "a"}, "/gravity: must be a number, got 'a'", id="point_mass-gravity"),
+            pytest.param(
+                {"gravity": None},
+                "/gravity: expected a list of numbers, got None",
+                id="point_mass-gravity_null",
+            ),
+            pytest.param({"q0": "abc"}, "/q0: must be a number, got 'abc'", id="point_mass-q0"),
+            pytest.param(
+                {"posture_target": [1, "a"]},
+                "/posture_target: must be a number, got 'a'",
+                id="point_mass-posture_target",
+            ),
+            pytest.param(
+                dict(ARM_STATIC, inertia="x"), "/inertia: must be a number, got 'x'", id="arm-inertia"
+            ),
+            pytest.param(
+                dict(ARM_STATIC, xdot0=[None]), "/xdot0: must be a number, got None", id="arm-xdot0"
+            ),
+        ],
+    )
+    def test_unread_numeric_field_is_checked(self, tmp_path, capsys, changes, error):
+        # a field that this plant or controller never reads still holds numbers
+        cfg = write_config(tmp_path, dict(BASE_CONFIG, **changes))
+        assert main(["run", "--config", cfg]) == 1
+        assert f"config error at {error}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            pytest.param({"x0": None, "xdot0": None, "posture_target": None}, id="nulls"),
+            pytest.param(
+                dict(ARM_STATIC, inertia=[1.0, 2.0], xdot0=[0.0, 0.0]), id="arm-point_mass_sizes"
+            ),
+            pytest.param(
+                {"q0": [0.1], "gravity": [], "k_d": [1.0, 2.0, 3.0]}, id="point_mass-unread_sizes"
+            ),
+        ],
+    )
+    def test_unread_field_size_and_allowed_nulls_accepted(self, changes):
+        # only a reader checks a size; BASE_CONFIG's x0 rides along on the arm
+        assert isinstance(scenario_from_dict(dict(BASE_CONFIG, **changes)), Scenario)
 
     @pytest.mark.parametrize(
         "gains",
@@ -836,3 +914,27 @@ class TestCliCommands:
         monkeypatch.setenv("FIC_LOG", "debug")
         cfg = write_config(tmp_path, BASE_CONFIG)
         assert main(["run", "--config", cfg, "--out", "log.csv"]) == 0
+
+
+# Any JSON value: null, a bool, an int, a finite float, a string, or a list or
+# object of them, nested.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(name=st.sampled_from([f.name for f in fields(Scenario)]), value=JSON_VALUES)
+def test_any_json_value_in_one_field_is_named_where_it_fails(name, value):
+    doc = dict(BASE_CONFIG, **{name: value})
+    try:
+        scenario_from_dict(doc)
+    except ConfigError as exc:
+        assert exc.pointer != "/", exc.message
+    try:
+        Scenario(**doc)
+    except ValueError:
+        pass

@@ -9,6 +9,7 @@ for bit.
 
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -83,12 +84,15 @@ ARM_CIRCLE = Scenario(
 
 
 def scanned_swaps(sc, n) -> dict:
-    """x_B at every tick of samples 0..n-1 from ``_schedule_x_b``, kept
-    where it moves, by sample."""
+    """x_B at every tick of samples 0..n-1, kept where it moves, by sample.
+    The schedule's law written out per tick: after c whole intervals x_B is
+    its start value less c * rate * interval, and no less than x_b_end."""
+    end, rate, itv = (float(sc.xb_schedule[k]) for k in ("x_b_end", "rate", "interval"))
     swaps = {}
     x_b = x_b0 = tuple(p.x_b for p in sim_harness.build_controller(sc).stiffness)
     for k in np.flatnonzero(sim_harness._tick_starts(n, sc.feedback_hz, sc.dt)).tolist():
-        if (new_xb := sim_harness._schedule_x_b(sc, k * sc.dt, x_b0)) != x_b:
+        drop = rate * itv * math.floor(k * sc.dt / itv + 1e-9)
+        if (new_xb := tuple(max(end, xb - drop) for xb in x_b0)) != x_b:
             x_b = swaps[k] = new_xb
     return swaps
 

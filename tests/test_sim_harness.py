@@ -38,7 +38,7 @@ from fractal_impedance.sim_harness import (
     RECOVERY_FRACTION,
     _make_reference,
     _pulse_recoveries,
-    _schedule_x_b,
+    _schedule_swaps,
     _tick_starts,
 )
 from pulse_reference import random_pulse_profile
@@ -745,10 +745,13 @@ class TestEpisodes:
             x_b=0.2,
             xb_schedule={"x_b_end": 0.05, "rate": 0.04, "interval": 1.0},
         )
-        assert _schedule_x_b(sc, 0.5, (0.2,)) == (0.2,)
-        assert _schedule_x_b(sc, 1.0, (0.2,)) == (0.16,)
-        assert _schedule_x_b(sc, 3.99, (0.2,)) == pytest.approx((0.08,))
-        assert _schedule_x_b(sc, 50.0, (0.2,)) == (0.05,)
+        second = int(round(1.0 / sc.dt))
+        swaps = _schedule_swaps(sc, 50 * second + 1)  # the ticks of 50 s
+        x_b = {k / second: config.stiffness[0].x_b for k, config in swaps.items()}
+        assert list(x_b) == [1.0, 2.0, 3.0, 4.0]  # x_B stays 0.2 before 1 s
+        assert x_b[1.0] == 0.16
+        assert x_b[3.0] == pytest.approx(0.08)  # in force through 3.99 s
+        assert x_b[4.0] == 0.05  # x_b_end, and no swap after it
 
 
 # pulse edges between ticks at every rate below, and a moving reference
