@@ -173,8 +173,7 @@ def _arm_torques(arm: PlanarArm, sample: ArmSample, wrench, posture_target, post
     tau_null``.
     """
     n0, n1, n2 = _posture_torque(sample.q, sample.qdot, posture_target, posture_gains)
-    _, _, _, _, jphi, (g0, g1, g2), _, (ld0, ld1, ld2) = sample.kernel
-    (jx0, jx1, jx2), (jy0, jy1, jy2) = jphi
+    jx0, jx1, jx2, jy0, jy1, jy2, g0, g1, g2, ld0, ld1, ld2 = sample.kernel[16:]
     r0, r1, r2 = ld0 - (n0 - n1), ld1 - (n1 - n2), ld2 - n2  # load - S^-T tau_null
     a0, a1 = _arm_drift(arm, sample)
     (px0, px1, px2), (py0, py1, py2) = sample.binv_jt

@@ -20,21 +20,28 @@ product to its BLAS, whose kernel, and so whose rounding, depends on the CPU.
 
 The arm has exactly 3 links, the one arm the harness builds, so its terms are
 straight-line float code on unpacked locals, with no loop over links.
-``_arm_kernel`` computes every term of a state that the loop shares (link
-directions, B and its factor, J_phi, G_phi, the velocity load) in one body,
-and the joint-space functions read theirs from it, so each formula is written
-once. Each sum keeps a fixed order of association, ``0.0 +`` starts included:
-reordering a float sum changes its last bits, and so the records. An
-integrator stage is one kernel and one solve; an arm sample is one kernel,
-whose terms serve its tip pose and ``J qdot`` (``_tip``, which the wall stage
-calls too), its task inertia, the tick and the first stage. Neither builds an
-array, and the loop forms neither J^T-bar nor N: the torque map folds N into
-its task term, and only ``task_space_quantities`` builds them. ``_advance``
-is the one stepping path, and ``Scenario`` checks the integrator name against
-``INTEGRATORS``; with ``accel=None``, for a plant whose acceleration does not
-depend on its state, RK4 is one pass over the components that gives the
-general path's bits, and one call steps a held run of ``steps`` samples under
-that acceleration.
+``_arm_kernel`` is the one body that computes every term of a state that the
+loop shares (link directions, B and its factor, J_phi, G_phi, the velocity
+load), into locals. Given no torque it returns them as one flat tuple, which
+the sample, the tick, the first stage and the joint-space functions read;
+given a torque it is a fresh integrator stage and hands its locals straight
+to the solve, ``_arm_solve``, which the first stage runs on the sample's
+terms. So each formula is written once, and a fresh stage is one kernel call
+that builds no tuple of terms (about 2.5 us by timeit on a 2-vCPU Xeon VM,
+against 3.2 us while the kernel returned eight nested tuples for the stage to
+unpack). Each sum keeps a fixed order of association, ``0.0 +`` starts
+included: reordering a float sum changes its last bits, and so the records.
+An arm sample is one kernel, whose terms serve its tip pose and ``J qdot``
+(``_tip``, which the wall stage calls too), its task inertia, the tick and
+the first stage. Neither builds an array, and the loop forms neither J^T-bar
+nor N: the torque map folds N into its task term, and only
+``task_space_quantities`` builds them. ``_advance`` is the one stepping path,
+and ``Scenario`` checks the integrator name against ``INTEGRATORS``. Its
+state-dependent RK4 steps a 3-component state (the arm's) on unpacked locals
+and any other size in a loop over the components; with ``accel=None``, for a
+plant whose acceleration does not depend on its state, RK4 is one pass over
+the components that gives the general path's bits, and one call steps a held
+run of ``steps`` samples under that acceleration.
 
 Environment effects (unilateral wall, force pulses) are plain functions so the
 integrators can evaluate them at stage states.
@@ -70,6 +77,7 @@ __all__ = [
 
 SINGULARITY_TOL = 1e-8
 INTEGRATORS = ("rk4", "semi_implicit")
+_REST = (0.0, 0.0, 0.0)
 
 
 class IntegrationBlowupError(RuntimeError):
@@ -209,7 +217,7 @@ def _jacobian_rows(jphi) -> tuple[list, list]:
     return _suffix(jphi[0]), _suffix(jphi[1])
 
 
-def _tip(jphi, qdot=(0.0, 0.0, 0.0)) -> tuple[list, list]:
+def _tip(jphi, qdot=_REST) -> tuple[list, list]:
     """The tip pose ``(jy[0], -jx[0])`` and task velocity ``J qdot``, each
     entry summed from 0.0 in joint order, as lists of floats from the rows
     ``(jx, jy)`` of ``J = J_phi S``: the one definition of both, which the
@@ -220,14 +228,13 @@ def _tip(jphi, qdot=(0.0, 0.0, 0.0)) -> tuple[list, list]:
     return [y0, -x0], xdot
 
 
-def _cholesky3(b) -> tuple:
+def _cholesky3(b00, b10, b11, b20, b21, b22) -> tuple:
     """Lower Cholesky factor ``(l00, l10, l11, l20, l21, l22)`` of B or M
     from its lower triangle in the same order.
 
     Raises:
         numpy.linalg.LinAlgError: when the matrix is not positive definite.
     """
-    b00, b10, b11, b20, b21, b22 = b
     if b00 <= 0.0:
         raise np.linalg.LinAlgError("mass matrix is not positive definite")
     l00 = math.sqrt(b00)
@@ -255,24 +262,37 @@ def _cho_solve3(low, b0, b1, b2) -> tuple:
     return (y0 - l20 * x2 - l10 * x1) / l00, x1, x2
 
 
-def _arm_kernel(arm: PlanarArm, q, qdot=(0.0, 0.0, 0.0)) -> tuple:
-    """Every state-dependent arm term that the loop shares, as Python floats,
-    from one straight-line body: ``(c, s, b, low, (jx, jy), g, sq, load)``.
+def _arm_kernel(arm: PlanarArm, q, qdot=_REST, tau=None, wall=None, task_wrench=None):
+    """One straight-line evaluation of the arm at ``(q, qdot)`` on Python
+    floats: every state-dependent term the loop shares, computed into locals.
+
+    Given no torque it returns the terms as one flat tuple, the layout that
+    ``ArmSample.kernel`` holds and its readers slice::
+
+        c0 c1 c2 s0 s1 s2 sq0 sq1 sq2            [0:9]
+        b00 b10 b11 b20 b21 b22                  [9:15]
+        low                                      [15]
+        jx0 jx1 jx2 jy0 jy1 jy2                  [16:22]
+        g0 g1 g2 ld0 ld1 ld2                     [22:28]
+
+    Given a torque it is a fresh integrator stage: it returns ``_arm_solve``
+    of ``tau``, the wall and the task wrench on its terms ``[15:]``, passed
+    as locals, not as a tuple.
 
     - ``c``, ``s``: cos and sin of the absolute link angles ``phi = S q``
       (running sums of ``q``). An infinite angle gives NaN, as numpy's cos
       does, so a non-finite state propagates instead of raising.
+    - ``sq``: the squared absolute rates. ``qdot`` defaults to rest for the
+      callers that read only the terms of ``q``.
     - ``b``, ``low``: the inertia ``B = A o cos(phi_a - phi_b) + diag(I)`` as
-      its lower triangle ``(b00, b10, b11, b20, b21, b22)`` and its Cholesky
-      factor in the same order; the angle differences come from products of
-      the link directions.
-    - ``(jx, jy)``: the rows of ``J_phi = l o [-sin phi; cos phi]``, the
+      its lower triangle and its Cholesky factor in the same order; the angle
+      differences come from products of the link directions.
+    - ``jx``, ``jy``: the rows of ``J_phi = l o [-sin phi; cos phi]``, the
       end-effector Jacobian in absolute angles.
     - ``g``: the gravity load G_phi in absolute angles.
-    - ``sq``, ``load``: the squared absolute rates and the velocity-product
-      load ``(A o sin(phi_a - phi_b)) phidot^2``; the sine matrix is
-      antisymmetric, so each pair of links enters once. ``qdot`` defaults to
-      rest for the callers that read only the terms of ``q``.
+    - ``ld``: the velocity-product load ``(A o sin(phi_a - phi_b))
+      phidot^2``; the sine matrix is antisymmetric, so each pair of links
+      enters once.
 
     Raises:
         numpy.linalg.LinAlgError: when B (so M) is not positive definite.
@@ -287,14 +307,19 @@ def _arm_kernel(arm: PlanarArm, q, qdot=(0.0, 0.0, 0.0)) -> tuple:
         c0, c1, c2, s0, s1, s2 = cos(p0), cos(p1), cos(p2), sin(p0), sin(p1), sin(p2)
     (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = arm._coupling
     i0, i1, i2 = arm.inertias
-    b = (
-        a00 + i0,  # cos(phi_a - phi_a) = 1
-        a10 * (c1 * c0 + s1 * s0), a11 + i1,
-        a20 * (c2 * c0 + s2 * s0), a21 * (c2 * c1 + s2 * s1), a22 + i2,
-    )
+    b00 = a00 + i0  # cos(phi_a - phi_a) = 1
+    b10 = a10 * (c1 * c0 + s1 * s0)
+    b11 = a11 + i1
+    b20 = a20 * (c2 * c0 + s2 * s0)
+    b21 = a21 * (c2 * c1 + s2 * s1)
+    b22 = a22 + i2
+    low = _cholesky3(b00, b10, b11, b20, b21, b22)
     l0, l1, l2 = arm.lengths
+    jx0, jx1, jx2 = -(l0 * s0), -(l1 * s1), -(l2 * s2)
+    jy0, jy1, jy2 = l0 * c0, l1 * c1, l2 * c2
     gx, gy = arm.gravity
     m0, m1, m2 = arm._first_moments
+    g0, g1, g2 = m0 * (gx * s0 - gy * c0), m1 * (gx * s1 - gy * c1), m2 * (gx * s2 - gy * c2)
     v0 = qdot[0]
     v1 = v0 + qdot[1]
     v2 = v1 + qdot[2]
@@ -302,13 +327,39 @@ def _arm_kernel(arm: PlanarArm, q, qdot=(0.0, 0.0, 0.0)) -> tuple:
     a01 = a01 * (s0 * c1 - c0 * s1)
     a02 = a02 * (s0 * c2 - c0 * s2)
     a12 = a12 * (s1 * c2 - c1 * s2)
-    return (
-        (c0, c1, c2), (s0, s1, s2), b, _cholesky3(b),
-        ((-(l0 * s0), -(l1 * s1), -(l2 * s2)), (l0 * c0, l1 * c1, l2 * c2)),
-        (m0 * (gx * s0 - gy * c0), m1 * (gx * s1 - gy * c1), m2 * (gx * s2 - gy * c2)),
-        (sq0, sq1, sq2),
-        (0.0 + a01 * sq1 + a02 * sq2, 0.0 - a01 * sq0 + a12 * sq2, 0.0 - a02 * sq0 - a12 * sq1),
+    ld0 = 0.0 + a01 * sq1 + a02 * sq2
+    ld1 = 0.0 - a01 * sq0 + a12 * sq2
+    ld2 = 0.0 - a02 * sq0 - a12 * sq1
+    if tau is None:
+        return (
+            c0, c1, c2, s0, s1, s2, sq0, sq1, sq2,
+            b00, b10, b11, b20, b21, b22, low,
+            jx0, jx1, jx2, jy0, jy1, jy2, g0, g1, g2, ld0, ld1, ld2,
+        )
+    return _arm_solve(
+        tau, qdot, wall, task_wrench,
+        low, jx0, jx1, jx2, jy0, jy1, jy2, g0, g1, g2, ld0, ld1, ld2,
     )
+
+
+def _arm_solve(
+    tau, qdot, wall, task_wrench, low, jx0, jx1, jx2, jy0, jy1, jy2, g0, g1, g2, ld0, ld1, ld2
+) -> list:
+    """Joint accelerations ``M^-1 (tau - C qdot - G + J^T w)`` from the kernel
+    terms ``[15:]``, solved in absolute angles with the factor of B:
+    ``B phidd = S^-T tau + J_phi^T w - load - G_phi``, then ``qdd = S^-1
+    phidd``. ``w`` is the task wrench plus the wall's force at the tip pose
+    and ``J qdot`` of ``_tip``."""
+    w0, w1 = (0.0, 0.0) if task_wrench is None else task_wrench
+    if wall is not None:
+        f0, f1 = contact_force(wall, *_tip(((jx0, jx1, jx2), (jy0, jy1, jy2)), qdot))
+        w0, w1 = w0 + f0, w1 + f1
+    t0, t1, t2 = tau
+    r0 = t0 - t1 + (jx0 * w0 + jy0 * w1) - (ld0 + g0)
+    r1 = t1 - t2 + (jx1 * w0 + jy1 * w1) - (ld1 + g1)
+    r2 = t2 + (jx2 * w0 + jy2 * w1) - (ld2 + g2)
+    p0, p1, p2 = _cho_solve3(low, r0, r1, r2)
+    return [p0, p1 - p0, p2 - p1]
 
 
 def arm_dynamics(arm: PlanarArm, q: np.ndarray, qdot: np.ndarray) -> ArmDynamics:
@@ -318,7 +369,8 @@ def arm_dynamics(arm: PlanarArm, q: np.ndarray, qdot: np.ndarray) -> ArmDynamics
     Raises:
         numpy.linalg.LinAlgError: when the mass matrix is not positive definite.
     """
-    c, s, (b00, b10, b11, b20, b21, b22), _, jphi, g, _, _ = _arm_kernel(arm, q)
+    k = _arm_kernel(arm, q)
+    c, s, (b00, b10, b11, b20, b21, b22), jphi = k[0:3], k[3:6], k[9:15], (k[16:19], k[19:22])
     qdot = np.asarray(qdot, dtype=float)
     phidot = np.cumsum(qdot)
     a_sin = np.array(arm._coupling) * (np.outer(s, c) - np.outer(c, s))  # A o sin(phi_a - phi_b)
@@ -329,7 +381,7 @@ def arm_dynamics(arm: PlanarArm, q: np.ndarray, qdot: np.ndarray) -> ArmDynamics
         mass_matrix=np.array(_suffix_2d(b)),
         coriolis=coriolis,
         bias=coriolis @ qdot,
-        gravity=np.array(_suffix(g)),
+        gravity=np.array(_suffix(k[22:25])),
         jacobian=np.array(_jacobian_rows(jphi)),
         jacobian_dot=np.array((_suffix(lp * c), _suffix(lp * s))),
     )
@@ -338,15 +390,15 @@ def arm_dynamics(arm: PlanarArm, q: np.ndarray, qdot: np.ndarray) -> ArmDynamics
 def _arm_drift(arm: PlanarArm, sample) -> tuple[float, float]:
     """The tip drift ``Jd qdot = -(l o phidot^2) . (cos phi, sin phi)`` at
     an arm sample, as floats."""
-    (c0, c1, c2), (s0, s1, s2), _, _, _, _, (sq0, sq1, sq2), _ = sample.kernel
+    c0, c1, c2, s0, s1, s2, sq0, sq1, sq2 = sample.kernel[:9]
     l0, l1, l2 = arm.lengths
     lp0, lp1, lp2 = l0 * sq0, l1 * sq1, l2 * sq2
     return -(0.0 + c0 * lp0 + c1 * lp1 + c2 * lp2), -(0.0 + s0 * lp0 + s1 * lp1 + s2 * lp2)
 
 
 def forward_kinematics(arm: PlanarArm, q: np.ndarray) -> np.ndarray:
-    _, _, _, _, jphi, *_ = _arm_kernel(arm, q)
-    return np.array(_tip(jphi)[0])
+    k = _arm_kernel(arm, q)
+    return np.array(_tip((k[16:19], k[19:22]))[0])
 
 
 @dataclass(frozen=True)
@@ -403,7 +455,7 @@ def task_space_quantities(
     """
     dyn = arm_dynamics(arm, q, np.zeros(3)) if dyn is None else dyn
     m, jac = dyn.mass_matrix.tolist(), dyn.jacobian.tolist()
-    low = _cholesky3((m[0][0], m[1][0], m[1][1], m[2][0], m[2][1], m[2][2]))
+    low = _cholesky3(m[0][0], m[1][0], m[1][1], m[2][0], m[2][1], m[2][2])
     (mx, my), lam = _task_inertia(low, jac)
     jbar_t = [[l0 * u + l1 * v for u, v in zip(mx, my)] for l0, l1 in lam]
     nullspace = [[-(xi * b0 + yi * b1) for b0, b1 in zip(*jbar_t)] for xi, yi in zip(*jac)]
@@ -418,13 +470,14 @@ class ArmSample(NamedTuple):
     The loop's task state, the tick and the first integrator stage all read
     it, so a sample costs one kernel (one factor of B and one velocity load),
     one ``B^-1 J_phi^T`` solve and one singularity test. The tick and the
-    stage read the kernel's terms from ``kernel``; the sample holds only what
-    the kernel does not.
+    stage read the kernel's terms from ``kernel``, by the slices of the flat
+    layout in ``_arm_kernel``'s docstring; the sample holds only what the
+    kernel does not.
     """
 
     q: list  # the sampled state
     qdot: list
-    kernel: tuple  # _arm_kernel(arm, q, qdot)
+    kernel: tuple  # _arm_kernel(arm, q, qdot), 28 flat terms
     x: list  # end-effector pose
     xdot: list  # J qdot
     binv_jt: tuple  # the columns of B^-1 J_phi^T, floats
@@ -444,8 +497,8 @@ def _arm_task_state(arm: PlanarArm, q, qdot) -> ArmSample:
             inversion of J M^-1 J^T.
     """
     kernel = _arm_kernel(arm, q, qdot)
-    _, _, _, low, jphi, _, _, _ = kernel
-    cols, lam = _task_inertia(low, jphi)
+    jphi = kernel[16:19], kernel[19:22]
+    cols, lam = _task_inertia(kernel[15], jphi)
     x, xdot = _tip(jphi, qdot)
     v0, v1 = xdot
     (l00, l01), (l10, l11) = lam
@@ -501,11 +554,10 @@ class Pulse:
     wrench: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        # The messages of both pulse classes start with the scenario field.
+        # The messages of both pulse classes start with the scenario field;
+        # ``build_environment`` checks the range of a config's pulse by name.
         object.__setattr__(self, "start", _float(self.start, "pulses"))
         object.__setattr__(self, "duration", _float(self.duration, "pulses"))
-        if self.start < 0.0 or self.duration <= 0.0:
-            raise ValueError("pulses: need start >= 0 and duration > 0")
         object.__setattr__(self, "wrench", _floats(self.wrench, "pulses"))
 
     @property
@@ -527,11 +579,11 @@ class PerturbationProfile:
                 raise ValueError("pulses: wrench length must match n_dof")
         for dof in range(self.n_dof):
             spans = sorted(
-                (p.start, p.end) for p in self.pulses if p.wrench[dof] != 0.0
+                (p.start, p.end, i) for i, p in enumerate(self.pulses) if p.wrench[dof] != 0.0
             )
-            for (s0, e0), (s1, _) in zip(spans, spans[1:]):
-                if s1 < e0:
-                    raise ValueError(f"pulses: overlapping pulses on DoF {dof}")
+            for (_, e0, i0), (s1, _, i1) in zip(spans, spans[1:]):
+                if s1 < e0:  # the pulse that starts while the other is on
+                    raise ValueError(f"pulses[{i1}]: overlaps pulses[{i0}] on DoF {dof}")
 
 
 def external_wrench(profile: PerturbationProfile, t: float) -> list:
@@ -578,28 +630,18 @@ def _arm_accel(
 ) -> list:
     """Joint accelerations ``M^-1 (tau - C qdot - G + J^T w)`` as floats,
     solved in absolute angles with the factor of B. ``sample`` is
-    ``_arm_task_state(arm, q, qdot)`` when the caller has it already; its
-    kernel serves the stage, which otherwise is one ``_arm_kernel`` call and
-    the solve.
+    ``_arm_task_state(arm, q, qdot)`` when the caller has it already: the
+    stage is then ``_arm_solve`` on its kernel's terms, and otherwise one
+    ``_arm_kernel`` call.
 
     A non-finite state gives a non-finite result, so the step reports it.
 
     Raises:
         numpy.linalg.LinAlgError: when the mass matrix is not positive definite.
     """
-    kernel = _arm_kernel(arm, q, qdot) if sample is None else sample.kernel
-    _, _, _, low, jphi, (g0, g1, g2), _, (ld0, ld1, ld2) = kernel
-    (jx0, jx1, jx2), (jy0, jy1, jy2) = jphi
-    w0, w1 = (0.0, 0.0) if task_wrench is None else task_wrench
-    if wall is not None:
-        f0, f1 = contact_force(wall, *_tip(jphi, qdot))
-        w0, w1 = w0 + f0, w1 + f1
-    t0, t1, t2 = tau
-    r0 = t0 - t1 + (jx0 * w0 + jy0 * w1) - (ld0 + g0)
-    r1 = t1 - t2 + (jx1 * w0 + jy1 * w1) - (ld1 + g1)
-    r2 = t2 + (jx2 * w0 + jy2 * w1) - (ld2 + g2)
-    p0, p1, p2 = _cho_solve3(low, r0, r1, r2)
-    return [p0, p1 - p0, p2 - p1]
+    if sample is None:
+        return _arm_kernel(arm, q, qdot, tau, wall, task_wrench)
+    return _arm_solve(tau, qdot, wall, task_wrench, *sample.kernel[15:])
 
 
 def _advance(pos, vel, accel, dt: float, integrator: str, t: float, accel0=None, steps=1):
@@ -616,8 +658,13 @@ def _advance(pos, vel, accel, dt: float, integrator: str, t: float, accel0=None,
     values per step, so one step returns the new state. Each component is
     combined in the order numpy's array expressions ``vel + 0.5 * dt * acc``
     and ``pos + dt / 6 * (k1 + 2 k2 + 2 k3 + k4)`` use, so the step gives
-    their bits. Explicit loops, not comprehensions: at one to three
-    components a comprehension's own call costs more than its arithmetic.
+    their bits. The state-dependent RK4 of a 3-component state (the arm, or
+    a 3-DoF point mass at a wall) is straight-line code on unpacked locals,
+    one list per stage argument: its bookkeeping around the three stage calls
+    costs about 2.1 us by timeit on a 2-vCPU Xeon VM, against 4.4 us in the
+    loop form, which steps every other size. Explicit loops, not
+    comprehensions: at one to three components a comprehension's own call
+    costs more than its arithmetic.
 
     Raises:
         IntegrationBlowupError: when a new state is not finite (it stays
@@ -652,6 +699,26 @@ def _advance(pos, vel, accel, dt: float, integrator: str, t: float, accel0=None,
         if steps > 1 < len(pos):  # one run per component, to one state per step
             new_pos = np.reshape(new_pos, (-1, steps)).T.ravel().tolist()
             new_vel = np.reshape(new_vel, (-1, steps)).T.ravel().tolist()
+    elif len(pos) == 3:  # the arm's state: the loop form below on unpacked locals
+        h, h6 = 0.5 * dt, dt / 6.0
+        (p0, p1, p2), (v0, v1, v2), (a0, a1, a2) = pos, vel, accel0
+        u0, u1, u2 = v0 + h * a0, v1 + h * a1, v2 + h * a2
+        b0, b1, b2 = accel([p0 + h * v0, p1 + h * v1, p2 + h * v2], [u0, u1, u2])
+        w0, w1, w2 = v0 + h * b0, v1 + h * b1, v2 + h * b2
+        c0, c1, c2 = accel([p0 + h * u0, p1 + h * u1, p2 + h * u2], [w0, w1, w2])
+        z0, z1, z2 = v0 + dt * c0, v1 + dt * c1, v2 + dt * c2
+        e0, e1, e2 = accel([p0 + dt * w0, p1 + dt * w1, p2 + dt * w2], [z0, z1, z2])
+        new_pos = [
+            p0 + h6 * (v0 + 2.0 * u0 + 2.0 * w0 + z0),
+            p1 + h6 * (v1 + 2.0 * u1 + 2.0 * w1 + z1),
+            p2 + h6 * (v2 + 2.0 * u2 + 2.0 * w2 + z2),
+        ]
+        new_vel = [
+            v0 + h6 * (a0 + 2.0 * b0 + 2.0 * c0 + e0),
+            v1 + h6 * (a1 + 2.0 * b1 + 2.0 * c1 + e1),
+            v2 + h6 * (a2 + 2.0 * b2 + 2.0 * c2 + e2),
+        ]
+        finite = all(map(isfinite, new_pos + new_vel))
     else:
         h = 0.5 * dt
         p2, v2 = [], []

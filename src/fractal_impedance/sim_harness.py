@@ -279,7 +279,8 @@ def build_environment(sc: Scenario) -> tuple:
     """The scenario's plant (a ``PointMassPlant`` or a ``PlanarArm``), its
     ``PerturbationProfile`` and its ``ContactWall``, None without one. The one
     reader of ``pulses`` and ``wall``: it checks their keys and values as it
-    converts them, and the pulses and the wall check their own ranges."""
+    converts them, each pulse's start and duration included, and the profile
+    (overlaps) and the wall check their own ranges."""
     d = sc.n_task
     plant = PlanarArm.default(sc.gravity) if sc.plant == "arm" else PointMassPlant(sc.inertia)
     if not isinstance(sc.pulses, tuple):
@@ -288,6 +289,10 @@ def build_environment(sc: Scenario) -> tuple:
     for i, p in enumerate(sc.pulses):
         _check_keys(f"pulses[{i}]", p, _PULSE_KEYS)
         start, duration = (_float(p[key], f"pulses[{i}].{key}") for key in ("start", "duration"))
+        if start < 0.0:
+            raise ValueError(f"pulses[{i}].start: must be non-negative")
+        if duration <= 0.0:
+            raise ValueError(f"pulses[{i}].duration: must be positive")
         pulses.append(Pulse(start, duration, _floats(p["wrench"], f"pulses[{i}].wrench", d)))
     w, wall = sc.wall, None
     if w is not None:

@@ -44,8 +44,15 @@ from fractal_impedance import (
 )
 from fractal_impedance import dynamics
 from fractal_impedance.controllers import _arm_torques, _posture_torque
-from fractal_impedance.dynamics import _arm_accel, _arm_kernel, _arm_task_state
+from fractal_impedance.dynamics import (
+    INTEGRATORS,
+    _advance,
+    _arm_accel,
+    _arm_kernel,
+    _arm_task_state,
+)
 from arm_reference import joint_positions, kinetic_energy, potential_energy
+from test_dynamics import _advance_reference, _step_outcome
 
 ARM = PlanarArm.default()
 WALL = ContactWall(axis=0, offset=0.5, stiffness=2000.0, damping=5.0)
@@ -345,7 +352,10 @@ def test_kernel_matches_reference_closed_forms(state):
     arm, q, qdot = state
     n = len(q)
     ref = reference_terms(arm, q)
-    c, s, b, low, jphi, g, sq, load = _arm_kernel(arm, q, qdot)
+    terms = _arm_kernel(arm, q, qdot)  # the flat layout of its docstring
+    assert len(terms) == 28
+    c, s, sq, b, low = terms[0:3], terms[3:6], terms[6:9], terms[9:15], terms[15]
+    jphi, g, load = (terms[16:19], terms[19:22]), terms[22:25], terms[25:28]
     assert within(np.array((c, s)), ref["cs"])
     tril = np.tril_indices(n)  # row by row: (00, 10, 11, 20, 21, 22)
     link_inertia, link_inertia_scale = ref["link_inertia"]
@@ -394,6 +404,45 @@ def test_accel_on_sample_kernel_matches_fresh_call(state, tau, w, wall_shift):
     args = (arm, tau.tolist(), q, qdot, wall, w.tolist())
     fresh = _arm_accel(*args)
     assert list(map(float.hex, _arm_accel(*args, sample))) == list(map(float.hex, fresh))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    state=arm_states(),
+    tau=vec(3, 50.0),
+    w=vec(2, 50.0),
+    wall_shift=st.none() | st.floats(-0.1, 0.1),
+    dt=st.floats(1e-4, 1e-2),
+    integrator=st.sampled_from(INTEGRATORS),
+    from_sample=st.booleans(),
+)
+def test_arm_step_matches_numpy_reference_step(
+    state, tau, w, wall_shift, dt, integrator, from_sample
+):
+    # one ``_advance`` step on the arm's own field, its first stage computed
+    # afresh or taken from the sample as the loop does, against the step
+    # written with numpy array expressions: the same bytes, with or without
+    # a wall (penetrated at the sample when the shift is negative)
+    arm, q, qdot = state
+    q, qdot, tau, w = q.tolist(), qdot.tolist(), tau.tolist(), w.tolist()
+    try:
+        sample = _arm_task_state(arm, q, qdot)
+    except SingularConfigurationError:
+        assume(False)
+    wall = None if wall_shift is None else replace(WALL, offset=sample.x[0] + wall_shift)
+
+    def field(qq, vv):
+        return _arm_accel(arm, tau, qq, vv, wall, w)
+
+    def numpy_field(qq, vv):
+        return np.array(field(qq.tolist(), vv.tolist()))
+
+    accel0 = _arm_accel(arm, tau, q, qdot, wall, w, sample) if from_sample else None
+    want = _step_outcome(
+        _advance_reference, np.array(q), np.array(qdot), numpy_field, dt, integrator, 0.0, False
+    )
+    got = _step_outcome(_advance, q, qdot, field, dt, integrator, 0.0, False, accel0)
+    assert got == want and got[0] == "ok"
 
 
 @settings(max_examples=300, deadline=None)

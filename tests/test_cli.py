@@ -352,28 +352,49 @@ class TestCliCommands:
                 {"wall": {"axis": 0, "offset": 0.1, "stiffness": 1e3, "damping": -1.0}},
                 "/wall/damping: must be non-negative",
             ),
-            kept_id(
-                "changes",
-                12,
+            # a pulse's range and overlap errors name the pulse at fault; an
+            # overlap names the pulse that starts while the other is on
+            pytest.param(
                 {"pulses": [{"start": -0.3, "duration": 0.1, "wrench": [6.0]}]},
-                "/pulses: need start >= 0 and duration > 0",
+                "/pulses/0/start: must be non-negative",
+                id="pulses.start-negative",
             ),
-            kept_id(
-                "changes",
-                13,
+            pytest.param(
+                {
+                    "pulses": [
+                        {"start": 0.1, "duration": 0.1, "wrench": [1]},
+                        {"start": -1, "duration": 0.1, "wrench": [1]},
+                    ]
+                },
+                "/pulses/1/start: must be non-negative",
+                id="pulses.start-second_negative",
+            ),
+            pytest.param(
                 {"pulses": [{"start": 0.3, "duration": 0.0, "wrench": [6.0]}]},
-                "/pulses: need start >= 0 and duration > 0",
+                "/pulses/0/duration: must be positive",
+                id="pulses.duration-zero",
             ),
-            kept_id(
-                "changes",
-                14,
+            pytest.param(
                 {
                     "pulses": [
                         {"start": 0.1, "duration": 0.2, "wrench": [6.0]},
                         {"start": 0.2, "duration": 0.1, "wrench": [-4.0]},
                     ]
                 },
-                "/pulses: overlapping pulses on DoF 0",
+                "/pulses/1: overlaps pulses[0] on DoF 0",
+                id="pulses-overlap",
+            ),
+            pytest.param(
+                dict(
+                    ARM_STATIC,
+                    pulses=[
+                        {"start": 0.3, "duration": 0.1, "wrench": [0.0, -4.0]},
+                        {"start": 0.1, "duration": 0.1, "wrench": [2.0, 0.0]},
+                        {"start": 0.2, "duration": 0.2, "wrench": [1.0, 6.0]},
+                    ],
+                ),
+                "/pulses/0: overlaps pulses[2] on DoF 1",
+                id="pulses-overlap_arm_dof1",
             ),
             kept_id(
                 "changes",

@@ -925,6 +925,7 @@ def test_arm_sample_and_stage_call_no_numpy():
         dynamics._arm_task_state,
         dynamics._arm_accel,
         dynamics._arm_kernel,
+        dynamics._arm_solve,
         dynamics._tip,
         dynamics._jacobian_rows,
         dynamics._suffix,
